@@ -96,10 +96,26 @@ def energies_backward(params: dict, kind: str, cache, de: np.ndarray, grads: dic
     return d_query, d_keys
 
 
-def selection_probability(params: dict, query: np.ndarray, key: np.ndarray) -> float:
-    """Probability that hard attention stops on this single encoded frame."""
-    e, _ = energies(params, "sel", query, np.asarray(key)[None, :])
-    return float(nn.sigmoid(e)[0])
+def project_keys(params: dict, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Selection and chunk key terms ``Wk @ h`` of every frame row.
+
+    Rows are projected one by one (``nn.matvecs``), so a frame's keys do not
+    depend on which frames are projected with it.
+    """
+    return nn.matvecs(params["att.sel.Wk"], frames), nn.matvecs(params["att.chunk.Wk"], frames)
+
+
+def project_queries(params: dict, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Selection and chunk query terms ``Wq @ s + b`` of every query row."""
+    return tuple(nn.matvecs(params[f"att.{kind}.Wq"], queries) + params[f"att.{kind}.b"] for kind in ("sel", "chunk"))
+
+
+def _hard_energies(params: dict, kind: str, query_term: np.ndarray, key_terms: np.ndarray) -> np.ndarray:
+    """``energies`` from projected terms, in the same order of operations."""
+    e = np.tanh(key_terms + query_term) @ params[f"att.{kind}.v"]
+    if kind == "sel":
+        e = e + params["att.sel.r"][0]
+    return e
 
 
 def first_selection(probs: np.ndarray) -> int:
@@ -108,13 +124,14 @@ def first_selection(probs: np.ndarray) -> int:
     return int(hits[0]) if hits.size else -1
 
 
-def chunk_attend(chunk_energies: np.ndarray, frames: np.ndarray, lo: int, t: int):
-    """Softmax over frames [lo, t]; returns (context, weights, peak_index).
+def chunk_attend(chunk_energies: np.ndarray, frames: np.ndarray, lo: int):
+    """Softmax over the chunk of frames starting at ``lo`` that ``chunk_energies``
+    scores; returns (context, weights, peak_index).
 
     Argmax ties resolve to the lowest index.
     """
-    weights = nn.softmax(chunk_energies[lo : t + 1])
-    context = weights @ frames[lo : t + 1]
+    weights = nn.softmax(chunk_energies)
+    context = weights @ frames[lo : lo + len(weights)]
     peak = lo + int(np.argmax(weights))
     return context, weights, peak
 
@@ -122,10 +139,11 @@ def chunk_attend(chunk_energies: np.ndarray, frames: np.ndarray, lo: int, t: int
 def mocha_infer_step(
     params: dict,
     cfg: AttentionConfig,
-    query: np.ndarray,
+    query,
     frames: np.ndarray,
     state: AttentionState,
     force: bool = False,
+    keys: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> AttentionStepResult:
     """Hard-mode step: monotonic scan then chunk softmax.
 
@@ -133,17 +151,29 @@ def mocha_infer_step(
     always make progress (e.g. at finalization): the position pins to the
     last frame but the context is zero, mirroring what soft training
     produces when the expected alignment runs off the end of the input.
+
+    ``keys`` holds the key terms of ``frames`` (``project_keys``), and
+    ``query`` is then the matching pair of query terms (one row of each of
+    ``project_queries``), so callers stepping many queries over one buffer
+    project every frame once. Without ``keys``, ``query`` is the raw query
+    and both are projected here. Chunk energies are computed on the chunk only.
     """
     n = frames.shape[0]
+    if n == 0:
+        return EXHAUSTED
+    if keys is None:
+        keys = project_keys(params, frames)
+        query = tuple(term[0] for term in project_queries(params, np.asarray(query)[None]))
+    sel_query, chunk_query = query
+    sel_keys, chunk_keys = keys
     start = max(state.prev_index, 0)
     selected = -1
-    if n > 0 and start < n:
-        e, _ = energies(params, "sel", query, frames[start:])
-        rel = first_selection(nn.sigmoid(e))
+    if start < n:
+        rel = first_selection(nn.sigmoid(_hard_energies(params, "sel", sel_query, sel_keys[start:])))
         if rel >= 0:
             selected = start + rel
     if selected < 0:
-        if not force or n == 0 or state.prev_index >= n:
+        if not force or state.prev_index >= n:
             return EXHAUSTED
         return AttentionStepResult(
             status="selected",
@@ -154,8 +184,8 @@ def mocha_infer_step(
             forced=True,
         )
     lo = max(0, selected - cfg.chunk_size + 1)
-    u, _ = energies(params, "chunk", query, frames)
-    context, weights, peak = chunk_attend(u, frames, lo, selected)
+    u = _hard_energies(params, "chunk", chunk_query, chunk_keys[lo : selected + 1])
+    context, weights, peak = chunk_attend(u, frames, lo)
     return AttentionStepResult(
         status="selected",
         context=context,

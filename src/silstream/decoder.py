@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attention import AttentionState, AttentionStepResult
+from .attention import AttentionState, AttentionStepResult, project_keys
 from .data import FeatureSequence, ms_to_encoded_frames, ms_to_frames
 from .model import StepOutput
 from .vocab import Vocab, strip_nonscoring
@@ -48,29 +48,64 @@ class BeamConfig:
         return self.cap_base + self.cap_per_frame * encoded_frames
 
 
-class EncodedBuffer:
-    """Append-only store of encoded frames shared by all hypotheses."""
+def _reserve(store: np.ndarray, used: int, rows: int, width: int) -> np.ndarray:
+    """``store`` if it has room for ``rows`` rows, else a copy of its first
+    ``used`` rows with room for twice as many, so appends copy amortised O(1)."""
+    if store.shape[0] >= rows:
+        return store
+    grown = np.empty((2 * rows, width))
+    if used:
+        grown[:used] = store[:used]
+    return grown
 
-    def __init__(self, total_reduction: int, frame_shift_ms: int):
-        self.total_reduction = total_reduction
-        self.frame_shift_ms = frame_shift_ms
-        self._array: np.ndarray | None = None
+
+class EncodedBuffer:
+    """Append-only store of encoded frames shared by all hypotheses.
+
+    Frames live in a preallocated array that doubles when full. The attention
+    key terms of each frame are computed once, the first time a model asks
+    for them, and kept the same way.
+    """
+
+    def __init__(self):
+        self._rows = np.zeros((0, 0))
+        self._n = 0
+        self._key_weights: tuple[np.ndarray, np.ndarray] | None = None
+        self._keys = (np.zeros((0, 0)), np.zeros((0, 0)))
+        self._projected = 0
 
     def append(self, encoded: np.ndarray) -> None:
         if encoded.size == 0:
             return
-        self._array = encoded.copy() if self._array is None else np.vstack([self._array, encoded])
+        n = self._n + encoded.shape[0]
+        self._rows = _reserve(self._rows, self._n, n, encoded.shape[1])
+        self._rows[self._n : n] = encoded
+        self._n = n
 
     def __len__(self) -> int:
-        return 0 if self._array is None else self._array.shape[0]
+        return self._n
 
     @property
     def array(self) -> np.ndarray:
-        return np.zeros((0, 0)) if self._array is None else self._array
+        return self._rows[: self._n]
 
-    @property
-    def ms_per_frame(self) -> int:
-        return self.frame_shift_ms * self.total_reduction
+    def keys(self, params: dict) -> tuple[np.ndarray, np.ndarray]:
+        """Selection and chunk key terms of every frame (``project_keys``)."""
+        weights = (params["att.sel.Wk"], params["att.chunk.Wk"])
+        if self._key_weights is None or any(w is not old for w, old in zip(weights, self._key_weights)):
+            self._key_weights = weights
+            self._keys = (np.zeros((0, 0)), np.zeros((0, 0)))
+            self._projected = 0
+        done, n = self._projected, self._n
+        if done < n:
+            fresh = project_keys(params, self._rows[done:n])
+            self._keys = tuple(
+                _reserve(store, done, n, part.shape[1]) for store, part in zip(self._keys, fresh)
+            )
+            for store, part in zip(self._keys, fresh):
+                store[done:n] = part
+            self._projected = n
+        return tuple(store[:n] for store in self._keys)
 
 
 @dataclass(frozen=True)
@@ -83,24 +118,70 @@ class Emission:
     forced: bool = False
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class History:
+    """A hypothesis' token history as a parent-pointer chain.
+
+    Expansions share their parent's chain instead of copying it, so one
+    step costs O(1) per hypothesis whatever the history length. Nodes hold
+    no decoder state: voided steps keep older beams alive, and their states
+    must not be kept with them.
+    """
+
+    token: int
+    emission: Emission | None  # None for BOS and for an EOS appended without a step
+    parent: History | None
+    length: int  # tokens from BOS through this one
+
+    def extend(self, token: int, emission: Emission | None = None) -> History:
+        return History(token, emission, self, self.length + 1)
+
+    def nodes_after(self, ancestor: History | None) -> list[History]:
+        """The nodes after ``ancestor`` (exclusive) through this one, oldest first.
+
+        Raises ValueError if ``ancestor`` is not on this chain.
+        """
+        depth = 0 if ancestor is None else ancestor.length
+        out = []
+        node = self
+        while node is not None and node.length > depth:
+            out.append(node)
+            node = node.parent
+        if node is not ancestor:
+            raise ValueError("not an ancestor of this history")
+        out.reverse()
+        return out
+
+
 @dataclass(frozen=True)
 class Hypothesis:
-    tokens: tuple[int, ...]
+    history: History
     log_score: float
     dec_state: object
     att_state: AttentionState
     finished: bool = False
     runaway: bool = False
-    timeline: tuple[Emission, ...] = ()
+
+    @property
+    def tokens(self) -> tuple[int, ...]:
+        return tuple(node.token for node in self.history.nodes_after(None))
+
+    @property
+    def timeline(self) -> tuple[Emission, ...]:
+        return tuple(node.emission for node in self.history.nodes_after(None) if node.emission is not None)
 
     @property
     def emitted(self) -> int:
-        return len(self.tokens) - 1
+        return self.history.length - 1
+
+    def with_eos(self, eos_id: int) -> Hypothesis:
+        """This hypothesis closed by an end symbol that no decoding step produced."""
+        return replace(self, history=self.history.extend(eos_id), finished=True)
 
 
 def initial_hypothesis(model, prev_index: int = -1) -> Hypothesis:
     return Hypothesis(
-        tokens=(model.vocab.bos_id,),
+        history=History(model.vocab.bos_id, None, None, 1),
         log_score=0.0,
         dec_state=model.decode_start(),
         att_state=AttentionState(prev_index=prev_index),
@@ -109,8 +190,21 @@ def initial_hypothesis(model, prev_index: int = -1) -> Hypothesis:
 
 def _finish_runaway(hyp: Hypothesis, eos_id: int, clock_ms: float) -> Hypothesis:
     em = Emission(eos_id, hyp.att_state.prev_index, hyp.att_state.prev_index, clock_ms, 0.0, forced=True)
-    return replace(hyp, tokens=hyp.tokens + (eos_id,), finished=True, runaway=True,
-                   timeline=hyp.timeline + (em,))
+    return replace(hyp, history=hyp.history.extend(eos_id, em), finished=True, runaway=True)
+
+
+def _expand(hyp: Hypothesis, out: StepOutput, token: int, score: float, log_prob: float,
+            clock_ms: float, eos_id: int) -> Hypothesis:
+    att = out.att
+    em = Emission(token, att.selected_index, att.peak_index, clock_ms, log_prob, forced=att.forced)
+    return Hypothesis(
+        history=hyp.history.extend(token, em),
+        log_score=score,
+        dec_state=out.dec_state,
+        att_state=AttentionState(prev_index=att.selected_index),
+        finished=token == eos_id,
+        runaway=hyp.runaway,
+    )
 
 
 def decode_step(
@@ -134,8 +228,18 @@ def decode_step(
         raise ValueError("empty beam")
     eos_id = model.vocab.eos_id
     cap = cfg.max_tokens(len(buffer))
+    live = [hyp for hyp in beam if not hyp.finished and hyp.emitted < cap]
+    outs: list[StepOutput] = []
+    if live:
+        outs = model.decode_steps(
+            [h.dec_state for h in live], [h.history.token for h in live], buffer,
+            [h.att_state for h in live], buffer_complete, force=force,
+        )
+    steps = iter(outs)
     kept: list[tuple[Hypothesis, AttentionStepResult | None]] = []
-    expansions: list[tuple[Hypothesis, AttentionStepResult]] = []
+    # every candidate expansion as (score, hypothesis, step, token, log prob),
+    # in beam order then token order; only the survivors become hypotheses
+    ranked: list[tuple[float, Hypothesis, StepOutput, int, float]] = []
     for hyp in beam:
         if hyp.finished:
             kept.append((hyp, None))
@@ -143,37 +247,24 @@ def decode_step(
         if hyp.emitted >= cap:
             kept.append((_finish_runaway(hyp, eos_id, clock_ms), None))
             continue
-        out: StepOutput = model.decode_step(
-            hyp.dec_state, hyp.tokens[-1], buffer.array, hyp.att_state, buffer_complete, force=force
-        )
+        out = next(steps)
         if out.stalled:
             kept.append((hyp, out.att))
             continue
-        order = np.argsort(-out.log_probs, kind="stable")[: cfg.beam_size + 1]
+        log_probs = out.log_probs.tolist()
         taken = 0
-        for token in order:
-            token = int(token)
+        for token in np.argsort(-out.log_probs, kind="stable")[: cfg.beam_size + 1].tolist():
             if block_eos and token == eos_id:
                 continue
-            em = Emission(token, out.att.selected_index, out.att.peak_index, clock_ms,
-                          float(out.log_probs[token]), forced=out.att.forced)
-            expansions.append((
-                Hypothesis(
-                    tokens=hyp.tokens + (token,),
-                    log_score=hyp.log_score + float(out.log_probs[token]),
-                    dec_state=out.dec_state,
-                    att_state=AttentionState(prev_index=out.att.selected_index),
-                    finished=token == eos_id,
-                    runaway=hyp.runaway,
-                    timeline=hyp.timeline + (em,),
-                ),
-                out.att,
-            ))
+            ranked.append((hyp.log_score + log_probs[token], hyp, out, token, log_probs[token]))
             taken += 1
             if taken >= cfg.beam_size:
                 break
-    expansions.sort(key=lambda pair: -pair[0].log_score)
-    merged = kept + expansions[: max(0, cfg.beam_size - len(kept))]
+    ranked.sort(key=lambda c: -c[0])
+    merged = kept + [
+        (_expand(hyp, out, token, score, log_prob, clock_ms, eos_id), out.att)
+        for score, hyp, out, token, log_prob in ranked[: max(0, cfg.beam_size - len(kept))]
+    ]
     new_beam = [h for h, _ in merged]
     att_results = [a for _, a in merged]
     return new_beam, att_results
@@ -208,15 +299,14 @@ class DecodeResult:
 
 
 def _bos_eos_only(model, clock_ms: float) -> DecodeResult:
-    hyp = initial_hypothesis(model)
-    hyp = replace(hyp, tokens=hyp.tokens + (model.vocab.eos_id,), finished=True)
+    hyp = initial_hypothesis(model).with_eos(model.vocab.eos_id)
     return DecodeResult(tokens=list(hyp.tokens), hypothesis=hyp,
                         display_log=[(clock_ms, ())])
 
 
 def decode_offline(model, features: FeatureSequence, cfg: BeamConfig) -> DecodeResult:
     """Encode the whole utterance, then decode to completion."""
-    buffer = EncodedBuffer(model.total_reduction, features.frame_shift_ms)
+    buffer = EncodedBuffer()
     enc_state = model.encoder_reset()
     buffer.append(model.encoder_push(enc_state, features.frames))
     buffer.append(model.encoder_finish(enc_state))
@@ -258,7 +348,7 @@ def decode_online(
     position. End-symbol handling follows ``cfg.eos_policy``.
     """
     vocab = model.vocab
-    buffer = EncodedBuffer(model.total_reduction, features.frame_shift_ms)
+    buffer = EncodedBuffer()
     enc_state = model.encoder_reset()
     batches = split_batches(features.frames, ms_to_frames(batch_ms, features.frame_shift_ms))
     gate = (
@@ -288,9 +378,7 @@ def decode_online(
 
         if len(buffer) == 0:
             if is_last:
-                result.hypothesis = replace(
-                    beam[0], tokens=beam[0].tokens + (vocab.eos_id,), finished=True
-                )
+                result.hypothesis = beam[0].with_eos(vocab.eos_id)
                 beam = [result.hypothesis]
             result.display_log.append((clock, ()))
             continue
@@ -343,7 +431,7 @@ def decode_online(
 
     best = best_hypothesis(beam)
     if not best.finished:  # zero-audio stream never entered the decode loop
-        best = replace(best, tokens=best.tokens + (vocab.eos_id,), finished=True)
+        best = best.with_eos(vocab.eos_id)
     result.hypothesis = best
     result.emissions = list(best.timeline)
     if cfg.eos_policy == "restart":

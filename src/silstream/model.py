@@ -2,8 +2,18 @@
 
 Any object with the same surface (``vocab``, ``total_reduction``,
 ``silence_aware``, ``encoder_reset/push/finish``, ``decode_start``,
-``decode_step``) can drive the decoder and streamer; the synthetic oracle
-implements it too, so decoding machinery cannot tell them apart.
+``decode_steps``, ``decode_step``) can drive the decoder and streamer; the
+synthetic oracle implements it too, so decoding machinery cannot tell them
+apart.
+
+``decode_steps`` is the call the decoder makes: it steps every live
+hypothesis of a beam at once over one ``EncodedBuffer`` and returns one
+``StepOutput`` per hypothesis. ``NeuralModel`` runs the decoder GRU, the
+attention query terms and the output layer once over the stacked beam,
+reads each frame's attention key terms from the buffer, which computes
+them once per frame, and scores only the chunk each hard-attention step
+selects. ``decode_step`` is the one-hypothesis form over a raw frame
+matrix, with the same arithmetic.
 """
 from __future__ import annotations
 
@@ -15,7 +25,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .attention import AttentionConfig, AttentionState, AttentionStepResult, init_attention_params, mocha_infer_step
+from .attention import (
+    AttentionConfig,
+    AttentionState,
+    AttentionStepResult,
+    init_attention_params,
+    mocha_infer_step,
+    project_keys,
+    project_queries,
+)
 from .encoder import EncoderConfig, PyramidalEncoder, init_encoder_params
 from .vocab import Vocab
 
@@ -71,8 +89,11 @@ class NeuralModel:
     """Wraps a parameter dict behind the shared decoding interface."""
 
     def __init__(self, cfg: ModelConfig, params: dict, vocab: Vocab, silence_aware: bool = False):
-        if params["emb.E"].shape[0] != vocab.size:
-            raise ValueError("embedding table does not match vocabulary size")
+        for name, want in _param_shapes(cfg, vocab.size).items():
+            if name not in params:
+                raise ValueError(f"missing tensor {name}")
+            if params[name].shape != want:
+                raise ValueError(f"{name} has shape {params[name].shape}, config and vocabulary want {want}")
         self.cfg = cfg
         self.params = params
         self.vocab = vocab
@@ -98,6 +119,18 @@ class NeuralModel:
     def decode_start(self):
         return (np.zeros(self.cfg.decoder_hidden), np.zeros(self.cfg.context_dim))
 
+    def decode_steps(
+        self,
+        dec_states: list,
+        prev_tokens: list[int],
+        buffer,
+        att_states: list[AttentionState],
+        buffer_complete: bool,
+        force: bool = False,
+    ) -> list[StepOutput]:
+        """One decoding step of every hypothesis over ``buffer`` (an ``EncodedBuffer``)."""
+        return self._steps(dec_states, prev_tokens, buffer.array, buffer.keys(self.params), att_states, force)
+
     def decode_step(
         self,
         dec_state,
@@ -107,18 +140,42 @@ class NeuralModel:
         buffer_complete: bool,
         force: bool = False,
     ) -> StepOutput:
-        s, c_prev = dec_state
-        x = np.concatenate([self.params["emb.E"][prev_token], c_prev])
-        s_new, _ = nn.gru_step(self.params, "dec", x, s)
-        att = mocha_infer_step(self.params, self.cfg.attention, s_new, frames, att_state, force=force)
-        if att.status == "exhausted":
-            return StepOutput(log_probs=None, dec_state=dec_state, att=att)
-        logits = self.params["out.W"] @ np.concatenate([s_new, att.context]) + self.params["out.b"]
-        return StepOutput(
-            log_probs=nn.log_softmax(logits),
-            dec_state=(s_new, att.context),
-            att=att,
-        )
+        keys = project_keys(self.params, frames) if len(frames) else None
+        return self._steps([dec_state], [prev_token], frames, keys, [att_state], force)[0]
+
+    def _steps(self, dec_states, prev_tokens, frames, keys, att_states, force) -> list[StepOutput]:
+        # stacked matrix-vector products keep every row bit-identical to a
+        # one-hypothesis step, so beam width cannot change a hypothesis' scores
+        p = self.params
+        S = np.array([s for s, _ in dec_states])
+        X = np.concatenate([p["emb.E"][prev_tokens], np.array([c for _, c in dec_states])], axis=1)
+        S_new = nn.gru_steps(p, "dec", X, S)
+        sel_q, chunk_q = project_queries(p, S_new)
+        atts = [
+            mocha_infer_step(p, self.cfg.attention, (sel_q[i], chunk_q[i]), frames, att_state, force, keys=keys)
+            for i, att_state in enumerate(att_states)
+        ]
+        live = [i for i, att in enumerate(atts) if att.status != "exhausted"]
+        outs = [StepOutput(log_probs=None, dec_state=state, att=att) for state, att in zip(dec_states, atts)]
+        if live:
+            Z = np.concatenate([S_new[live], np.array([atts[i].context for i in live])], axis=1)
+            log_probs = nn.log_softmax(nn.matvecs(p["out.W"], Z) + p["out.b"])
+            for row, i in enumerate(live):
+                outs[i] = StepOutput(log_probs=log_probs[row], dec_state=(S_new[i], atts[i].context), att=atts[i])
+        return outs
+
+
+def _param_shapes(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every tensor a model with this config and vocabulary has."""
+    h, a = cfg.decoder_hidden, cfg.attention.energy_hidden
+    shapes = {"att.sel.r": (1,), "emb.E": (vocab_size, cfg.embed_dim),
+              "out.W": (vocab_size, cfg.output_input_dim), "out.b": (vocab_size,)}
+    for kind in ("sel", "chunk"):
+        shapes.update({f"att.{kind}.Wq": (a, h), f"att.{kind}.Wk": (a, cfg.context_dim),
+                       f"att.{kind}.b": (a,), f"att.{kind}.v": (a,)})
+    for g in nn.GRU_GATES:
+        shapes.update({f"dec.W{g}": (h, cfg.decoder_input_dim), f"dec.U{g}": (h, h), f"dec.b{g}": (h,)})
+    return shapes
 
 
 def _config_payload(cfg: ModelConfig) -> dict:

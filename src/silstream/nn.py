@@ -22,14 +22,24 @@ def sigmoid(x):
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    return shifted - np.log(np.sum(np.exp(shifted)))
+    """Log-softmax over the last axis, so a stack of rows normalizes row by row."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - np.max(logits)
     ex = np.exp(shifted)
     return ex / np.sum(ex)
+
+
+def matvecs(W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``W @ x`` for every row ``x`` of ``X``.
+
+    Stacked matrix-vector products give each row bit for bit what ``W @ x``
+    gives it alone, whatever the other rows; ``X @ W.T`` does not.
+    """
+    return np.matmul(W[None], X[:, :, None])[:, :, 0]
 
 
 def glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -52,6 +62,18 @@ def gru_step(params: dict, prefix: str, x: np.ndarray, h: np.ndarray):
     n = np.tanh(params[f"{prefix}.Wn"] @ x + r * uh + params[f"{prefix}.bn"])
     h_new = (1.0 - z) * n + z * h
     return h_new, (x, h, z, r, uh, n)
+
+
+def gru_steps(params: dict, prefix: str, X: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """``gru_step`` on every row of ``X`` and ``H`` at once, without the backward cache.
+
+    Row for row the result is bit-identical to ``gru_step``.
+    """
+    z = sigmoid(matvecs(params[f"{prefix}.Wz"], X) + matvecs(params[f"{prefix}.Uz"], H) + params[f"{prefix}.bz"])
+    r = sigmoid(matvecs(params[f"{prefix}.Wr"], X) + matvecs(params[f"{prefix}.Ur"], H) + params[f"{prefix}.br"])
+    uh = matvecs(params[f"{prefix}.Un"], H)
+    n = np.tanh(matvecs(params[f"{prefix}.Wn"], X) + r * uh + params[f"{prefix}.bn"])
+    return (1.0 - z) * n + z * H
 
 
 def gru_step_backward(params: dict, prefix: str, cache, dh_new: np.ndarray, grads: dict):
@@ -93,17 +115,3 @@ def zero_grads(params: dict) -> dict:
 def add_grads(total: dict, part: dict, scale: float = 1.0) -> None:
     for k, v in part.items():
         total[k] += scale * v
-
-
-def flatten_params(params: dict) -> np.ndarray:
-    return np.concatenate([params[k].ravel() for k in sorted(params)])
-
-
-def unflatten_params(vector: np.ndarray, template: dict) -> dict:
-    out = {}
-    offset = 0
-    for k in sorted(template):
-        size = template[k].size
-        out[k] = vector[offset : offset + size].reshape(template[k].shape).copy()
-        offset += size
-    return out

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .decoder import (
     BeamConfig,
     DecodeResult,
     EncodedBuffer,
+    History,
     Hypothesis,
     best_hypothesis,
     decode_step,
@@ -66,10 +67,12 @@ class StreamSession:
         self.bcfg = beam_cfg
         self.frame_shift_ms = frame_shift_ms
         self.enc_state = model.encoder_reset()
-        self.buffer = EncodedBuffer(model.total_reduction, frame_shift_ms)
+        self.buffer = EncodedBuffer()
         self.beam: list[Hypothesis] = [initial_hypothesis(model)]
         self.segments: list[tuple[int, ...]] = []  # closed restart segments
-        self.committed_tokens: tuple[int, ...] = (model.vocab.bos_id,)
+        self._committed: History = self.beam[0].history  # end of the committed prefix
+        self._shown_segments: tuple[int, ...] = ()  # scoring tokens of the closed segments
+        self._shown: tuple[int, ...] = ()  # ... and of the committed prefix
         self.clock_ms = 0.0
         self.batch_index = -1
         self.finalized = False
@@ -89,10 +92,17 @@ class StreamSession:
             return math.inf
         return ms_to_encoded_frames(ms, self.frame_shift_ms, self.model.total_reduction)
 
+    @property
+    def committed_tokens(self) -> tuple[int, ...]:
+        """The committed prefix of the current segment, from BOS."""
+        return tuple(node.token for node in self._committed.nodes_after(None))
+
+    def _scoring(self, tokens) -> tuple[int, ...]:
+        return tuple(strip_nonscoring(list(tokens), self.model.vocab))
+
     def _display(self) -> tuple[int, ...]:
-        shown = tuple(t for seg in self.segments for t in strip_nonscoring(list(seg), self.model.vocab))
         best = best_hypothesis(self.beam)
-        return shown + tuple(strip_nonscoring(list(best.tokens), self.model.vocab))
+        return self._shown + self._scoring(node.token for node in best.history.nodes_after(self._committed))
 
     def _record(self, decision: str, committed: int = 0, boundary: int | None = None) -> None:
         self.trace.append(
@@ -114,32 +124,60 @@ class StreamSession:
         out += self.committed_tokens[1:]
         return out
 
-    def _commit_progress(self) -> list[int]:
-        """Extend the reported prefix to the beam-wide longest common prefix."""
-        tokens_per_hyp = [h.tokens for h in self.beam]
-        lcp = tokens_per_hyp[0]
-        for toks in tokens_per_hyp[1:]:
-            n = 0
-            while n < len(lcp) and n < len(toks) and lcp[n] == toks[n]:
-                n += 1
-            lcp = lcp[:n]
-        if lcp[: len(self.committed_tokens)] != self.committed_tokens:
-            raise RuntimeError("committed prefix would be revised")
-        newly = list(lcp[len(self.committed_tokens) :])
-        self.committed_tokens = lcp
+    def _commit(self, nodes: list[History]) -> list[int]:
+        """Extend the committed prefix by ``nodes``; returns their tokens."""
+        if nodes:
+            self._committed = nodes[-1]
+        newly = [node.token for node in nodes]
+        self._shown += self._scoring(newly)
         return newly
 
+    def _commit_progress(self) -> list[int]:
+        """Extend the committed prefix to the beam-wide longest common prefix.
+
+        Every hypothesis extends the committed history, so only the tokens
+        after it are compared. Hypotheses of one beam that share a token
+        prefix share its history nodes, so the nodes are compared by identity.
+        """
+        try:
+            tails = [hyp.history.nodes_after(self._committed) for hyp in self.beam]
+        except ValueError:
+            raise RuntimeError("committed prefix would be revised") from None
+        common = tails[0]
+        for tail in tails[1:]:
+            n = 0
+            while n < len(common) and n < len(tail) and common[n] is tail[n]:
+                n += 1
+            common = common[:n]
+        return self._commit(common)
+
+    def _new_segment_beam(self) -> None:
+        """Start a fresh hypothesis at the live edge, with nothing committed."""
+        self.beam = [initial_hypothesis(self.model, prev_index=len(self.buffer) - 1)]
+        self._committed = self.beam[0].history
+        self._shown = self._shown_segments
+
     def _close_segment(self, best: Hypothesis) -> None:
-        self.segments.append(best.tokens[1:-1])
+        segment = best.tokens[1:-1]
+        self.segments.append(segment)
+        self._shown_segments += self._scoring(segment)
         self.restarts.append(self.clock_ms)
         self.restart_pending = True
-        self.committed_tokens = (self.model.vocab.bos_id,)
         # placeholder until the restart attaches at the next batch's live edge
-        self.beam = [initial_hypothesis(self.model, prev_index=len(self.buffer) - 1)]
+        self._new_segment_beam()
 
     def _activate_restart(self) -> None:
-        self.beam = [initial_hypothesis(self.model, prev_index=len(self.buffer) - 1)]
+        self._new_segment_beam()
         self.restart_pending = False
+
+    def _step(self, buffer_complete: bool, force: bool, block_eos: bool):
+        """One beam step over the buffer; counts it if any of its attention steps was forced."""
+        new_beam, atts = decode_step(
+            self.model, self.beam, self.buffer, buffer_complete=buffer_complete, cfg=self.bcfg,
+            clock_ms=self.clock_ms, force=force, block_eos=block_eos,
+        )
+        self.forced_steps += any(a is not None and a.forced for a in atts)
+        return new_beam, atts
 
     # --- main entry points ---
 
@@ -164,7 +202,7 @@ class StreamSession:
 
         vocab = self.model.vocab
         best = best_hypothesis(self.beam)
-        gate_ms = applicable_buffer(best.tokens[-1] if best.emitted else None, self.scfg, vocab)
+        gate_ms = applicable_buffer(best.history.token if best.emitted else None, self.scfg, vocab)
         gate = self._buffer_frames(gate_ms)
         boundary = None if math.isinf(gate) else max(0, len(self.buffer) - int(gate))
         tail = len(self.buffer) - 1 - best.att_state.prev_index
@@ -186,10 +224,7 @@ class StreamSession:
                     closed_segment = True
                 break
             block_eos = self.bcfg.eos_policy == "defer" and self.model.silence_aware
-            new_beam, atts = decode_step(
-                self.model, self.beam, self.buffer, buffer_complete=False, cfg=self.bcfg,
-                clock_ms=self.clock_ms, force=False, block_eos=block_eos,
-            )
+            new_beam, atts = self._step(buffer_complete=False, force=False, block_eos=block_eos)
             selected = [a for a in atts if a is not None and a.status == "selected"]
             if not selected:
                 decision = "backtrack"
@@ -201,7 +236,7 @@ class StreamSession:
             for hyp, att in zip(new_beam, atts):
                 if att is None or att.status != "selected":
                     continue
-                region = self._buffer_frames(applicable_buffer(hyp.tokens[-2], self.scfg, vocab))
+                region = self._buffer_frames(applicable_buffer(hyp.history.parent.token, self.scfg, vocab))
                 if math.isinf(region) or att.peak_index >= len(self.buffer) - int(region):
                     voided = True
                     break
@@ -237,23 +272,19 @@ class StreamSession:
         if self.restart_pending:
             self._activate_restart()
         if len(self.buffer) == 0:
-            only = replace(self.beam[0], tokens=self.beam[0].tokens + (vocab.eos_id,), finished=True)
-            self.beam = [only]
+            self.beam = [self.beam[0].with_eos(vocab.eos_id)]
         elif not self.finished:
             guard = 0
             while not best_hypothesis(self.beam).finished:
-                self.beam, _ = decode_step(
-                    self.model, self.beam, self.buffer, buffer_complete=True, cfg=self.bcfg,
-                    clock_ms=self.clock_ms, force=True, block_eos=False,
-                )
+                self.beam, _ = self._step(buffer_complete=True, force=True, block_eos=False)
                 guard += 1
                 if guard > self.bcfg.max_tokens(len(self.buffer)) + self.bcfg.beam_size + 8:
                     raise RuntimeError("finalize failed to terminate within the token cap")
-        final = best_hypothesis(self.beam)
-        if final.tokens[: len(self.committed_tokens)] != self.committed_tokens:
-            raise RuntimeError("final output does not extend the committed prefix")
-        newly = list(final.tokens[len(self.committed_tokens) :])
-        self.committed_tokens = final.tokens
+        try:
+            tail = best_hypothesis(self.beam).history.nodes_after(self._committed)
+        except ValueError:
+            raise RuntimeError("final output does not extend the committed prefix") from None
+        newly = self._commit(tail)
         self.wall_ms += (time.perf_counter() - started) * 1000.0
         self._record("committed", committed=len(newly), boundary=None)
         return newly

@@ -16,6 +16,7 @@ training:
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -249,6 +250,8 @@ class OracleModel:
         self._num_encoded = len(self._owner)
         self._spans = self._segment_spans()
         self._schedule = self._build_schedule()
+        self._positions = [entry.pos for entry in self._schedule]
+        self._log_prob_rows = [self._log_probs(token) for token in range(vocab.size)]
 
     # --- encoding: mean-pool groups of total_reduction raw frames ---
 
@@ -363,7 +366,7 @@ class OracleModel:
             weights=np.array([1.0]),
             forced=forced,
         )
-        return StepOutput(log_probs=self._log_probs(token), dec_state=None, att=att)
+        return StepOutput(log_probs=self._log_prob_rows[token], dec_state=None, att=att)
 
     def _dead(self, j: int, prev: int) -> bool:
         """Frame j offers nothing recognizable once the scan sits at prev."""
@@ -371,6 +374,14 @@ class OracleModel:
         if self.alignment.segments[idx].is_silence:
             return True
         return self._spans[idx][0] <= prev  # word onset already scanned past
+
+    def decode_steps(self, dec_states, prev_tokens, buffer, att_states, buffer_complete, force=False):
+        """``decode_step`` for each hypothesis over the frames of ``buffer``."""
+        frames = buffer.array
+        return [
+            self.decode_step(dec_state, prev_token, frames, att_state, buffer_complete, force)
+            for dec_state, prev_token, att_state in zip(dec_states, prev_tokens, att_states)
+        ]
 
     def decode_step(
         self,
@@ -390,13 +401,11 @@ class OracleModel:
         prev = att_state.prev_index
 
         nxt = None
-        for entry in self._schedule:
-            if entry.pos <= prev:
-                continue
-            if entry.onset is not None and entry.onset <= prev:
-                continue
-            nxt = entry
-            break
+        for i in range(bisect.bisect_right(self._positions, prev), len(self._schedule)):
+            entry = self._schedule[i]
+            if entry.onset is None or entry.onset > prev:
+                nxt = entry
+                break
 
         if nxt is not None and nxt.pos < n:
             return self._emit(nxt.token, nxt.pos, frames)

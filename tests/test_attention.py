@@ -14,9 +14,10 @@ from silstream.attention import (
     initial_alpha,
     mocha_infer_step,
     mocha_train_weights,
-    selection_probability,
     soft_step,
 )
+
+from support import selection_probability
 
 QUERY_DIM, KEY_DIM = 6, 5
 
@@ -69,7 +70,7 @@ def scan_and_attend(probs, chunk_energies, prev_index, chunk_size, frames=None):
         return None
     selected = start + rel
     lo = max(0, selected - chunk_size + 1)
-    context, weights, peak = chunk_attend(np.asarray(chunk_energies, float), frames, lo, selected)
+    context, weights, peak = chunk_attend(np.asarray(chunk_energies, float)[lo : selected + 1], frames, lo)
     return selected, weights, peak, context
 
 

@@ -8,6 +8,8 @@ from silstream.encoder import EncoderConfig
 from silstream.model import ModelConfig, NeuralModel, init_params
 from silstream.vocab import make_vocab
 
+from support import flatten_params, unflatten_params
+
 VOCAB = make_vocab(["a", "b", "c"])
 
 
@@ -32,6 +34,13 @@ class TestNeuralModelInterface:
         params = init_params(cfg, VOCAB.size + 1, seed=0)
         with pytest.raises(ValueError):
             NeuralModel(cfg, params, VOCAB)
+
+    @pytest.mark.parametrize("name, shape", [("att.chunk.Wk", (6, 9)), ("dec.Uz", (10, 11))])
+    def test_bad_attention_or_decoder_shape_rejected(self, model, name, shape):
+        params = dict(model.params)
+        params[name] = np.zeros(shape)
+        with pytest.raises(ValueError, match=name):
+            NeuralModel(model.cfg, params, VOCAB)
 
     def test_step_distribution_normalized(self, model):
         rng = np.random.default_rng(0)
@@ -59,8 +68,8 @@ class TestNeuralModelInterface:
 def test_nn_helpers_roundtrip():
     rng = np.random.default_rng(1)
     params = {"a.W": rng.normal(size=(3, 4)), "b.v": rng.normal(size=5)}
-    flat = nn.flatten_params(params)
-    back = nn.unflatten_params(flat, params)
+    flat = flatten_params(params)
+    back = unflatten_params(flat, params)
     for k in params:
         np.testing.assert_array_equal(back[k], params[k])
 
@@ -77,11 +86,10 @@ def test_nn_log_softmax_normalizes():
 
 
 def test_encoded_buffer_append_only():
-    buf = EncodedBuffer(total_reduction=4, frame_shift_ms=10)
+    buf = EncodedBuffer()
     assert len(buf) == 0
     buf.append(np.ones((2, 3)))
     buf.append(np.zeros((0, 3)))
     buf.append(np.ones((1, 3)) * 2)
     assert len(buf) == 3
-    assert buf.ms_per_frame == 40
     np.testing.assert_array_equal(buf.array[-1], [2, 2, 2])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from silstream.data import FeatureSequence
 from silstream.decoder import BeamConfig, decode_offline, split_batches
@@ -158,22 +160,71 @@ class TestPrefixStability:
         assert session.result().tokens == list(session.committed_tokens)
 
     def test_no_commit_inside_restricted_region(self):
-        utt = make_utt(["a", "b"], [(1, 96), (2, 48)], seed=10)
+        utts = [make_utt(["a", "b"], [(1, 96), (2, 48)], seed=10),
+                make_utt(["a", "b", "c"], [(1, 64), (2, 96), (3, 48)], seed=11),
+                make_utt(["c", "a"], [(1, 40), (2, 120)], seed=12)]
+        checked = 0
+        for utt in utts:
+            for batch_ms in (80, 160, 320):
+                session = StreamSession(aware(utt, d=6, min_sil=3),
+                                        StreamConfig(batch_ms=batch_ms, min_buffer_ms=240, sil_buffer_ms=480),
+                                        BeamConfig(beam_size=1))
+                batches = split_batches(utt.features.frames, batch_ms // 10)
+                for batch in batches[:-1]:
+                    before = len(session.beam[0].timeline)
+                    session.push(batch)
+                    tokens = session.beam[0].tokens
+                    for i, em in enumerate(session.beam[0].timeline[before:], start=before):
+                        # the token before the emission sets the restricted region it must clear
+                        region = session._buffer_frames(applicable_buffer(tokens[i], session.scfg, VOCAB))
+                        assert em.peak_index < len(session.buffer) - int(region)
+                        checked += 1
+        assert checked > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(words=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=4),
+           pauses=st.lists(st.integers(8, 120), min_size=1, max_size=5),
+           batches=st.lists(st.integers(1, 48), min_size=1, max_size=8),
+           buffers=st.sampled_from([(120, 120), (240, 480), (480, 960)]),
+           beam_size=st.integers(1, 4), seed=st.integers(0, 1000))
+    def test_oracle_prefix_only_grows_and_stream_equals_offline(self, words, pauses, batches, buffers,
+                                                                 beam_size, seed):
+        layout = [(pos, pauses[pos % len(pauses)]) for pos in range(1, len(words) + 1) if pauses[pos % len(pauses)] > 16]
+        utt = make_utt(words, layout, seed=seed)
         model = aware(utt, d=6, min_sil=3)
-        session = StreamSession(model, StreamConfig(batch_ms=160, min_buffer_ms=240, sil_buffer_ms=480),
-                                BeamConfig(beam_size=1))
-        batches = split_batches(utt.features.frames, 16)
-        buffer_lens = []
-        for i, batch in enumerate(batches):
-            is_last = i == len(batches) - 1
-            before = len(session.beam[0].timeline)
-            session.push(batch, is_last=is_last)
-            if is_last:
-                break
-            for em in session.beam[0].timeline[before:]:
-                # every mid-stream commit keeps its peak clear of the tail
-                region = session._buffer_frames(session.scfg.sil_buffer_ms)
-                assert em.peak_index < len(session.buffer)
+        session = StreamSession(model, StreamConfig(min_buffer_ms=buffers[0], sil_buffer_ms=buffers[1]),
+                                BeamConfig(beam_size=beam_size))
+        frames = utt.features.frames
+        lo, i = 0, 0
+        while lo < len(frames):
+            hi = min(len(frames), lo + batches[i % len(batches)])
+            before = session.committed_tokens
+            session.push(frames[lo:hi], is_last=hi == len(frames))
+            assert session.committed_tokens[: len(before)] == before
+            lo, i = hi, i + 1
+        offline = decode_offline(model, utt.features, BeamConfig(beam_size=beam_size))
+        assert session.result().tokens == offline.tokens
+
+
+class TestCounters:
+    def test_forced_steps_count_forced_emissions(self):
+        # a selection bias this low never selects a frame: every step stalls
+        # until finalize forces one, and the boosted end symbol ends the stream
+        cfg = ModelConfig(
+            encoder=EncoderConfig(num_layers=2, input_dim=8, hidden=16, proj=8),
+            attention=AttentionConfig(chunk_size=3, energy_hidden=8),
+            decoder_hidden=16, embed_dim=4,
+        )
+        params = init_params(cfg, VOCAB.size, seed=3)
+        params["att.sel.r"][0] = -50.0
+        params["out.b"][VOCAB.eos_id] = 2.0
+        model = NeuralModel(cfg, params, VOCAB, silence_aware=True)
+        feats = FeatureSequence(np.random.default_rng(4).normal(size=(120, 8)))
+        result, session = stream_decode(model, feats, StreamConfig(batch_ms=160), BeamConfig(beam_size=1))
+        forced = sum(em.forced for em in result.emissions)
+        assert not result.hypothesis.runaway
+        assert forced >= 1
+        assert result.forced_steps == session.forced_steps == forced
 
 
 class TestPathologyThroughStreamer:
