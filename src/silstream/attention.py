@@ -139,11 +139,12 @@ def chunk_attend(chunk_energies: np.ndarray, frames: np.ndarray, lo: int):
 def mocha_infer_step(
     params: dict,
     cfg: AttentionConfig,
-    query,
+    query: tuple[np.ndarray, np.ndarray],
     frames: np.ndarray,
     state: AttentionState,
     force: bool = False,
-    keys: tuple[np.ndarray, np.ndarray] | None = None,
+    *,
+    keys: tuple[np.ndarray, np.ndarray],
 ) -> AttentionStepResult:
     """Hard-mode step: monotonic scan then chunk softmax.
 
@@ -152,18 +153,14 @@ def mocha_infer_step(
     last frame but the context is zero, mirroring what soft training
     produces when the expected alignment runs off the end of the input.
 
-    ``keys`` holds the key terms of ``frames`` (``project_keys``), and
-    ``query`` is then the matching pair of query terms (one row of each of
-    ``project_queries``), so callers stepping many queries over one buffer
-    project every frame once. Without ``keys``, ``query`` is the raw query
-    and both are projected here. Chunk energies are computed on the chunk only.
+    ``query`` is the pair of selection and chunk query terms (one row of
+    each of ``project_queries``) and ``keys`` the key terms of ``frames``
+    (``project_keys``), so callers stepping many queries over one buffer
+    project every frame once. Chunk energies are computed on the chunk only.
     """
     n = frames.shape[0]
     if n == 0:
         return EXHAUSTED
-    if keys is None:
-        keys = project_keys(params, frames)
-        query = tuple(term[0] for term in project_queries(params, np.asarray(query)[None]))
     sel_query, chunk_query = query
     sel_keys, chunk_keys = keys
     start = max(state.prev_index, 0)

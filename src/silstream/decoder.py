@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attention import AttentionState, AttentionStepResult, project_keys
+from .attention import AttentionState, AttentionStepResult
 from .data import FeatureSequence, ms_to_encoded_frames, ms_to_frames
 from .model import StepOutput
 from .vocab import Vocab, strip_nonscoring
@@ -63,14 +63,13 @@ class EncodedBuffer:
     """Append-only store of encoded frames shared by all hypotheses.
 
     Frames live in a preallocated array that doubles when full. The attention
-    key terms of each frame are computed once, the first time a model asks
-    for them, and kept the same way.
+    key terms of each frame are computed once, the first time the model
+    decoding over the buffer asks for them, and kept the same way.
     """
 
     def __init__(self):
         self._rows = np.zeros((0, 0))
         self._n = 0
-        self._key_weights: tuple[np.ndarray, np.ndarray] | None = None
         self._keys = (np.zeros((0, 0)), np.zeros((0, 0)))
         self._projected = 0
 
@@ -89,16 +88,12 @@ class EncodedBuffer:
     def array(self) -> np.ndarray:
         return self._rows[: self._n]
 
-    def keys(self, params: dict) -> tuple[np.ndarray, np.ndarray]:
-        """Selection and chunk key terms of every frame (``project_keys``)."""
-        weights = (params["att.sel.Wk"], params["att.chunk.Wk"])
-        if self._key_weights is None or any(w is not old for w, old in zip(weights, self._key_weights)):
-            self._key_weights = weights
-            self._keys = (np.zeros((0, 0)), np.zeros((0, 0)))
-            self._projected = 0
+    def keys(self, project) -> tuple[np.ndarray, np.ndarray]:
+        """Key terms of every frame; ``project`` maps frame rows to the pair of
+        key-term rows and runs only on frames not projected before."""
         done, n = self._projected, self._n
         if done < n:
-            fresh = project_keys(params, self._rows[done:n])
+            fresh = project(self._rows[done:n])
             self._keys = tuple(
                 _reserve(store, done, n, part.shape[1]) for store, part in zip(self._keys, fresh)
             )

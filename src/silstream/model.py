@@ -18,6 +18,7 @@ matrix, with the same arithmetic.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -129,7 +130,8 @@ class NeuralModel:
         force: bool = False,
     ) -> list[StepOutput]:
         """One decoding step of every hypothesis over ``buffer`` (an ``EncodedBuffer``)."""
-        return self._steps(dec_states, prev_tokens, buffer.array, buffer.keys(self.params), att_states, force)
+        keys = buffer.keys(functools.partial(project_keys, self.params))
+        return self._steps(dec_states, prev_tokens, buffer.array, keys, att_states, force)
 
     def decode_step(
         self,
@@ -140,7 +142,9 @@ class NeuralModel:
         buffer_complete: bool,
         force: bool = False,
     ) -> StepOutput:
-        keys = project_keys(self.params, frames) if len(frames) else None
+        if len(frames) == 0:
+            frames = np.zeros((0, self.cfg.context_dim))  # an empty buffer may have no width
+        keys = project_keys(self.params, frames)
         return self._steps([dec_state], [prev_token], frames, keys, [att_state], force)[0]
 
     def _steps(self, dec_states, prev_tokens, frames, keys, att_states, force) -> list[StepOutput]:

@@ -71,8 +71,6 @@ class StreamSession:
         self.beam: list[Hypothesis] = [initial_hypothesis(model)]
         self.segments: list[tuple[int, ...]] = []  # closed restart segments
         self._committed: History = self.beam[0].history  # end of the committed prefix
-        self._shown_segments: tuple[int, ...] = ()  # scoring tokens of the closed segments
-        self._shown: tuple[int, ...] = ()  # ... and of the committed prefix
         self.clock_ms = 0.0
         self.batch_index = -1
         self.finalized = False
@@ -97,12 +95,10 @@ class StreamSession:
         """The committed prefix of the current segment, from BOS."""
         return tuple(node.token for node in self._committed.nodes_after(None))
 
-    def _scoring(self, tokens) -> tuple[int, ...]:
-        return tuple(strip_nonscoring(list(tokens), self.model.vocab))
-
     def _display(self) -> tuple[int, ...]:
+        shown = tuple(t for seg in self.segments for t in strip_nonscoring(list(seg), self.model.vocab))
         best = best_hypothesis(self.beam)
-        return self._shown + self._scoring(node.token for node in best.history.nodes_after(self._committed))
+        return shown + tuple(strip_nonscoring(list(best.tokens), self.model.vocab))
 
     def _record(self, decision: str, committed: int = 0, boundary: int | None = None) -> None:
         self.trace.append(
@@ -128,9 +124,7 @@ class StreamSession:
         """Extend the committed prefix by ``nodes``; returns their tokens."""
         if nodes:
             self._committed = nodes[-1]
-        newly = [node.token for node in nodes]
-        self._shown += self._scoring(newly)
-        return newly
+        return [node.token for node in nodes]
 
     def _commit_progress(self) -> list[int]:
         """Extend the committed prefix to the beam-wide longest common prefix.
@@ -155,12 +149,9 @@ class StreamSession:
         """Start a fresh hypothesis at the live edge, with nothing committed."""
         self.beam = [initial_hypothesis(self.model, prev_index=len(self.buffer) - 1)]
         self._committed = self.beam[0].history
-        self._shown = self._shown_segments
 
     def _close_segment(self, best: Hypothesis) -> None:
-        segment = best.tokens[1:-1]
-        self.segments.append(segment)
-        self._shown_segments += self._scoring(segment)
+        self.segments.append(best.tokens[1:-1])
         self.restarts.append(self.clock_ms)
         self.restart_pending = True
         # placeholder until the restart attaches at the next batch's live edge

@@ -18,6 +18,9 @@ from silstream.attention import (
     EXHAUSTED,
     energies,
     first_selection,
+    mocha_infer_step,
+    project_keys,
+    project_queries,
 )
 
 
@@ -25,6 +28,13 @@ def selection_probability(params: dict, query: np.ndarray, key: np.ndarray) -> f
     """Probability that hard attention stops on this single encoded frame."""
     e, _ = energies(params, "sel", query, np.asarray(key)[None, :])
     return float(nn.sigmoid(e)[0])
+
+
+def infer_step(params, cfg, query, frames, state, force=False) -> AttentionStepResult:
+    """``mocha_infer_step`` for a raw decoder state over raw encoded frames."""
+    sel_query, chunk_query = project_queries(params, np.asarray(query)[None])
+    return mocha_infer_step(params, cfg, (sel_query[0], chunk_query[0]), frames, state, force,
+                            keys=project_keys(params, frames))
 
 
 def flatten_params(params: dict) -> np.ndarray:

@@ -17,7 +17,6 @@ from silstream.attention import (
     AttentionState,
     init_attention_params,
     initial_alpha,
-    mocha_infer_step,
     soft_step,
 )
 from silstream.decoder import BeamConfig, decode_offline, decode_online
@@ -29,6 +28,8 @@ from silstream.streamer import StreamConfig, stream_decode
 from silstream.synth import CorpusSpec, OracleMode, OracleModel, SynthConfig, gen_corpus, gen_utterance
 from silstream.trainer import PARAM_GROUPS, TrainConfig, backward, forward_loss, group_of
 from silstream.vocab import make_vocab
+
+from support import infer_step
 
 VOCAB = make_vocab([f"t{i}" for i in range(5)])
 SYNTH = SynthConfig(vocab=VOCAB, feature_dim=8, frames_per_token=8)
@@ -127,7 +128,7 @@ def test_criterion_2_mocha_correctness():
         state = AttentionState()
         last = -1
         for _step in range(5):
-            res = mocha_infer_step(params, acfg, rng.normal(size=6), frames, state)
+            res = infer_step(params, acfg, rng.normal(size=6), frames, state)
             if res.status != "selected":
                 break
             assert res.selected_index >= last

@@ -12,12 +12,11 @@ from silstream.attention import (
     first_selection,
     init_attention_params,
     initial_alpha,
-    mocha_infer_step,
     mocha_train_weights,
     soft_step,
 )
 
-from support import selection_probability
+from support import infer_step, selection_probability
 
 QUERY_DIM, KEY_DIM = 6, 5
 
@@ -94,7 +93,7 @@ class TestHardMode:
         # crank the selection bias far down so nothing crosses 0.5
         params = dict(params)
         params["att.sel.r"] = np.array([-50.0])
-        res = mocha_infer_step(params, cfg, rng.normal(size=QUERY_DIM), frames, AttentionState())
+        res = infer_step(params, cfg, rng.normal(size=QUERY_DIM), frames, AttentionState())
         assert res.status == "exhausted"
 
     def test_chunk_of_one_copies_frame(self):
@@ -105,7 +104,7 @@ class TestHardMode:
 
     def test_empty_buffer_exhausts(self, setup):
         cfg, params = setup
-        res = mocha_infer_step(params, cfg, np.zeros(QUERY_DIM), np.zeros((0, KEY_DIM)), AttentionState())
+        res = infer_step(params, cfg, np.zeros(QUERY_DIM), np.zeros((0, KEY_DIM)), AttentionState())
         assert res.status == "exhausted"
 
     def test_force_selects_last_frame(self, setup):
@@ -113,7 +112,7 @@ class TestHardMode:
         params = dict(params)
         params["att.sel.r"] = np.array([-50.0])
         frames = np.random.default_rng(4).normal(size=(5, KEY_DIM))
-        res = mocha_infer_step(params, cfg, np.zeros(QUERY_DIM), frames, AttentionState(), force=True)
+        res = infer_step(params, cfg, np.zeros(QUERY_DIM), frames, AttentionState(), force=True)
         assert res.status == "selected" and res.forced
         assert res.selected_index == 4
 
@@ -125,7 +124,7 @@ class TestHardMode:
             state = AttentionState()
             last = -1
             for _step in range(6):
-                res = mocha_infer_step(params, cfg, rng.normal(size=QUERY_DIM), frames, state)
+                res = infer_step(params, cfg, rng.normal(size=QUERY_DIM), frames, state)
                 if res.status != "selected":
                     break
                 assert res.selected_index >= last

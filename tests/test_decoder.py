@@ -1,9 +1,5 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from silstream.data import FeatureSequence
 from silstream.decoder import (
@@ -17,11 +13,9 @@ from silstream.decoder import (
 )
 from silstream.model import ModelConfig, NeuralModel, init_params
 from silstream.encoder import EncoderConfig
-from silstream.attention import AttentionConfig, project_keys
+from silstream.attention import AttentionConfig
 from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_utterance
 from silstream.vocab import make_vocab
-
-from support import reference_decode_step, reference_start
 
 VOCAB = make_vocab(["a", "b", "c"])
 SYNTH = SynthConfig(vocab=VOCAB, feature_dim=8, frames_per_token=8)
@@ -239,73 +233,3 @@ class TestDecodeOnline:
                                batch_ms=160, min_buffer_ms=320)
         clocks = [c for c, _ in result.display_log]
         assert clocks == sorted(clocks)
-
-
-def split_points(draw_sizes, total):
-    """Cut ``range(total)`` after each drawn size, cycling through the sizes."""
-    cuts, at, i = [], 0, 0
-    while at < total:
-        at = min(total, at + draw_sizes[i % len(draw_sizes)])
-        cuts.append(at)
-        i += 1
-    return cuts
-
-
-class TestEncodedBufferProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1), total=st.integers(0, 60),
-           sizes=st.lists(st.integers(1, 17), min_size=1, max_size=6),
-           ask_keys=st.lists(st.booleans(), min_size=1, max_size=6))
-    def test_any_partition_of_appends_gives_identical_frames_and_keys(self, seed, total, sizes, ask_keys):
-        rng = np.random.default_rng(seed)
-        params = neural_model(seed % 7).params
-        frames = rng.normal(size=(total, 8))
-        whole, pieces = EncodedBuffer(), EncodedBuffer()
-        whole.append(frames)
-        lo = 0
-        for i, hi in enumerate(split_points(sizes, total)):
-            pieces.append(frames[lo:hi])
-            if ask_keys[i % len(ask_keys)]:
-                pieces.keys(params)  # project part of the stream before the rest arrives
-            lo = hi
-        assert len(pieces) == len(whole) == total
-        assert np.array_equal(pieces.array, whole.array)
-        if total:
-            assert np.array_equal(pieces.array, frames)
-            for got, want, alone in zip(pieces.keys(params), whole.keys(params), project_keys(params, frames)):
-                assert np.array_equal(got, want) and np.array_equal(got, alone)
-
-
-class TestBatchedStepMatchesReference:
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1), beam_size=st.integers(1, 8), force=st.booleans(),
-           block_eos=st.booleans(), chunk_size=st.integers(1, 4), total=st.integers(0, 40),
-           steps=st.integers(1, 8), cap_base=st.integers(1, 8), bias=st.floats(-3.0, 3.0))
-    def test_tokens_positions_and_scores(self, seed, beam_size, force, block_eos, chunk_size, total,
-                                         steps, cap_base, bias):
-        rng = np.random.default_rng(seed)
-        cfg = ModelConfig(
-            encoder=EncoderConfig(num_layers=2, input_dim=8, hidden=int(rng.integers(4, 17)), proj=8),
-            attention=AttentionConfig(chunk_size=chunk_size, energy_hidden=int(rng.integers(2, 13))),
-            decoder_hidden=int(rng.integers(4, 21)), embed_dim=int(rng.integers(2, 7)),
-        )
-        params = init_params(cfg, VOCAB.size, seed=int(rng.integers(2**31)))
-        params["att.sel.r"][0] = bias
-        model = NeuralModel(cfg, params, VOCAB)
-        frames = rng.normal(size=(total, 8))
-        beam_cfg = BeamConfig(beam_size=beam_size, cap_base=cap_base, cap_per_frame=0)
-        buffer = EncodedBuffer()
-        beam, ref = [initial_hypothesis(model)], [reference_start(model)]
-        # the buffer grows between steps, so key terms are projected a part at a time
-        cuts = sorted(int(c) for c in rng.integers(0, total + 1, size=steps))
-        for cut in cuts:
-            buffer.append(frames[len(buffer):cut])
-            beam, _ = decode_step(model, beam, buffer, True, beam_cfg, force=force, block_eos=block_eos)
-            ref = reference_decode_step(model, ref, frames[:cut], beam_size, beam_cfg.max_tokens(cut),
-                                        force, block_eos)
-            assert [h.tokens for h in beam] == [r.tokens for r in ref]
-            assert [h.finished for h in beam] == [r.finished for r in ref]
-            assert [tuple(e.selected_index for e in h.timeline) for h in beam] == [r.selected for r in ref]
-            assert [tuple(e.peak_index for e in h.timeline) for h in beam] == [r.peaks for r in ref]
-            for h, r in zip(beam, ref):
-                assert math.isclose(h.log_score, r.log_score, rel_tol=1e-12, abs_tol=0.0)

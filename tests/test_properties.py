@@ -1,0 +1,135 @@
+"""Property tests of the batched decoder: buffer key projection, the batched
+beam step against the per-hypothesis reference, and oracle streams."""
+import functools
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from silstream.attention import AttentionConfig, project_keys
+from silstream.decoder import BeamConfig, EncodedBuffer, decode_offline, decode_step, initial_hypothesis
+from silstream.encoder import EncoderConfig
+from silstream.model import ModelConfig, NeuralModel, init_params
+from silstream.streamer import StreamConfig, StreamSession
+from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_utterance
+from silstream.vocab import make_vocab
+
+from support import reference_decode_step, reference_start
+
+VOCAB = make_vocab(["a", "b", "c"])
+SYNTH = SynthConfig(vocab=VOCAB, feature_dim=8, frames_per_token=8)
+
+
+def make_utt(tokens, layout, seed=0):
+    return gen_utterance(SYNTH, seed=seed, tokens=VOCAB.encode(tokens), silence_layout=layout)
+
+
+def aware(utt, d=2, min_sil=1):
+    return OracleModel(OracleMode("silence_aware", d, min_sil), VOCAB, utt.alignment, 4)
+
+
+def neural_model(seed=0):
+    cfg = ModelConfig(
+        encoder=EncoderConfig(num_layers=2, input_dim=8, hidden=16, proj=8),
+        attention=AttentionConfig(chunk_size=3, energy_hidden=8),
+        decoder_hidden=16, embed_dim=4,
+    )
+    return NeuralModel(cfg, init_params(cfg, VOCAB.size, seed=seed), VOCAB)
+
+
+def split_points(draw_sizes, total):
+    """Cut ``range(total)`` after each drawn size, cycling through the sizes."""
+    cuts, at, i = [], 0, 0
+    while at < total:
+        at = min(total, at + draw_sizes[i % len(draw_sizes)])
+        cuts.append(at)
+        i += 1
+    return cuts
+
+
+class TestEncodedBufferProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), total=st.integers(0, 60),
+           sizes=st.lists(st.integers(1, 17), min_size=1, max_size=6),
+           ask_keys=st.lists(st.booleans(), min_size=1, max_size=6))
+    def test_any_partition_of_appends_gives_identical_frames_and_keys(self, seed, total, sizes, ask_keys):
+        rng = np.random.default_rng(seed)
+        params = neural_model(seed % 7).params
+        project = functools.partial(project_keys, params)
+        frames = rng.normal(size=(total, 8))
+        whole, pieces = EncodedBuffer(), EncodedBuffer()
+        whole.append(frames)
+        lo = 0
+        for i, hi in enumerate(split_points(sizes, total)):
+            pieces.append(frames[lo:hi])
+            if ask_keys[i % len(ask_keys)]:
+                pieces.keys(project)  # project part of the stream before the rest arrives
+            lo = hi
+        assert len(pieces) == len(whole) == total
+        assert np.array_equal(pieces.array, whole.array)
+        if total:
+            assert np.array_equal(pieces.array, frames)
+            for got, want, alone in zip(pieces.keys(project), whole.keys(project), project_keys(params, frames)):
+                assert np.array_equal(got, want) and np.array_equal(got, alone)
+
+
+class TestBatchedStepMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), beam_size=st.integers(1, 8), force=st.booleans(),
+           block_eos=st.booleans(), chunk_size=st.integers(1, 4), total=st.integers(0, 40),
+           steps=st.integers(1, 8), cap_base=st.integers(1, 8), bias=st.floats(-3.0, 3.0))
+    def test_tokens_positions_and_scores(self, seed, beam_size, force, block_eos, chunk_size, total,
+                                         steps, cap_base, bias):
+        rng = np.random.default_rng(seed)
+        cfg = ModelConfig(
+            encoder=EncoderConfig(num_layers=2, input_dim=8, hidden=int(rng.integers(4, 17)), proj=8),
+            attention=AttentionConfig(chunk_size=chunk_size, energy_hidden=int(rng.integers(2, 13))),
+            decoder_hidden=int(rng.integers(4, 21)), embed_dim=int(rng.integers(2, 7)),
+        )
+        params = init_params(cfg, VOCAB.size, seed=int(rng.integers(2**31)))
+        params["att.sel.r"][0] = bias
+        model = NeuralModel(cfg, params, VOCAB)
+        frames = rng.normal(size=(total, 8))
+        beam_cfg = BeamConfig(beam_size=beam_size, cap_base=cap_base, cap_per_frame=0)
+        buffer = EncodedBuffer()
+        beam, ref = [initial_hypothesis(model)], [reference_start(model)]
+        # the buffer grows between steps, so key terms are projected a part at a time
+        cuts = sorted(int(c) for c in rng.integers(0, total + 1, size=steps))
+        for cut in cuts:
+            buffer.append(frames[len(buffer):cut])
+            beam, _ = decode_step(model, beam, buffer, True, beam_cfg, force=force, block_eos=block_eos)
+            ref = reference_decode_step(model, ref, frames[:cut], beam_size, beam_cfg.max_tokens(cut),
+                                        force, block_eos)
+            assert [h.tokens for h in beam] == [r.tokens for r in ref]
+            assert [h.finished for h in beam] == [r.finished for r in ref]
+            assert [tuple(e.selected_index for e in h.timeline) for h in beam] == [r.selected for r in ref]
+            assert [tuple(e.peak_index for e in h.timeline) for h in beam] == [r.peaks for r in ref]
+            for h, r in zip(beam, ref):
+                assert math.isclose(h.log_score, r.log_score, rel_tol=1e-12, abs_tol=0.0)
+
+
+class TestOracleStreamProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(words=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=4),
+           pauses=st.lists(st.integers(8, 120), min_size=1, max_size=5),
+           batches=st.lists(st.integers(1, 48), min_size=1, max_size=8),
+           buffers=st.sampled_from([(120, 120), (240, 480), (480, 960)]),
+           beam_size=st.integers(1, 4), seed=st.integers(0, 1000))
+    def test_oracle_prefix_only_grows_and_stream_equals_offline(self, words, pauses, batches, buffers,
+                                                                 beam_size, seed):
+        layout = [(pos, pauses[pos % len(pauses)]) for pos in range(1, len(words) + 1) if pauses[pos % len(pauses)] > 16]
+        utt = make_utt(words, layout, seed=seed)
+        model = aware(utt, d=6, min_sil=3)
+        session = StreamSession(model, StreamConfig(min_buffer_ms=buffers[0], sil_buffer_ms=buffers[1]),
+                                BeamConfig(beam_size=beam_size))
+        frames = utt.features.frames
+        lo, i = 0, 0
+        while lo < len(frames):
+            hi = min(len(frames), lo + batches[i % len(batches)])
+            before = session.committed_tokens
+            session.push(frames[lo:hi], is_last=hi == len(frames))
+            assert session.committed_tokens[: len(before)] == before
+            lo, i = hi, i + 1
+        offline = decode_offline(model, utt.features, BeamConfig(beam_size=beam_size))
+        assert session.result().tokens == offline.tokens

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from silstream.data import FeatureSequence
 from silstream.decoder import BeamConfig, decode_offline, split_batches
@@ -180,30 +178,6 @@ class TestPrefixStability:
                         assert em.peak_index < len(session.buffer) - int(region)
                         checked += 1
         assert checked > 0
-
-    @settings(max_examples=40, deadline=None)
-    @given(words=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=4),
-           pauses=st.lists(st.integers(8, 120), min_size=1, max_size=5),
-           batches=st.lists(st.integers(1, 48), min_size=1, max_size=8),
-           buffers=st.sampled_from([(120, 120), (240, 480), (480, 960)]),
-           beam_size=st.integers(1, 4), seed=st.integers(0, 1000))
-    def test_oracle_prefix_only_grows_and_stream_equals_offline(self, words, pauses, batches, buffers,
-                                                                 beam_size, seed):
-        layout = [(pos, pauses[pos % len(pauses)]) for pos in range(1, len(words) + 1) if pauses[pos % len(pauses)] > 16]
-        utt = make_utt(words, layout, seed=seed)
-        model = aware(utt, d=6, min_sil=3)
-        session = StreamSession(model, StreamConfig(min_buffer_ms=buffers[0], sil_buffer_ms=buffers[1]),
-                                BeamConfig(beam_size=beam_size))
-        frames = utt.features.frames
-        lo, i = 0, 0
-        while lo < len(frames):
-            hi = min(len(frames), lo + batches[i % len(batches)])
-            before = session.committed_tokens
-            session.push(frames[lo:hi], is_last=hi == len(frames))
-            assert session.committed_tokens[: len(before)] == before
-            lo, i = hi, i + 1
-        offline = decode_offline(model, utt.features, BeamConfig(beam_size=beam_size))
-        assert session.result().tokens == offline.tokens
 
 
 class TestCounters:
