@@ -15,7 +15,7 @@ labels, which never attends silence frames:
 """
 import numpy as np
 
-from silstream import BeamConfig, decode_offline, decode_online, make_vocab
+from silstream import BeamConfig, StreamConfig, decode_offline, make_vocab, stream_decode
 from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_utterance
 
 vocab = make_vocab(["hello", "world"])
@@ -38,14 +38,14 @@ def skipping_model():
 offline = decode_offline(skipping_model(), utt.features, BeamConfig(beam_size=1))
 print("\noffline decode:        ", vocab.decode(offline.tokens))
 
-accept = decode_online(skipping_model(), utt.features,
-                       BeamConfig(beam_size=1, eos_policy="accept"),
-                       batch_ms=320, min_buffer_ms=480)
+# the plain online baseline: a minimum buffer gates decoding, no restricted region
+plain = StreamConfig(batch_ms=320, min_buffer_ms=480, engine="plain")
+accept, _ = stream_decode(skipping_model(), utt.features, plain,
+                          BeamConfig(beam_size=1, eos_policy="accept"))
 print("online, accept policy: ", vocab.decode(accept.tokens), " <- 'world' deleted")
 
-restart = decode_online(skipping_model(), utt.features,
-                        BeamConfig(beam_size=1, eos_policy="restart"),
-                        batch_ms=320, min_buffer_ms=480)
+restart, _ = stream_decode(skipping_model(), utt.features, plain,
+                           BeamConfig(beam_size=1, eos_policy="restart"))
 print("online, restart policy:", vocab.decode(restart.tokens),
       f" ({len(restart.restarts)} restart(s) at {restart.restarts} ms)")
 

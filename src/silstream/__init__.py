@@ -20,12 +20,12 @@ from .data import (
     parse_alignment,
     parse_alignment_corpus,
 )
-from .decoder import BeamConfig, DecodeResult, EncodedBuffer, Hypothesis, decode_offline, decode_online, decode_step
+from .decoder import BeamConfig, DecodeResult, EncodedBuffer, Hypothesis, decode_step
 from .encoder import EncoderConfig, PyramidalEncoder, init_encoder_params
 from .labeler import LabelerConfig, LabelStats, insert_silence, label_corpus
 from .metrics import CerReport, CplRecord, cer, cpl, sweep, sweep_csv
 from .model import ModelConfig, NeuralModel, init_params, load_checkpoint, save_checkpoint
-from .streamer import StreamConfig, StreamSession, applicable_buffer, stream_decode
+from .streamer import StreamConfig, StreamSession, applicable_buffer, decode_offline, stream_decode
 from .synth import CorpusSpec, OracleMode, OracleModel, SynthConfig, Utterance, gen_corpus, gen_utterance
 from .trainer import TrainConfig, backward, forward_loss, train
 from .vocab import Vocab, make_vocab, strip_nonscoring
@@ -65,7 +65,6 @@ __all__ = [
     "cer",
     "cpl",
     "decode_offline",
-    "decode_online",
     "decode_step",
     "forward_loss",
     "gen_corpus",

@@ -11,13 +11,13 @@ import json
 import math
 import sys
 
-from . import data, metrics, synth, trainer
-from .decoder import BeamConfig, decode_offline, decode_online
+from . import data, metrics, trainer
+from .decoder import BeamConfig
 from .labeler import LabelerConfig, label_corpus
 from .model import ModelConfig, NeuralModel, init_params, load_checkpoint, save_checkpoint
 from .encoder import EncoderConfig
 from .attention import AttentionConfig
-from .streamer import StreamConfig, stream_decode
+from .streamer import ENGINES, StreamConfig, decode_offline, stream_decode
 from .synth import CorpusSpec, OracleMode, OracleModel, SynthConfig, gen_corpus, load_corpus, save_corpus
 from .vocab import load_vocab, make_vocab
 
@@ -212,39 +212,28 @@ def cmd_decode_online(args) -> int:
     opt = Options(args)
     corpus, _ = load_corpus(opt.get("corpus"))
     model_for, vocab = _model_for_args(opt)
-    engine = opt.get("engine", "buffered")
     beam_cfg = BeamConfig(beam_size=int(opt.get("beam", 8)), eos_policy=opt.get("eos_policy", "defer"))
     stream_cfg = StreamConfig(
         batch_ms=int(opt.get("batch_ms", 320)),
         min_buffer_ms=float(opt.get("min_buffer_ms", 480.0)),
         sil_buffer_ms=float(opt.get("sil_buffer_ms", opt.get("min_buffer_ms", 480.0))),
+        engine=opt.get("engine", "buffered"),
     )
     hyps = {}
     trace = []
     summaries = []
     for utt_id in sorted(corpus):
         utt = corpus[utt_id]
-        model = model_for(utt)
-        if engine == "buffered":
-            result, session = stream_decode(model, utt.features, stream_cfg, beam_cfg)
-            for record in session.trace:
-                trace.append({"utt_id": utt_id, **record})
-            backtracks = len(session.backtracks)
-            wall = session.wall_ms
-        else:
-            result = decode_online(
-                model, utt.features, beam_cfg,
-                batch_ms=stream_cfg.batch_ms, min_buffer_ms=stream_cfg.min_buffer_ms,
-            )
-            backtracks = 0
-            wall = 0.0
+        result, session = stream_decode(model_for(utt), utt.features, stream_cfg, beam_cfg)
+        for record in session.trace:
+            trace.append({"utt_id": utt_id, **record})
         hyps[utt_id] = vocab.decode(result.tokens)
-        latency = metrics.cpl(result.display_log, utt.alignment, utt.features.frame_shift_ms, wall)
+        latency = metrics.cpl(result.display_log, utt.alignment, utt.features.frame_shift_ms, session.wall_ms)
         summaries.append({
             "utt_id": utt_id,
             "cpl_ms": latency.cpl_ms if latency.defined else None,
             "restarts": len(result.restarts),
-            "backtracks": backtracks,
+            "backtracks": len(session.backtracks),
         })
     data.write_references(hyps, opt.get("out", "hyps_online.tsv"))
     if opt.get("trace"):
@@ -361,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-ms": {"type": int}, "--min-buffer-ms": {"type": float},
         "--sil-buffer-ms": {"type": float},
         "--eos-policy": {"choices": ["defer", "restart", "accept"]},
-        "--engine": {"choices": ["buffered", "plain"]}, **model_flags,
+        "--engine": {"choices": ENGINES}, **model_flags,
     })
     add("evaluate", cmd_evaluate, {
         "--refs": {}, "--hyps": {}, "--vocab": {}, "--out": {},

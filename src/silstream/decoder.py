@@ -1,30 +1,18 @@
 """Asynchronous beam-search decoding over a (possibly partial) encoded buffer.
 
-Decoding is asynchronous: it terminates by emitting the end symbol, not by
-exhausting input, so online operation needs explicit policies for end
-symbols that arrive while audio is still streaming:
-
-* ``accept``: take the end symbol at face value (the failure-prone baseline);
-  when every hypothesis stalls for lack of selectable frames, the baseline
-  still takes one forced step per batch at the buffer edge.
-* ``restart``: accept it, log a restart, and begin a fresh hypothesis once
-  the next batch arrives; segment outputs are concatenated. The restarted
-  hypothesis attaches at the live edge of the stream, so audio arriving
-  within the one-batch restart window is never decoded.
-* ``defer``: while a silence-aware model still has audio ahead, the end
-  symbol may not finish a hypothesis at all.
+This module holds the beam step and its data: the shared encoded buffer,
+hypotheses and their histories, and the decode result. The decode loop that
+drives the step, with its end-symbol policies, is ``streamer.StreamSession``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .attention import AttentionState, AttentionStepResult
-from .data import FeatureSequence, ms_to_encoded_frames, ms_to_frames
 from .model import StepOutput
-from .vocab import Vocab, strip_nonscoring
+from .vocab import Vocab
 
 EOS_POLICIES = ("defer", "restart", "accept")
 
@@ -291,150 +279,3 @@ class DecodeResult:
             }
             for em in self.emissions
         ]
-
-
-def _bos_eos_only(model, clock_ms: float) -> DecodeResult:
-    hyp = initial_hypothesis(model).with_eos(model.vocab.eos_id)
-    return DecodeResult(tokens=list(hyp.tokens), hypothesis=hyp,
-                        display_log=[(clock_ms, ())])
-
-
-def decode_offline(model, features: FeatureSequence, cfg: BeamConfig) -> DecodeResult:
-    """Encode the whole utterance, then decode to completion."""
-    buffer = EncodedBuffer()
-    enc_state = model.encoder_reset()
-    buffer.append(model.encoder_push(enc_state, features.frames))
-    buffer.append(model.encoder_finish(enc_state))
-    clock = float(features.duration_ms)
-    if len(buffer) == 0:
-        return _bos_eos_only(model, clock)
-    beam = [initial_hypothesis(model)]
-    guard = 0
-    while not best_hypothesis(beam).finished:
-        beam, _ = decode_step(model, beam, buffer, buffer_complete=True, cfg=cfg,
-                              clock_ms=clock, force=True)
-        guard += 1
-        if guard > cfg.max_tokens(len(buffer)) + cfg.beam_size + 8:
-            raise RuntimeError("offline decode failed to terminate")
-    best = best_hypothesis(beam)
-    return DecodeResult(tokens=list(best.tokens), hypothesis=best, emissions=list(best.timeline))
-
-
-def split_batches(frames: np.ndarray, batch_frames: int) -> list[np.ndarray]:
-    if batch_frames < 1:
-        raise ValueError("batch_frames must be >= 1")
-    total = frames.shape[0]
-    if total == 0:
-        return [frames]
-    return [frames[i : i + batch_frames] for i in range(0, total, batch_frames)]
-
-
-def decode_online(
-    model,
-    features: FeatureSequence,
-    cfg: BeamConfig,
-    batch_ms: int = 320,
-    min_buffer_ms: float = 480.0,
-) -> DecodeResult:
-    """Batch-by-batch decoding with a minimum-buffer gate but no backtracking.
-
-    This is the plain online baseline: decoding may run whenever the buffer
-    extends at least ``min_buffer_ms`` past the best hypothesis' attention
-    position. End-symbol handling follows ``cfg.eos_policy``.
-    """
-    vocab = model.vocab
-    buffer = EncodedBuffer()
-    enc_state = model.encoder_reset()
-    batches = split_batches(features.frames, ms_to_frames(batch_ms, features.frame_shift_ms))
-    gate = (
-        math.inf
-        if math.isinf(min_buffer_ms)
-        else ms_to_encoded_frames(min_buffer_ms, features.frame_shift_ms, model.total_reduction)
-    )
-
-    result = DecodeResult(tokens=[], hypothesis=None)
-    segments: list[tuple[int, ...]] = []
-    beam = [initial_hypothesis(model)]
-    clock = 0.0
-    restart_pending = False
-    done = False
-
-    for index, batch in enumerate(batches):
-        is_last = index == len(batches) - 1
-        buffer.append(model.encoder_push(enc_state, batch))
-        clock += batch.shape[0] * features.frame_shift_ms
-        if is_last:
-            buffer.append(model.encoder_finish(enc_state))
-        if done:
-            continue
-        if restart_pending:
-            beam = [initial_hypothesis(model, prev_index=len(buffer) - 1)]
-            restart_pending = False
-
-        if len(buffer) == 0:
-            if is_last:
-                result.hypothesis = beam[0].with_eos(vocab.eos_id)
-                beam = [result.hypothesis]
-            result.display_log.append((clock, ()))
-            continue
-
-        forced_left = 1 if cfg.eos_policy in ("accept", "restart") and not is_last else 0
-        guard = 0
-        while True:
-            best = best_hypothesis(beam)
-            if best.finished:
-                if is_last or cfg.eos_policy == "accept":
-                    done = done or not is_last
-                    break
-                if cfg.eos_policy == "restart":
-                    segments.append(best.tokens[1:-1])
-                    result.restarts.append(clock)
-                    restart_pending = True
-                    # placeholder; the restart attaches at the next batch's live edge
-                    beam = [initial_hypothesis(model, prev_index=len(buffer) - 1)]
-                    break
-                break
-            tail = len(buffer) - 1 - best.att_state.prev_index
-            if not is_last and (math.isinf(gate) or tail < gate):
-                break
-            force = is_last
-            block_eos = cfg.eos_policy == "defer" and model.silence_aware and not is_last
-            new_beam, atts = decode_step(model, beam, buffer, buffer_complete=is_last, cfg=cfg,
-                                         clock_ms=clock, force=force, block_eos=block_eos)
-            progressed = any(a is not None and a.status == "selected" for a in atts)
-            if not progressed:
-                if not is_last and forced_left > 0:
-                    forced_left -= 1
-                    result.forced_steps += 1
-                    new_beam, atts = decode_step(model, beam, buffer, buffer_complete=False,
-                                                 cfg=cfg, clock_ms=clock, force=True,
-                                                 block_eos=block_eos)
-                    if not any(a is not None and a.status == "selected" for a in atts):
-                        break
-                else:
-                    break
-            beam = new_beam
-            guard += 1
-            if guard > cfg.max_tokens(len(buffer)) + cfg.beam_size + 8:
-                raise RuntimeError("online decode failed to terminate within the token cap")
-
-        best = best_hypothesis(beam)
-        display = tuple(strip_nonscoring(list(best.tokens), vocab))
-        if cfg.eos_policy == "restart":
-            display = tuple(t for seg in segments for t in strip_nonscoring(list(seg), vocab)) + display
-        result.display_log.append((clock, display))
-
-    best = best_hypothesis(beam)
-    if not best.finished:  # zero-audio stream never entered the decode loop
-        best = best.with_eos(vocab.eos_id)
-    result.hypothesis = best
-    result.emissions = list(best.timeline)
-    if cfg.eos_policy == "restart":
-        tokens = (vocab.bos_id,)
-        for seg in segments:
-            tokens += seg
-        tokens += best.tokens[1:]
-        result.tokens = list(tokens)
-    else:
-        result.tokens = list(best.tokens)
-    return result

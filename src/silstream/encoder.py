@@ -8,7 +8,7 @@ leftover frame between pushes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +56,8 @@ class EncoderState:
     emitted: int = 0
     consumed: int = 0
     finished: bool = False
+    # per layer, (GRU cache, hidden state) of every step, for encode_backward
+    cache: list[list[tuple]] | None = None
 
 
 class PyramidalEncoder:
@@ -82,8 +84,10 @@ class PyramidalEncoder:
         )
 
     def _layer_step(self, k: int, pair: np.ndarray, state: EncoderState) -> np.ndarray:
-        h, _ = nn.gru_step(self.params, f"enc{k}", pair, state.hidden[k])
+        h, gru_cache = nn.gru_step(self.params, f"enc{k}", pair, state.hidden[k])
         state.hidden[k] = h
+        if state.cache is not None:
+            state.cache[k].append((gru_cache, h))
         return self.params[f"enc{k}.P"] @ h + self.params[f"enc{k}.pb"]
 
     def _layer_push(self, k: int, frames: list[np.ndarray], state: EncoderState) -> list[np.ndarray]:
@@ -133,53 +137,36 @@ class PyramidalEncoder:
         state.emitted += len(pending)
         return np.array(pending).reshape(len(pending), self.cfg.proj)
 
-    def encode(self, frames: np.ndarray) -> np.ndarray:
-        """One-shot encode: push everything, then finish."""
-        state = self.reset()
-        head = self.push(state, frames)
-        tail = self.finish(state)
-        return np.vstack([head, tail])
-
 
 def encode_with_cache(params: dict, cfg: EncoderConfig, frames: np.ndarray):
-    """Offline encode (push-all + finish semantics) keeping a backward cache."""
-    inputs = [np.asarray(f, dtype=np.float64) for f in frames]
-    layers = []
-    for k in range(cfg.num_layers):
-        h = np.zeros(cfg.hidden)
-        steps = []
-        outs = []
-        i = 0
-        while i + 1 < len(inputs):
-            x = np.concatenate([inputs[i], inputs[i + 1]])
-            h, gc = nn.gru_step(params, f"enc{k}", x, h)
-            steps.append((i, i + 1, gc, h))
-            outs.append(params[f"enc{k}.P"] @ h + params[f"enc{k}.pb"])
-            i += 2
-        if i < len(inputs):
-            x = np.concatenate([inputs[i], inputs[i]])
-            h, gc = nn.gru_step(params, f"enc{k}", x, h)
-            steps.append((i, i, gc, h))
-            outs.append(params[f"enc{k}.P"] @ h + params[f"enc{k}.pb"])
-        layers.append((steps, len(inputs)))
-        inputs = outs
-    encoded = np.array(inputs).reshape(len(inputs), cfg.proj)
-    return encoded, layers
+    """Offline encode (push everything, then finish) keeping the backward cache."""
+    encoder = PyramidalEncoder(cfg, params)
+    state = encoder.reset()
+    state.cache = [[] for _ in range(cfg.num_layers)]
+    head = encoder.push(state, frames)
+    return np.vstack([head, encoder.finish(state)]), state
 
 
-def encode_backward(params: dict, cfg: EncoderConfig, cache, d_encoded: np.ndarray, grads: dict) -> None:
-    """Backprop through the cached offline encode; accumulates into grads."""
+def encode_backward(params: dict, cfg: EncoderConfig, cache: EncoderState, d_encoded: np.ndarray,
+                    grads: dict) -> None:
+    """Backprop through the cached offline encode; accumulates into grads.
+
+    Step j of a layer read its inputs 2j and 2j + 1, or 2j twice when that
+    was the layer's last input and had no partner."""
     d_outs = [np.asarray(d) for d in d_encoded]
     for k in reversed(range(cfg.num_layers)):
-        steps, n_inputs = cache[k]
+        steps = cache.cache[k]
+        n_inputs = cache.consumed if k == 0 else len(cache.cache[k - 1])
         in_dim = cfg.layer_input_dim(k) // 2
         d_inputs = [np.zeros(in_dim) for _ in range(n_inputs)]
         dh_carry = np.zeros(cfg.hidden)
-        for (i0, i1, gc, h), dout in zip(reversed(steps), reversed(d_outs)):
+        for j in reversed(range(len(steps))):
+            gru_cache, h = steps[j]
+            dout = d_outs[j]
             grads[f"enc{k}.P"] += np.outer(dout, h)
             grads[f"enc{k}.pb"] += dout
             dh = params[f"enc{k}.P"].T @ dout + dh_carry
-            dx, dh_carry = nn.gru_step_backward(params, f"enc{k}", gc, dh, grads)
-            d_inputs[i0] += dx[:in_dim]
-            d_inputs[i1] += dx[in_dim:]
+            dx, dh_carry = nn.gru_step_backward(params, f"enc{k}", gru_cache, dh, grads)
+            d_inputs[2 * j] += dx[:in_dim]
+            d_inputs[min(2 * j + 1, n_inputs - 1)] += dx[in_dim:]
         d_outs = d_inputs

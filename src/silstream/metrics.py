@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from .data import Alignment
@@ -229,9 +229,7 @@ def sweep(
                     "failed": False,
                 }
                 try:
-                    point_stream = StreamConfig(
-                        batch_ms=stream_cfg.batch_ms, min_buffer_ms=min_ms, sil_buffer_ms=sil_ms
-                    )
+                    point_stream = replace(stream_cfg, min_buffer_ms=min_ms, sil_buffer_ms=sil_ms)
                     point_beam = BeamConfig(
                         beam_size=beam,
                         cap_base=beam_cfg.cap_base,

@@ -114,9 +114,6 @@ class NeuralModel:
     def encoder_finish(self, enc_state) -> np.ndarray:
         return self._encoder.finish(enc_state)
 
-    def encode(self, frames: np.ndarray) -> np.ndarray:
-        return self._encoder.encode(frames)
-
     def decode_start(self):
         return (np.zeros(self.cfg.decoder_hidden), np.zeros(self.cfg.context_dim))
 

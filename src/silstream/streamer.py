@@ -1,5 +1,6 @@
-"""Buffered online decoding: batch ingestion, minimum-buffer gating,
-restricted-region voiding, and end-of-stream flushing.
+"""The decode loop: batch ingestion, minimum-buffer gating, restricted-region
+voiding, and end-of-stream flushing. Offline decoding is a session fed one
+last batch holding the whole utterance.
 
 Audio arrives in fixed-size batches. A batch is decoded only once the
 encoded buffer extends far enough past the last committed attention
@@ -13,6 +14,23 @@ extends to the full offline-equivalent output.
 Buffer requirements are per token class: after a silence token a larger
 buffer (and restricted region) applies, making premature end-of-utterance
 emissions during long pauses even less likely.
+
+The ``plain`` engine is the online baseline without the remedy: it checks
+the gate again before every step, has no restricted region, and under
+``accept`` and ``restart`` takes one forced step per batch at the buffer
+edge when every hypothesis stalls.
+
+Decoding is asynchronous: it terminates by emitting the end symbol, not by
+exhausting input, so online operation needs explicit policies for end
+symbols that arrive while audio is still streaming:
+
+* ``accept``: take the end symbol at face value (the failure-prone baseline).
+* ``restart``: accept it, log a restart, and begin a fresh hypothesis once
+  the next batch arrives; segment outputs are concatenated. The restarted
+  hypothesis attaches at the live edge of the stream, so audio arriving
+  within the one-batch restart window is never decoded.
+* ``defer``: while a silence-aware model still has audio ahead, the end
+  symbol may not finish a hypothesis at all.
 """
 from __future__ import annotations
 
@@ -22,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ms_to_encoded_frames
+from .data import FeatureSequence, ms_to_encoded_frames, ms_to_frames
 from .decoder import (
     BeamConfig,
     DecodeResult,
@@ -35,12 +53,15 @@ from .decoder import (
 )
 from .vocab import Vocab, strip_nonscoring
 
+ENGINES = ("buffered", "plain")
+
 
 @dataclass(frozen=True)
 class StreamConfig:
     batch_ms: int = 320
     min_buffer_ms: float = 480.0
     sil_buffer_ms: float = 480.0
+    engine: str = "buffered"
 
     def __post_init__(self):
         if self.batch_ms <= 0:
@@ -49,6 +70,8 @@ class StreamConfig:
             raise ValueError("min_buffer_ms must be nonnegative")
         if self.sil_buffer_ms < self.min_buffer_ms:
             raise ValueError("sil_buffer_ms must be >= min_buffer_ms")
+        if self.engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}")
 
 
 def applicable_buffer(last_token: int | None, cfg: StreamConfig, vocab: Vocab) -> float:
@@ -59,7 +82,7 @@ def applicable_buffer(last_token: int | None, cfg: StreamConfig, vocab: Vocab) -
 
 
 class StreamSession:
-    """One utterance's online decode. Single-owner; not thread-safe."""
+    """One utterance's decode. Single-owner; not thread-safe."""
 
     def __init__(self, model, stream_cfg: StreamConfig, beam_cfg: BeamConfig, frame_shift_ms: int = 10):
         self.model = model
@@ -90,6 +113,16 @@ class StreamSession:
             return math.inf
         return ms_to_encoded_frames(ms, self.frame_shift_ms, self.model.total_reduction)
 
+    def _gate(self, best: Hypothesis) -> tuple[bool, int | None]:
+        """Whether the buffer extends far enough past ``best``'s attention
+        position to decode, and the restricted-region boundary."""
+        last = best.history.token if best.emitted else None
+        gate = self._buffer_frames(applicable_buffer(last, self.scfg, self.model.vocab))
+        if math.isinf(gate):
+            return False, None
+        tail = len(self.buffer) - 1 - best.att_state.prev_index
+        return tail >= gate, max(0, len(self.buffer) - int(gate))
+
     @property
     def committed_tokens(self) -> tuple[int, ...]:
         """The committed prefix of the current segment, from BOS."""
@@ -100,7 +133,8 @@ class StreamSession:
         best = best_hypothesis(self.beam)
         return shown + tuple(strip_nonscoring(list(best.tokens), self.model.vocab))
 
-    def _record(self, decision: str, committed: int = 0, boundary: int | None = None) -> None:
+    def _record(self, started: float, decision: str, committed: int = 0, boundary: int | None = None) -> None:
+        self.wall_ms += (time.perf_counter() - started) * 1000.0
         self.trace.append(
             {
                 "batch": self.batch_index,
@@ -170,6 +204,51 @@ class StreamSession:
         self.forced_steps += any(a is not None and a.forced for a in atts)
         return new_beam, atts
 
+    def _void_reason(self, new_beam: list[Hypothesis], atts) -> str | None:
+        """Why a mid-stream step must be voided, or None to keep it."""
+        if not any(a is not None and a.status == "selected" for a in atts):
+            return "exhausted"
+        if self.scfg.engine == "plain":
+            return None
+        for hyp, att in zip(new_beam, atts):
+            if att is None or att.status != "selected":
+                continue
+            region = self._buffer_frames(applicable_buffer(hyp.history.parent.token, self.scfg, self.model.vocab))
+            if math.isinf(region) or att.peak_index >= len(self.buffer) - int(region):
+                return "restricted"
+        return None
+
+    def _decode(self, final: bool) -> str:
+        """Step the beam until its best hypothesis finishes or, mid-stream,
+        until a step is voided or the plain engine's gate closes.
+
+        Returns the trace decision: ``backtrack`` if a step was voided."""
+        policy = self.bcfg.eos_policy
+        plain = self.scfg.engine == "plain"
+        block_eos = not final and policy == "defer" and self.model.silence_aware
+        forced_left = not final and plain and policy != "defer"
+        for _ in range(self.bcfg.max_tokens(len(self.buffer)) + self.bcfg.beam_size + 9):
+            best = best_hypothesis(self.beam)
+            if best.finished:
+                if not final and policy == "accept":
+                    self.finished = True
+                elif not final and policy == "restart":
+                    self._close_segment(best)
+                return "committed"
+            if plain and not final and not self._gate(best)[0]:
+                return "committed"
+            new_beam, atts = self._step(final, force=final, block_eos=block_eos)
+            reason = None if final else self._void_reason(new_beam, atts)
+            if reason == "exhausted" and forced_left:
+                forced_left = False
+                new_beam, atts = self._step(final, force=True, block_eos=block_eos)
+                reason = self._void_reason(new_beam, atts)
+            if reason is not None:
+                self.backtracks.append({"batch": self.batch_index, "clock_ms": self.clock_ms, "reason": reason})
+                return "backtrack"
+            self.beam = new_beam
+        raise RuntimeError("decode failed to terminate within the token cap")
+
     # --- main entry points ---
 
     def push(self, frames: np.ndarray, is_last: bool = False) -> list[int]:
@@ -182,69 +261,19 @@ class StreamSession:
         self.buffer.append(self.model.encoder_push(self.enc_state, frames))
         self.clock_ms += frames.shape[0] * self.frame_shift_ms if frames.ndim == 2 else 0
         if is_last:
-            newly = self._finalize_locked(started)
-            return newly
+            return self._finalize_locked(started)
         if self.finished:
-            self.wall_ms += (time.perf_counter() - started) * 1000.0
-            self._record("no-decode")
+            self._record(started, "no-decode")
             return []
         if self.restart_pending:
             self._activate_restart()
-
-        vocab = self.model.vocab
-        best = best_hypothesis(self.beam)
-        gate_ms = applicable_buffer(best.history.token if best.emitted else None, self.scfg, vocab)
-        gate = self._buffer_frames(gate_ms)
-        boundary = None if math.isinf(gate) else max(0, len(self.buffer) - int(gate))
-        tail = len(self.buffer) - 1 - best.att_state.prev_index
-        if math.isinf(gate) or tail < gate:
-            self.wall_ms += (time.perf_counter() - started) * 1000.0
-            self._record("no-decode", boundary=boundary)
+        is_open, boundary = self._gate(best_hypothesis(self.beam))
+        if not is_open:
+            self._record(started, "no-decode", boundary=boundary)
             return []
-
-        decision = "committed"
-        closed_segment = False
-        guard = 0
-        while True:
-            best = best_hypothesis(self.beam)
-            if best.finished:
-                if self.bcfg.eos_policy == "accept":
-                    self.finished = True
-                elif self.bcfg.eos_policy == "restart":
-                    self._close_segment(best)
-                    closed_segment = True
-                break
-            block_eos = self.bcfg.eos_policy == "defer" and self.model.silence_aware
-            new_beam, atts = self._step(buffer_complete=False, force=False, block_eos=block_eos)
-            selected = [a for a in atts if a is not None and a.status == "selected"]
-            if not selected:
-                decision = "backtrack"
-                self.backtracks.append(
-                    {"batch": self.batch_index, "clock_ms": self.clock_ms, "reason": "exhausted"}
-                )
-                break
-            voided = False
-            for hyp, att in zip(new_beam, atts):
-                if att is None or att.status != "selected":
-                    continue
-                region = self._buffer_frames(applicable_buffer(hyp.history.parent.token, self.scfg, vocab))
-                if math.isinf(region) or att.peak_index >= len(self.buffer) - int(region):
-                    voided = True
-                    break
-            if voided:
-                decision = "backtrack"
-                self.backtracks.append(
-                    {"batch": self.batch_index, "clock_ms": self.clock_ms, "reason": "restricted"}
-                )
-                break
-            self.beam = new_beam
-            guard += 1
-            if guard > self.bcfg.max_tokens(len(self.buffer)) + self.bcfg.beam_size + 8:
-                raise RuntimeError("streamed decode failed to terminate within the token cap")
-
-        newly = [] if closed_segment else self._commit_progress()
-        self.wall_ms += (time.perf_counter() - started) * 1000.0
-        self._record(decision, committed=len(newly), boundary=boundary)
+        decision = self._decode(final=False)
+        newly = self._commit_progress()
+        self._record(started, decision, committed=len(newly), boundary=boundary)
         return newly
 
     def finalize(self) -> DecodeResult:
@@ -258,26 +287,19 @@ class StreamSession:
 
     def _finalize_locked(self, started: float) -> list[int]:
         self.finalized = True
-        vocab = self.model.vocab
         self.buffer.append(self.model.encoder_finish(self.enc_state))
         if self.restart_pending:
             self._activate_restart()
         if len(self.buffer) == 0:
-            self.beam = [self.beam[0].with_eos(vocab.eos_id)]
+            self.beam = [self.beam[0].with_eos(self.model.vocab.eos_id)]
         elif not self.finished:
-            guard = 0
-            while not best_hypothesis(self.beam).finished:
-                self.beam, _ = self._step(buffer_complete=True, force=True, block_eos=False)
-                guard += 1
-                if guard > self.bcfg.max_tokens(len(self.buffer)) + self.bcfg.beam_size + 8:
-                    raise RuntimeError("finalize failed to terminate within the token cap")
+            self._decode(final=True)
         try:
             tail = best_hypothesis(self.beam).history.nodes_after(self._committed)
         except ValueError:
             raise RuntimeError("final output does not extend the committed prefix") from None
         newly = self._commit(tail)
-        self.wall_ms += (time.perf_counter() - started) * 1000.0
-        self._record("committed", committed=len(newly), boundary=None)
+        self._record(started, "committed", committed=len(newly))
         return newly
 
     def result(self) -> DecodeResult:
@@ -292,18 +314,31 @@ class StreamSession:
         return res
 
 
+def split_batches(frames: np.ndarray, batch_frames: int) -> list[np.ndarray]:
+    if batch_frames < 1:
+        raise ValueError("batch_frames must be >= 1")
+    total = frames.shape[0]
+    if total == 0:
+        return [frames]
+    return [frames[i : i + batch_frames] for i in range(0, total, batch_frames)]
+
+
 def stream_decode(
     model,
-    features,
+    features: FeatureSequence,
     stream_cfg: StreamConfig,
     beam_cfg: BeamConfig,
 ) -> tuple[DecodeResult, StreamSession]:
     """Run a whole utterance through a fresh session in fixed batches."""
-    from .data import ms_to_frames
-    from .decoder import split_batches
-
     session = StreamSession(model, stream_cfg, beam_cfg, frame_shift_ms=features.frame_shift_ms)
     batches = split_batches(features.frames, ms_to_frames(stream_cfg.batch_ms, features.frame_shift_ms))
     for i, batch in enumerate(batches):
         session.push(batch, is_last=i == len(batches) - 1)
     return session.result(), session
+
+
+def decode_offline(model, features: FeatureSequence, cfg: BeamConfig) -> DecodeResult:
+    """Encode the whole utterance, then decode to completion: one last batch."""
+    session = StreamSession(model, StreamConfig(), cfg, frame_shift_ms=features.frame_shift_ms)
+    session.push(features.frames, is_last=True)
+    return session.result()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -233,7 +233,7 @@ class _Emission:
 
 @dataclass
 class _OracleEncState:
-    pending: list = field(default_factory=list)
+    pending: np.ndarray | None = None  # raw frames not yet pooled
     finished: bool = False
 
 
@@ -262,35 +262,25 @@ class OracleModel:
         if enc_state.finished:
             raise RuntimeError("push after finish")
         frames = np.asarray(frames, dtype=np.float64)
-        dim = frames.shape[1] if frames.ndim == 2 else (
-            len(enc_state.pending[0]) if enc_state.pending else 0
-        )
-        enc_state.pending.extend(frames)
-        out = []
+        rows = enc_state.pending
+        if frames.ndim == 2:
+            rows = frames if rows is None else np.concatenate([rows, frames])
+        if rows is None:
+            return np.zeros((0, 0))
         r = self.total_reduction
-        while len(enc_state.pending) >= r:
-            out.append(np.mean(enc_state.pending[:r], axis=0))
-            del enc_state.pending[:r]
-        return np.array(out) if out else np.zeros((0, dim))
+        n = rows.shape[0] // r * r
+        enc_state.pending = rows[n:].copy()
+        return rows[:n].reshape(-1, r, rows.shape[1]).mean(axis=1)
 
     def encoder_finish(self, enc_state: _OracleEncState) -> np.ndarray:
         if enc_state.finished:
             raise RuntimeError("encoder already finished")
         enc_state.finished = True
-        if not enc_state.pending:
+        rows, enc_state.pending = enc_state.pending, None
+        if rows is None or not len(rows):
             return np.zeros((0, 0))
-        r = self.total_reduction
-        group = list(enc_state.pending) + [enc_state.pending[-1]] * (r - len(enc_state.pending))
-        enc_state.pending.clear()
-        return np.mean(group, axis=0)[None, :]
-
-    def encode(self, frames: np.ndarray) -> np.ndarray:
-        state = self.encoder_reset()
-        head = self.encoder_push(state, frames)
-        tail = self.encoder_finish(state)
-        if head.size == 0:
-            return tail
-        return np.vstack([head, tail]) if tail.size else head
+        pad = np.repeat(rows[-1:], self.total_reduction - len(rows), axis=0)
+        return np.concatenate([rows, pad]).mean(axis=0)[None, :]
 
     # --- emission schedule from the ground-truth alignment ---
 

@@ -22,6 +22,20 @@ from silstream.attention import (
     project_keys,
     project_queries,
 )
+from silstream.encoder import PyramidalEncoder
+
+
+def encode(encoder, frames: np.ndarray) -> np.ndarray:
+    """One-shot encode through the streaming interface: a fresh state, one
+    push of every frame, then finish. ``encoder`` is a model
+    (``encoder_reset``/``encoder_push``/``encoder_finish``) or a bare
+    ``PyramidalEncoder`` (``reset``/``push``/``finish``)."""
+    prefix = "" if isinstance(encoder, PyramidalEncoder) else "encoder_"
+    reset, push, finish = (getattr(encoder, prefix + name) for name in ("reset", "push", "finish"))
+    state = reset()
+    head = push(state, frames)
+    tail = finish(state)
+    return np.vstack([head, tail]) if tail.size else head
 
 
 def selection_probability(params: dict, query: np.ndarray, key: np.ndarray) -> float:

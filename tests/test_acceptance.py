@@ -19,17 +19,17 @@ from silstream.attention import (
     initial_alpha,
     soft_step,
 )
-from silstream.decoder import BeamConfig, decode_offline, decode_online
+from silstream.decoder import BeamConfig
 from silstream.encoder import EncoderConfig, PyramidalEncoder, init_encoder_params
 from silstream.labeler import LabelerConfig, label_corpus
 from silstream.metrics import aggregate_cer, cer, cpl, sweep, sweep_csv
 from silstream.model import ModelConfig, NeuralModel, init_params
-from silstream.streamer import StreamConfig, stream_decode
+from silstream.streamer import StreamConfig, decode_offline, stream_decode
 from silstream.synth import CorpusSpec, OracleMode, OracleModel, SynthConfig, gen_corpus, gen_utterance
 from silstream.trainer import PARAM_GROUPS, TrainConfig, backward, forward_loss, group_of
 from silstream.vocab import make_vocab
 
-from support import infer_step
+from support import encode, infer_step
 
 VOCAB = make_vocab([f"t{i}" for i in range(5)])
 SYNTH = SynthConfig(vocab=VOCAB, feature_dim=8, frames_per_token=8)
@@ -60,7 +60,7 @@ def test_criterion_1_streaming_encoder_equivalence():
     for _ in range(100):
         total = int(rng.integers(1, 120))
         frames = rng.normal(size=(total, cfg.input_dim))
-        reference = enc.encode(frames)
+        reference = encode(enc, frames)
         state = enc.reset()
         cuts = sorted(int(c) for c in rng.choice(total + 1, size=int(rng.integers(0, 6))))
         bounds = [0] + cuts + [total]
@@ -220,12 +220,10 @@ def pathology_results():
     for policy in ("accept", "restart"):
         reports = []
         restarts = 0
+        plain = StreamConfig(batch_ms=BATCH_MS, min_buffer_ms=BUFFER_MS, sil_buffer_ms=BUFFER_MS, engine="plain")
         for utt in corpus.values():
-            result = decode_online(
-                skipping_oracle(utt), utt.features,
-                BeamConfig(beam_size=1, eos_policy=policy),
-                batch_ms=BATCH_MS, min_buffer_ms=BUFFER_MS,
-            )
+            result, _ = stream_decode(skipping_oracle(utt), utt.features, plain,
+                                      BeamConfig(beam_size=1, eos_policy=policy))
             reports.append(cer(utt.tokens, result.tokens, VOCAB))
             restarts += len(result.restarts)
         out[policy] = (aggregate_cer(reports), restarts)

@@ -5,10 +5,12 @@ import pytest
 
 from silstream.cli import main
 from silstream.data import read_references
+from silstream.decoder import BeamConfig
 from silstream.model import ModelConfig, NeuralModel, init_params, save_checkpoint
 from silstream.encoder import EncoderConfig
 from silstream.attention import AttentionConfig
-from silstream.synth import load_corpus
+from silstream.streamer import StreamConfig, stream_decode
+from silstream.synth import OracleMode, OracleModel, load_corpus
 from silstream.vocab import SIL_TOKEN
 
 
@@ -79,6 +81,23 @@ class TestDecodeAndEvaluate:
                    "--trace", str(tmp_path / "tr.jsonl")])
         assert rc == 0
         assert len(read_references(str(hyp))) == 4
+
+    def test_online_plain_engine_matches_library(self, corpus_dir, tmp_path):
+        hyp = tmp_path / "hyp_plain.tsv"
+        trace = tmp_path / "tr.jsonl"
+        rc = main(["decode-online", "--corpus", str(corpus_dir), "--oracle", "silence_skipping",
+                   "--beam", "1", "--batch-ms", "160", "--min-buffer-ms", "240",
+                   "--eos-policy", "accept", "--engine", "plain", "--out", str(hyp), "--trace", str(trace)])
+        assert rc == 0
+        written = read_references(str(hyp))
+        corpus, vocab = load_corpus(str(corpus_dir))
+        cfg = StreamConfig(batch_ms=160, min_buffer_ms=240, sil_buffer_ms=240, engine="plain")
+        for utt_id, utt in corpus.items():
+            model = OracleModel(OracleMode("silence_skipping"), vocab, utt.alignment, total_reduction=4)
+            result, _ = stream_decode(model, utt.features, cfg, BeamConfig(beam_size=1, eos_policy="accept"))
+            assert written[utt_id] == vocab.decode(result.tokens)
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert {r["utt_id"] for r in records if "decision" in r} == set(corpus)
 
 
 class TestTrainCli:

@@ -2,20 +2,15 @@ import numpy as np
 import pytest
 
 from silstream.data import FeatureSequence
-from silstream.decoder import (
-    BeamConfig,
-    EncodedBuffer,
-    decode_offline,
-    decode_online,
-    decode_step,
-    initial_hypothesis,
-    split_batches,
-)
+from silstream.decoder import BeamConfig, EncodedBuffer, decode_step, initial_hypothesis
 from silstream.model import ModelConfig, NeuralModel, init_params
 from silstream.encoder import EncoderConfig
 from silstream.attention import AttentionConfig
+from silstream.streamer import StreamConfig, decode_offline, split_batches, stream_decode
 from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_utterance
 from silstream.vocab import make_vocab
+
+from support import encode
 
 VOCAB = make_vocab(["a", "b", "c"])
 SYNTH = SynthConfig(vocab=VOCAB, feature_dim=8, frames_per_token=8)
@@ -33,6 +28,12 @@ def skipping(utt):
     return OracleModel(OracleMode("silence_skipping"), VOCAB, utt.alignment, 4)
 
 
+def decode_plain(model, features, beam_cfg, batch_ms, min_buffer_ms):
+    """The plain online baseline: one gate for every token class, no restricted region."""
+    cfg = StreamConfig(batch_ms=batch_ms, min_buffer_ms=min_buffer_ms, sil_buffer_ms=min_buffer_ms, engine="plain")
+    return stream_decode(model, features, cfg, beam_cfg)[0]
+
+
 def neural_model(seed=0):
     cfg = ModelConfig(
         encoder=EncoderConfig(num_layers=2, input_dim=8, hidden=16, proj=8),
@@ -47,7 +48,7 @@ class TestDecodeStep:
         utt = make_utt(["a", "b"], [(1, 16)])
         model = aware(utt)
         buffer = EncodedBuffer()
-        buffer.append(model.encode(utt.features.frames))
+        buffer.append(encode(model, utt.features.frames))
         beam = [initial_hypothesis(model)]
         beam, atts = decode_step(model, beam, buffer, True, BeamConfig(beam_size=1))
         assert beam[0].tokens[-1] == VOCAB.id_of("a")
@@ -57,7 +58,7 @@ class TestDecodeStep:
         utt = make_utt(["a"], [(1, 40)])
         model = aware(utt, d=6)
         buffer = EncodedBuffer()
-        frames = model.encode(utt.features.frames)
+        frames = encode(model, utt.features.frames)
         buffer.append(frames[:3])  # inside the pending silence window
         beam = [initial_hypothesis(model)]
         beam, _ = decode_step(model, beam, buffer, False, BeamConfig(beam_size=1))
@@ -69,7 +70,7 @@ class TestDecodeStep:
         utt = make_utt(["a"], [])
         model = aware(utt)
         buffer = EncodedBuffer()
-        buffer.append(model.encode(utt.features.frames))
+        buffer.append(encode(model, utt.features.frames))
         cfg = BeamConfig(beam_size=1, cap_base=1, cap_per_frame=0)
         beam = [initial_hypothesis(model)]
         beam, _ = decode_step(model, beam, buffer, True, cfg)
@@ -176,29 +177,29 @@ class TestDecodeOnline:
 
     def test_accept_policy_reproduces_premature_end(self):
         utt = self.longsil_utt()
-        result = decode_online(skipping(utt), utt.features, BeamConfig(beam_size=1, eos_policy="accept"),
-                               batch_ms=320, min_buffer_ms=480)
+        result = decode_plain(skipping(utt), utt.features, BeamConfig(beam_size=1, eos_policy="accept"),
+                              batch_ms=320, min_buffer_ms=480)
         assert result.tokens == [VOCAB.bos_id, VOCAB.id_of("a"), VOCAB.eos_id]
 
     def test_restart_policy_recovers_second_segment(self):
         utt = self.longsil_utt()
-        result = decode_online(skipping(utt), utt.features, BeamConfig(beam_size=1, eos_policy="restart"),
-                               batch_ms=320, min_buffer_ms=480)
+        result = decode_plain(skipping(utt), utt.features, BeamConfig(beam_size=1, eos_policy="restart"),
+                              batch_ms=320, min_buffer_ms=480)
         assert result.tokens == [VOCAB.bos_id, VOCAB.id_of("a"), VOCAB.id_of("b"), VOCAB.eos_id]
         assert len(result.restarts) >= 1
 
     def test_no_mid_silence_restart_never_triggers(self):
         utt = make_utt(["a", "b"], [(2, 32)], seed=1)
-        plain = decode_online(skipping(utt), utt.features, BeamConfig(beam_size=1, eos_policy="accept"),
-                              batch_ms=320, min_buffer_ms=480)
-        restart = decode_online(skipping(utt), utt.features, BeamConfig(beam_size=1, eos_policy="restart"),
-                                batch_ms=320, min_buffer_ms=480)
+        plain = decode_plain(skipping(utt), utt.features, BeamConfig(beam_size=1, eos_policy="accept"),
+                             batch_ms=320, min_buffer_ms=480)
+        restart = decode_plain(skipping(utt), utt.features, BeamConfig(beam_size=1, eos_policy="restart"),
+                               batch_ms=320, min_buffer_ms=480)
         assert plain.tokens == restart.tokens
 
     def test_two_long_silences_two_restarts(self):
         utt = make_utt(["a", "b", "c"], [(1, 96), (2, 96), (3, 48)], seed=2)
-        result = decode_online(skipping(utt), utt.features, BeamConfig(beam_size=1, eos_policy="restart"),
-                               batch_ms=320, min_buffer_ms=480)
+        result = decode_plain(skipping(utt), utt.features, BeamConfig(beam_size=1, eos_policy="restart"),
+                              batch_ms=320, min_buffer_ms=480)
         assert len(result.restarts) == 2
         assert result.tokens == [VOCAB.bos_id, VOCAB.id_of("a"), VOCAB.id_of("b"),
                                  VOCAB.id_of("c"), VOCAB.eos_id]
@@ -207,8 +208,8 @@ class TestDecodeOnline:
         # silence long enough to trigger the premature end but short enough
         # that the next word starts within the one-batch restart window
         utt = make_utt(["a", "b"], [(1, 60), (2, 48)], seed=3)
-        result = decode_online(skipping(utt), utt.features, BeamConfig(beam_size=1, eos_policy="restart"),
-                               batch_ms=320, min_buffer_ms=480)
+        result = decode_plain(skipping(utt), utt.features, BeamConfig(beam_size=1, eos_policy="restart"),
+                              batch_ms=320, min_buffer_ms=480)
         assert VOCAB.id_of("b") not in result.tokens
         assert len(result.restarts) >= 1
 
@@ -216,20 +217,20 @@ class TestDecodeOnline:
         utt = self.longsil_utt(seed=4)
         model = aware(utt, d=6, min_sil=3)
         offline = decode_offline(model, utt.features, BeamConfig(beam_size=1))
-        online = decode_online(model, utt.features, BeamConfig(beam_size=1, eos_policy="defer"),
-                               batch_ms=320, min_buffer_ms=480)
+        online = decode_plain(model, utt.features, BeamConfig(beam_size=1, eos_policy="defer"),
+                              batch_ms=320, min_buffer_ms=480)
         assert online.tokens == offline.tokens
 
     def test_empty_stream(self):
         utt = make_utt(["a"], [])
         model = aware(utt)
-        result = decode_online(model, FeatureSequence(np.zeros((0, 8))), BeamConfig(beam_size=1),
-                               batch_ms=320, min_buffer_ms=480)
+        result = decode_plain(model, FeatureSequence(np.zeros((0, 8))), BeamConfig(beam_size=1),
+                              batch_ms=320, min_buffer_ms=480)
         assert result.tokens == [VOCAB.bos_id, VOCAB.eos_id]
 
     def test_display_log_clocks_nondecreasing(self):
         utt = self.longsil_utt(seed=5)
-        result = decode_online(aware(utt, d=6), utt.features, BeamConfig(beam_size=1),
-                               batch_ms=160, min_buffer_ms=320)
+        result = decode_plain(aware(utt, d=6), utt.features, BeamConfig(beam_size=1),
+                              batch_ms=160, min_buffer_ms=320)
         clocks = [c for c, _ in result.display_log]
         assert clocks == sorted(clocks)

@@ -3,6 +3,8 @@ import pytest
 
 from silstream.encoder import EncoderConfig, PyramidalEncoder, encode_with_cache, init_encoder_params
 
+from support import encode
+
 
 @pytest.fixture
 def toy():
@@ -24,7 +26,7 @@ class TestStreamingEquivalence:
         for _ in range(25):
             total = int(rng.integers(1, 60))
             frames = rng.normal(size=(total, cfg.input_dim))
-            reference = enc.encode(frames)
+            reference = encode(enc, frames)
             state = enc.reset()
             chunks = [enc.push(state, frames[a:b]) for a, b in random_partition(rng, total)]
             chunks.append(enc.finish(state))
@@ -65,7 +67,7 @@ class TestLengthLaw:
         state = enc.reset()
         a = enc.push(state, frames[:7])
         b = enc.push(state, frames[7:])
-        np.testing.assert_allclose(np.vstack([a, b]), enc.encode(frames)[:8], atol=1e-12)
+        np.testing.assert_allclose(np.vstack([a, b]), encode(enc, frames)[:8], atol=1e-12)
 
 
 class TestFinish:
@@ -84,7 +86,7 @@ class TestFinish:
         tail = enc.finish(state)
         # same as encoding [f0 f1 f2 f2] in one shot
         padded = np.vstack([frames, frames[-1:]])
-        np.testing.assert_allclose(tail, enc.encode(padded)[1:], atol=1e-12)
+        np.testing.assert_allclose(tail, encode(enc, padded)[1:], atol=1e-12)
 
     def test_k2_cascade_produces_frame(self, toy):
         cfg, enc, _ = toy
@@ -132,11 +134,11 @@ class TestValidation:
 def test_determinism(toy):
     cfg, enc, _ = toy
     frames = np.random.default_rng(12).normal(size=(21, cfg.input_dim))
-    np.testing.assert_array_equal(enc.encode(frames), enc.encode(frames))
+    np.testing.assert_array_equal(encode(enc, frames), encode(enc, frames))
 
 
 def test_cached_encode_matches_streaming(toy):
     cfg, enc, params = toy
     frames = np.random.default_rng(13).normal(size=(19, cfg.input_dim))
     cached, _ = encode_with_cache(params, cfg, frames)
-    np.testing.assert_allclose(cached, enc.encode(frames), atol=1e-12)
+    np.testing.assert_allclose(cached, encode(enc, frames), atol=1e-12)

@@ -8,7 +8,7 @@ from silstream.encoder import EncoderConfig
 from silstream.model import ModelConfig, NeuralModel, init_params
 from silstream.vocab import make_vocab
 
-from support import flatten_params, unflatten_params
+from support import encode, flatten_params, unflatten_params
 
 VOCAB = make_vocab(["a", "b", "c"])
 
@@ -44,7 +44,7 @@ class TestNeuralModelInterface:
 
     def test_step_distribution_normalized(self, model):
         rng = np.random.default_rng(0)
-        frames = model.encode(rng.normal(size=(24, 6)))
+        frames = encode(model, rng.normal(size=(24, 6)))
         out = model.decode_step(model.decode_start(), VOCAB.bos_id, frames,
                                 AttentionState(), buffer_complete=True, force=True)
         assert out.log_probs is not None

@@ -1,5 +1,6 @@
 """Property tests of the batched decoder: buffer key projection, the batched
-beam step against the per-hypothesis reference, and oracle streams."""
+beam step against the per-hypothesis reference, and oracle streams on both
+session engines."""
 import functools
 import math
 
@@ -8,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from silstream.attention import AttentionConfig, project_keys
-from silstream.decoder import BeamConfig, EncodedBuffer, decode_offline, decode_step, initial_hypothesis
+from silstream.decoder import BeamConfig, EncodedBuffer, decode_step, initial_hypothesis
 from silstream.encoder import EncoderConfig
 from silstream.model import ModelConfig, NeuralModel, init_params
-from silstream.streamer import StreamConfig, StreamSession
+from silstream.streamer import ENGINES, StreamConfig, StreamSession, decode_offline
 from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_utterance
 from silstream.vocab import make_vocab
 
@@ -115,14 +116,14 @@ class TestOracleStreamProperties:
            pauses=st.lists(st.integers(8, 120), min_size=1, max_size=5),
            batches=st.lists(st.integers(1, 48), min_size=1, max_size=8),
            buffers=st.sampled_from([(120, 120), (240, 480), (480, 960)]),
-           beam_size=st.integers(1, 4), seed=st.integers(0, 1000))
+           beam_size=st.integers(1, 4), seed=st.integers(0, 1000), engine=st.sampled_from(ENGINES))
     def test_oracle_prefix_only_grows_and_stream_equals_offline(self, words, pauses, batches, buffers,
-                                                                 beam_size, seed):
+                                                                 beam_size, seed, engine):
         layout = [(pos, pauses[pos % len(pauses)]) for pos in range(1, len(words) + 1) if pauses[pos % len(pauses)] > 16]
         utt = make_utt(words, layout, seed=seed)
         model = aware(utt, d=6, min_sil=3)
-        session = StreamSession(model, StreamConfig(min_buffer_ms=buffers[0], sil_buffer_ms=buffers[1]),
-                                BeamConfig(beam_size=beam_size))
+        stream_cfg = StreamConfig(min_buffer_ms=buffers[0], sil_buffer_ms=buffers[1], engine=engine)
+        session = StreamSession(model, stream_cfg, BeamConfig(beam_size=beam_size))
         frames = utt.features.frames
         lo, i = 0, 0
         while lo < len(frames):

@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 from silstream.data import FeatureSequence
-from silstream.decoder import BeamConfig, decode_offline, split_batches
+from silstream.decoder import BeamConfig
 from silstream.model import ModelConfig, NeuralModel, init_params
 from silstream.encoder import EncoderConfig
 from silstream.attention import AttentionConfig
-from silstream.streamer import StreamConfig, StreamSession, applicable_buffer, stream_decode
+from silstream.streamer import (
+    StreamConfig,
+    StreamSession,
+    applicable_buffer,
+    decode_offline,
+    split_batches,
+    stream_decode,
+)
 from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_corpus, CorpusSpec, gen_utterance
 from silstream.vocab import make_vocab
 

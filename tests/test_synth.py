@@ -16,6 +16,8 @@ from silstream.synth import (
 )
 from silstream.vocab import SIL_LABEL, make_vocab
 
+from support import encode
+
 
 @pytest.fixture
 def vocab():
@@ -110,7 +112,7 @@ class TestOracleEncoder:
     def test_mean_pool_streaming_equals_one_shot(self, cfg, vocab):
         utt = gen_utterance(cfg, seed=6, tokens=vocab.encode(["a", "b"]), silence_layout=[(1, 13)])
         model = oracle_for(utt, vocab)
-        one = model.encode(utt.features.frames)
+        one = encode(model, utt.features.frames)
         state = model.encoder_reset()
         parts = [model.encoder_push(state, utt.features.frames[:5]),
                  model.encoder_push(state, utt.features.frames[5:20]),
@@ -122,7 +124,7 @@ class TestOracleEncoder:
     def test_finish_pads_with_last_frame(self, cfg, vocab):
         utt = gen_utterance(cfg, seed=7, tokens=vocab.encode(["a"]), silence_layout=[(1, 5)])
         model = oracle_for(utt, vocab)
-        encoded = model.encode(utt.features.frames)
+        encoded = encode(model, utt.features.frames)
         assert encoded.shape[0] == -(-utt.features.num_frames // 4)
 
 
@@ -136,13 +138,13 @@ class TestAwareOracle:
     def test_noiseless_single_token_emits_token_then_eos(self, cfg, vocab):
         utt = gen_utterance(cfg, seed=9, tokens=vocab.encode(["b"]), silence_layout=[])
         model = oracle_for(utt, vocab)
-        tokens = run_steps(model, model.encode(utt.features.frames))
+        tokens = run_steps(model, encode(model, utt.features.frames))
         assert tokens == [vocab.id_of("b"), vocab.eos_id]
 
     def test_eos_only_after_final_frame_attended(self, cfg, vocab):
         utt = gen_utterance(cfg, seed=10, tokens=vocab.encode(["a"]), silence_layout=[(1, 8)])
         model = oracle_for(utt, vocab, d=2)
-        frames = model.encode(utt.features.frames)
+        frames = encode(model, utt.features.frames)
         partial = run_steps(model, frames[:-1], buffer_complete=False)
         assert vocab.eos_id not in partial
         full = run_steps(model, frames, buffer_complete=True)
@@ -165,7 +167,7 @@ class TestSkippingOracle:
     def test_trailing_silence_with_unseen_speech_panics(self, cfg, vocab):
         utt = gen_utterance(cfg, seed=13, tokens=vocab.encode(["a", "b"]), silence_layout=[(1, 96)])
         model = oracle_for(utt, vocab, mode="silence_skipping")
-        frames = model.encode(utt.features.frames)
+        frames = encode(model, utt.features.frames)
         # buffer cut inside the silence: 'a' then only silence visible
         cut = frames[: (8 + 48) // 4]
         state = AttentionState()
@@ -179,13 +181,13 @@ class TestSkippingOracle:
     def test_offline_skips_silence_cleanly(self, cfg, vocab):
         utt = gen_utterance(cfg, seed=14, tokens=vocab.encode(["a", "b"]), silence_layout=[(1, 96), (2, 24)])
         model = oracle_for(utt, vocab, mode="silence_skipping")
-        tokens = run_steps(model, model.encode(utt.features.frames))
+        tokens = run_steps(model, encode(model, utt.features.frames))
         assert tokens == [vocab.id_of("a"), vocab.id_of("b"), vocab.eos_id]
 
     def test_waits_when_speech_onset_visible(self, cfg, vocab):
         utt = gen_utterance(cfg, seed=15, tokens=vocab.encode(["a", "b"]), silence_layout=[(1, 16)])
         model = oracle_for(utt, vocab, mode="silence_skipping")
-        frames = model.encode(utt.features.frames)
+        frames = encode(model, utt.features.frames)
         # cut inside b's segment: onset visible but incomplete -> stall, not EOS
         cut = frames[: (8 + 16 + 4) // 4]
         state = AttentionState(prev_index=1)  # after 'a'
