@@ -11,7 +11,7 @@ synthetic task plus scripted oracle models for exact decoding tests, the
 buffered streaming session, and CER/latency evaluation tooling.
 """
 
-from .attention import AttentionConfig, AttentionState, AttentionStepResult, mocha_infer_step, mocha_train_weights
+from .attention import AttentionConfig, AttentionState, AttentionStepResult, mocha_infer_step
 from .data import (
     Alignment,
     FeatureSequence,
@@ -76,7 +76,6 @@ __all__ = [
     "load_checkpoint",
     "make_vocab",
     "mocha_infer_step",
-    "mocha_train_weights",
     "ms_to_encoded_frames",
     "parse_alignment",
     "parse_alignment_corpus",

@@ -261,19 +261,6 @@ def soft_step_backward(cache, d_alpha: np.ndarray, d_beta: np.ndarray):
     return dp, du, d_alpha_prev
 
 
-def mocha_train_weights(
-    sel_energies: np.ndarray,
-    chunk_energies: np.ndarray,
-    alpha_prev: np.ndarray,
-    chunk_size: int,
-):
-    """Soft-mode weights for one decoding step from raw energies."""
-    if not (np.all(np.isfinite(sel_energies)) and np.all(np.isfinite(chunk_energies))):
-        raise ValueError("non-finite attention energies")
-    alpha, beta, _ = soft_step(nn.sigmoid(sel_energies), chunk_energies, alpha_prev, chunk_size)
-    return alpha, beta
-
-
 def initial_alpha(n: int) -> np.ndarray:
     """Expected alignment before the first output step: all mass at frame 0."""
     a = np.zeros(n)

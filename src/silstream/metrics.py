@@ -230,12 +230,7 @@ def sweep(
                 }
                 try:
                     point_stream = replace(stream_cfg, min_buffer_ms=min_ms, sil_buffer_ms=sil_ms)
-                    point_beam = BeamConfig(
-                        beam_size=beam,
-                        cap_base=beam_cfg.cap_base,
-                        cap_per_frame=beam_cfg.cap_per_frame,
-                        eos_policy=beam_cfg.eos_policy,
-                    )
+                    point_beam = replace(beam_cfg, beam_size=beam)
                     row.update(
                         evaluate_point(utterances, model_for, point_stream, point_beam, simulated_clock)
                     )

@@ -21,7 +21,7 @@ import base64
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -179,25 +179,6 @@ def _param_shapes(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...
     return shapes
 
 
-def _config_payload(cfg: ModelConfig) -> dict:
-    return {
-        "encoder": {
-            "num_layers": cfg.encoder.num_layers,
-            "input_dim": cfg.encoder.input_dim,
-            "hidden": cfg.encoder.hidden,
-            "proj": cfg.encoder.proj,
-            "reduction": cfg.encoder.reduction,
-        },
-        "attention": {
-            "chunk_size": cfg.attention.chunk_size,
-            "energy_hidden": cfg.attention.energy_hidden,
-            "init_selection_bias": cfg.attention.init_selection_bias,
-        },
-        "decoder_hidden": cfg.decoder_hidden,
-        "embed_dim": cfg.embed_dim,
-    }
-
-
 def _config_from_payload(payload: dict) -> ModelConfig:
     return ModelConfig(
         encoder=EncoderConfig(**payload["encoder"]),
@@ -217,7 +198,7 @@ def _checkpoint_body(model: NeuralModel) -> dict:
     }
     return {
         "version": CHECKPOINT_VERSION,
-        "config": _config_payload(model.cfg),
+        "config": asdict(model.cfg),
         "vocab": list(model.vocab.tokens),
         "silence_aware": model.silence_aware,
         "tensors": tensors,

@@ -252,21 +252,37 @@ class StreamSession:
     # --- main entry points ---
 
     def push(self, frames: np.ndarray, is_last: bool = False) -> list[int]:
-        """Feed one batch; returns tokens newly added to the committed prefix."""
+        """Feed one batch; returns tokens newly added to the committed prefix.
+
+        The last batch flushes the encoder and decodes to completion with
+        buffering disabled; ``result`` is then available."""
         if self.finalized:
-            raise RuntimeError("push after finalize")
+            raise RuntimeError("push after the last batch")
         self.batch_index += 1
         frames = np.asarray(frames, dtype=np.float64)
         started = time.perf_counter()
         self.buffer.append(self.model.encoder_push(self.enc_state, frames))
         self.clock_ms += frames.shape[0] * self.frame_shift_ms if frames.ndim == 2 else 0
         if is_last:
-            return self._finalize_locked(started)
-        if self.finished:
+            self.finalized = True
+            self.buffer.append(self.model.encoder_finish(self.enc_state))
+        elif self.finished:
             self._record(started, "no-decode")
             return []
         if self.restart_pending:
             self._activate_restart()
+        if is_last:
+            if len(self.buffer) == 0:
+                self.beam = [self.beam[0].with_eos(self.model.vocab.eos_id)]
+            elif not self.finished:
+                self._decode(final=True)
+            try:
+                tail = best_hypothesis(self.beam).history.nodes_after(self._committed)
+            except ValueError:
+                raise RuntimeError("final output does not extend the committed prefix") from None
+            newly = self._commit(tail)
+            self._record(started, "committed", committed=len(newly))
+            return newly
         is_open, boundary = self._gate(best_hypothesis(self.beam))
         if not is_open:
             self._record(started, "no-decode", boundary=boundary)
@@ -276,35 +292,9 @@ class StreamSession:
         self._record(started, decision, committed=len(newly), boundary=boundary)
         return newly
 
-    def finalize(self) -> DecodeResult:
-        """Flush the encoder and decode to completion with buffering disabled."""
-        if self.finalized:
-            raise RuntimeError("session already finalized")
-        started = time.perf_counter()
-        self.batch_index += 1
-        self._finalize_locked(started)
-        return self.result()
-
-    def _finalize_locked(self, started: float) -> list[int]:
-        self.finalized = True
-        self.buffer.append(self.model.encoder_finish(self.enc_state))
-        if self.restart_pending:
-            self._activate_restart()
-        if len(self.buffer) == 0:
-            self.beam = [self.beam[0].with_eos(self.model.vocab.eos_id)]
-        elif not self.finished:
-            self._decode(final=True)
-        try:
-            tail = best_hypothesis(self.beam).history.nodes_after(self._committed)
-        except ValueError:
-            raise RuntimeError("final output does not extend the committed prefix") from None
-        newly = self._commit(tail)
-        self._record(started, "committed", committed=len(newly))
-        return newly
-
     def result(self) -> DecodeResult:
         if not self.finalized:
-            raise RuntimeError("session not finalized yet")
+            raise RuntimeError("session has not received its last batch yet")
         best = best_hypothesis(self.beam)
         tokens = self._flat_committed()
         res = DecodeResult(tokens=list(tokens), hypothesis=best, emissions=list(best.timeline))

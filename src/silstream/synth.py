@@ -17,7 +17,6 @@ training:
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .model import StepOutput
 from .vocab import SIL_LABEL, Vocab
 
 ORACLE_EPS = 1e-4
+MIN_PATTERN_DISTANCE = 1.0  # least distance between two token patterns, and from silence
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,6 @@ class SynthConfig:
     noise_sigma: float = 0.0
     pattern_seed: int = 1234
     frame_shift_ms: int = 10
-    min_pattern_distance: float = 1.0
 
     def __post_init__(self):
         if self.frames_per_token < 1:
@@ -61,11 +60,11 @@ def token_patterns(cfg: SynthConfig) -> np.ndarray:
         for _ in range(1000):
             candidate = rng.normal(0.0, 1.0, size=cfg.feature_dim)
             others = [patterns[j] for j in content if j < i] + [np.zeros(cfg.feature_dim)]
-            if min(np.linalg.norm(candidate - o) for o in others) >= cfg.min_pattern_distance:
+            if min(np.linalg.norm(candidate - o) for o in others) >= MIN_PATTERN_DISTANCE:
                 patterns[i] = candidate
                 break
         else:
-            raise RuntimeError("could not place distinct token patterns; lower min_pattern_distance")
+            raise RuntimeError("could not place distinct token patterns; raise feature_dim")
     return patterns
 
 
@@ -137,7 +136,6 @@ class CorpusSpec:
     trail_silence_prob: float = 1.0
     trail_silence_frames: tuple[int, int] = (24, 72)
     align_to: int = 1  # round every silence length up to a multiple of this
-    adjacent_repeats: bool = True  # allow the same token twice in a row
 
 
 def gen_corpus(cfg: SynthConfig, spec: CorpusSpec, seed: int) -> dict[str, Utterance]:
@@ -152,12 +150,7 @@ def gen_corpus(cfg: SynthConfig, spec: CorpusSpec, seed: int) -> dict[str, Utter
     corpus = {}
     for n in range(spec.num_utterances):
         count = int(rng.integers(spec.min_tokens, spec.max_tokens + 1))
-        tokens: list[int] = []
-        for _ in range(count):
-            token = content[int(rng.integers(len(content)))]
-            while not spec.adjacent_repeats and tokens and token == tokens[-1]:
-                token = content[int(rng.integers(len(content)))]
-            tokens.append(token)
+        tokens = [content[int(rng.integers(len(content)))] for _ in range(count)]
         layout = []
         if rng.random() < spec.lead_silence_prob:
             layout.append((0, sil_len(spec.lead_silence_frames)))
@@ -286,31 +279,24 @@ class OracleModel:
 
     def _encoded_owners(self) -> list[int]:
         """Majority owner segment of each encoded frame (ties to the earlier one)."""
-        t_raw = self.alignment.num_frames
+        segments = self.alignment.segments
         r = self.total_reduction
-        owners = []
-        for j in range(math.ceil(t_raw / r)):
-            lo, hi = j * r, (j + 1) * r
-            counts: dict[int, int] = {}
-            for idx, seg in enumerate(self.alignment.segments):
-                overlap = min(hi, seg.end) - max(lo, seg.start)
-                if overlap > 0:
-                    counts[idx] = counts.get(idx, 0) + overlap
-            if hi > t_raw:  # finish() pads with copies of the final frame
-                last = len(self.alignment.segments) - 1
-                counts[last] = counts.get(last, 0) + (hi - t_raw)
-            best = max(counts.values())
-            owners.append(min(k for k, v in counts.items() if v == best))
-        if owners != sorted(owners):
+        raw = np.repeat(np.arange(len(segments)), [seg.length for seg in segments])
+        pad = np.full(-len(raw) % r, len(segments) - 1)  # finish() pads with copies of the final frame
+        groups = np.concatenate([raw, pad]).reshape(-1, r)
+        counts = (groups[:, :, None] == groups[:, None, :]).sum(axis=2)
+        winners = np.where(counts == counts.max(axis=1, keepdims=True), groups, len(segments))
+        owners = winners.min(axis=1)
+        if np.any(owners[1:] < owners[:-1]):
             raise RuntimeError("non-monotone encoded-frame ownership")
-        return owners
+        return owners.tolist()
 
     def _segment_spans(self) -> list[tuple[int, int]]:
-        spans = []
-        for idx in range(len(self.alignment.segments)):
-            js = [j for j, o in enumerate(self._owner) if o == idx]
-            spans.append((js[0], js[-1] + 1) if js else (0, 0))
-        return spans
+        """Encoded frames ``[start, end)`` each segment owns; (0, 0) if none."""
+        index = np.arange(len(self.alignment.segments))
+        starts = np.searchsorted(self._owner, index, side="left").tolist()
+        ends = np.searchsorted(self._owner, index, side="right").tolist()
+        return [(s, e) if s < e else (0, 0) for s, e in zip(starts, ends)]
 
     def _build_schedule(self) -> list[_Emission]:
         d = self.mode.sil_duration_encoded
@@ -333,10 +319,6 @@ class OracleModel:
             raise RuntimeError("oracle emission schedule is not strictly increasing")
         return schedule
 
-    def silence_token_count(self) -> int:
-        """How many silence tokens the aware oracle narrates for this utterance."""
-        return sum(1 for entry in self._schedule if entry.token == self.vocab.sil_id)
-
     # --- decoding interface ---
 
     def decode_start(self):
@@ -357,13 +339,6 @@ class OracleModel:
             forced=forced,
         )
         return StepOutput(log_probs=self._log_prob_rows[token], dec_state=None, att=att)
-
-    def _dead(self, j: int, prev: int) -> bool:
-        """Frame j offers nothing recognizable once the scan sits at prev."""
-        idx = self._owner[j]
-        if self.alignment.segments[idx].is_silence:
-            return True
-        return self._spans[idx][0] <= prev  # word onset already scanned past
 
     def decode_steps(self, dec_states, prev_tokens, buffer, att_states, buffer_complete, force=False):
         """``decode_step`` for each hypothesis over the frames of ``buffer``."""
@@ -401,7 +376,9 @@ class OracleModel:
             return self._emit(nxt.token, nxt.pos, frames)
 
         if not self.silence_aware:
-            if n - 1 > prev and all(self._dead(j, prev) for j in range(prev + 1, n)):
+            # every visible frame after prev is silence or a word already
+            # scanned past: no word onset lies in (prev, n)
+            if n - 1 > prev and (nxt is None or nxt.onset >= n):
                 return self._emit(self.vocab.eos_id, prev + 1, frames)
             if nxt is None and buffer_complete and n > 0 and prev >= n - 1:
                 return self._emit(self.vocab.eos_id, n - 1, frames)

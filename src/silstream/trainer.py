@@ -20,14 +20,6 @@ from .encoder import encode_backward, encode_with_cache
 from .model import ModelConfig, NeuralModel, save_checkpoint
 from .vocab import Vocab
 
-PARAM_GROUPS = {
-    "encoder": ("enc",),
-    "attention": ("att",),
-    "decoder": ("dec", "emb"),
-    "output": ("out",),
-}
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     label_smoothing: float = 0.2
@@ -37,7 +29,6 @@ class TrainConfig:
     batch_size: int = 8
     seed: int = 0
     momentum: float = 0.0
-    reduction: str = "mean"  # batch reduction: mean | sum
     # Pre-sigmoid noise on selection energies during training. Expected
     # alignments only stay informative under noise if the energies saturate,
     # so this is what makes the learned selection usable by the hard scan.
@@ -48,8 +39,6 @@ class TrainConfig:
             raise ValueError("label_smoothing must be in [0, 1)")
         if not 0.0 <= self.scheduled_sampling <= 1.0:
             raise ValueError("scheduled_sampling must be in [0, 1]")
-        if self.reduction not in ("mean", "sum"):
-            raise ValueError("reduction must be 'mean' or 'sum'")
         if self.selection_noise_std < 0:
             raise ValueError("selection_noise_std must be >= 0")
 
@@ -211,7 +200,7 @@ def train(
         diverged = False
         for lo in range(0, len(order), tcfg.batch_size):
             batch = order[lo : lo + tcfg.batch_size]
-            weight = 1.0 / len(batch) if tcfg.reduction == "mean" else 1.0
+            weight = 1.0 / len(batch)
             batch_grads = nn.zero_grads(params)
             batch_loss = 0.0
             try:
@@ -245,10 +234,3 @@ def train(
             model = NeuralModel(cfg, params, vocab, silence_aware=silence_aware)
             save_checkpoint(model, os.path.join(checkpoint_dir, f"epoch_{epoch:03d}.ckpt"))
     return params, history
-
-
-def group_of(name: str) -> str:
-    for group, prefixes in PARAM_GROUPS.items():
-        if name.split(".")[0].startswith(prefixes):
-            return group
-    raise KeyError(f"parameter {name!r} belongs to no group")

@@ -1,13 +1,19 @@
-"""Helpers that only the tests use, and the per-hypothesis reference decode step.
+"""Helpers that only the tests use, and two references.
 
-The reference keeps the arithmetic of the first one-hypothesis decoder:
-key energies projected by one matrix product over the whole buffer, chunk
-energies over every frame, and one model call per hypothesis. The batched
-decoder must agree with it on tokens and attention positions exactly and on
-log scores to 1e-12 relative (the products are summed in another order).
+The per-hypothesis reference decode step keeps the arithmetic of the first
+one-hypothesis decoder: key energies projected by one matrix product over
+the whole buffer, chunk energies over every frame, and one model call per
+hypothesis. The batched decoder must agree with it on tokens and attention
+positions exactly and on log scores to 1e-12 relative (the products are
+summed in another order).
+
+The oracle reference builds the scripted oracle's frame ownership with the
+first per-frame loops and decides its end of utterance by scanning every
+visible frame; the array-built ``OracleModel`` must agree with it exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +29,20 @@ from silstream.attention import (
     project_queries,
 )
 from silstream.encoder import PyramidalEncoder
+
+PARAM_GROUPS = {
+    "encoder": ("enc",),
+    "attention": ("att",),
+    "decoder": ("dec", "emb"),
+    "output": ("out",),
+}
+
+
+def group_of(name: str) -> str:
+    for group, prefixes in PARAM_GROUPS.items():
+        if name.split(".")[0].startswith(prefixes):
+            return group
+    raise KeyError(f"parameter {name!r} belongs to no group")
 
 
 def encode(encoder, frames: np.ndarray) -> np.ndarray:
@@ -139,3 +159,67 @@ def reference_decode_step(model, beam: list[RefHyp], frames, beam_size: int, cap
                 break
     expansions.sort(key=lambda h: -h.log_score)
     return kept + expansions[: max(0, beam_size - len(kept))]
+
+
+def silence_token_count(oracle) -> int:
+    """How many silence tokens an aware oracle narrates for its utterance."""
+    return sum(1 for entry in oracle._schedule if entry.token == oracle.vocab.sil_id)
+
+
+def reference_encoded_owners(alignment, r: int) -> list[int]:
+    """Majority owner segment of each encoded frame (ties to the earlier one)."""
+    t_raw = alignment.num_frames
+    owners = []
+    for j in range(math.ceil(t_raw / r)):
+        lo, hi = j * r, (j + 1) * r
+        counts: dict[int, int] = {}
+        for idx, seg in enumerate(alignment.segments):
+            overlap = min(hi, seg.end) - max(lo, seg.start)
+            if overlap > 0:
+                counts[idx] = counts.get(idx, 0) + overlap
+        if hi > t_raw:  # finish() pads with copies of the final frame
+            last = len(alignment.segments) - 1
+            counts[last] = counts.get(last, 0) + (hi - t_raw)
+        best = max(counts.values())
+        owners.append(min(k for k, v in counts.items() if v == best))
+    if owners != sorted(owners):
+        raise RuntimeError("non-monotone encoded-frame ownership")
+    return owners
+
+
+def reference_segment_spans(owners: list[int], num_segments: int) -> list[tuple[int, int]]:
+    spans = []
+    for idx in range(num_segments):
+        js = [j for j, o in enumerate(owners) if o == idx]
+        spans.append((js[0], js[-1] + 1) if js else (0, 0))
+    return spans
+
+
+def reference_oracle_step(oracle, owners, spans, n: int, prev: int, buffer_complete: bool, force: bool):
+    """``OracleModel.decode_step`` over ``n`` encoded frames with the scan at
+    ``prev``, as ``(status, selected, peak, forced, token)``: a linear search
+    of the schedule, and a per-frame scan for the skipping oracle's end."""
+    segments = oracle.alignment.segments
+
+    def dead(j: int) -> bool:
+        """Frame j offers nothing recognizable once the scan sits at prev."""
+        idx = owners[j]
+        return segments[idx].is_silence or spans[idx][0] <= prev  # word onset already scanned past
+
+    def emit(token, pos, forced=False):
+        return ("selected", pos, pos, forced, token)
+
+    eos = oracle.vocab.eos_id
+    nxt = next((e for e in oracle._schedule if e.pos > prev and (e.onset is None or e.onset > prev)), None)
+    if nxt is not None and nxt.pos < n:
+        return emit(nxt.token, nxt.pos)
+    if not oracle.silence_aware:
+        if n - 1 > prev and all(dead(j) for j in range(prev + 1, n)):
+            return emit(eos, prev + 1)
+        if nxt is None and buffer_complete and n > 0 and prev >= n - 1:
+            return emit(eos, n - 1)
+    elif nxt is None and buffer_complete and n > 0:
+        return emit(eos, n - 1)
+    if force and n > 0:
+        return emit(eos, n - 1, forced=True)
+    return (EXHAUSTED.status, EXHAUSTED.selected_index, EXHAUSTED.peak_index, EXHAUSTED.forced, None)

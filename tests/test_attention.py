@@ -12,7 +12,6 @@ from silstream.attention import (
     first_selection,
     init_attention_params,
     initial_alpha,
-    mocha_train_weights,
     soft_step,
 )
 
@@ -158,7 +157,7 @@ class TestSoftMode:
         rng = np.random.default_rng(6)
         p = rng.uniform(0.0, 1.0, size=7)
         u = rng.normal(size=7)
-        alpha, beta = mocha_train_weights(np.log(p / (1 - p)), u, initial_alpha(7), 1)
+        alpha, beta, _ = soft_step(nn.sigmoid(np.log(p / (1 - p))), u, initial_alpha(7), 1)
         np.testing.assert_array_equal(alpha, beta)
 
     def test_matches_exhaustive_enumeration(self):
@@ -173,7 +172,7 @@ class TestSoftMode:
     def test_saturated_probabilities_follow_hard_path(self):
         # all selection probabilities ~1: mass stays one-hot at frame 0
         energies_row = np.full(4, 40.0)
-        alpha, _ = mocha_train_weights(energies_row, np.zeros(4), initial_alpha(4), 2)
+        alpha, _, _ = soft_step(nn.sigmoid(energies_row), np.zeros(4), initial_alpha(4), 2)
         np.testing.assert_allclose(alpha, [1.0, 0.0, 0.0, 0.0], atol=1e-4)
 
     def test_monte_carlo_agreement(self):
@@ -205,10 +204,6 @@ class TestSoftMode:
                 assert np.all(new_alpha >= 0) and np.all(beta >= 0)
                 assert beta.sum() == pytest.approx(new_alpha.sum(), abs=1e-6)
                 alpha = new_alpha
-
-    def test_nonfinite_energies_rejected(self):
-        with pytest.raises(ValueError):
-            mocha_train_weights(np.array([np.nan, 0.0]), np.zeros(2), initial_alpha(2), 1)
 
 
 class TestEnergiesBackward:

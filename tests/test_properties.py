@@ -1,22 +1,30 @@
 """Property tests of the batched decoder: buffer key projection, the batched
-beam step against the per-hypothesis reference, and oracle streams on both
-session engines."""
+beam step against the per-hypothesis reference, the scripted oracle against
+its per-frame reference, and oracle streams on both session engines."""
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from silstream.attention import AttentionConfig, project_keys
+from silstream.attention import AttentionConfig, AttentionState, project_keys
+from silstream.data import Alignment, Segment
 from silstream.decoder import BeamConfig, EncodedBuffer, decode_step, initial_hypothesis
 from silstream.encoder import EncoderConfig
 from silstream.model import ModelConfig, NeuralModel, init_params
 from silstream.streamer import ENGINES, StreamConfig, StreamSession, decode_offline
 from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_utterance
-from silstream.vocab import make_vocab
+from silstream.vocab import SIL_LABEL, make_vocab
 
-from support import reference_decode_step, reference_start
+from support import (
+    reference_decode_step,
+    reference_encoded_owners,
+    reference_oracle_step,
+    reference_segment_spans,
+    reference_start,
+)
 
 VOCAB = make_vocab(["a", "b", "c"])
 SYNTH = SynthConfig(vocab=VOCAB, feature_dim=8, frames_per_token=8)
@@ -108,6 +116,38 @@ class TestBatchedStepMatchesReference:
             assert [tuple(e.peak_index for e in h.timeline) for h in beam] == [r.peaks for r in ref]
             for h, r in zip(beam, ref):
                 assert math.isclose(h.log_score, r.log_score, rel_tol=1e-12, abs_tol=0.0)
+
+
+class TestOracleMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(layout=st.lists(st.tuples(st.sampled_from([SIL_LABEL, "a", "b", "c"]), st.integers(1, 30)),
+                           min_size=1, max_size=12),
+           r=st.sampled_from([1, 2, 3, 4, 8, 16]), mode=st.sampled_from(["silence_aware", "silence_skipping"]),
+           d=st.integers(1, 8), min_sil=st.integers(0, 4), data=st.data())
+    def test_owners_spans_schedule_and_steps(self, layout, r, mode, d, min_sil, data):
+        segments, t = [], 0
+        for label, length in layout:
+            segments.append(Segment(label, t, t + length))
+            t += length
+        alignment = Alignment(tuple(segments))
+        model = OracleModel(OracleMode(mode, d, min_sil), VOCAB, alignment, r)
+        owners = reference_encoded_owners(alignment, r)
+        spans = reference_segment_spans(owners, len(segments))
+        assert model._owner == owners and all(type(o) is int for o in model._owner)
+        assert model._spans == spans
+        # the schedule the unchanged builder makes from the reference spans
+        ref = SimpleNamespace(mode=model.mode, vocab=VOCAB, alignment=alignment,
+                              silence_aware=model.silence_aware, _spans=spans)
+        assert model._schedule == OracleModel._build_schedule(ref)
+        frames = np.zeros((len(owners), 1))
+        for _ in range(20):
+            n = data.draw(st.integers(0, len(owners)))
+            prev = data.draw(st.integers(-1, len(owners) - 1))
+            complete, force = data.draw(st.booleans()), data.draw(st.booleans())
+            step = model.decode_step(None, VOCAB.bos_id, frames[:n], AttentionState(prev_index=prev), complete, force)
+            token = None if step.stalled else int(np.argmax(step.log_probs))
+            got = (step.att.status, step.att.selected_index, step.att.peak_index, step.att.forced, token)
+            assert got == reference_oracle_step(model, owners, spans, n, prev, complete, force)
 
 
 class TestOracleStreamProperties:

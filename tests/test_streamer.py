@@ -74,13 +74,13 @@ class TestSessionBasics:
         session = StreamSession(aware(utt), StreamConfig(), BeamConfig(beam_size=1))
         session.push(utt.features.frames, is_last=True)
         with pytest.raises(RuntimeError):
-            session.finalize()
+            session.push(np.zeros((0, 8)), is_last=True)
 
     def test_zero_audio_session(self):
         utt = make_utt(["a"], [])
         session = StreamSession(aware(utt), StreamConfig(), BeamConfig(beam_size=1))
-        result = session.finalize()
-        assert result.tokens == [VOCAB.bos_id, VOCAB.eos_id]
+        session.push(np.zeros((0, 8)), is_last=True)
+        assert session.result().tokens == [VOCAB.bos_id, VOCAB.eos_id]
 
     def test_clock_advances_with_audio(self):
         utt = make_utt(["a", "b"], [(1, 40)])
@@ -190,7 +190,7 @@ class TestPrefixStability:
 class TestCounters:
     def test_forced_steps_count_forced_emissions(self):
         # a selection bias this low never selects a frame: every step stalls
-        # until finalize forces one, and the boosted end symbol ends the stream
+        # until the last batch forces one, and the boosted end symbol ends the stream
         cfg = ModelConfig(
             encoder=EncoderConfig(num_layers=2, input_dim=8, hidden=16, proj=8),
             attention=AttentionConfig(chunk_size=3, energy_hidden=8),

@@ -3,6 +3,7 @@ import pytest
 
 from silstream.attention import AttentionState
 from silstream.synth import (
+    MIN_PATTERN_DISTANCE,
     CorpusSpec,
     OracleMode,
     OracleModel,
@@ -16,7 +17,7 @@ from silstream.synth import (
 )
 from silstream.vocab import SIL_LABEL, make_vocab
 
-from support import encode
+from support import encode, silence_token_count
 
 
 @pytest.fixture
@@ -67,7 +68,7 @@ class TestGenerator:
         for i in content:
             for j in content:
                 if i < j:
-                    assert np.linalg.norm(patterns[i] - patterns[j]) >= cfg.min_pattern_distance
+                    assert np.linalg.norm(patterns[i] - patterns[j]) >= MIN_PATTERN_DISTANCE
 
     def test_corpus_generation_and_roundtrip(self, cfg, vocab, tmp_path):
         corpus = gen_corpus(cfg, CorpusSpec(num_utterances=5, align_to=4), seed=9)
@@ -133,7 +134,7 @@ class TestAwareOracle:
         # silence spans 16 raw = 4 encoded frames; duration 2 -> exactly 2 SIL
         utt = gen_utterance(cfg, seed=8, tokens=vocab.encode(["a", "b"]), silence_layout=[(1, 16)])
         model = oracle_for(utt, vocab, d=2)
-        assert model.silence_token_count() == 2
+        assert silence_token_count(model) == 2
 
     def test_noiseless_single_token_emits_token_then_eos(self, cfg, vocab):
         utt = gen_utterance(cfg, seed=9, tokens=vocab.encode(["b"]), silence_layout=[])
@@ -154,13 +155,13 @@ class TestAwareOracle:
         # 4 raw frames = 1 encoded frame, below min_silence_encoded=2
         utt = gen_utterance(cfg, seed=11, tokens=vocab.encode(["a", "b"]), silence_layout=[(1, 4)])
         model = oracle_for(utt, vocab, d=2, min_sil=2)
-        assert model.silence_token_count() == 0
+        assert silence_token_count(model) == 0
 
     def test_short_but_admissible_silence_gets_one_sil(self, cfg, vocab):
         # 8 raw = 2 encoded frames, duration 6: floor = 0 but >= min -> one SIL
         utt = gen_utterance(cfg, seed=12, tokens=vocab.encode(["a", "b"]), silence_layout=[(1, 8)])
         model = oracle_for(utt, vocab, d=6, min_sil=1)
-        assert model.silence_token_count() == 1
+        assert silence_token_count(model) == 1
 
 
 class TestSkippingOracle:

@@ -6,17 +6,10 @@ from silstream.attention import AttentionConfig
 from silstream.data import FeatureSequence
 from silstream.encoder import EncoderConfig
 from silstream.model import ModelConfig, NeuralModel, init_params, load_checkpoint, save_checkpoint
-from silstream.trainer import (
-    PARAM_GROUPS,
-    TrainConfig,
-    backward,
-    corpus_loss,
-    forward_loss,
-    group_of,
-    smoothed_targets,
-    train,
-)
+from silstream.trainer import TrainConfig, backward, corpus_loss, forward_loss, smoothed_targets, train
 from silstream.vocab import make_vocab
+
+from support import PARAM_GROUPS, group_of
 
 VOCAB = make_vocab(["a", "b", "c"])
 
