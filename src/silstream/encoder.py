@@ -5,6 +5,21 @@ every layer halves the sequence length; K layers give a total reduction of
 2^K. Incremental pushes produce exactly the frames a one-shot encode would,
 because each layer keeps its recurrent state and at most one unpaired
 leftover frame between pushes.
+
+One layer routine runs a stack of rows with per-row lengths. Streaming is
+the one-row case; ``encode_with_cache`` encodes a training minibatch as one
+stack, each row bit-identical to encoding it alone. A stack is packed
+time-major with its rows sorted longest first: step i holds one entry for
+each row longer than i, so the rows alive at a step are a prefix of those
+alive at the step before, and a row that has ended takes no memory or work.
+
+The routine works through blocks of steps of about ``BLOCK_ENTRIES``
+entries: it projects every input pair of a block through the input weights
+at once, steps the recurrence over the block, then projects the block's new
+states. ``encode_backward`` goes back over the same blocks and takes each
+weight gradient as one product over a block. Blocks bound the memory of a
+long push or a minibatch; the results do not depend on them, except for
+the order in which gradients are summed.
 """
 from __future__ import annotations
 
@@ -49,15 +64,60 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator, params: di
     return params
 
 
+BLOCK_ENTRIES = 64  # a block is BLOCK_ENTRIES // rows steps (at least one)
+
+
 @dataclass
 class EncoderState:
-    hidden: list[np.ndarray]
-    leftover: list[np.ndarray | None]
+    hidden: list[np.ndarray]  # per layer, the (rows, hidden) recurrent state
+    leftover: list[np.ndarray | None]  # per layer, an unpaired input of a one-row stack
     emitted: int = 0
     consumed: int = 0
     finished: bool = False
-    # per layer, (GRU cache, hidden state) of every step, for encode_backward
-    cache: list[list[tuple]] | None = None
+
+
+@dataclass
+class LayerCache:
+    """What ``encode_backward`` needs of one layer's forward pass over a packed stack."""
+
+    x: np.ndarray  # the layer's packed inputs
+    h: np.ndarray  # (rows + entries, hidden): the rows' states before the first step, then each new one
+    prev: np.ndarray  # (entries,), the row of h that each step started from
+    left: np.ndarray  # (entries,), the two inputs each step read
+    right: np.ndarray
+    starts: np.ndarray  # where each step's entries begin
+
+
+@dataclass
+class EncoderCache:
+    layers: list[LayerCache]
+    lengths: np.ndarray  # encoded frames of each utterance
+    positions: np.ndarray  # where each encoded frame, back to back, sits in the packed stack
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each step begins in a packed stack whose rows hold ``counts`` (longest first)."""
+    return np.minimum(counts, np.arange(counts[0] + 1)[:, None]).sum(axis=1)
+
+
+def _blocks(starts: np.ndarray, rows: int) -> list[list[int]]:
+    """The step bounds of each block of ``BLOCK_ENTRIES // rows`` steps."""
+    size, bounds = max(1, BLOCK_ENTRIES // rows), starts.tolist()
+    return [bounds[i : i + size + 1] for i in range(0, len(bounds) - 1, size)]
+
+
+def _packed_positions(counts: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Where each entry of rows laid back to back sits in their packed stack, in
+    which row b (``counts[b]`` entries) is row ``rank[b]``."""
+    ordered = np.empty_like(counts)
+    ordered[rank] = counts
+    row = np.repeat(np.arange(len(counts)), counts)
+    step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return _starts(ordered)[step] + rank[row]
+
+
+def _pairs(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    return np.concatenate([x[left], x[right]], axis=1)
 
 
 class PyramidalEncoder:
@@ -77,31 +137,69 @@ class PyramidalEncoder:
             if self.params[f"enc{k}.P"].shape != (self.cfg.proj, self.cfg.hidden):
                 raise ValueError(f"enc{k}.P shape mismatch")
 
-    def reset(self) -> EncoderState:
+    def _check_frames(self, frames) -> np.ndarray:
+        frames = np.asarray(frames, dtype=np.float64)
+        if frames.ndim != 2 or frames.shape[1] != self.cfg.input_dim:
+            raise ValueError(f"expected (n, {self.cfg.input_dim}) frames, got {frames.shape}")
+        if not np.all(np.isfinite(frames)):
+            raise ValueError("non-finite feature values")
+        return frames
+
+    def reset(self, rows: int = 1) -> EncoderState:
         return EncoderState(
-            hidden=[np.zeros(self.cfg.hidden) for _ in range(self.cfg.num_layers)],
+            hidden=[np.zeros((rows, self.cfg.hidden)) for _ in range(self.cfg.num_layers)],
             leftover=[None] * self.cfg.num_layers,
         )
 
-    def _layer_step(self, k: int, pair: np.ndarray, state: EncoderState) -> np.ndarray:
-        h, gru_cache = nn.gru_step(self.params, f"enc{k}", pair, state.hidden[k])
-        state.hidden[k] = h
-        if state.cache is not None:
-            state.cache[k].append((gru_cache, h))
-        return self.params[f"enc{k}.P"] @ h + self.params[f"enc{k}.pb"]
+    def _layer(self, k: int, state: EncoderState, x: np.ndarray, n: np.ndarray, final: bool,
+               cache: list | None) -> tuple[np.ndarray, np.ndarray]:
+        """Layer k over the packed stack ``x`` whose row b holds ``n[b]`` inputs.
 
-    def _layer_push(self, k: int, frames: list[np.ndarray], state: EncoderState) -> list[np.ndarray]:
+        Row b pairs its inputs (2j, 2j + 1). Its odd last input is paired
+        with itself when ``final``; otherwise it waits in ``state.leftover``
+        for the next call, which only a one-row (streaming) stack makes.
+        Returns the packed outputs and the count of each row.
+        """
+        p, pre = self.params, f"enc{k}"
         if state.leftover[k] is not None:
-            frames = [state.leftover[k]] + frames
+            x, n = np.concatenate([state.leftover[k], x]), n + 1
             state.leftover[k] = None
-        outs = []
-        i = 0
-        while i + 1 < len(frames):
-            outs.append(self._layer_step(k, np.concatenate([frames[i], frames[i + 1]]), state))
-            i += 2
-        if i < len(frames):
-            state.leftover[k] = frames[i]
-        return outs
+        m = (n + 1) // 2 if final else n // 2
+        if not final and n[0] % 2:
+            state.leftover[k] = x[-1:]
+        if m[0] == 0 and cache is None:  # nothing to step and no layer cache to record
+            return np.zeros((0, self.cfg.proj)), m
+        starts = _starts(m)
+        entries, rows = int(starts[-1]), len(n)
+        step, row = np.nonzero(np.arange(m[0])[:, None] < m)  # every entry, in packed order
+        inputs = _starts(n)
+        left = inputs[2 * step] + row
+        right = inputs[np.minimum(2 * step + 1, n[row] - 1)] + row  # a final odd last input: itself
+        hs = np.empty((rows + entries, self.cfg.hidden))
+        hs[:rows] = state.hidden[k]
+        out = np.empty((entries, self.cfg.proj))
+        last = state.hidden[k].copy()  # a row that has ended keeps the state of its last step
+        before = 0  # where the rows' previous states begin in hs
+        for bounds in _blocks(starts, rows):
+            lo, hi = bounds[0], bounds[-1]
+            wz, wr, wn = nn.gru_inputs(p, pre, _pairs(x, left[lo:hi], right[lo:hi]))
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                terms = (wz[a - lo : b - lo], wr[a - lo : b - lo], wn[a - lo : b - lo])
+                h = nn.gru_steps(p, pre, terms, hs[before : before + b - a])[0]
+                hs[rows + a : rows + b] = last[: b - a] = h
+                before = rows + a
+            out[lo:hi] = nn.matvecs(p[f"{pre}.P"], hs[rows + lo : rows + hi]) + p[f"{pre}.pb"]
+        state.hidden[k] = last
+        if cache is not None:
+            prev = np.where(step > 0, rows + starts[step - 1] + row, row)
+            cache.append(LayerCache(x=x, h=hs, prev=prev, left=left, right=right, starts=starts))
+        return out, m
+
+    def _layers(self, state: EncoderState, x: np.ndarray, n: np.ndarray, final: bool,
+                cache: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+        for k in range(self.cfg.num_layers):
+            x, n = self._layer(k, state, x, n, final, cache)
+        return x, n
 
     def push(self, state: EncoderState, frames: np.ndarray) -> np.ndarray:
         """Feed raw feature rows; returns newly encoded frames (n, proj)."""
@@ -110,63 +208,91 @@ class PyramidalEncoder:
         frames = np.asarray(frames, dtype=np.float64)
         if frames.size == 0:
             return np.zeros((0, self.cfg.proj))
-        if frames.ndim != 2 or frames.shape[1] != self.cfg.input_dim:
-            raise ValueError(f"expected (n, {self.cfg.input_dim}) frames, got {frames.shape}")
-        if not np.all(np.isfinite(frames)):
-            raise ValueError("non-finite feature values")
+        frames = self._check_frames(frames)
         state.consumed += frames.shape[0]
-        current = list(frames)
-        for k in range(self.cfg.num_layers):
-            current = self._layer_push(k, current, state)
-        state.emitted += len(current)
-        return np.array(current).reshape(len(current), self.cfg.proj)
+        out, m = self._layers(state, frames, np.array([frames.shape[0]]), final=False)
+        state.emitted += int(m[0])
+        return out
 
     def finish(self, state: EncoderState) -> np.ndarray:
         """Flush leftovers by pairing each with a copy of itself, bottom-up."""
         if state.finished:
             raise RuntimeError("encoder already finished")
         state.finished = True
-        pending: list[np.ndarray] = []
-        for k in range(self.cfg.num_layers):
-            outs = self._layer_push(k, pending, state)
-            if state.leftover[k] is not None:
-                f = state.leftover[k]
-                state.leftover[k] = None
-                outs.append(self._layer_step(k, np.concatenate([f, f]), state))
-            pending = outs
-        state.emitted += len(pending)
-        return np.array(pending).reshape(len(pending), self.cfg.proj)
+        out, m = self._layers(state, np.zeros((0, self.cfg.input_dim)), np.zeros(1, dtype=int), final=True)
+        state.emitted += int(m[0])
+        return out
 
 
-def encode_with_cache(params: dict, cfg: EncoderConfig, frames: np.ndarray):
-    """Offline encode (push everything, then finish) keeping the backward cache."""
+def encode_with_cache(params: dict, cfg: EncoderConfig, frames: np.ndarray, lengths=None):
+    """Offline encode (push everything, then finish) keeping the backward cache.
+
+    ``frames`` holds one utterance, or several laid back to back with
+    ``lengths[b]`` rows for utterance b; they are encoded as one stack, each
+    bit-identical to encoding it alone. Returns the encoded frames, back to
+    back, and an ``EncoderCache`` whose ``lengths`` counts them per utterance.
+    """
     encoder = PyramidalEncoder(cfg, params)
-    state = encoder.reset()
-    state.cache = [[] for _ in range(cfg.num_layers)]
-    head = encoder.push(state, frames)
-    return np.vstack([head, encoder.finish(state)]), state
+    frames = encoder._check_frames(frames)
+    lengths = np.array([frames.shape[0]] if lengths is None else lengths, dtype=int)
+    if lengths.ndim != 1 or not lengths.size or np.any(lengths < 0) or lengths.sum() != frames.shape[0]:
+        raise ValueError(f"lengths {lengths.tolist()} do not split {frames.shape[0]} frames")
+    order = np.argsort(-lengths, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    stack = np.empty_like(frames)
+    stack[_packed_positions(lengths, rank)] = frames
+    layers: list[LayerCache] = []
+    out, m = encoder._layers(encoder.reset(len(lengths)), stack, lengths[order], final=True, cache=layers)
+    encoded = np.empty_like(m)
+    encoded[order] = m
+    positions = _packed_positions(encoded, rank)
+    return out[positions], EncoderCache(layers, encoded, positions)
 
 
-def encode_backward(params: dict, cfg: EncoderConfig, cache: EncoderState, d_encoded: np.ndarray,
+def encode_backward(params: dict, cfg: EncoderConfig, cache: EncoderCache, d_encoded: np.ndarray,
                     grads: dict) -> None:
-    """Backprop through the cached offline encode; accumulates into grads.
+    """Backprop through ``encode_with_cache``; accumulates into grads.
 
-    Step j of a layer read its inputs 2j and 2j + 1, or 2j twice when that
-    was the layer's last input and had no partner."""
-    d_outs = [np.asarray(d) for d in d_encoded]
+    ``d_encoded`` is the gradient of its encoded frames, in the same order.
+    Block by block from the end, it recomputes the gates from the cached
+    inputs and states (bit-identical to the forward pass), carries the
+    hidden-state gradient back step by step, and then takes each weight
+    gradient as one product over the block.
+    """
+    d_out = np.zeros((len(cache.positions), cfg.proj))
+    d_out[cache.positions] = d_encoded
     for k in reversed(range(cfg.num_layers)):
-        steps = cache.cache[k]
-        n_inputs = cache.consumed if k == 0 else len(cache.cache[k - 1])
-        in_dim = cfg.layer_input_dim(k) // 2
-        d_inputs = [np.zeros(in_dim) for _ in range(n_inputs)]
-        dh_carry = np.zeros(cfg.hidden)
-        for j in reversed(range(len(steps))):
-            gru_cache, h = steps[j]
-            dout = d_outs[j]
-            grads[f"enc{k}.P"] += np.outer(dout, h)
-            grads[f"enc{k}.pb"] += dout
-            dh = params[f"enc{k}.P"].T @ dout + dh_carry
-            dx, dh_carry = nn.gru_step_backward(params, f"enc{k}", gru_cache, dh, grads)
-            d_inputs[2 * j] += dx[:in_dim]
-            d_inputs[min(2 * j + 1, n_inputs - 1)] += dx[in_dim:]
-        d_outs = d_inputs
+        c, pre = cache.layers[k], f"enc{k}"
+        U = {g: params[f"{pre}.U{g}"] for g in nn.GRU_GATES}
+        rows = len(c.h) - len(c.prev)
+        d_in = np.zeros_like(c.x)
+        dh = np.zeros((0, cfg.hidden))
+        for bounds in reversed(_blocks(c.starts, rows)):
+            lo, hi = bounds[0], bounds[-1]
+            pairs, h_prev = _pairs(c.x, c.left[lo:hi], c.right[lo:hi]), c.h[c.prev[lo:hi]]
+            _, (gz, gr, guh, gn) = nn.gru_steps(params, pre, nn.gru_inputs(params, pre, pairs), h_prev)
+            dh_out = d_out[lo:hi] @ params[f"{pre}.P"]
+            for a, b in zip(bounds[-2::-1], bounds[:0:-1]):
+                a, b = a - lo, b - lo
+                z, r, n = gz[a:b], gr[a:b], gn[a:b]
+                carry, dh = dh, dh_out[a:b]
+                dh[: len(carry)] += carry  # rows whose last step this is carry nothing
+                dan = dh * (1.0 - z) * (1.0 - n * n)
+                danh = dan * r
+                daz = dh * (h_prev[a:b] - n) * z * (1.0 - z)
+                dar = dan * guh[a:b] * r * (1.0 - r)
+                dh = dh * z + danh @ U["n"] + daz @ U["z"] + dar @ U["r"]
+                gz[a:b], gr[a:b], gn[a:b], guh[a:b] = daz, dar, dan, danh  # the step's gates are spent
+            grads[f"{pre}.P"] += d_out[lo:hi].T @ c.h[rows + lo : rows + hi]
+            grads[f"{pre}.pb"] += d_out[lo:hi].sum(axis=0)
+            d_pairs = np.zeros_like(pairs)
+            for g, da, da_u in (("z", gz, gz), ("r", gr, gr), ("n", gn, guh)):
+                grads[f"{pre}.W{g}"] += da.T @ pairs
+                grads[f"{pre}.U{g}"] += da_u.T @ h_prev
+                grads[f"{pre}.b{g}"] += da.sum(axis=0)
+                d_pairs += da @ params[f"{pre}.W{g}"]
+            half = d_pairs.shape[1] // 2
+            d_in[c.left[lo:hi]] += d_pairs[:, :half]
+            d_in[c.right[lo:hi]] += d_pairs[:, half:]
+        d_out = d_in

@@ -150,7 +150,7 @@ class NeuralModel:
         p = self.params
         S = np.array([s for s, _ in dec_states])
         X = np.concatenate([p["emb.E"][prev_tokens], np.array([c for _, c in dec_states])], axis=1)
-        S_new = nn.gru_steps(p, "dec", X, S)
+        S_new, _ = nn.gru_steps(p, "dec", nn.gru_inputs(p, "dec", X), S)
         sel_q, chunk_q = project_queries(p, S_new)
         atts = [
             mocha_infer_step(p, self.cfg.attention, (sel_q[i], chunk_q[i]), frames, att_state, force, keys=keys)

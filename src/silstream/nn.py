@@ -12,13 +12,10 @@ GRU_GATES = ("z", "r", "n")
 
 
 def sigmoid(x):
+    """Logistic function; exp only ever sees -|x|, so it cannot overflow."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -39,6 +36,8 @@ def matvecs(W: np.ndarray, X: np.ndarray) -> np.ndarray:
     Stacked matrix-vector products give each row bit for bit what ``W @ x``
     gives it alone, whatever the other rows; ``X @ W.T`` does not.
     """
+    if len(X) == 1:  # the same product, without the cost of a stacked call
+        return (W @ X[0])[None]
     return np.matmul(W[None], X[:, :, None])[:, :, 0]
 
 
@@ -64,16 +63,27 @@ def gru_step(params: dict, prefix: str, x: np.ndarray, h: np.ndarray):
     return h_new, (x, h, z, r, uh, n)
 
 
-def gru_steps(params: dict, prefix: str, X: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """``gru_step`` on every row of ``X`` and ``H`` at once, without the backward cache.
+def gru_inputs(params: dict, prefix: str, X: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The input terms ``W{z,r,n} @ x`` of every row ``x`` of ``X``, for ``gru_steps``.
 
-    Row for row the result is bit-identical to ``gru_step``.
+    They do not depend on the hidden state, so a recurrence computes them for
+    all its steps at once.
     """
-    z = sigmoid(matvecs(params[f"{prefix}.Wz"], X) + matvecs(params[f"{prefix}.Uz"], H) + params[f"{prefix}.bz"])
-    r = sigmoid(matvecs(params[f"{prefix}.Wr"], X) + matvecs(params[f"{prefix}.Ur"], H) + params[f"{prefix}.br"])
+    return tuple(matvecs(params[f"{prefix}.W{g}"], X) for g in GRU_GATES)
+
+
+def gru_steps(params: dict, prefix: str, wx: tuple[np.ndarray, ...], H: np.ndarray):
+    """``gru_step`` on every row of ``H``, given its input's terms ``wx`` from ``gru_inputs``.
+
+    Row for row the new state is bit-identical to ``gru_step``. Returns
+    (H_new, (z, r, uh, n)), the gate values a backward pass needs.
+    """
+    wz, wr, wn = wx
+    z = sigmoid(wz + matvecs(params[f"{prefix}.Uz"], H) + params[f"{prefix}.bz"])
+    r = sigmoid(wr + matvecs(params[f"{prefix}.Ur"], H) + params[f"{prefix}.br"])
     uh = matvecs(params[f"{prefix}.Un"], H)
-    n = np.tanh(matvecs(params[f"{prefix}.Wn"], X) + r * uh + params[f"{prefix}.bn"])
-    return (1.0 - z) * n + z * H
+    n = np.tanh(wn + r * uh + params[f"{prefix}.bn"])
+    return (1.0 - z) * n + z * H, (z, r, uh, n)
 
 
 def gru_step_backward(params: dict, prefix: str, cache, dh_new: np.ndarray, grads: dict):

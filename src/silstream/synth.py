@@ -17,6 +17,7 @@ training:
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +47,13 @@ class SynthConfig:
             raise ValueError("noise_sigma must be nonnegative")
 
 
+@functools.lru_cache(maxsize=16)
 def token_patterns(cfg: SynthConfig) -> np.ndarray:
     """One fixed random vector per vocabulary entry (silence row stays zero).
 
     Rows are resampled until all content patterns are pairwise separated, so
-    nearest-pattern classification on clean features is unambiguous.
+    nearest-pattern classification on clean features is unambiguous. The
+    patterns are drawn once per config and shared, so they are read-only.
     """
     rng = np.random.default_rng(cfg.pattern_seed)
     patterns = np.zeros((cfg.vocab.size, cfg.feature_dim))
@@ -65,6 +68,7 @@ def token_patterns(cfg: SynthConfig) -> np.ndarray:
                 break
         else:
             raise RuntimeError("could not place distinct token patterns; raise feature_dim")
+    patterns.flags.writeable = False
     return patterns
 
 

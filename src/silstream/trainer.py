@@ -57,18 +57,24 @@ def forward_loss(
     tcfg: TrainConfig,
     vocab: Vocab,
     rng: np.random.Generator | None = None,
+    encoded: np.ndarray | None = None,
 ):
     """Mean per-step cross entropy of one utterance. Returns (loss, cache).
 
     ``reference`` must start with BOS and end with EOS. With scheduled
     sampling an ``rng`` is required; the sampled tokens are recorded in the
-    cache so backward treats them as constants.
+    cache so backward treats them as constants. ``encoded`` is the
+    utterance's rows of a minibatch encode; without it the utterance is
+    encoded alone, and ``backward`` goes through that encode too.
     """
     if len(reference) < 2 or reference[0] != vocab.bos_id or reference[-1] != vocab.eos_id:
         raise ValueError("reference must be [BOS, ..., EOS]")
     if (tcfg.scheduled_sampling > 0 or tcfg.selection_noise_std > 0) and rng is None:
         raise ValueError("scheduled sampling and selection noise need an rng")
-    H, enc_cache = encode_with_cache(params, cfg.encoder, features.frames)
+    if encoded is None:
+        H, enc_cache = encode_with_cache(params, cfg.encoder, features.frames)
+    else:
+        H, enc_cache = encoded, None
     n_frames = H.shape[0]
     if n_frames == 0:
         raise ValueError("cannot train on an empty utterance")
@@ -124,7 +130,11 @@ def forward_loss(
 
 
 def backward(cfg: ModelConfig, params: dict, cache: dict) -> dict:
-    """Gradients of forward_loss for every parameter tensor."""
+    """Gradients of forward_loss for every parameter tensor.
+
+    For an utterance given its ``encoded`` rows the encoder's share is left
+    to the caller: ``cache["dH"]`` becomes the gradient of those rows.
+    """
     grads = nn.zero_grads(params)
     H = cache["H"]
     steps = cache["steps"]
@@ -153,7 +163,10 @@ def backward(cfg: ModelConfig, params: dict, cache: dict) -> dict:
         dx, ds_carry = nn.gru_step_backward(params, "dec", st["gcache"], ds, grads)
         grads["emb.E"][st["prev"]] += dx[: cfg.embed_dim]
         dc_carry = dx[cfg.embed_dim :]
-    encode_backward(params, cfg.encoder, cache["enc_cache"], dH, grads)
+    if cache["enc_cache"] is None:
+        cache["dH"] = dH
+    else:
+        encode_backward(params, cfg.encoder, cache["enc_cache"], dH, grads)
     return grads
 
 
@@ -168,6 +181,37 @@ def corpus_loss(
     plain = replace(tcfg, scheduled_sampling=0.0, selection_noise_std=0.0)
     losses = [forward_loss(cfg, params, f, r, plain, vocab)[0] for f, r in examples]
     return float(np.mean(losses))
+
+
+def _minibatch_gradients(
+    cfg: ModelConfig,
+    params: dict,
+    batch: list[tuple[FeatureSequence, list[int]]],
+    tcfg: TrainConfig,
+    vocab: Vocab,
+    rng: np.random.Generator,
+) -> tuple[float, dict]:
+    """Mean loss of a minibatch and its gradients.
+
+    The batch is encoded as one stack and back-propagated through the
+    encoder at once; the decoder runs per utterance in batch order, so the
+    random draws come in the order of training one utterance at a time.
+    """
+    weight = 1.0 / len(batch)
+    H, enc_cache = encode_with_cache(params, cfg.encoder, np.concatenate([f.frames for f, _ in batch]),
+                                     [f.num_frames for f, _ in batch])
+    dH = np.empty_like(H)
+    grads = nn.zero_grads(params)
+    loss = 0.0
+    for (feats, ref), end, n in zip(batch, np.cumsum(enc_cache.lengths), enc_cache.lengths):
+        rows = slice(end - n, end)
+        utt_loss, cache = forward_loss(cfg, params, feats, ref, tcfg, vocab, rng=rng, encoded=H[rows])
+        nn.add_grads(grads, backward(cfg, params, cache), scale=weight)
+        dH[rows] = weight * cache["dH"]
+        loss += utt_loss * weight
+    del cache  # the last decoder cache need not outlive the encoder backward
+    encode_backward(params, cfg.encoder, enc_cache, dH, grads)
+    return loss, grads
 
 
 def train(
@@ -199,19 +243,12 @@ def train(
         epoch_losses = []
         diverged = False
         for lo in range(0, len(order), tcfg.batch_size):
-            batch = order[lo : lo + tcfg.batch_size]
-            weight = 1.0 / len(batch)
-            batch_grads = nn.zero_grads(params)
-            batch_loss = 0.0
+            batch = [examples[int(idx)] for idx in order[lo : lo + tcfg.batch_size]]
             try:
                 # saturating arithmetic is fine here; the explicit finiteness
                 # check in forward_loss is the divergence detector
                 with np.errstate(all="ignore"):
-                    for idx in batch:
-                        feats, ref = examples[int(idx)]
-                        loss, cache = forward_loss(cfg, params, feats, ref, tcfg, vocab, rng=rng)
-                        nn.add_grads(batch_grads, backward(cfg, params, cache), scale=weight)
-                        batch_loss += loss * weight
+                    batch_loss, batch_grads = _minibatch_gradients(cfg, params, batch, tcfg, vocab, rng)
             except FloatingPointError:
                 diverged = True
                 break

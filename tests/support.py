@@ -10,6 +10,14 @@ summed in another order).
 The oracle reference builds the scripted oracle's frame ownership with the
 first per-frame loops and decides its end of utterance by scanning every
 visible frame; the array-built ``OracleModel`` must agree with it exactly.
+
+The encoder reference encodes one utterance a ``gru_step`` at a time and
+back-propagates with per-step outer products; the minibatch encoder must
+give each utterance the same frames bit for bit, and gradients equal to the
+per-utterance sum to 1e-12 relative. The training reference steps through a
+minibatch one utterance at a time, encoder included; ``train`` must agree
+with it to 1e-12 relative. ``reference_sigmoid`` is the first,
+boolean-mask form of ``nn.sigmoid``.
 """
 from __future__ import annotations
 
@@ -29,6 +37,7 @@ from silstream.attention import (
     project_queries,
 )
 from silstream.encoder import PyramidalEncoder
+from silstream.trainer import backward, forward_loss
 
 PARAM_GROUPS = {
     "encoder": ("enc",),
@@ -223,3 +232,95 @@ def reference_oracle_step(oracle, owners, spans, n: int, prev: int, buffer_compl
     if force and n > 0:
         return emit(eos, n - 1, forced=True)
     return (EXHAUSTED.status, EXHAUSTED.selected_index, EXHAUSTED.peak_index, EXHAUSTED.forced, None)
+
+
+def reference_sigmoid(x):
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_encode_with_cache(params, cfg, frames):
+    """Encode one utterance one ``gru_step`` at a time. Returns (encoded, cache):
+    per layer, its input count and the (GRU cache, new state) of every step.
+    Step j reads inputs 2j and 2j + 1, or its last input twice if that has
+    no partner."""
+    current = list(frames)
+    cache = []
+    for k in range(cfg.num_layers):
+        h = np.zeros(cfg.hidden)
+        steps, outs = [], []
+        for j in range((len(current) + 1) // 2):
+            pair = np.concatenate([current[2 * j], current[min(2 * j + 1, len(current) - 1)]])
+            h, gru_cache = nn.gru_step(params, f"enc{k}", pair, h)
+            steps.append((gru_cache, h))
+            outs.append(params[f"enc{k}.P"] @ h + params[f"enc{k}.pb"])
+        cache.append((len(current), steps))
+        current = outs
+    return np.array(current).reshape(len(current), cfg.proj), cache
+
+
+def reference_encode_backward(params, cfg, cache, d_encoded, grads) -> None:
+    """Backprop through ``reference_encode_with_cache``; accumulates into grads."""
+    d_outs = [np.asarray(d) for d in d_encoded]
+    for k in reversed(range(cfg.num_layers)):
+        n_inputs, steps = cache[k]
+        in_dim = cfg.layer_input_dim(k) // 2
+        d_inputs = [np.zeros(in_dim) for _ in range(n_inputs)]
+        dh_carry = np.zeros(cfg.hidden)
+        for j in reversed(range(len(steps))):
+            gru_cache, h = steps[j]
+            dout = d_outs[j]
+            grads[f"enc{k}.P"] += np.outer(dout, h)
+            grads[f"enc{k}.pb"] += dout
+            dh = params[f"enc{k}.P"].T @ dout + dh_carry
+            dx, dh_carry = nn.gru_step_backward(params, f"enc{k}", gru_cache, dh, grads)
+            d_inputs[2 * j] += dx[:in_dim]
+            d_inputs[min(2 * j + 1, n_inputs - 1)] += dx[in_dim:]
+        d_outs = d_inputs
+
+
+def reference_train(cfg, params, vocab, examples, tcfg):
+    """``train`` (without evaluation or checkpoints) with a forward and
+    backward pass, encoder included, per utterance."""
+    params = {k: v.copy() for k, v in params.items()}
+    last_good = {k: v.copy() for k, v in params.items()}
+    rng = np.random.default_rng(tcfg.seed)
+    velocity = nn.zero_grads(params)
+    history = {"train_loss": [], "diverged": False}
+    for _ in range(tcfg.epochs):
+        order = rng.permutation(len(examples))
+        epoch_losses = []
+        diverged = False
+        for lo in range(0, len(order), tcfg.batch_size):
+            batch = order[lo : lo + tcfg.batch_size]
+            weight = 1.0 / len(batch)
+            batch_grads = nn.zero_grads(params)
+            batch_loss = 0.0
+            try:
+                with np.errstate(all="ignore"):
+                    for idx in batch:
+                        feats, ref = examples[int(idx)]
+                        loss, cache = forward_loss(cfg, params, feats, ref, tcfg, vocab, rng=rng)
+                        nn.add_grads(batch_grads, backward(cfg, params, cache), scale=weight)
+                        batch_loss += loss * weight
+            except FloatingPointError:
+                diverged = True
+                break
+            if not math.isfinite(batch_loss):
+                diverged = True
+                break
+            for k in params:
+                velocity[k] = tcfg.momentum * velocity[k] + batch_grads[k]
+                params[k] -= tcfg.learning_rate * velocity[k]
+            epoch_losses.append(batch_loss)
+        if diverged:
+            history["diverged"] = True
+            return last_good, history
+        history["train_loss"].append(float(np.mean(epoch_losses)))
+        last_good = {k: v.copy() for k, v in params.items()}
+    return params, history

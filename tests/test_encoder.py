@@ -142,3 +142,12 @@ def test_cached_encode_matches_streaming(toy):
     frames = np.random.default_rng(13).normal(size=(19, cfg.input_dim))
     cached, _ = encode_with_cache(params, cfg, frames)
     np.testing.assert_allclose(cached, encode(enc, frames), atol=1e-12)
+
+
+def test_cached_encode_lengths_must_split_the_frames(toy):
+    cfg, _, params = toy
+    frames = np.random.default_rng(14).normal(size=(10, cfg.input_dim))
+    for lengths in ([4, 5], [11, -1], [[10]], []):
+        with pytest.raises(ValueError):
+            encode_with_cache(params, cfg, frames, lengths)
+

@@ -1,6 +1,8 @@
 """Property tests of the batched decoder: buffer key projection, the batched
 beam step against the per-hypothesis reference, the scripted oracle against
-its per-frame reference, and oracle streams on both session engines."""
+its per-frame reference, and oracle streams on both session engines. Also
+the minibatch encoder against per-utterance streaming and the per-step
+reference, and ``nn.sigmoid`` against its first form."""
 import functools
 import math
 from types import SimpleNamespace
@@ -9,10 +11,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from silstream import nn
 from silstream.attention import AttentionConfig, AttentionState, project_keys
 from silstream.data import Alignment, Segment
 from silstream.decoder import BeamConfig, EncodedBuffer, decode_step, initial_hypothesis
-from silstream.encoder import EncoderConfig
+from silstream.encoder import (
+    EncoderConfig,
+    PyramidalEncoder,
+    encode_backward,
+    encode_with_cache,
+    init_encoder_params,
+)
 from silstream.model import ModelConfig, NeuralModel, init_params
 from silstream.streamer import ENGINES, StreamConfig, StreamSession, decode_offline
 from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_utterance
@@ -20,9 +29,12 @@ from silstream.vocab import SIL_LABEL, make_vocab
 
 from support import (
     reference_decode_step,
+    reference_encode_backward,
+    reference_encode_with_cache,
     reference_encoded_owners,
     reference_oracle_step,
     reference_segment_spans,
+    reference_sigmoid,
     reference_start,
 )
 
@@ -116,6 +128,52 @@ class TestBatchedStepMatchesReference:
             assert [tuple(e.peak_index for e in h.timeline) for h in beam] == [r.peaks for r in ref]
             for h, r in zip(beam, ref):
                 assert math.isclose(h.log_score, r.log_score, rel_tol=1e-12, abs_tol=0.0)
+
+
+class TestMinibatchEncoderMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), layers=st.integers(1, 3),
+           lengths=st.lists(st.integers(0, 37), min_size=1, max_size=8),
+           sizes=st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    def test_rows_equal_streamed_utterances_and_gradients_their_sum(self, seed, layers, lengths, sizes):
+        rng = np.random.default_rng(seed)
+        cfg = EncoderConfig(num_layers=layers, input_dim=int(rng.integers(1, 6)),
+                            hidden=int(rng.integers(1, 12)), proj=int(rng.integers(1, 8)))
+        params = init_encoder_params(cfg, rng)
+        utts = [rng.normal(size=(n, cfg.input_dim)) for n in lengths]
+        encoded, cache = encode_with_cache(params, cfg, np.concatenate(utts), lengths)
+        d_encoded = rng.normal(size=encoded.shape)
+        encoder = PyramidalEncoder(cfg, params)
+        want = nn.zero_grads(params)
+        end = 0
+        for frames in utts:
+            state, pieces, lo = encoder.reset(), [], 0
+            for hi in split_points(sizes, len(frames)):
+                pieces.append(encoder.push(state, frames[lo:hi]))
+                lo = hi
+            pieces.append(encoder.finish(state))
+            streamed = np.vstack(pieces)
+            alone, ref_cache = reference_encode_with_cache(params, cfg, frames)
+            rows = slice(end, end + len(streamed))
+            assert np.array_equal(encoded[rows], streamed) and np.array_equal(streamed, alone)
+            reference_encode_backward(params, cfg, ref_cache, d_encoded[rows], want)
+            end += len(streamed)
+        assert end == len(encoded) and list(cache.lengths) == [(n + 2**layers - 1) // 2**layers for n in lengths]
+        got = nn.zero_grads(params)
+        encode_backward(params, cfg, cache, d_encoded, got)
+        for k in want:
+            assert np.abs(got[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), k
+
+
+class TestSigmoidMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=40))
+    def test_bit_identical_on_every_float(self, values):
+        x = np.array(values, dtype=np.float64)
+        got, want = nn.sigmoid(x), reference_sigmoid(x)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 class TestOracleMatchesReference:

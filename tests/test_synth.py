@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,25 @@ class TestGenerator:
             for j in content:
                 if i < j:
                     assert np.linalg.norm(patterns[i] - patterns[j]) >= MIN_PATTERN_DISTANCE
+
+    def test_patterns_drawn_once_and_read_only(self, cfg):
+        assert token_patterns(cfg) is token_patterns(cfg)
+        with pytest.raises(ValueError):
+            token_patterns(cfg)[1, 0] = 0.0
+
+    @pytest.mark.parametrize("noise, tokens, dim, digest", [
+        (0.0, 3, 8, "aa2752c7ae9fe4d1"), (0.05, 5, 8, "977c2128f3b85cbe"), (0.1, 4, 3, "e653a210fab740cc"),
+    ])
+    def test_corpus_bytes_unchanged(self, noise, tokens, dim, digest):
+        # digests of corpora generated before the patterns were drawn once per config
+        cfg = SynthConfig(vocab=make_vocab([f"t{i}" for i in range(tokens)]), feature_dim=dim,
+                          frames_per_token=8, noise_sigma=noise)
+        h = hashlib.sha256()
+        for utt_id, utt in gen_corpus(cfg, CorpusSpec(num_utterances=12, lead_silence_prob=0.3), seed=7).items():
+            h.update(utt_id.encode())
+            h.update(np.ascontiguousarray(utt.features.frames, dtype="<f8").tobytes())
+            h.update(repr((utt.tokens, [(s.label, s.start, s.end) for s in utt.alignment.segments])).encode())
+        assert h.hexdigest()[:16] == digest
 
     def test_corpus_generation_and_roundtrip(self, cfg, vocab, tmp_path):
         corpus = gen_corpus(cfg, CorpusSpec(num_utterances=5, align_to=4), seed=9)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from silstream.model import ModelConfig, NeuralModel, init_params, load_checkpoi
 from silstream.trainer import TrainConfig, backward, corpus_loss, forward_loss, smoothed_targets, train
 from silstream.vocab import make_vocab
 
-from support import PARAM_GROUPS, group_of
+from support import PARAM_GROUPS, group_of, reference_train
 
 VOCAB = make_vocab(["a", "b", "c"])
 
@@ -184,6 +186,26 @@ class TestTrainLoop:
         assert history["diverged"]
         for k in out:
             assert np.all(np.isfinite(out[k]))
+
+    def test_minibatches_match_per_utterance_reference(self):
+        # uneven lengths (one frame, odd, even) with scheduled sampling and
+        # selection noise: any change in the order of the random draws would
+        # move the losses far more than the summation order can
+        cfg, params = tiny_model()
+        rng = np.random.default_rng(5)
+        corpus = []
+        for frames in (1, 2, 5, 8, 13, 16, 3, 11):
+            tokens = [VOCAB.id_of(t) for t in rng.choice(["a", "b", "c"], size=int(rng.integers(1, 4)))]
+            corpus.append((FeatureSequence(rng.normal(size=(frames, 4))), [VOCAB.bos_id] + tokens + [VOCAB.eos_id]))
+        tcfg = TrainConfig(epochs=3, batch_size=3, learning_rate=0.1, momentum=0.9, scheduled_sampling=0.5,
+                           selection_noise_std=0.5, seed=9)
+        got, history = train(cfg, params, VOCAB, corpus, tcfg)
+        want, reference = reference_train(cfg, params, VOCAB, corpus, tcfg)
+        assert len(history["train_loss"]) == len(reference["train_loss"]) == 3
+        for a, b in zip(history["train_loss"], reference["train_loss"]):
+            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+        for k in want:
+            assert np.abs(got[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), k
 
     def test_eval_loss_tracked(self):
         cfg, params = tiny_model()
