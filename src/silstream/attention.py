@@ -9,7 +9,11 @@ Two modes share one parameterization:
   probabilities, followed by the induced chunkwise distribution.
 
 Energies are additive (tanh) with a learned scalar offset on the selection
-energy, initialized negative so early training attends broadly.
+energy, initialized negative so early training attends broadly. Both modes
+score with the same ``energies`` on projected terms: each frame's key terms
+``Wk @ h`` are computed once (``project_keys``) and each decoder state's
+query terms ``Wq @ s + b`` once (``project_queries``), so a step adds and
+squashes but multiplies no frame by ``Wk``.
 """
 from __future__ import annotations
 
@@ -67,35 +71,6 @@ def init_attention_params(
     return params
 
 
-def energies(params: dict, kind: str, query: np.ndarray, keys: np.ndarray):
-    """Additive energies of ``query`` against each key row. Returns (e, cache)."""
-    prefix = f"att.{kind}"
-    pre = keys @ params[f"{prefix}.Wk"].T + (params[f"{prefix}.Wq"] @ query + params[f"{prefix}.b"])
-    act = np.tanh(pre)
-    e = act @ params[f"{prefix}.v"]
-    if kind == "sel":
-        e = e + params["att.sel.r"][0]
-    return e, (act, keys, query)
-
-
-def energies_backward(params: dict, kind: str, cache, de: np.ndarray, grads: dict):
-    """Accumulate parameter grads; returns (d_query, d_keys)."""
-    prefix = f"att.{kind}"
-    act, keys, query = cache
-    de = np.asarray(de)
-    if kind == "sel":
-        grads["att.sel.r"][0] += de.sum()
-    grads[f"{prefix}.v"] += de @ act
-    dpre = (de[:, None] * params[f"{prefix}.v"][None, :]) * (1.0 - act * act)
-    grads[f"{prefix}.Wk"] += dpre.T @ keys
-    dsum = dpre.sum(axis=0)
-    grads[f"{prefix}.Wq"] += np.outer(dsum, query)
-    grads[f"{prefix}.b"] += dsum
-    d_query = params[f"{prefix}.Wq"].T @ dsum
-    d_keys = dpre @ params[f"{prefix}.Wk"]
-    return d_query, d_keys
-
-
 def project_keys(params: dict, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Selection and chunk key terms ``Wk @ h`` of every frame row.
 
@@ -110,12 +85,26 @@ def project_queries(params: dict, queries: np.ndarray) -> tuple[np.ndarray, np.n
     return tuple(nn.matvecs(params[f"att.{kind}.Wq"], queries) + params[f"att.{kind}.b"] for kind in ("sel", "chunk"))
 
 
-def _hard_energies(params: dict, kind: str, query_term: np.ndarray, key_terms: np.ndarray) -> np.ndarray:
-    """``energies`` from projected terms, in the same order of operations."""
-    e = np.tanh(key_terms + query_term) @ params[f"att.{kind}.v"]
+def energies(params: dict, kind: str, query: np.ndarray, keys: np.ndarray):
+    """Additive energies ``v . tanh(k + q)`` of one query term ``q`` (a row of
+    ``project_queries``) against key term rows ``k`` (``project_keys``), plus
+    the selection offset. Returns (e, tanh activations for ``energies_backward``).
+    """
+    act = np.tanh(keys + query)
+    e = act @ params[f"att.{kind}.v"]
     if kind == "sel":
         e = e + params["att.sel.r"][0]
-    return e
+    return e, act
+
+
+def energies_backward(params: dict, kind: str, act: np.ndarray, de: np.ndarray, grads: dict):
+    """Back through ``energies``: accumulates the ``v`` (and offset) grads and
+    returns the gradients of the query term and of the key terms."""
+    if kind == "sel":
+        grads["att.sel.r"][0] += de.sum()
+    grads[f"att.{kind}.v"] += de @ act
+    d_keys = (de[:, None] * params[f"att.{kind}.v"][None, :]) * (1.0 - act * act)
+    return d_keys.sum(axis=0), d_keys
 
 
 def first_selection(probs: np.ndarray) -> int:
@@ -166,7 +155,7 @@ def mocha_infer_step(
     start = max(state.prev_index, 0)
     selected = -1
     if start < n:
-        rel = first_selection(nn.sigmoid(_hard_energies(params, "sel", sel_query, sel_keys[start:])))
+        rel = first_selection(nn.sigmoid(energies(params, "sel", sel_query, sel_keys[start:])[0]))
         if rel >= 0:
             selected = start + rel
     if selected < 0:
@@ -181,7 +170,7 @@ def mocha_infer_step(
             forced=True,
         )
     lo = max(0, selected - cfg.chunk_size + 1)
-    u = _hard_energies(params, "chunk", chunk_query, chunk_keys[lo : selected + 1])
+    u = energies(params, "chunk", chunk_query, chunk_keys[lo : selected + 1])[0]
     context, weights, peak = chunk_attend(u, frames, lo)
     return AttentionStepResult(
         status="selected",

@@ -257,41 +257,33 @@ def encode_backward(params: dict, cfg: EncoderConfig, cache: EncoderCache, d_enc
     ``d_encoded`` is the gradient of its encoded frames, in the same order.
     Block by block from the end, it recomputes the gates from the cached
     inputs and states (bit-identical to the forward pass), carries the
-    hidden-state gradient back step by step, and then takes each weight
-    gradient as one product over the block.
+    hidden-state gradient back step by step (``nn.gru_step_grads``), and then
+    takes each weight gradient as one product over the block
+    (``nn.gru_param_grads``).
     """
     d_out = np.zeros((len(cache.positions), cfg.proj))
     d_out[cache.positions] = d_encoded
     for k in reversed(range(cfg.num_layers)):
         c, pre = cache.layers[k], f"enc{k}"
-        U = {g: params[f"{pre}.U{g}"] for g in nn.GRU_GATES}
         rows = len(c.h) - len(c.prev)
         d_in = np.zeros_like(c.x)
         dh = np.zeros((0, cfg.hidden))
         for bounds in reversed(_blocks(c.starts, rows)):
             lo, hi = bounds[0], bounds[-1]
             pairs, h_prev = _pairs(c.x, c.left[lo:hi], c.right[lo:hi]), c.h[c.prev[lo:hi]]
-            _, (gz, gr, guh, gn) = nn.gru_steps(params, pre, nn.gru_inputs(params, pre, pairs), h_prev)
+            _, gates = nn.gru_steps(params, pre, nn.gru_inputs(params, pre, pairs), h_prev)
             dh_out = d_out[lo:hi] @ params[f"{pre}.P"]
             for a, b in zip(bounds[-2::-1], bounds[:0:-1]):
                 a, b = a - lo, b - lo
-                z, r, n = gz[a:b], gr[a:b], gn[a:b]
                 carry, dh = dh, dh_out[a:b]
                 dh[: len(carry)] += carry  # rows whose last step this is carry nothing
-                dan = dh * (1.0 - z) * (1.0 - n * n)
-                danh = dan * r
-                daz = dh * (h_prev[a:b] - n) * z * (1.0 - z)
-                dar = dan * guh[a:b] * r * (1.0 - r)
-                dh = dh * z + danh @ U["n"] + daz @ U["z"] + dar @ U["r"]
-                gz[a:b], gr[a:b], gn[a:b], guh[a:b] = daz, dar, dan, danh  # the step's gates are spent
+                deltas, dh = nn.gru_step_grads(params, pre, tuple(g[a:b] for g in gates), h_prev[a:b], dh)
+                for g, d in zip(gates, deltas):
+                    g[a:b] = d  # the step's gates are spent
             grads[f"{pre}.P"] += d_out[lo:hi].T @ c.h[rows + lo : rows + hi]
             grads[f"{pre}.pb"] += d_out[lo:hi].sum(axis=0)
-            d_pairs = np.zeros_like(pairs)
-            for g, da, da_u in (("z", gz, gz), ("r", gr, gr), ("n", gn, guh)):
-                grads[f"{pre}.W{g}"] += da.T @ pairs
-                grads[f"{pre}.U{g}"] += da_u.T @ h_prev
-                grads[f"{pre}.b{g}"] += da.sum(axis=0)
-                d_pairs += da @ params[f"{pre}.W{g}"]
+            nn.gru_param_grads(params, pre, gates, pairs, h_prev, grads)
+            d_pairs = nn.gru_input_grads(params, pre, gates)
             half = d_pairs.shape[1] // 2
             d_in[c.left[lo:hi]] += d_pairs[:, :half]
             d_in[c.right[lo:hi]] += d_pairs[:, half:]

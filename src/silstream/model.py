@@ -13,7 +13,9 @@ attention query terms and the output layer once over the stacked beam,
 reads each frame's attention key terms from the buffer, which computes
 them once per frame, and scores only the chunk each hard-attention step
 selects. ``decode_step`` is the one-hypothesis form over a raw frame
-matrix, with the same arithmetic.
+matrix. Training steps its soft-attention decoder with the same GRU,
+projections and ``attention.energies`` on one row, so a state it computes
+is bit for bit the state inference computes from the same inputs.
 """
 from __future__ import annotations
 

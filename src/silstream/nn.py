@@ -54,13 +54,10 @@ def init_gru(params: dict, prefix: str, input_dim: int, hidden: int, rng: np.ran
 
 
 def gru_step(params: dict, prefix: str, x: np.ndarray, h: np.ndarray):
-    """One GRU step. Returns (h_new, cache) with everything backward needs."""
-    z = sigmoid(params[f"{prefix}.Wz"] @ x + params[f"{prefix}.Uz"] @ h + params[f"{prefix}.bz"])
-    r = sigmoid(params[f"{prefix}.Wr"] @ x + params[f"{prefix}.Ur"] @ h + params[f"{prefix}.br"])
-    uh = params[f"{prefix}.Un"] @ h
-    n = np.tanh(params[f"{prefix}.Wn"] @ x + r * uh + params[f"{prefix}.bn"])
-    h_new = (1.0 - z) * n + z * h
-    return h_new, (x, h, z, r, uh, n)
+    """One GRU step of the state vector ``h`` on the input vector ``x``: ``gru_steps``
+    on one row. Returns (h_new, gates), the gates as one-row arrays."""
+    h_new, gates = gru_steps(params, prefix, gru_inputs(params, prefix, x[None]), h[None])
+    return h_new[0], gates
 
 
 def gru_inputs(params: dict, prefix: str, X: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -73,10 +70,10 @@ def gru_inputs(params: dict, prefix: str, X: np.ndarray) -> tuple[np.ndarray, ..
 
 
 def gru_steps(params: dict, prefix: str, wx: tuple[np.ndarray, ...], H: np.ndarray):
-    """``gru_step`` on every row of ``H``, given its input's terms ``wx`` from ``gru_inputs``.
+    """One GRU step of every row of ``H``, given its input's terms ``wx`` from ``gru_inputs``.
 
-    Row for row the new state is bit-identical to ``gru_step``. Returns
-    (H_new, (z, r, uh, n)), the gate values a backward pass needs.
+    A row's new state does not depend on the other rows, bit for bit
+    (``matvecs``). Returns (H_new, (z, r, uh, n)), the gates ``gru_step_grads`` needs.
     """
     wz, wr, wn = wx
     z = sigmoid(wz + matvecs(params[f"{prefix}.Uz"], H) + params[f"{prefix}.bz"])
@@ -86,42 +83,40 @@ def gru_steps(params: dict, prefix: str, wx: tuple[np.ndarray, ...], H: np.ndarr
     return (1.0 - z) * n + z * H, (z, r, uh, n)
 
 
-def gru_step_backward(params: dict, prefix: str, cache, dh_new: np.ndarray, grads: dict):
-    """Backward through one GRU step; accumulates into grads, returns (dx, dh)."""
-    x, h, z, r, uh, n = cache
-    dn = dh_new * (1.0 - z)
-    dz = dh_new * (h - n)
-    dh = dh_new * z
+def gru_step_grads(params: dict, prefix: str, gates: tuple, H: np.ndarray, dH_new: np.ndarray):
+    """Back through a ``gru_steps`` call on ``H`` that gave ``gates``, given the
+    gradient of its new states. Returns (deltas, dH): the gradients of the z
+    and r pre-activations, of ``Un @ h`` and of the n pre-activation, and of ``H``.
 
-    dan = dn * (1.0 - n * n)
-    grads[f"{prefix}.Wn"] += np.outer(dan, x)
-    grads[f"{prefix}.bn"] += dan
-    dx = params[f"{prefix}.Wn"].T @ dan
-    dr = dan * uh
-    danh = dan * r
-    grads[f"{prefix}.Un"] += np.outer(danh, h)
-    dh += params[f"{prefix}.Un"].T @ danh
+    A recurrence carries dH back step by step; ``gru_input_grads`` and
+    ``gru_param_grads`` then take products over as many steps as it likes.
+    """
+    z, r, uh, n = gates
+    dan = dH_new * (1.0 - z) * (1.0 - n * n)
+    duh = dan * r
+    daz = dH_new * (H - n) * z * (1.0 - z)
+    dar = dan * uh * r * (1.0 - r)
+    U = {g: params[f"{prefix}.U{g}"] for g in GRU_GATES}
+    return (daz, dar, duh, dan), dH_new * z + duh @ U["n"] + daz @ U["z"] + dar @ U["r"]
 
-    daz = dz * z * (1.0 - z)
-    grads[f"{prefix}.Wz"] += np.outer(daz, x)
-    grads[f"{prefix}.Uz"] += np.outer(daz, h)
-    grads[f"{prefix}.bz"] += daz
-    dx += params[f"{prefix}.Wz"].T @ daz
-    dh += params[f"{prefix}.Uz"].T @ daz
 
-    dar = dr * r * (1.0 - r)
-    grads[f"{prefix}.Wr"] += np.outer(dar, x)
-    grads[f"{prefix}.Ur"] += np.outer(dar, h)
-    grads[f"{prefix}.br"] += dar
-    dx += params[f"{prefix}.Wr"].T @ dar
-    dh += params[f"{prefix}.Ur"].T @ dar
-    return dx, dh
+def gru_input_grads(params: dict, prefix: str, deltas: tuple) -> np.ndarray:
+    """The gradient of the inputs of the GRU steps whose ``gru_step_grads`` are ``deltas``."""
+    daz, dar, _, dan = deltas
+    return daz @ params[f"{prefix}.Wz"] + dar @ params[f"{prefix}.Wr"] + dan @ params[f"{prefix}.Wn"]
+
+
+def gru_param_grads(params: dict, prefix: str, deltas: tuple, X: np.ndarray, H: np.ndarray, grads: dict):
+    """Add the weight and bias gradients of a stack of GRU steps into grads: row
+    i of ``deltas`` (from ``gru_step_grads``), ``X`` and ``H`` is one step's
+    deltas, input and previous state."""
+    daz, dar, duh, dan = deltas
+    for g, da, da_u in (("z", daz, daz), ("r", dar, dar), ("n", dan, duh)):
+        grads[f"{prefix}.W{g}"] += da.T @ X
+        grads[f"{prefix}.U{g}"] += da_u.T @ H
+        grads[f"{prefix}.b{g}"] += da.sum(axis=0)
 
 
 def zero_grads(params: dict) -> dict:
     return {k: np.zeros_like(v) for k, v in params.items()}
 
-
-def add_grads(total: dict, part: dict, scale: float = 1.0) -> None:
-    for k, v in part.items():
-        total[k] += scale * v

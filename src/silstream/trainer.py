@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn
-from .attention import energies, energies_backward, initial_alpha, soft_step, soft_step_backward
+from .attention import (energies, energies_backward, initial_alpha, project_keys, project_queries, soft_step,
+                        soft_step_backward)
 from .data import FeatureSequence
 from .encoder import encode_backward, encode_with_cache
 from .model import ModelConfig, NeuralModel, save_checkpoint
@@ -58,14 +59,17 @@ def forward_loss(
     vocab: Vocab,
     rng: np.random.Generator | None = None,
     encoded: np.ndarray | None = None,
+    keys: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Mean per-step cross entropy of one utterance. Returns (loss, cache).
 
     ``reference`` must start with BOS and end with EOS. With scheduled
     sampling an ``rng`` is required; the sampled tokens are recorded in the
     cache so backward treats them as constants. ``encoded`` is the
-    utterance's rows of a minibatch encode; without it the utterance is
-    encoded alone, and ``backward`` goes through that encode too.
+    utterance's rows of a minibatch encode, and ``keys`` their attention key
+    terms if already projected; without ``encoded`` the utterance is encoded
+    alone, and ``backward`` goes through that encode too. A decoder step has
+    the arithmetic of inference (``NeuralModel.decode_steps``) on one row.
     """
     if len(reference) < 2 or reference[0] != vocab.bos_id or reference[-1] != vocab.eos_id:
         raise ValueError("reference must be [BOS, ..., EOS]")
@@ -78,10 +82,10 @@ def forward_loss(
     n_frames = H.shape[0]
     if n_frames == 0:
         raise ValueError("cannot train on an empty utterance")
+    sel_keys, chunk_keys = project_keys(params, H) if keys is None else keys
     vocab_size = params["out.b"].size
-    eps = tcfg.label_smoothing
 
-    s = np.zeros(cfg.decoder_hidden)
+    states = [np.zeros(cfg.decoder_hidden)]
     c = np.zeros(cfg.context_dim)
     alpha = initial_alpha(n_frames)
     prev = reference[0]
@@ -90,79 +94,77 @@ def forward_loss(
     n_steps = len(reference) - 1
     for i in range(1, len(reference)):
         x = np.concatenate([params["emb.E"][prev], c])
-        s_new, gcache = nn.gru_step(params, "dec", x, s)
-        e_sel, sel_cache = energies(params, "sel", s_new, H)
-        u, chunk_cache = energies(params, "chunk", s_new, H)
+        s_new, gates = nn.gru_step(params, "dec", x, states[-1])
+        sel_query, chunk_query = project_queries(params, s_new[None])
+        e_sel, sel_act = energies(params, "sel", sel_query[0], sel_keys)
+        u, chunk_act = energies(params, "chunk", chunk_query[0], chunk_keys)
         if rng is not None and tcfg.selection_noise_std > 0:
             e_sel = e_sel + rng.normal(0.0, tcfg.selection_noise_std, size=e_sel.shape)
         p = nn.sigmoid(e_sel)
-        alpha_new, beta, soft_cache = soft_step(p, u, alpha, cfg.attention.chunk_size)
-        c_new = beta @ H
-        pre_out = np.concatenate([s_new, c_new])
-        logits = params["out.W"] @ pre_out + params["out.b"]
-        logp = nn.log_softmax(logits)
-        q = smoothed_targets(reference[i], vocab_size, eps)
+        alpha, beta, soft_cache = soft_step(p, u, alpha, cfg.attention.chunk_size)
+        c = beta @ H
+        pre_out = np.concatenate([s_new, c])
+        logp = nn.log_softmax(params["out.W"] @ pre_out + params["out.b"])
+        q = smoothed_targets(reference[i], vocab_size, tcfg.label_smoothing)
         total -= float(q @ logp)
         probs = np.exp(logp)
-        steps.append(
-            {
-                "prev": prev,
-                "gcache": gcache,
-                "sel_cache": sel_cache,
-                "chunk_cache": chunk_cache,
-                "soft_cache": soft_cache,
-                "beta": beta,
-                "pre_out": pre_out,
-                "probs": probs,
-                "q": q,
-            }
-        )
+        steps.append(dict(prev=prev, x=x, gates=gates, sel_act=sel_act, chunk_act=chunk_act, soft_cache=soft_cache,
+                          beta=beta, pre_out=pre_out, dlogits=probs - q))
         prev = reference[i]
         if i < n_steps and rng is not None and tcfg.scheduled_sampling > 0:
             if rng.random() < tcfg.scheduled_sampling:
                 prev = int(rng.choice(vocab_size, p=probs / probs.sum()))
-        s, c, alpha = s_new, c_new, alpha_new
+        states.append(s_new)
     loss = total / n_steps
     if not math.isfinite(loss):
         raise FloatingPointError("non-finite training loss")
-    cache = {"H": H, "enc_cache": enc_cache, "steps": steps, "n_steps": n_steps}
+    cache = {"H": H, "keys": (sel_keys, chunk_keys), "enc_cache": enc_cache, "steps": steps, "states": np.array(states)}
     return loss, cache
 
 
-def backward(cfg: ModelConfig, params: dict, cache: dict) -> dict:
-    """Gradients of forward_loss for every parameter tensor.
+def backward(cfg: ModelConfig, params: dict, cache: dict, grads: dict | None = None, scale: float = 1.0) -> dict:
+    """Add ``scale`` times the gradients of forward_loss into ``grads`` (zeros
+    for every parameter tensor if None) and return it.
 
     For an utterance given its ``encoded`` rows the encoder's share is left
-    to the caller: ``cache["dH"]`` becomes the gradient of those rows.
+    to the caller: ``cache["dH"]`` becomes the (scaled) gradient of those
+    rows. The recurrence is carried back step by step; every weight
+    gradient is one product over the utterance's steps (or frames).
     """
-    grads = nn.zero_grads(params)
-    H = cache["H"]
-    steps = cache["steps"]
-    scale = 1.0 / cache["n_steps"]
-    dH = np.zeros_like(H)
-    ds_carry = np.zeros(cfg.decoder_hidden)
-    dc_carry = np.zeros(cfg.context_dim)
-    dalpha_carry = np.zeros(H.shape[0])
-    for st in reversed(steps):
-        dlogits = (st["probs"] - st["q"]) * scale
-        grads["out.W"] += np.outer(dlogits, st["pre_out"])
-        grads["out.b"] += dlogits
-        dpre = params["out.W"].T @ dlogits
-        ds = dpre[: cfg.decoder_hidden] + ds_carry
-        dc = dpre[cfg.decoder_hidden :] + dc_carry
-        dbeta = H @ dc
-        dH += np.outer(st["beta"], dc)
-        dp, du, dalpha_prev = soft_step_backward(st["soft_cache"], dalpha_carry, dbeta)
-        dalpha_carry = dalpha_prev
+    grads = nn.zero_grads(params) if grads is None else grads
+    H, steps, S = cache["H"], cache["steps"], cache["states"]
+    hidden, embed = cfg.decoder_hidden, cfg.embed_dim
+    dlogits = np.array([st["dlogits"] for st in steps]) * (scale / len(steps))
+    grads["out.W"] += dlogits.T @ np.array([st["pre_out"] for st in steps])
+    grads["out.b"] += dlogits.sum(axis=0)
+    d_pre = dlogits @ params["out.W"]
+    d_query = {kind: np.empty((len(steps), cfg.attention.energy_hidden)) for kind in ("sel", "chunk")}
+    d_keys = {kind: np.zeros_like(key) for kind, key in zip(("sel", "chunk"), cache["keys"])}
+    d_context = np.empty((len(steps), cfg.context_dim))
+    step_deltas, d_x = [None] * len(steps), [None] * len(steps)
+    ds_carry, dc_carry, dalpha_carry = np.zeros(hidden), np.zeros(cfg.context_dim), np.zeros(H.shape[0])
+    for i in reversed(range(len(steps))):
+        st = steps[i]
+        ds = d_pre[i, :hidden] + ds_carry
+        d_context[i] = dc = d_pre[i, hidden:] + dc_carry
+        dp, du, dalpha_carry = soft_step_backward(st["soft_cache"], dalpha_carry, H @ dc)
         p = st["soft_cache"][0]
-        de_sel = dp * p * (1.0 - p)
-        dq_sel, dk_sel = energies_backward(params, "sel", st["sel_cache"], de_sel, grads)
-        dq_chunk, dk_chunk = energies_backward(params, "chunk", st["chunk_cache"], du, grads)
-        ds += dq_sel + dq_chunk
-        dH += dk_sel + dk_chunk
-        dx, ds_carry = nn.gru_step_backward(params, "dec", st["gcache"], ds, grads)
-        grads["emb.E"][st["prev"]] += dx[: cfg.embed_dim]
-        dc_carry = dx[cfg.embed_dim :]
+        for kind, act, de in (("sel", st["sel_act"], dp * p * (1.0 - p)), ("chunk", st["chunk_act"], du)):
+            d_query[kind][i], dk = energies_backward(params, kind, act, de, grads)
+            d_keys[kind] += dk
+            ds = ds + d_query[kind][i] @ params[f"att.{kind}.Wq"]
+        step_deltas[i], ds_carry = nn.gru_step_grads(params, "dec", st["gates"], S[i : i + 1], ds)
+        d_x[i] = nn.gru_input_grads(params, "dec", step_deltas[i])
+        dc_carry = d_x[i][0, embed:]
+    deltas = tuple(np.concatenate(d) for d in zip(*step_deltas))
+    nn.gru_param_grads(params, "dec", deltas, np.array([st["x"] for st in steps]), S[:-1], grads)
+    np.add.at(grads["emb.E"], [st["prev"] for st in steps], np.concatenate(d_x)[:, :embed])
+    dH = np.array([st["beta"] for st in steps]).T @ d_context
+    for kind in ("sel", "chunk"):
+        grads[f"att.{kind}.Wq"] += d_query[kind].T @ S[1:]
+        grads[f"att.{kind}.b"] += d_query[kind].sum(axis=0)
+        grads[f"att.{kind}.Wk"] += d_keys[kind].T @ H
+        dH += d_keys[kind] @ params[f"att.{kind}.Wk"]
     if cache["enc_cache"] is None:
         cache["dH"] = dH
     else:
@@ -200,14 +202,16 @@ def _minibatch_gradients(
     weight = 1.0 / len(batch)
     H, enc_cache = encode_with_cache(params, cfg.encoder, np.concatenate([f.frames for f, _ in batch]),
                                      [f.num_frames for f, _ in batch])
+    sel_keys, chunk_keys = project_keys(params, H)
     dH = np.empty_like(H)
     grads = nn.zero_grads(params)
     loss = 0.0
     for (feats, ref), end, n in zip(batch, np.cumsum(enc_cache.lengths), enc_cache.lengths):
         rows = slice(end - n, end)
-        utt_loss, cache = forward_loss(cfg, params, feats, ref, tcfg, vocab, rng=rng, encoded=H[rows])
-        nn.add_grads(grads, backward(cfg, params, cache), scale=weight)
-        dH[rows] = weight * cache["dH"]
+        utt_loss, cache = forward_loss(cfg, params, feats, ref, tcfg, vocab, rng=rng, encoded=H[rows],
+                                       keys=(sel_keys[rows], chunk_keys[rows]))
+        backward(cfg, params, cache, grads, scale=weight)
+        dH[rows] = cache["dH"]
         loss += utt_loss * weight
     del cache  # the last decoder cache need not outlive the encoder backward
     encode_backward(params, cfg.encoder, enc_cache, dH, grads)

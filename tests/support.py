@@ -1,4 +1,17 @@
-"""Helpers that only the tests use, and two references.
+"""Helpers that only the tests use, and references.
+
+The per-vector references are the first GRU step and attention energies and
+their backward passes: ``reference_gru_step`` with per-step outer products
+in ``reference_gru_step_backward``, and ``reference_energies``, which takes a
+raw decoder state and multiplies every key frame by ``Wk`` on every call.
+The library computes the same values from stacked rows and projected terms;
+the references below build on these and not on the library's arithmetic.
+
+The decoder reference is the first training decoder: a per-vector forward
+pass (``reference_decoder_loss``) and a backward pass with per-step outer
+products (``reference_decoder_backward``). The trainer must reproduce each
+step's GRU state bit for bit from the same inputs, and the energies, loss
+and every gradient to 1e-12 relative.
 
 The per-hypothesis reference decode step keeps the arithmetic of the first
 one-hypothesis decoder: key energies projected by one matrix product over
@@ -11,11 +24,12 @@ The oracle reference builds the scripted oracle's frame ownership with the
 first per-frame loops and decides its end of utterance by scanning every
 visible frame; the array-built ``OracleModel`` must agree with it exactly.
 
-The encoder reference encodes one utterance a ``gru_step`` at a time and
-back-propagates with per-step outer products; the minibatch encoder must
-give each utterance the same frames bit for bit, and gradients equal to the
-per-utterance sum to 1e-12 relative. The training reference steps through a
-minibatch one utterance at a time, encoder included; ``train`` must agree
+The encoder reference encodes one utterance a ``reference_gru_step`` at a
+time and back-propagates with per-step outer products; the minibatch
+encoder must give each utterance the same frames bit for bit, and gradients
+equal to the per-utterance sum to 1e-12 relative. The training reference
+steps through a minibatch one utterance at a time, encoder included, and
+adds each utterance's gradients with ``add_grads``; ``train`` must agree
 with it to 1e-12 relative. ``reference_sigmoid`` is the first,
 boolean-mask form of ``nn.sigmoid``.
 """
@@ -30,14 +44,16 @@ from silstream import nn
 from silstream.attention import (
     AttentionStepResult,
     EXHAUSTED,
-    energies,
     first_selection,
+    initial_alpha,
     mocha_infer_step,
     project_keys,
     project_queries,
+    soft_step,
+    soft_step_backward,
 )
 from silstream.encoder import PyramidalEncoder
-from silstream.trainer import backward, forward_loss
+from silstream.trainer import backward, forward_loss, smoothed_targets
 
 PARAM_GROUPS = {
     "encoder": ("enc",),
@@ -69,7 +85,7 @@ def encode(encoder, frames: np.ndarray) -> np.ndarray:
 
 def selection_probability(params: dict, query: np.ndarray, key: np.ndarray) -> float:
     """Probability that hard attention stops on this single encoded frame."""
-    e, _ = energies(params, "sel", query, np.asarray(key)[None, :])
+    e, _ = reference_energies(params, "sel", query, np.asarray(key)[None, :])
     return float(nn.sigmoid(e)[0])
 
 
@@ -78,6 +94,136 @@ def infer_step(params, cfg, query, frames, state, force=False) -> AttentionStepR
     sel_query, chunk_query = project_queries(params, np.asarray(query)[None])
     return mocha_infer_step(params, cfg, (sel_query[0], chunk_query[0]), frames, state, force,
                             keys=project_keys(params, frames))
+
+
+def add_grads(total: dict, part: dict, scale: float = 1.0) -> None:
+    for k, v in part.items():
+        total[k] += scale * v
+
+
+def reference_gru_step(params: dict, prefix: str, x: np.ndarray, h: np.ndarray):
+    """One GRU step. Returns (h_new, cache) with everything backward needs."""
+    z = nn.sigmoid(params[f"{prefix}.Wz"] @ x + params[f"{prefix}.Uz"] @ h + params[f"{prefix}.bz"])
+    r = nn.sigmoid(params[f"{prefix}.Wr"] @ x + params[f"{prefix}.Ur"] @ h + params[f"{prefix}.br"])
+    uh = params[f"{prefix}.Un"] @ h
+    n = np.tanh(params[f"{prefix}.Wn"] @ x + r * uh + params[f"{prefix}.bn"])
+    h_new = (1.0 - z) * n + z * h
+    return h_new, (x, h, z, r, uh, n)
+
+
+def reference_gru_step_backward(params: dict, prefix: str, cache, dh_new: np.ndarray, grads: dict):
+    """Backward through one GRU step; accumulates into grads, returns (dx, dh)."""
+    x, h, z, r, uh, n = cache
+    dn = dh_new * (1.0 - z)
+    dz = dh_new * (h - n)
+    dh = dh_new * z
+
+    dan = dn * (1.0 - n * n)
+    grads[f"{prefix}.Wn"] += np.outer(dan, x)
+    grads[f"{prefix}.bn"] += dan
+    dx = params[f"{prefix}.Wn"].T @ dan
+    dr = dan * uh
+    danh = dan * r
+    grads[f"{prefix}.Un"] += np.outer(danh, h)
+    dh += params[f"{prefix}.Un"].T @ danh
+
+    daz = dz * z * (1.0 - z)
+    grads[f"{prefix}.Wz"] += np.outer(daz, x)
+    grads[f"{prefix}.Uz"] += np.outer(daz, h)
+    grads[f"{prefix}.bz"] += daz
+    dx += params[f"{prefix}.Wz"].T @ daz
+    dh += params[f"{prefix}.Uz"].T @ daz
+
+    dar = dr * r * (1.0 - r)
+    grads[f"{prefix}.Wr"] += np.outer(dar, x)
+    grads[f"{prefix}.Ur"] += np.outer(dar, h)
+    grads[f"{prefix}.br"] += dar
+    dx += params[f"{prefix}.Wr"].T @ dar
+    dh += params[f"{prefix}.Ur"].T @ dar
+    return dx, dh
+
+
+def reference_energies(params: dict, kind: str, query: np.ndarray, keys: np.ndarray):
+    """Additive energies of ``query`` against each key row. Returns (e, cache)."""
+    prefix = f"att.{kind}"
+    pre = keys @ params[f"{prefix}.Wk"].T + (params[f"{prefix}.Wq"] @ query + params[f"{prefix}.b"])
+    act = np.tanh(pre)
+    e = act @ params[f"{prefix}.v"]
+    if kind == "sel":
+        e = e + params["att.sel.r"][0]
+    return e, (act, keys, query)
+
+
+def reference_energies_backward(params: dict, kind: str, cache, de: np.ndarray, grads: dict):
+    """Accumulate parameter grads; returns (d_query, d_keys)."""
+    prefix = f"att.{kind}"
+    act, keys, query = cache
+    de = np.asarray(de)
+    if kind == "sel":
+        grads["att.sel.r"][0] += de.sum()
+    grads[f"{prefix}.v"] += de @ act
+    dpre = (de[:, None] * params[f"{prefix}.v"][None, :]) * (1.0 - act * act)
+    grads[f"{prefix}.Wk"] += dpre.T @ keys
+    dsum = dpre.sum(axis=0)
+    grads[f"{prefix}.Wq"] += np.outer(dsum, query)
+    grads[f"{prefix}.b"] += dsum
+    d_query = params[f"{prefix}.Wq"].T @ dsum
+    d_keys = dpre @ params[f"{prefix}.Wk"]
+    return d_query, d_keys
+
+
+def reference_decoder_loss(cfg, params, H, reference, label_smoothing):
+    """``forward_loss`` over encoded frames ``H`` with the per-vector
+    references, without scheduled sampling or selection noise. Returns
+    (loss, steps): what ``reference_decoder_backward`` needs of each step."""
+    vocab_size = params["out.b"].size
+    s = np.zeros(cfg.decoder_hidden)
+    c = np.zeros(cfg.context_dim)
+    alpha = initial_alpha(H.shape[0])
+    steps = []
+    total = 0.0
+    for prev, target in zip(reference[:-1], reference[1:]):
+        s, gcache = reference_gru_step(params, "dec", np.concatenate([params["emb.E"][prev], c]), s)
+        e_sel, sel_cache = reference_energies(params, "sel", s, H)
+        u, chunk_cache = reference_energies(params, "chunk", s, H)
+        alpha, beta, soft_cache = soft_step(nn.sigmoid(e_sel), u, alpha, cfg.attention.chunk_size)
+        c = beta @ H
+        pre_out = np.concatenate([s, c])
+        logp = nn.log_softmax(params["out.W"] @ pre_out + params["out.b"])
+        q = smoothed_targets(target, vocab_size, label_smoothing)
+        total -= float(q @ logp)
+        steps.append({"prev": prev, "gcache": gcache, "sel_cache": sel_cache, "chunk_cache": chunk_cache,
+                      "soft_cache": soft_cache, "beta": beta, "pre_out": pre_out, "probs": np.exp(logp), "q": q})
+    return total / len(steps), steps
+
+
+def reference_decoder_backward(cfg, params, H, steps):
+    """Gradients of ``reference_decoder_loss``, with per-step outer products.
+    Returns (grads, the gradient of ``H``)."""
+    grads = nn.zero_grads(params)
+    scale = 1.0 / len(steps)
+    dH = np.zeros_like(H)
+    ds_carry = np.zeros(cfg.decoder_hidden)
+    dc_carry = np.zeros(cfg.context_dim)
+    dalpha_carry = np.zeros(H.shape[0])
+    for st in reversed(steps):
+        dlogits = (st["probs"] - st["q"]) * scale
+        grads["out.W"] += np.outer(dlogits, st["pre_out"])
+        grads["out.b"] += dlogits
+        dpre = params["out.W"].T @ dlogits
+        ds = dpre[: cfg.decoder_hidden] + ds_carry
+        dc = dpre[cfg.decoder_hidden :] + dc_carry
+        dH += np.outer(st["beta"], dc)
+        dp, du, dalpha_carry = soft_step_backward(st["soft_cache"], dalpha_carry, H @ dc)
+        p = st["soft_cache"][0]
+        dq_sel, dk_sel = reference_energies_backward(params, "sel", st["sel_cache"], dp * p * (1.0 - p), grads)
+        dq_chunk, dk_chunk = reference_energies_backward(params, "chunk", st["chunk_cache"], du, grads)
+        ds += dq_sel + dq_chunk
+        dH += dk_sel + dk_chunk
+        dx, ds_carry = reference_gru_step_backward(params, "dec", st["gcache"], ds, grads)
+        grads["emb.E"][st["prev"]] += dx[: cfg.embed_dim]
+        dc_carry = dx[cfg.embed_dim :]
+    return grads, dH
 
 
 def flatten_params(params: dict) -> np.ndarray:
@@ -99,7 +245,7 @@ def reference_mocha_step(params, cfg, query, frames, prev_index: int, force: boo
     start = max(prev_index, 0)
     selected = -1
     if n > 0 and start < n:
-        e, _ = energies(params, "sel", query, frames[start:])
+        e, _ = reference_energies(params, "sel", query, frames[start:])
         rel = first_selection(nn.sigmoid(e))
         if rel >= 0:
             selected = start + rel
@@ -109,7 +255,7 @@ def reference_mocha_step(params, cfg, query, frames, prev_index: int, force: boo
         return AttentionStepResult(status="selected", context=np.zeros(frames.shape[1]),
                                    selected_index=n - 1, peak_index=n - 1, forced=True)
     lo = max(0, selected - cfg.chunk_size + 1)
-    u, _ = energies(params, "chunk", query, frames)
+    u, _ = reference_energies(params, "chunk", query, frames)
     weights = nn.softmax(u[lo : selected + 1])
     return AttentionStepResult(status="selected", context=weights @ frames[lo : selected + 1],
                                selected_index=selected, peak_index=lo + int(np.argmax(weights)),
@@ -147,7 +293,7 @@ def reference_decode_step(model, beam: list[RefHyp], frames, beam_size: int, cap
                                hyp.selected + (hyp.prev_index,), hyp.peaks + (hyp.prev_index,), True))
             continue
         s, c_prev = hyp.dec_state
-        s_new, _ = nn.gru_step(p, "dec", np.concatenate([p["emb.E"][hyp.tokens[-1]], c_prev]), s)
+        s_new, _ = reference_gru_step(p, "dec", np.concatenate([p["emb.E"][hyp.tokens[-1]], c_prev]), s)
         att = reference_mocha_step(p, model.cfg.attention, s_new, frames, hyp.prev_index, force)
         if att.status == "exhausted":
             kept.append(hyp)
@@ -245,7 +391,7 @@ def reference_sigmoid(x):
 
 
 def reference_encode_with_cache(params, cfg, frames):
-    """Encode one utterance one ``gru_step`` at a time. Returns (encoded, cache):
+    """Encode one utterance one ``reference_gru_step`` at a time. Returns (encoded, cache):
     per layer, its input count and the (GRU cache, new state) of every step.
     Step j reads inputs 2j and 2j + 1, or its last input twice if that has
     no partner."""
@@ -256,7 +402,7 @@ def reference_encode_with_cache(params, cfg, frames):
         steps, outs = [], []
         for j in range((len(current) + 1) // 2):
             pair = np.concatenate([current[2 * j], current[min(2 * j + 1, len(current) - 1)]])
-            h, gru_cache = nn.gru_step(params, f"enc{k}", pair, h)
+            h, gru_cache = reference_gru_step(params, f"enc{k}", pair, h)
             steps.append((gru_cache, h))
             outs.append(params[f"enc{k}.P"] @ h + params[f"enc{k}.pb"])
         cache.append((len(current), steps))
@@ -278,7 +424,7 @@ def reference_encode_backward(params, cfg, cache, d_encoded, grads) -> None:
             grads[f"enc{k}.P"] += np.outer(dout, h)
             grads[f"enc{k}.pb"] += dout
             dh = params[f"enc{k}.P"].T @ dout + dh_carry
-            dx, dh_carry = nn.gru_step_backward(params, f"enc{k}", gru_cache, dh, grads)
+            dx, dh_carry = reference_gru_step_backward(params, f"enc{k}", gru_cache, dh, grads)
             d_inputs[2 * j] += dx[:in_dim]
             d_inputs[min(2 * j + 1, n_inputs - 1)] += dx[in_dim:]
         d_outs = d_inputs
@@ -306,7 +452,7 @@ def reference_train(cfg, params, vocab, examples, tcfg):
                     for idx in batch:
                         feats, ref = examples[int(idx)]
                         loss, cache = forward_loss(cfg, params, feats, ref, tcfg, vocab, rng=rng)
-                        nn.add_grads(batch_grads, backward(cfg, params, cache), scale=weight)
+                        add_grads(batch_grads, backward(cfg, params, cache), scale=weight)
                         batch_loss += loss * weight
             except FloatingPointError:
                 diverged = True

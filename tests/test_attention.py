@@ -12,6 +12,8 @@ from silstream.attention import (
     first_selection,
     init_attention_params,
     initial_alpha,
+    project_keys,
+    project_queries,
     soft_step,
 )
 
@@ -216,13 +218,20 @@ class TestEnergiesBackward:
         H = rng.normal(size=(5, KEY_DIM))
         de = rng.normal(size=5)
 
+        def sel_energies(p):
+            return energies(p, "sel", project_queries(p, s[None])[0][0], project_keys(p, H)[0])
+
         def loss(p):
-            e, _ = energies(p, "sel", s, H)
+            e, _ = sel_energies(p)
             return float(de @ e)
 
-        _, cache = energies(params, "sel", s, H)
+        _, act = sel_energies(params)
         grads = nn.zero_grads(params)
-        energies_backward(params, "sel", cache, de, grads)
+        d_query, d_keys = energies_backward(params, "sel", act, de, grads)
+        # back through the projections: the query term is Wq @ s + b, a key term Wk @ h
+        grads["att.sel.Wq"] += np.outer(d_query, s)
+        grads["att.sel.b"] += d_query
+        grads["att.sel.Wk"] += d_keys.T @ H
         step = 1e-6
         for name in ("att.sel.Wq", "att.sel.Wk", "att.sel.b", "att.sel.v", "att.sel.r"):
             g_fd = np.zeros_like(params[name])

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every
+library function has a caller outside the tests."""
 import ast
 import pathlib
 
@@ -33,3 +34,80 @@ def test_no_unused_imports(path):
 
 def test_detects_an_unused_import():
     assert unused_imports("import math\nimport os\nos.sep\n") == ["line 1: math"]
+
+
+ROOT = SRC.parent.parent
+CALLER_DIRS = ("src", "demos", "perfbench")
+# Module-level functions that perfbench/tracing.py hooks by name. The benchmark
+# pins their names and leading parameters, so they stay even if library code
+# stops calling them; nothing else belongs here.
+PINNED = {
+    "backward",  # trainer.backward
+    "decode_step",  # decoder.decode_step
+    "encode_backward",  # encoder.encode_backward
+    "encode_with_cache",  # encoder.encode_with_cache
+    "energies",  # attention.energies
+    "forward_loss",  # trainer.forward_loss
+    "gen_corpus",  # synth.gen_corpus
+    "gru_step",  # nn.gru_step
+    "mocha_infer_step",  # attention.mocha_infer_step
+    "soft_step",  # attention.soft_step
+}
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name a module reads, bare or as an attribute, except a function's
+    references to itself."""
+    names = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name is not None and name not in inside:
+            names.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), frozenset())
+    return names
+
+
+def uncalled_functions(library: dict[str, str], callers: list[str]) -> list[str]:
+    """The module-level functions of ``library`` (file name -> source) that no
+    source in ``callers`` refers to."""
+    used = set().union(*(referenced_names(source) for source in callers))
+    return [
+        f"{name}: {node.name}"
+        for name, source in sorted(library.items())
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name not in used
+    ]
+
+
+def test_every_library_function_has_a_caller_outside_the_tests():
+    library = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    callers = [
+        p.read_text(encoding="utf-8")
+        for d in CALLER_DIRS
+        for p in (ROOT / d).rglob("*.py")
+        if "tests" not in p.relative_to(ROOT).parts
+    ]
+    missing = [entry for entry in uncalled_functions(library, callers) if entry.split(": ")[1] not in PINNED]
+    assert missing == [], "no caller outside tests/: move these to tests/support.py or delete them"
+
+
+def test_pinned_functions_are_hooked_by_the_benchmark():
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    hooked = {
+        node.args[3].value
+        for node in ast.walk(tracing)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Hook" and len(node.args) > 3
+    }
+    assert PINNED <= hooked
+
+
+def test_detects_an_uncalled_function():
+    library = {"m.py": "def used():\n    pass\n\ndef unused():\n    return unused()\n"}
+    # a definition and a call of itself are no callers; an attribute call is one
+    assert uncalled_functions(library, [library["m.py"], "import m\nm.used()\n"]) == ["m.py: unused"]

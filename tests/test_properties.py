@@ -2,7 +2,8 @@
 beam step against the per-hypothesis reference, the scripted oracle against
 its per-frame reference, and oracle streams on both session engines. Also
 the minibatch encoder against per-utterance streaming and the per-step
-reference, and ``nn.sigmoid`` against its first form."""
+reference, the trainer's decoder step against the per-vector references,
+and ``nn.sigmoid`` against its first form."""
 import functools
 import math
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from silstream import nn
-from silstream.attention import AttentionConfig, AttentionState, project_keys
+from silstream.attention import AttentionConfig, AttentionState, energies, project_keys, project_queries
 from silstream.data import Alignment, Segment
 from silstream.decoder import BeamConfig, EncodedBuffer, decode_step, initial_hypothesis
 from silstream.encoder import (
@@ -25,13 +26,19 @@ from silstream.encoder import (
 from silstream.model import ModelConfig, NeuralModel, init_params
 from silstream.streamer import ENGINES, StreamConfig, StreamSession, decode_offline
 from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_utterance
+from silstream.trainer import TrainConfig, backward, forward_loss
 from silstream.vocab import SIL_LABEL, make_vocab
 
 from support import (
+    group_of,
     reference_decode_step,
+    reference_decoder_backward,
+    reference_decoder_loss,
     reference_encode_backward,
     reference_encode_with_cache,
     reference_encoded_owners,
+    reference_energies,
+    reference_gru_step,
     reference_oracle_step,
     reference_segment_spans,
     reference_sigmoid,
@@ -163,6 +170,51 @@ class TestMinibatchEncoderMatchesReference:
         encode_backward(params, cfg, cache, d_encoded, got)
         for k in want:
             assert np.abs(got[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), k
+
+
+def within(got, want, scale=None) -> bool:
+    """Every entry within 1e-12 of ``scale``, by default the largest magnitude of ``want``."""
+    return np.abs(got - want).max() <= 1e-12 * (np.abs(want).max() if scale is None else scale)
+
+
+class TestTrainerDecoderMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), frames=st.integers(1, 40),
+           tokens=st.lists(st.integers(0, VOCAB.size - 1), max_size=6))
+    def test_states_energies_and_gradients(self, seed, frames, tokens):
+        rng = np.random.default_rng(seed)
+        dims = [int(d) for d in rng.integers(1, 9, size=5)]
+        cfg = ModelConfig(encoder=EncoderConfig(proj=dims[0]),
+                          attention=AttentionConfig(chunk_size=int(rng.integers(1, 5)), energy_hidden=dims[1]),
+                          decoder_hidden=dims[2], embed_dim=dims[3])
+        params = {k: v + rng.normal(0.0, 0.3, size=v.shape)
+                  for k, v in init_params(cfg, VOCAB.size, seed=dims[4]).items()}
+        H = rng.normal(size=(frames, cfg.context_dim))
+        ref = [VOCAB.bos_id, *tokens, VOCAB.eos_id]
+        tcfg = TrainConfig(scheduled_sampling=0.0, selection_noise_std=0.0)
+        loss, cache = forward_loss(cfg, params, None, ref, tcfg, VOCAB, encoded=H)  # no features: H is given
+        got = backward(cfg, params, cache)
+
+        S = cache["states"]
+        for i, step in enumerate(cache["steps"]):
+            assert np.array_equal(S[i + 1], reference_gru_step(params, "dec", step["x"], S[i])[0])
+            queries = project_queries(params, S[i + 1][None])
+            for kind, query, keys in zip(("sel", "chunk"), queries, cache["keys"]):
+                e, act = energies(params, kind, query[0], keys)
+                assert np.array_equal(act, step[f"{kind}_act"])
+                assert within(e, reference_energies(params, kind, S[i + 1], H)[0])
+
+        want_loss, steps = reference_decoder_loss(cfg, params, H, ref, tcfg.label_smoothing)
+        want, want_dH = reference_decoder_backward(cfg, params, H, steps)
+        assert math.isclose(loss, want_loss, rel_tol=1e-12, abs_tol=0.0)
+        assert within(cache["dH"], want_dH)
+        # relative to the largest gradient of the tensor's group: a bias or offset
+        # gradient sums terms of both signs and can cancel to far below them
+        scale = {}
+        for k, g in want.items():
+            scale[group_of(k)] = max(scale.get(group_of(k), 0.0), np.abs(g).max())
+        for k in want:
+            assert within(got[k], want[k], scale[group_of(k)]), k
 
 
 class TestSigmoidMatchesReference:

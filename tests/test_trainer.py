@@ -11,7 +11,7 @@ from silstream.model import ModelConfig, NeuralModel, init_params, load_checkpoi
 from silstream.trainer import TrainConfig, backward, corpus_loss, forward_loss, smoothed_targets, train
 from silstream.vocab import make_vocab
 
-from support import PARAM_GROUPS, group_of, reference_train
+from support import PARAM_GROUPS, add_grads, group_of, reference_train
 
 VOCAB = make_vocab(["a", "b", "c"])
 
@@ -124,11 +124,11 @@ class TestGradients:
         doubled = nn.zero_grads(params)
         for _ in range(2):
             _, c = forward_loss(cfg, params, feats, ref, NO_NOISE, VOCAB)
-            nn.add_grads(doubled, backward(cfg, params, c))
+            add_grads(doubled, backward(cfg, params, c))
         averaged = nn.zero_grads(params)
         for _ in range(2):
             _, c = forward_loss(cfg, params, feats, ref, NO_NOISE, VOCAB)
-            nn.add_grads(averaged, backward(cfg, params, c), scale=0.5)
+            add_grads(averaged, backward(cfg, params, c), scale=0.5)
         for k in single:
             np.testing.assert_allclose(doubled[k], 2 * single[k], atol=1e-12)
             np.testing.assert_allclose(averaged[k], single[k], atol=1e-12)
