@@ -181,15 +181,6 @@ def _param_shapes(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...
     return shapes
 
 
-def _config_from_payload(payload: dict) -> ModelConfig:
-    return ModelConfig(
-        encoder=EncoderConfig(**payload["encoder"]),
-        attention=AttentionConfig(**payload["attention"]),
-        decoder_hidden=payload["decoder_hidden"],
-        embed_dim=payload["embed_dim"],
-    )
-
-
 def _checkpoint_body(model: NeuralModel) -> dict:
     tensors = {
         name: {
@@ -223,7 +214,9 @@ def load_checkpoint(path: str) -> NeuralModel:
         raise ValueError(f"{path}: checkpoint checksum mismatch")
     if payload["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload['version']}")
-    cfg = _config_from_payload(payload["config"])
+    c = payload["config"]
+    cfg = ModelConfig(EncoderConfig(**c["encoder"]), AttentionConfig(**c["attention"]),
+                      c["decoder_hidden"], c["embed_dim"])
     params = {}
     for name, spec in payload["tensors"].items():
         flat = np.frombuffer(base64.b64decode(spec["data"]), dtype="<f8")

@@ -96,8 +96,8 @@ def gru_step_grads(params: dict, prefix: str, gates: tuple, H: np.ndarray, dH_ne
     duh = dan * r
     daz = dH_new * (H - n) * z * (1.0 - z)
     dar = dan * uh * r * (1.0 - r)
-    U = {g: params[f"{prefix}.U{g}"] for g in GRU_GATES}
-    return (daz, dar, duh, dan), dH_new * z + duh @ U["n"] + daz @ U["z"] + dar @ U["r"]
+    dH = dH_new * z + duh @ params[f"{prefix}.Un"] + daz @ params[f"{prefix}.Uz"] + dar @ params[f"{prefix}.Ur"]
+    return (daz, dar, duh, dan), dH
 
 
 def gru_input_grads(params: dict, prefix: str, deltas: tuple) -> np.ndarray:

@@ -59,17 +59,15 @@ def forward_loss(
     vocab: Vocab,
     rng: np.random.Generator | None = None,
     encoded: np.ndarray | None = None,
-    keys: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Mean per-step cross entropy of one utterance. Returns (loss, cache).
 
     ``reference`` must start with BOS and end with EOS. With scheduled
     sampling an ``rng`` is required; the sampled tokens are recorded in the
     cache so backward treats them as constants. ``encoded`` is the
-    utterance's rows of a minibatch encode, and ``keys`` their attention key
-    terms if already projected; without ``encoded`` the utterance is encoded
-    alone, and ``backward`` goes through that encode too. A decoder step has
-    the arithmetic of inference (``NeuralModel.decode_steps``) on one row.
+    utterance's rows of a minibatch encode; without it the utterance is
+    encoded alone, and ``backward`` goes through that encode too. A decoder
+    step has the arithmetic of inference (``NeuralModel.decode_steps``) on one row.
     """
     if len(reference) < 2 or reference[0] != vocab.bos_id or reference[-1] != vocab.eos_id:
         raise ValueError("reference must be [BOS, ..., EOS]")
@@ -79,15 +77,14 @@ def forward_loss(
         H, enc_cache = encode_with_cache(params, cfg.encoder, features.frames)
     else:
         H, enc_cache = encoded, None
-    n_frames = H.shape[0]
-    if n_frames == 0:
+    if len(H) == 0:
         raise ValueError("cannot train on an empty utterance")
-    sel_keys, chunk_keys = project_keys(params, H) if keys is None else keys
+    sel_keys, chunk_keys = project_keys(params, H)
     vocab_size = params["out.b"].size
 
     states = [np.zeros(cfg.decoder_hidden)]
     c = np.zeros(cfg.context_dim)
-    alpha = initial_alpha(n_frames)
+    alpha = initial_alpha(len(H))
     prev = reference[0]
     steps = []
     total = 0.0
@@ -108,7 +105,7 @@ def forward_loss(
         q = smoothed_targets(reference[i], vocab_size, tcfg.label_smoothing)
         total -= float(q @ logp)
         probs = np.exp(logp)
-        steps.append(dict(prev=prev, x=x, gates=gates, sel_act=sel_act, chunk_act=chunk_act, soft_cache=soft_cache,
+        steps.append(dict(prev=prev, x=x, gates=gates, acts=(sel_act, chunk_act), soft_cache=soft_cache,
                           beta=beta, pre_out=pre_out, dlogits=probs - q))
         prev = reference[i]
         if i < n_steps and rng is not None and tcfg.scheduled_sampling > 0:
@@ -118,8 +115,7 @@ def forward_loss(
     loss = total / n_steps
     if not math.isfinite(loss):
         raise FloatingPointError("non-finite training loss")
-    cache = {"H": H, "keys": (sel_keys, chunk_keys), "enc_cache": enc_cache, "steps": steps, "states": np.array(states)}
-    return loss, cache
+    return loss, {"H": H, "enc_cache": enc_cache, "steps": steps, "states": np.array(states)}
 
 
 def backward(cfg: ModelConfig, params: dict, cache: dict, grads: dict | None = None, scale: float = 1.0) -> dict:
@@ -138,8 +134,8 @@ def backward(cfg: ModelConfig, params: dict, cache: dict, grads: dict | None = N
     grads["out.W"] += dlogits.T @ np.array([st["pre_out"] for st in steps])
     grads["out.b"] += dlogits.sum(axis=0)
     d_pre = dlogits @ params["out.W"]
-    d_query = {kind: np.empty((len(steps), cfg.attention.energy_hidden)) for kind in ("sel", "chunk")}
-    d_keys = {kind: np.zeros_like(key) for kind, key in zip(("sel", "chunk"), cache["keys"])}
+    d_query = np.empty((2, len(steps), cfg.attention.energy_hidden))  # selection, chunk
+    d_keys = np.zeros((2, H.shape[0], cfg.attention.energy_hidden))
     d_context = np.empty((len(steps), cfg.context_dim))
     step_deltas, d_x = [None] * len(steps), [None] * len(steps)
     ds_carry, dc_carry, dalpha_carry = np.zeros(hidden), np.zeros(cfg.context_dim), np.zeros(H.shape[0])
@@ -149,10 +145,10 @@ def backward(cfg: ModelConfig, params: dict, cache: dict, grads: dict | None = N
         d_context[i] = dc = d_pre[i, hidden:] + dc_carry
         dp, du, dalpha_carry = soft_step_backward(st["soft_cache"], dalpha_carry, H @ dc)
         p = st["soft_cache"][0]
-        for kind, act, de in (("sel", st["sel_act"], dp * p * (1.0 - p)), ("chunk", st["chunk_act"], du)):
-            d_query[kind][i], dk = energies_backward(params, kind, act, de, grads)
-            d_keys[kind] += dk
-            ds = ds + d_query[kind][i] @ params[f"att.{kind}.Wq"]
+        for j, (kind, de) in enumerate(zip(("sel", "chunk"), (dp * p * (1.0 - p), du))):
+            d_query[j, i], dk = energies_backward(params, kind, st["acts"][j], de, grads)
+            d_keys[j] += dk
+            ds = ds + d_query[j, i] @ params[f"att.{kind}.Wq"]
         step_deltas[i], ds_carry = nn.gru_step_grads(params, "dec", st["gates"], S[i : i + 1], ds)
         d_x[i] = nn.gru_input_grads(params, "dec", step_deltas[i])
         dc_carry = d_x[i][0, embed:]
@@ -160,11 +156,11 @@ def backward(cfg: ModelConfig, params: dict, cache: dict, grads: dict | None = N
     nn.gru_param_grads(params, "dec", deltas, np.array([st["x"] for st in steps]), S[:-1], grads)
     np.add.at(grads["emb.E"], [st["prev"] for st in steps], np.concatenate(d_x)[:, :embed])
     dH = np.array([st["beta"] for st in steps]).T @ d_context
-    for kind in ("sel", "chunk"):
-        grads[f"att.{kind}.Wq"] += d_query[kind].T @ S[1:]
-        grads[f"att.{kind}.b"] += d_query[kind].sum(axis=0)
-        grads[f"att.{kind}.Wk"] += d_keys[kind].T @ H
-        dH += d_keys[kind] @ params[f"att.{kind}.Wk"]
+    for kind, dq, dk in zip(("sel", "chunk"), d_query, d_keys):
+        grads[f"att.{kind}.Wq"] += dq.T @ S[1:]
+        grads[f"att.{kind}.b"] += dq.sum(axis=0)
+        grads[f"att.{kind}.Wk"] += dk.T @ H
+        dH += dk @ params[f"att.{kind}.Wk"]
     if cache["enc_cache"] is None:
         cache["dH"] = dH
     else:
@@ -202,14 +198,12 @@ def _minibatch_gradients(
     weight = 1.0 / len(batch)
     H, enc_cache = encode_with_cache(params, cfg.encoder, np.concatenate([f.frames for f, _ in batch]),
                                      [f.num_frames for f, _ in batch])
-    sel_keys, chunk_keys = project_keys(params, H)
     dH = np.empty_like(H)
     grads = nn.zero_grads(params)
     loss = 0.0
     for (feats, ref), end, n in zip(batch, np.cumsum(enc_cache.lengths), enc_cache.lengths):
         rows = slice(end - n, end)
-        utt_loss, cache = forward_loss(cfg, params, feats, ref, tcfg, vocab, rng=rng, encoded=H[rows],
-                                       keys=(sel_keys[rows], chunk_keys[rows]))
+        utt_loss, cache = forward_loss(cfg, params, feats, ref, tcfg, vocab, rng=rng, encoded=H[rows])
         backward(cfg, params, cache, grads, scale=weight)
         dH[rows] = cache["dH"]
         loss += utt_loss * weight

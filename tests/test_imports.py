@@ -1,6 +1,8 @@
 """Every name a library module imports is used in that module, and every
 library function has a caller outside the tests."""
 import ast
+import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -42,72 +44,117 @@ CALLER_DIRS = ("src", "demos", "perfbench")
 # pins their names and leading parameters, so they stay even if library code
 # stops calling them; nothing else belongs here.
 PINNED = {
-    "backward",  # trainer.backward
-    "decode_step",  # decoder.decode_step
-    "encode_backward",  # encoder.encode_backward
-    "encode_with_cache",  # encoder.encode_with_cache
-    "energies",  # attention.energies
-    "forward_loss",  # trainer.forward_loss
-    "gen_corpus",  # synth.gen_corpus
-    "gru_step",  # nn.gru_step
-    "mocha_infer_step",  # attention.mocha_infer_step
-    "soft_step",  # attention.soft_step
+    "attention.energies",
+    "attention.mocha_infer_step",
+    "attention.soft_step",
+    "decoder.decode_step",
+    "encoder.encode_backward",
+    "encoder.encode_with_cache",
+    "nn.gru_step",
+    "synth.gen_corpus",
+    "trainer.backward",
+    "trainer.forward_loss",
 }
 
 
-def referenced_names(source: str) -> set[str]:
-    """Every name a module reads, bare or as an attribute, except a function's
-    references to itself."""
-    names = set()
+def package_exports(init_source: str) -> dict[str, str]:
+    """The names the package re-exports, each as "module.name"."""
+    return {
+        alias.asname or alias.name: f"{node.module}.{alias.name}"
+        for node in ast.parse(init_source).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+
+
+def referenced_functions(source: str, module: str | None, modules: set[str], exports: dict[str, str]) -> set[str]:
+    """Every library name ``source`` reads, as "module.name": through an
+    imported module (``nn.gru_step``), an imported name, the package
+    (``silstream.gen_corpus``) or, inside library module ``module``, a bare
+    name. A function's references to itself are left out."""
+    tree = ast.parse(source)
+    mods, names, packages = {}, {}, set()  # local alias -> module / "module.name"; package aliases
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "silstream":
+                    packages.add(alias.asname or alias.name)
+                elif alias.name.startswith("silstream.") and alias.asname:
+                    mods[alias.asname] = alias.name.split(".")[1]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module if node.level == 1 else (node.module or "").partition("silstream")[2].lstrip(".")
+            if node.level == 0 and not (node.module or "").startswith("silstream"):
+                continue
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if base:
+                    names[local] = f"{base}.{alias.name}"
+                elif alias.name in modules:
+                    mods[local] = alias.name
+                elif alias.name in exports:
+                    names[local] = exports[alias.name]
+    found = set()
 
     def visit(node, inside):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inside = inside | {node.name}
-        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-        if name is not None and name not in inside:
-            names.add(name)
+        if isinstance(node, ast.Name) and node.id in names:
+            found.add(names[node.id])
+        elif isinstance(node, ast.Name) and module is not None and node.id not in inside:
+            found.add(f"{module}.{node.id}")
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in mods:
+                found.add(f"{mods[node.value.id]}.{node.attr}")
+            elif node.value.id in packages and node.attr in exports:
+                found.add(exports[node.attr])
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
-    visit(ast.parse(source), frozenset())
-    return names
+    visit(tree, frozenset())
+    return found
 
 
-def uncalled_functions(library: dict[str, str], callers: list[str]) -> list[str]:
-    """The module-level functions of ``library`` (file name -> source) that no
-    source in ``callers`` refers to."""
-    used = set().union(*(referenced_names(source) for source in callers))
+def uncalled_functions(library: dict[str, str], callers: list[tuple[str | None, str]]) -> list[str]:
+    """The module-level functions of ``library`` (module name -> source), as
+    "module.function", that no ``(module or None, source)`` in ``callers`` reads."""
+    exports = package_exports(library.get("__init__", ""))
+    used = set().union(*(referenced_functions(source, m, set(library), exports) for m, source in callers))
     return [
-        f"{name}: {node.name}"
+        f"{name}.{node.name}"
         for name, source in sorted(library.items())
         for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name not in used
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and f"{name}.{node.name}" not in used
     ]
 
 
 def test_every_library_function_has_a_caller_outside_the_tests():
-    library = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    library = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     callers = [
-        p.read_text(encoding="utf-8")
+        (p.stem if p.parent == SRC else None, p.read_text(encoding="utf-8"))
         for d in CALLER_DIRS
         for p in (ROOT / d).rglob("*.py")
         if "tests" not in p.relative_to(ROOT).parts
     ]
-    missing = [entry for entry in uncalled_functions(library, callers) if entry.split(": ")[1] not in PINNED]
+    missing = [name for name in uncalled_functions(library, callers) if name not in PINNED]
     assert missing == [], "no caller outside tests/: move these to tests/support.py or delete them"
 
 
 def test_pinned_functions_are_hooked_by_the_benchmark():
     tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
-    hooked = {
-        node.args[3].value
-        for node in ast.walk(tracing)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Hook" and len(node.args) > 3
-    }
+    hooked = set()
+    for node in ast.walk(tracing):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Hook" and len(node.args) > 3:
+            target = getattr(importlib.import_module(node.args[2].value), node.args[3].value.split(".")[0])
+            if inspect.isfunction(target):  # where the hooked name is defined, not where it is looked up
+                hooked.add(f"{target.__module__.rpartition('.')[2]}.{target.__name__}")
     assert PINNED <= hooked
 
 
 def test_detects_an_uncalled_function():
-    library = {"m.py": "def used():\n    pass\n\ndef unused():\n    return unused()\n"}
-    # a definition and a call of itself are no callers; an attribute call is one
-    assert uncalled_functions(library, [library["m.py"], "import m\nm.used()\n"]) == ["m.py: unused"]
+    library = {
+        "m": "def used():\n    pass\n\ndef unused():\n    return unused()\n\ndef push():\n    pass\n",
+        "n": "def used():\n    pass\n",
+    }
+    caller = "from silstream import m\nm.used()\nsession.push()\n"
+    # a call of itself is no caller, nor is a method or another module's function of the same name
+    assert uncalled_functions(library, [("m", library["m"]), (None, caller)]) == ["m.unused", "m.push", "n.used"]

@@ -199,9 +199,9 @@ class TestTrainerDecoderMatchesReference:
         for i, step in enumerate(cache["steps"]):
             assert np.array_equal(S[i + 1], reference_gru_step(params, "dec", step["x"], S[i])[0])
             queries = project_queries(params, S[i + 1][None])
-            for kind, query, keys in zip(("sel", "chunk"), queries, cache["keys"]):
-                e, act = energies(params, kind, query[0], keys)
-                assert np.array_equal(act, step[f"{kind}_act"])
+            for kind, query, keys, act in zip(("sel", "chunk"), queries, project_keys(params, H), step["acts"]):
+                e, got_act = energies(params, kind, query[0], keys)
+                assert np.array_equal(got_act, act)
                 assert within(e, reference_energies(params, kind, S[i + 1], H)[0])
 
         want_loss, steps = reference_decoder_loss(cfg, params, H, ref, tcfg.label_smoothing)
