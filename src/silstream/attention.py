@@ -5,6 +5,9 @@ Two modes share one parameterization:
 * hard mode (inference): scan encoded frames left to right from the previous
   selection; the first frame whose selection probability crosses 0.5 is
   chosen, and a softmax over the chunk ending there yields the context.
+  The scan scores windows of ``chunk_size``, then twice as many rows, and so
+  on, and stops at the first window with a crossing, so a step costs about
+  the distance it moves rather than the whole buffer tail.
 * soft mode (training): expected-alignment recurrence over selection
   probabilities, followed by the induced chunkwise distribution.
 
@@ -145,19 +148,25 @@ def mocha_infer_step(
     ``query`` is the pair of selection and chunk query terms (one row of
     each of ``project_queries``) and ``keys`` the key terms of ``frames``
     (``project_keys``), so callers stepping many queries over one buffer
-    project every frame once. Chunk energies are computed on the chunk only.
+    project every frame once. Selection energies are scored in windows from
+    the previous selection (``chunk_size`` rows, then each twice the last)
+    up to the first crossing; they are row-wise, so the frame selected is
+    the one a whole-tail scan selects. Chunk energies are computed on the
+    chunk only.
     """
     n = frames.shape[0]
     if n == 0:
         return EXHAUSTED
     sel_query, chunk_query = query
     sel_keys, chunk_keys = keys
-    start = max(state.prev_index, 0)
+    start, width = max(state.prev_index, 0), cfg.chunk_size
     selected = -1
-    if start < n:
-        rel = first_selection(nn.sigmoid(energies(params, "sel", sel_query, sel_keys[start:])[0]))
+    while selected < 0 and start < n:
+        stop = min(n, start + width)
+        rel = first_selection(nn.sigmoid(energies(params, "sel", sel_query, sel_keys[start:stop])[0]))
         if rel >= 0:
             selected = start + rel
+        start, width = stop, 2 * width
     if selected < 0:
         if not force or state.prev_index >= n:
             return EXHAUSTED

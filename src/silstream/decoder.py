@@ -6,6 +6,7 @@ drives the step, with its end-symbol policies, is ``streamer.StreamSession``.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -236,7 +237,8 @@ def decode_step(
             continue
         log_probs = out.log_probs.tolist()
         taken = 0
-        for token in np.argsort(-out.log_probs, kind="stable")[: cfg.beam_size + 1].tolist():
+        # the order of a stable argsort of -log_probs: ties keep their index order
+        for token in heapq.nlargest(cfg.beam_size + 1, range(len(log_probs)), key=log_probs.__getitem__):
             if block_eos and token == eos_id:
                 continue
             ranked.append((hyp.log_score + log_probs[token], hyp, out, token, log_probs[token]))

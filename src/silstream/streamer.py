@@ -11,6 +11,10 @@ session waits for more audio. When the last batch arrives the restrictions
 are dropped and decoding runs to completion, so the committed prefix always
 extends to the full offline-equivalent output.
 
+The display log holds, after every push, the committed prefix plus the best
+hypothesis' tentative tokens, stripped of BOS/EOS/SIL. The stripped committed
+part is extended as tokens commit, so a push strips only the tokens after it.
+
 Buffer requirements are per token class: after a silence token a larger
 buffer (and restricted region) applies, making premature end-of-utterance
 emissions during long pauses even less likely.
@@ -94,6 +98,7 @@ class StreamSession:
         self.beam: list[Hypothesis] = [initial_hypothesis(model)]
         self.segments: list[tuple[int, ...]] = []  # closed restart segments
         self._committed: History = self.beam[0].history  # end of the committed prefix
+        self._shown: tuple[int, ...] = ()  # stripped display of the segments and the committed prefix
         self.clock_ms = 0.0
         self.batch_index = -1
         self.finalized = False
@@ -128,10 +133,12 @@ class StreamSession:
         """The committed prefix of the current segment, from BOS."""
         return tuple(node.token for node in self._committed.nodes_after(None))
 
+    def _strip(self, nodes: list[History]) -> tuple[int, ...]:
+        return tuple(strip_nonscoring([node.token for node in nodes], self.model.vocab))
+
     def _display(self) -> tuple[int, ...]:
-        shown = tuple(t for seg in self.segments for t in strip_nonscoring(list(seg), self.model.vocab))
-        best = best_hypothesis(self.beam)
-        return shown + tuple(strip_nonscoring(list(best.tokens), self.model.vocab))
+        """The committed display plus the best hypothesis' tokens after it."""
+        return self._shown + self._strip(best_hypothesis(self.beam).history.nodes_after(self._committed))
 
     def _record(self, started: float, decision: str, committed: int = 0, boundary: int | None = None) -> None:
         self.wall_ms += (time.perf_counter() - started) * 1000.0
@@ -158,6 +165,7 @@ class StreamSession:
         """Extend the committed prefix by ``nodes``; returns their tokens."""
         if nodes:
             self._committed = nodes[-1]
+            self._shown += self._strip(nodes)
         return [node.token for node in nodes]
 
     def _commit_progress(self) -> list[int]:
@@ -186,6 +194,7 @@ class StreamSession:
 
     def _close_segment(self, best: Hypothesis) -> None:
         self.segments.append(best.tokens[1:-1])
+        self._commit(best.history.nodes_after(self._committed))  # the rest of the segment is shown
         self.restarts.append(self.clock_ms)
         self.restart_pending = True
         # placeholder until the restart attaches at the next batch's live edge

@@ -3,9 +3,9 @@ import pytest
 
 from silstream.data import FeatureSequence
 from silstream.decoder import BeamConfig, EncodedBuffer, decode_step, initial_hypothesis
-from silstream.model import ModelConfig, NeuralModel, init_params
+from silstream.model import ModelConfig, NeuralModel, StepOutput, init_params
 from silstream.encoder import EncoderConfig
-from silstream.attention import AttentionConfig
+from silstream.attention import AttentionConfig, AttentionStepResult
 from silstream.streamer import StreamConfig, decode_offline, split_batches, stream_decode
 from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_utterance
 from silstream.vocab import make_vocab
@@ -83,6 +83,60 @@ class TestDecodeStep:
         utt = make_utt(["a"], [])
         with pytest.raises(ValueError):
             decode_step(aware(utt), [], EncodedBuffer(), True, BeamConfig())
+
+
+class TiedModel:
+    """Scripted model: every step selects frame 0 and returns the same log-probs."""
+
+    vocab = VOCAB
+
+    def __init__(self, log_probs):
+        self.log_probs = np.array(log_probs)
+
+    def decode_start(self):
+        return None
+
+    def decode_steps(self, dec_states, prev_tokens, buffer, att_states, buffer_complete, force=False):
+        att = AttentionStepResult(status="selected", selected_index=0, peak_index=0)
+        return [StepOutput(self.log_probs, None, att) for _ in dec_states]
+
+
+def argsort_beam_step(beam, log_probs, beam_size, block_eos):
+    """(tokens, score) of the beam after one step, ranking each hypothesis'
+    candidates by a stable argsort."""
+    kept = [(h.tokens, h.log_score) for h in beam if h.finished]
+    ranked = []
+    for hyp in beam:
+        if hyp.finished:
+            continue
+        order = [int(t) for t in np.argsort(-log_probs, kind="stable")[: beam_size + 1]]
+        order = [t for t in order if not (block_eos and t == VOCAB.eos_id)][:beam_size]
+        ranked += [(hyp.tokens + (t,), hyp.log_score + log_probs[t]) for t in order]
+    ranked.sort(key=lambda c: -c[1])
+    return kept + ranked[: max(0, beam_size - len(kept))]
+
+
+class TestRankingTies:
+    # ids: <bos> 0, <eos> 1, <sil> 2, a 3, b 4, c 5
+    @pytest.mark.parametrize("log_probs", [
+        [-1.0, -1.0, -2.0, -1.0, -2.0, -1.0],  # <eos> tied inside the top beam_size + 1
+        [-3.0, -1.5, -1.5, -1.5, -0.5, -1.5],
+        [np.log(1 / 6)] * 6,
+    ])
+    @pytest.mark.parametrize("block_eos", [False, True])
+    @pytest.mark.parametrize("beam_size", [1, 3, 5])
+    def test_survivors_follow_stable_argsort(self, log_probs, block_eos, beam_size):
+        log_probs = np.array(log_probs)
+        assert VOCAB.eos_id in np.argsort(-log_probs, kind="stable")[: beam_size + 1]
+        model = TiedModel(log_probs)
+        buffer = EncodedBuffer()
+        buffer.append(np.zeros((4, 2)))
+        cfg = BeamConfig(beam_size=beam_size)
+        beam = [initial_hypothesis(model)]
+        for _ in range(4):
+            want = argsort_beam_step(beam, log_probs, beam_size, block_eos)
+            beam, _ = decode_step(model, beam, buffer, True, cfg, block_eos=block_eos)
+            assert [(h.tokens, h.log_score) for h in beam] == want
 
 
 class TestDecodeOffline:

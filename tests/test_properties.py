@@ -1,6 +1,8 @@
 """Property tests of the batched decoder: buffer key projection, the batched
-beam step against the per-hypothesis reference, the scripted oracle against
-its per-frame reference, and oracle streams on both session engines. Also
+beam step against the per-hypothesis reference, the windowed MoChA scan
+against the whole-tail scan, the scripted oracle against its per-frame
+reference, and oracle streams on both session engines under every end-symbol
+policy, whose display log must equal the display rebuilt from scratch. Also
 the minibatch encoder against per-utterance streaming and the per-step
 reference, the trainer's decoder step against the per-vector references,
 and ``nn.sigmoid`` against its first form."""
@@ -9,13 +11,13 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from silstream import nn
 from silstream.attention import AttentionConfig, AttentionState, energies, project_keys, project_queries
 from silstream.data import Alignment, Segment
-from silstream.decoder import BeamConfig, EncodedBuffer, decode_step, initial_hypothesis
+from silstream.decoder import EOS_POLICIES, BeamConfig, EncodedBuffer, decode_step, initial_hypothesis
 from silstream.encoder import (
     EncoderConfig,
     PyramidalEncoder,
@@ -27,10 +29,11 @@ from silstream.model import ModelConfig, NeuralModel, init_params
 from silstream.streamer import ENGINES, StreamConfig, StreamSession, decode_offline
 from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_utterance
 from silstream.trainer import TrainConfig, backward, forward_loss
-from silstream.vocab import SIL_LABEL, make_vocab
+from silstream.vocab import SIL_LABEL, make_vocab, strip_nonscoring
 
 from support import (
     group_of,
+    infer_step,
     reference_decode_step,
     reference_decoder_backward,
     reference_decoder_loss,
@@ -39,6 +42,7 @@ from support import (
     reference_encoded_owners,
     reference_energies,
     reference_gru_step,
+    reference_mocha_step,
     reference_oracle_step,
     reference_segment_spans,
     reference_sigmoid,
@@ -135,6 +139,36 @@ class TestBatchedStepMatchesReference:
             assert [tuple(e.peak_index for e in h.timeline) for h in beam] == [r.peaks for r in ref]
             for h, r in zip(beam, ref):
                 assert math.isclose(h.log_score, r.log_score, rel_tol=1e-12, abs_tol=0.0)
+
+
+class TestWindowedScanMatchesWholeTail:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(0, 300), chunk_size=st.integers(1, 4),
+           bias=st.floats(-6.0, 3.0), v_scale=st.floats(1.0, 4.0), force=st.booleans(),
+           prev=st.sampled_from(["none", "last", "past", "inside"]))
+    @example(seed=0, n=0, chunk_size=1, bias=0.0, v_scale=1.0, force=True, prev="none")
+    @example(seed=0, n=40, chunk_size=1, bias=-6.0, v_scale=1.0, force=False, prev="none")
+    @example(seed=0, n=40, chunk_size=1, bias=-6.0, v_scale=1.0, force=True, prev="none")
+    def test_selection_peak_weights_and_context(self, seed, n, chunk_size, bias, v_scale, force, prev):
+        rng = np.random.default_rng(seed)
+        dims = [int(d) for d in rng.integers(1, 13, size=4)]
+        cfg = ModelConfig(encoder=EncoderConfig(proj=dims[0]),
+                          attention=AttentionConfig(chunk_size=chunk_size, energy_hidden=dims[1]),
+                          decoder_hidden=dims[2], embed_dim=2)
+        params = init_params(cfg, VOCAB.size, seed=dims[3])
+        params["att.sel.r"][0] = bias
+        params["att.sel.v"] = params["att.sel.v"] * v_scale  # sparser crossings, further apart
+        frames = rng.normal(size=(n, cfg.context_dim))
+        query = rng.normal(size=cfg.decoder_hidden)
+        prev_index = {"none": -1, "last": n - 1, "past": n + int(rng.integers(0, 3)),
+                      "inside": int(rng.integers(-1, max(n, 1)))}[prev]
+        got = infer_step(params, cfg.attention, query, frames, AttentionState(prev_index), force)
+        want = reference_mocha_step(params, cfg.attention, query, frames, prev_index, force)
+        assert (got.status, got.selected_index, got.peak_index, got.forced) == (
+            want.status, want.selected_index, want.peak_index, want.forced)
+        assert np.allclose(got.weights, want.weights, rtol=0.0, atol=1e-12)
+        if want.context is not None:
+            assert np.allclose(got.context, want.context, rtol=0.0, atol=1e-12)
 
 
 class TestMinibatchEncoderMatchesReference:
@@ -261,26 +295,39 @@ class TestOracleMatchesReference:
 
 
 class TestOracleStreamProperties:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=240, deadline=None)
     @given(words=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=4),
            pauses=st.lists(st.integers(8, 120), min_size=1, max_size=5),
            batches=st.lists(st.integers(1, 48), min_size=1, max_size=8),
            buffers=st.sampled_from([(120, 120), (240, 480), (480, 960)]),
-           beam_size=st.integers(1, 4), seed=st.integers(0, 1000), engine=st.sampled_from(ENGINES))
+           beam_size=st.integers(1, 4), seed=st.integers(0, 1000), engine=st.sampled_from(ENGINES),
+           eos_policy=st.sampled_from(EOS_POLICIES), skipping=st.booleans())
+    # restart closes segments holding a word each, and voids steps between them
+    @example(words=["a", "b", "c"], pauses=[120], batches=[8], buffers=(120, 120), beam_size=2, seed=0,
+             engine="buffered", eos_policy="restart", skipping=True)
     def test_oracle_prefix_only_grows_and_stream_equals_offline(self, words, pauses, batches, buffers,
-                                                                 beam_size, seed, engine):
+                                                                 beam_size, seed, engine, eos_policy, skipping):
         layout = [(pos, pauses[pos % len(pauses)]) for pos in range(1, len(words) + 1) if pauses[pos % len(pauses)] > 16]
         utt = make_utt(words, layout, seed=seed)
+        # a silence-skipping oracle ends early at long pauses, so restart closes segments
         model = aware(utt, d=6, min_sil=3)
+        if skipping:
+            model = OracleModel(OracleMode("silence_skipping", 6, 3), VOCAB, utt.alignment, 4)
+        beam_cfg = BeamConfig(beam_size=beam_size, eos_policy=eos_policy)
         stream_cfg = StreamConfig(min_buffer_ms=buffers[0], sil_buffer_ms=buffers[1], engine=engine)
-        session = StreamSession(model, stream_cfg, BeamConfig(beam_size=beam_size))
+        session = StreamSession(model, stream_cfg, beam_cfg)
         frames = utt.features.frames
         lo, i = 0, 0
         while lo < len(frames):
             hi = min(len(frames), lo + batches[i % len(batches)])
-            before = session.committed_tokens
+            before = session._flat_committed()
             session.push(frames[lo:hi], is_last=hi == len(frames))
-            assert session.committed_tokens[: len(before)] == before
+            assert session._flat_committed()[: len(before)] == before
+            # the incrementally kept display equals the display rebuilt from scratch
+            best = max(session.beam, key=lambda h: h.log_score)
+            rebuilt = [t for seg in session.segments for t in strip_nonscoring(list(seg), VOCAB)]
+            rebuilt += strip_nonscoring(list(best.tokens), VOCAB)
+            assert session.display_log[-1][1] == tuple(rebuilt)
             lo, i = hi, i + 1
-        offline = decode_offline(model, utt.features, BeamConfig(beam_size=beam_size))
-        assert session.result().tokens == offline.tokens
+        if eos_policy == "defer" and not skipping:
+            assert session.result().tokens == decode_offline(model, utt.features, beam_cfg).tokens

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from silstream import streamer
 from silstream.data import FeatureSequence
 from silstream.decoder import BeamConfig
 from silstream.model import ModelConfig, NeuralModel, init_params
@@ -17,7 +18,7 @@ from silstream.streamer import (
     stream_decode,
 )
 from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_corpus, CorpusSpec, gen_utterance
-from silstream.vocab import make_vocab
+from silstream.vocab import make_vocab, strip_nonscoring
 
 VOCAB = make_vocab(["a", "b", "c"])
 SYNTH = SynthConfig(vocab=VOCAB, feature_dim=8, frames_per_token=8)
@@ -245,3 +246,39 @@ class TestTrace:
             assert record["decision"] in ("no-decode", "committed", "backtrack")
         batches = [r["batch"] for r in session.trace]
         assert batches == sorted(batches)
+
+
+def long_oracle_stream(seconds: int, seed: int = 0):
+    """An aware oracle and its stream of about ``seconds`` of audio: groups of
+    1-3 words, each followed by a 320-1200 ms pause with probability 0.7."""
+    rng = np.random.default_rng(seed)
+    tokens, layout, frames = [], [], 0
+    while frames < seconds * 100:
+        group = int(rng.integers(1, 4))
+        tokens += [int(t) for t in rng.integers(3, VOCAB.size, size=group)]
+        frames += group * SYNTH.frames_per_token
+        if rng.random() < 0.7:
+            pause = 4 * int(rng.integers(8, 31))
+            layout.append((len(tokens), pause))
+            frames += pause
+    utt = gen_utterance(SYNTH, seed=seed, tokens=tokens, silence_layout=layout)
+    return OracleModel(OracleMode("silence_aware", 6, 3), VOCAB, utt.alignment, 4), utt
+
+
+class TestCostGrowth:
+    def test_display_work_tracks_new_tokens(self, monkeypatch):
+        """Token ids the session strips for its display over a 200 s stream
+        are at most 6x those over a 50 s stream (linear is 4x); re-stripping
+        the whole display on every push costs about 16x."""
+        stripped = []
+
+        def counting(ids, vocab):
+            stripped[-1] += len(ids)
+            return strip_nonscoring(ids, vocab)
+
+        monkeypatch.setattr(streamer, "strip_nonscoring", counting)
+        for seconds in (50, 200):
+            stripped.append(0)
+            model, utt = long_oracle_stream(seconds)
+            stream_decode(model, utt.features, StreamConfig(320, 480, 960), BeamConfig(beam_size=8))
+        assert 0 < stripped[1] <= 6 * stripped[0]
