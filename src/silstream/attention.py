@@ -7,7 +7,9 @@ Two modes share one parameterization:
   chosen, and a softmax over the chunk ending there yields the context.
   The scan scores windows of ``chunk_size``, then twice as many rows, and so
   on, and stops at the first window with a crossing, so a step costs about
-  the distance it moves rather than the whole buffer tail.
+  the distance it moves rather than the whole buffer tail. The crossing is
+  decided on the selection energies (``first_crossing``), without squashing
+  them, and selects the frame the probabilities would.
 * soft mode (training): expected-alignment recurrence over selection
   probabilities, followed by the induced chunkwise distribution.
 
@@ -27,6 +29,7 @@ import numpy as np
 from . import nn
 
 SELECT_THRESHOLD = 0.5
+CROSSING_BAND = 1e-15  # holds the negative energies whose probability rounds to 0.5 (about 5e-17 wide)
 
 
 @dataclass(frozen=True)
@@ -110,10 +113,19 @@ def energies_backward(params: dict, kind: str, act: np.ndarray, de: np.ndarray, 
     return d_keys.sum(axis=0), d_keys
 
 
-def first_selection(probs: np.ndarray) -> int:
-    """Index of the first probability at or above the threshold, or -1."""
-    hits = np.nonzero(np.asarray(probs) >= SELECT_THRESHOLD)[0]
-    return int(hits[0]) if hits.size else -1
+def first_crossing(e: np.ndarray) -> int:
+    """Index of the first selection energy whose probability ``nn.sigmoid(e)``
+    is at or above the threshold, or -1.
+
+    That probability reaches 0.5 exactly when ``e >= 0``, except on a band of
+    tiny negative energies whose ``exp`` rounds to 1. The band's edge depends
+    on numpy's ``exp``, so an energy within ``CROSSING_BAND`` below zero is
+    confirmed with ``nn.sigmoid`` itself.
+    """
+    for i in (e > -CROSSING_BAND).nonzero()[0]:
+        if e[i] >= 0.0 or nn.sigmoid(e[i]) >= SELECT_THRESHOLD:
+            return int(i)
+    return -1
 
 
 def chunk_attend(chunk_energies: np.ndarray, frames: np.ndarray, lo: int):
@@ -124,7 +136,7 @@ def chunk_attend(chunk_energies: np.ndarray, frames: np.ndarray, lo: int):
     """
     weights = nn.softmax(chunk_energies)
     context = weights @ frames[lo : lo + len(weights)]
-    peak = lo + int(np.argmax(weights))
+    peak = lo + int(weights.argmax())
     return context, weights, peak
 
 
@@ -151,8 +163,11 @@ def mocha_infer_step(
     project every frame once. Selection energies are scored in windows from
     the previous selection (``chunk_size`` rows, then each twice the last)
     up to the first crossing; they are row-wise, so the frame selected is
-    the one a whole-tail scan selects. Chunk energies are computed on the
-    chunk only.
+    the one a whole-tail scan selects. The crossing is found on the
+    energies (``first_crossing``), which selects the frame whose
+    ``nn.sigmoid`` probability first reaches the threshold, without
+    computing the probabilities. Chunk energies are computed on the chunk
+    only.
     """
     n = frames.shape[0]
     if n == 0:
@@ -163,7 +178,7 @@ def mocha_infer_step(
     selected = -1
     while selected < 0 and start < n:
         stop = min(n, start + width)
-        rel = first_selection(nn.sigmoid(energies(params, "sel", sel_query, sel_keys[start:stop])[0]))
+        rel = first_crossing(energies(params, "sel", sel_query, sel_keys[start:stop])[0])
         if rel >= 0:
             selected = start + rel
         start, width = stop, 2 * width

@@ -7,7 +7,8 @@ because each layer keeps its recurrent state and at most one unpaired
 leftover frame between pushes.
 
 One layer routine runs a stack of rows with per-row lengths. Streaming is
-the one-row case; ``encode_with_cache`` encodes a training minibatch as one
+the one-row case, whose step indices are computed directly rather than from
+the per-row counts; ``encode_with_cache`` encodes a training minibatch as one
 stack, each row bit-identical to encoding it alone. A stack is packed
 time-major with its rows sorted longest first: step i holds one entry for
 each row longer than i, so the rows alive at a step are a prefix of those
@@ -116,6 +117,26 @@ def _packed_positions(counts: np.ndarray, rank: np.ndarray) -> np.ndarray:
     return _starts(ordered)[step] + rank[row]
 
 
+def _entries(n: np.ndarray, m: np.ndarray):
+    """The entries of a layer call over a packed stack whose row b holds
+    ``n[b]`` inputs and takes ``m[b]`` steps: where each step begins, each
+    entry's step and row, and the two inputs each entry reads (2j and 2j + 1,
+    or a final odd last input twice)."""
+    starts = _starts(m)
+    step, row = np.nonzero(np.arange(m[0])[:, None] < m)  # every entry, in packed order
+    inputs = _starts(n)
+    left = inputs[2 * step] + row
+    right = inputs[np.minimum(2 * step + 1, n[row] - 1)] + row
+    return starts, step, row, left, right
+
+
+def _one_row_entries(n: int, m: int):
+    """``_entries`` of a one-row stack, computed directly: entry j is step j."""
+    step = np.arange(m)
+    left = 2 * step
+    return np.arange(m + 1), step, np.zeros(m, dtype=step.dtype), left, np.minimum(left + 1, n - 1)
+
+
 def _pairs(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.concatenate([x[left], x[right]], axis=1)
 
@@ -169,12 +190,9 @@ class PyramidalEncoder:
             state.leftover[k] = x[-1:]
         if m[0] == 0 and cache is None:  # nothing to step and no layer cache to record
             return np.zeros((0, self.cfg.proj)), m
-        starts = _starts(m)
-        entries, rows = int(starts[-1]), len(n)
-        step, row = np.nonzero(np.arange(m[0])[:, None] < m)  # every entry, in packed order
-        inputs = _starts(n)
-        left = inputs[2 * step] + row
-        right = inputs[np.minimum(2 * step + 1, n[row] - 1)] + row  # a final odd last input: itself
+        rows = len(n)
+        starts, step, row, left, right = _one_row_entries(int(n[0]), int(m[0])) if rows == 1 else _entries(n, m)
+        entries = int(starts[-1])
         hs = np.empty((rows + entries, self.cfg.hidden))
         hs[:rows] = state.hidden[k]
         out = np.empty((entries, self.cfg.proj))

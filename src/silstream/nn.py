@@ -12,10 +12,10 @@ GRU_GATES = ("z", "r", "n")
 
 
 def sigmoid(x):
-    """Logistic function; exp only ever sees -|x|, so it cannot overflow."""
+    """Logistic function ``exp(min(x, 0)) / (1 + exp(-|x|))``; exp never sees a
+    positive argument, so it cannot overflow."""
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -25,9 +25,8 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    ex = np.exp(shifted)
-    return ex / np.sum(ex)
+    ex = np.exp(logits - logits.max())
+    return ex / ex.sum()
 
 
 def matvecs(W: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -74,10 +73,12 @@ def gru_steps(params: dict, prefix: str, wx: tuple[np.ndarray, ...], H: np.ndarr
 
     A row's new state does not depend on the other rows, bit for bit
     (``matvecs``). Returns (H_new, (z, r, uh, n)), the gates ``gru_step_grads`` needs.
+    One ``sigmoid`` squashes the z and r pre-activations stacked row-wise.
     """
     wz, wr, wn = wx
-    z = sigmoid(wz + matvecs(params[f"{prefix}.Uz"], H) + params[f"{prefix}.bz"])
-    r = sigmoid(wr + matvecs(params[f"{prefix}.Ur"], H) + params[f"{prefix}.br"])
+    zr = sigmoid(np.concatenate((wz + matvecs(params[f"{prefix}.Uz"], H) + params[f"{prefix}.bz"],
+                                 wr + matvecs(params[f"{prefix}.Ur"], H) + params[f"{prefix}.br"])))
+    z, r = zr[: len(H)], zr[len(H) :]
     uh = matvecs(params[f"{prefix}.Un"], H)
     n = np.tanh(wn + r * uh + params[f"{prefix}.bn"])
     return (1.0 - z) * n + z * H, (z, r, uh, n)

@@ -31,7 +31,9 @@ equal to the per-utterance sum to 1e-12 relative. The training reference
 steps through a minibatch one utterance at a time, encoder included, and
 adds each utterance's gradients with ``add_grads``; ``train`` must agree
 with it to 1e-12 relative. ``reference_sigmoid`` is the first,
-boolean-mask form of ``nn.sigmoid``.
+boolean-mask form of ``nn.sigmoid``, and ``reference_softmax`` the first form
+of ``nn.softmax``. ``first_selection`` is the scan's first crossing test, on
+selection probabilities; the library decides it on the energies.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from silstream import nn
 from silstream.attention import (
     AttentionStepResult,
     EXHAUSTED,
-    first_selection,
+    SELECT_THRESHOLD,
     initial_alpha,
     mocha_infer_step,
     project_keys,
@@ -103,8 +105,8 @@ def add_grads(total: dict, part: dict, scale: float = 1.0) -> None:
 
 def reference_gru_step(params: dict, prefix: str, x: np.ndarray, h: np.ndarray):
     """One GRU step. Returns (h_new, cache) with everything backward needs."""
-    z = nn.sigmoid(params[f"{prefix}.Wz"] @ x + params[f"{prefix}.Uz"] @ h + params[f"{prefix}.bz"])
-    r = nn.sigmoid(params[f"{prefix}.Wr"] @ x + params[f"{prefix}.Ur"] @ h + params[f"{prefix}.br"])
+    z = reference_sigmoid(params[f"{prefix}.Wz"] @ x + params[f"{prefix}.Uz"] @ h + params[f"{prefix}.bz"])
+    r = reference_sigmoid(params[f"{prefix}.Wr"] @ x + params[f"{prefix}.Ur"] @ h + params[f"{prefix}.br"])
     uh = params[f"{prefix}.Un"] @ h
     n = np.tanh(params[f"{prefix}.Wn"] @ x + r * uh + params[f"{prefix}.bn"])
     h_new = (1.0 - z) * n + z * h
@@ -240,13 +242,25 @@ def unflatten_params(vector: np.ndarray, template: dict) -> dict:
     return out
 
 
+def first_selection(probs: np.ndarray) -> int:
+    """Index of the first probability at or above the threshold, or -1."""
+    hits = np.nonzero(np.asarray(probs) >= SELECT_THRESHOLD)[0]
+    return int(hits[0]) if hits.size else -1
+
+
+def reference_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - np.max(logits)
+    ex = np.exp(shifted)
+    return ex / np.sum(ex)
+
+
 def reference_mocha_step(params, cfg, query, frames, prev_index: int, force: bool) -> AttentionStepResult:
     n = frames.shape[0]
     start = max(prev_index, 0)
     selected = -1
     if n > 0 and start < n:
         e, _ = reference_energies(params, "sel", query, frames[start:])
-        rel = first_selection(nn.sigmoid(e))
+        rel = first_selection(reference_sigmoid(e))
         if rel >= 0:
             selected = start + rel
     if selected < 0:
@@ -256,7 +270,7 @@ def reference_mocha_step(params, cfg, query, frames, prev_index: int, force: boo
                                    selected_index=n - 1, peak_index=n - 1, forced=True)
     lo = max(0, selected - cfg.chunk_size + 1)
     u, _ = reference_energies(params, "chunk", query, frames)
-    weights = nn.softmax(u[lo : selected + 1])
+    weights = reference_softmax(u[lo : selected + 1])
     return AttentionStepResult(status="selected", context=weights @ frames[lo : selected + 1],
                                selected_index=selected, peak_index=lo + int(np.argmax(weights)),
                                weights=weights)

@@ -9,7 +9,7 @@ from silstream.attention import (
     AttentionState,
     chunk_attend,
     energies,
-    first_selection,
+    first_crossing,
     init_attention_params,
     initial_alpha,
     project_keys,
@@ -17,7 +17,7 @@ from silstream.attention import (
     soft_step,
 )
 
-from support import infer_step, selection_probability
+from support import first_selection, infer_step, selection_probability
 
 QUERY_DIM, KEY_DIM = 6, 5
 
@@ -133,6 +133,35 @@ class TestHardMode:
                 assert res.selected_index - cfg.chunk_size + 1 <= res.peak_index <= res.selected_index
                 last = res.selected_index
                 state = AttentionState(prev_index=last)
+
+
+class TestEnergyCrossing:
+    def test_hand_examples(self):
+        assert first_crossing(np.array([-1.0, -0.5, 0.0, 2.0])) == 2
+        assert first_crossing(np.array([-1.0, np.nan, -np.inf])) == -1
+        assert first_crossing(np.zeros(0)) == -1
+        assert first_crossing(np.array([-1e-15, -0.0])) == 1
+        # a tiny negative energy whose exp rounds to 1 has probability exactly 0.5
+        assert nn.sigmoid(np.array([-1e-17]))[0] == 0.5
+        assert first_crossing(np.array([-1e-3, -1e-17, 1.0])) == 1
+
+    def test_crossing_in_first_window_calls_no_sigmoid(self, setup, monkeypatch):
+        """A hard step whose first window crosses squashes no energy, so the
+        saving of deciding the crossing on energies cannot silently come back."""
+        cfg, params = setup
+        calls = []
+        sigmoid = nn.sigmoid
+
+        def counting(x):
+            calls.append(np.shape(x))
+            return sigmoid(x)
+
+        monkeypatch.setattr(nn, "sigmoid", counting)
+        params = dict(params)
+        params["att.sel.r"] = np.array([50.0])  # every selection energy far above 0
+        frames = np.random.default_rng(11).normal(size=(20, KEY_DIM))
+        res = infer_step(params, cfg, np.zeros(QUERY_DIM), frames, AttentionState(prev_index=4))
+        assert res.selected_index == 4 and calls == []
 
 
 def enumerate_expected_alignment(prob_rows, alpha0):

@@ -79,6 +79,22 @@ def test_nn_sigmoid_extremes():
     assert vals[0] == 0.0 and vals[1] == 0.5 and vals[2] == 1.0
 
 
+def test_gru_steps_squash_z_and_r_with_one_sigmoid(monkeypatch):
+    rng = np.random.default_rng(2)
+    params = {}
+    nn.init_gru(params, "g", 4, 6, rng)
+    calls = []
+    sigmoid = nn.sigmoid
+
+    def counting(x):
+        calls.append(np.shape(x))
+        return sigmoid(x)
+
+    monkeypatch.setattr(nn, "sigmoid", counting)
+    nn.gru_steps(params, "g", nn.gru_inputs(params, "g", rng.normal(size=(8, 4))), rng.normal(size=(8, 6)))
+    assert calls == [(16, 6)]
+
+
 def test_nn_log_softmax_normalizes():
     logits = np.array([1e3, -1e3, 0.0])
     lp = nn.log_softmax(logits)

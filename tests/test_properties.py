@@ -5,7 +5,10 @@ reference, and oracle streams on both session engines under every end-symbol
 policy, whose display log must equal the display rebuilt from scratch. Also
 the minibatch encoder against per-utterance streaming and the per-step
 reference, the trainer's decoder step against the per-vector references,
-and ``nn.sigmoid`` against its first form."""
+``nn.sigmoid``, ``nn.softmax`` and ``nn.gru_steps`` against their first
+forms, the scan's energy crossing against the first selection of the
+probabilities, and the encoder's one-row step indices against the general
+ones."""
 import functools
 import math
 from types import SimpleNamespace
@@ -15,12 +18,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from silstream import nn
-from silstream.attention import AttentionConfig, AttentionState, energies, project_keys, project_queries
+from silstream.attention import (
+    CROSSING_BAND,
+    AttentionConfig,
+    AttentionState,
+    energies,
+    first_crossing,
+    project_keys,
+    project_queries,
+)
 from silstream.data import Alignment, Segment
 from silstream.decoder import EOS_POLICIES, BeamConfig, EncodedBuffer, decode_step, initial_hypothesis
 from silstream.encoder import (
     EncoderConfig,
     PyramidalEncoder,
+    _entries,
+    _one_row_entries,
     encode_backward,
     encode_with_cache,
     init_encoder_params,
@@ -32,6 +45,7 @@ from silstream.trainer import TrainConfig, backward, forward_loss
 from silstream.vocab import SIL_LABEL, make_vocab, strip_nonscoring
 
 from support import (
+    first_selection,
     group_of,
     infer_step,
     reference_decode_step,
@@ -46,6 +60,7 @@ from support import (
     reference_oracle_step,
     reference_segment_spans,
     reference_sigmoid,
+    reference_softmax,
     reference_start,
 )
 
@@ -260,6 +275,94 @@ class TestSigmoidMatchesReference:
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
         assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def bits(x: np.ndarray) -> np.ndarray:
+    """The bit patterns of ``x``, with every NaN as the one pattern of ``np.nan``."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(np.isnan(x), np.nan, x).view(np.uint64)
+
+
+def from_bits(pattern: int) -> float:
+    return float(np.array([pattern], dtype=np.uint64).view(np.float64)[0])
+
+
+def half_probability_edge() -> float:
+    """The most negative energy whose probability ``reference_sigmoid`` rounds to
+    0.5, found by bisection on the bit patterns of the magnitudes in [0, 1e-15]."""
+    lo, hi = 0, int(bits(1e-15))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if reference_sigmoid(np.array([-from_bits(mid)]))[0] >= 0.5 else (lo, mid)
+    return -from_bits(lo)
+
+
+EDGE = half_probability_edge()
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+ENERGY = st.one_of(
+    ANY_FLOAT,
+    st.floats(-10.0, 10.0),
+    st.floats(-CROSSING_BAND, 0.0),
+    # the floats within 2**20 steps of the band's edge, on either side
+    st.integers(-(2**20), 2**20).map(lambda k: from_bits(int(bits(EDGE)) + k)),
+)
+
+
+class TestEnergyCrossingMatchesProbabilities:
+    def test_band_is_tiny_negative_and_inside_the_confirmed_range(self):
+        assert -CROSSING_BAND < EDGE < 0.0
+        assert reference_sigmoid(np.array([EDGE]))[0] == 0.5
+        assert reference_sigmoid(np.nextafter(np.array([EDGE]), -1.0))[0] < 0.5
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=st.lists(ENERGY, max_size=40))
+    @example(values=[-1.0, float(np.nextafter(EDGE, -1.0)), EDGE, 1.0])
+    @example(values=[-0.0, 0.0])
+    @example(values=[float("nan"), -float("inf"), -5e-324, float("inf")])
+    def test_first_crossing_is_first_selection_of_probabilities(self, values):
+        e = np.array(values, dtype=np.float64)
+        assert first_crossing(e) == first_selection(reference_sigmoid(e))
+
+
+class TestSoftmaxMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(ANY_FLOAT, st.floats(-30.0, 30.0)), min_size=1, max_size=12))
+    def test_bit_identical(self, values):
+        x = np.array(values, dtype=np.float64)
+        with np.errstate(all="ignore"):  # inf - inf
+            assert np.array_equal(bits(nn.softmax(x)), bits(reference_softmax(x)))
+
+
+class TestGruStepsMatchReference:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), rows=st.sampled_from([1, 8]), scale=st.floats(0.1, 30.0))
+    def test_each_row_bit_identical_to_one_reference_step(self, seed, rows, scale):
+        rng = np.random.default_rng(seed)
+        in_dim, hidden = (int(d) for d in rng.integers(1, 17, size=2))
+        params = {}
+        nn.init_gru(params, "g", in_dim, hidden, rng)
+        params = {k: rng.normal(0.0, scale, size=v.shape) for k, v in params.items()}  # saturates some gates
+        X, H = rng.normal(size=(rows, in_dim)), np.tanh(rng.normal(size=(rows, hidden)))
+        H_new, gates = nn.gru_steps(params, "g", nn.gru_inputs(params, "g", X), H)
+        for i in range(rows):
+            h_new, (_, _, z, r, uh, n) = reference_gru_step(params, "g", X[i], H[i])
+            assert np.array_equal(H_new[i], h_new)
+            for got, want in zip(gates, (z, r, uh, n)):
+                assert np.array_equal(got[i], want)
+
+
+class TestOneRowEncoderEntries:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 400), final=st.booleans())
+    @example(n=0, final=True)
+    @example(n=1, final=True)
+    @example(n=1, final=False)
+    def test_direct_indices_equal_the_general_ones(self, n, final):
+        m = (n + 1) // 2 if final else n // 2
+        got = _one_row_entries(n, m)
+        want = _entries(np.array([n]), np.array([m]))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 class TestOracleMatchesReference:
