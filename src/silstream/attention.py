@@ -94,23 +94,13 @@ def project_queries(params: dict, queries: np.ndarray) -> tuple[np.ndarray, np.n
 def energies(params: dict, kind: str, query: np.ndarray, keys: np.ndarray):
     """Additive energies ``v . tanh(k + q)`` of one query term ``q`` (a row of
     ``project_queries``) against key term rows ``k`` (``project_keys``), plus
-    the selection offset. Returns (e, tanh activations for ``energies_backward``).
+    the selection offset. Returns (e, tanh activations, which ``trainer.backward`` reads).
     """
     act = np.tanh(keys + query)
     e = act @ params[f"att.{kind}.v"]
     if kind == "sel":
         e = e + params["att.sel.r"][0]
     return e, act
-
-
-def energies_backward(params: dict, kind: str, act: np.ndarray, de: np.ndarray, grads: dict):
-    """Back through ``energies``: accumulates the ``v`` (and offset) grads and
-    returns the gradients of the query term and of the key terms."""
-    if kind == "sel":
-        grads["att.sel.r"][0] += de.sum()
-    grads[f"att.{kind}.v"] += de @ act
-    d_keys = (de[:, None] * params[f"att.{kind}.v"][None, :]) * (1.0 - act * act)
-    return d_keys.sum(axis=0), d_keys
 
 
 def first_crossing(e: np.ndarray) -> int:
@@ -206,17 +196,20 @@ def mocha_infer_step(
 
 
 def _moving_sum_back(x: np.ndarray, w: int) -> np.ndarray:
-    """out[k] = sum of x[max(0, k-w+1) .. k]."""
-    c = np.concatenate([[0.0], np.cumsum(x)])
-    k = np.arange(len(x))
-    return c[k + 1] - c[np.maximum(k - w + 1, 0)]
+    """out[k] = sum of x[max(0, k-w+1) .. k], as w - 1 shifted adds: differences of
+    a running sum cancel to nothing for a window far below the sum's largest terms."""
+    out = x.copy()
+    for s in range(1, w):
+        out[s:] += x[:-s]
+    return out
 
 
 def _moving_sum_fwd(x: np.ndarray, w: int) -> np.ndarray:
-    """out[j] = sum of x[j .. min(len-1, j+w-1)]."""
-    c = np.concatenate([[0.0], np.cumsum(x)])
-    j = np.arange(len(x))
-    return c[np.minimum(j + w, len(x))] - c[j]
+    """out[j] = sum of x[j .. min(len-1, j+w-1)], as w - 1 shifted adds."""
+    out = x.copy()
+    for s in range(1, w):
+        out[:-s] += x[s:]
+    return out
 
 
 def soft_step(p: np.ndarray, u: np.ndarray, alpha_prev: np.ndarray, chunk_size: int):
@@ -224,14 +217,14 @@ def soft_step(p: np.ndarray, u: np.ndarray, alpha_prev: np.ndarray, chunk_size: 
 
     Given selection probabilities ``p``, chunk energies ``u`` and the previous
     step's expected alignment, returns (alpha, beta, cache). Mass that scans
-    past the last frame is dropped, so sum(alpha) <= sum(alpha_prev).
+    past the last frame is dropped, so sum(alpha) <= sum(alpha_prev). The
+    carry runs on Python floats, which round as numpy's float64 scalars do.
     """
     n = len(p)
-    q = np.empty(n)
-    carry = 0.0
-    for t in range(n):
-        carry = (1.0 - p[t - 1]) * carry + alpha_prev[t] if t else alpha_prev[0]
-        q[t] = carry
+    keep, q = (1.0 - p).tolist(), alpha_prev[:1].tolist()
+    for t, a in enumerate(alpha_prev[1:].tolist()):
+        q.append(keep[t] * q[t] + a)
+    q = np.array(q)
     alpha = p * q
     if chunk_size == 1:
         beta = alpha.copy()
@@ -260,18 +253,15 @@ def soft_step_backward(cache, d_alpha: np.ndarray, d_beta: np.ndarray):
         d_spread = d_beta * expu
         d_ratio = _moving_sum_back(d_spread, w)
         d_alpha += d_ratio / denom
-        d_denom = -d_ratio * alpha / (denom * denom)
+        d_denom = -d_ratio * alpha / denom / denom
         d_expu += _moving_sum_fwd(d_denom, w)
         du = d_expu * expu
-    dp = d_alpha * q
-    dq = d_alpha * p
-    d_alpha_prev = np.zeros(n)
-    for t in range(n - 1, -1, -1):
-        d_alpha_prev[t] += dq[t]
-        if t:
-            dp[t - 1] -= q[t - 1] * dq[t]
-            dq[t - 1] += (1.0 - p[t - 1]) * dq[t]
-    return dp, du, d_alpha_prev
+    dp, dq = (d_alpha * q).tolist(), (d_alpha * p).tolist()
+    keep, q = (1.0 - p).tolist(), q.tolist()
+    for t in range(n - 1, 0, -1):
+        dp[t - 1] -= q[t - 1] * dq[t]
+        dq[t - 1] += keep[t - 1] * dq[t]
+    return np.array(dp), du, np.array(dq) + 0.0  # + 0.0 as in accumulating onto zeros: -0.0 becomes 0.0
 
 
 def initial_alpha(n: int) -> np.ndarray:

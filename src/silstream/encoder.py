@@ -17,10 +17,12 @@ alive at the step before, and a row that has ended takes no memory or work.
 The routine works through blocks of steps of about ``BLOCK_ENTRIES``
 entries: it projects every input pair of a block through the input weights
 at once, steps the recurrence over the block, then projects the block's new
-states. ``encode_backward`` goes back over the same blocks and takes each
-weight gradient as one product over a block. Blocks bound the memory of a
-long push or a minibatch; the results do not depend on them, except for
-the order in which gradients are summed.
+states. ``encode_backward`` goes back over the same blocks: it recomputes a
+block's gates in one call, steps back with ``nn.GruBackward`` (one product
+per step) and takes each weight gradient as one product over the block.
+Blocks bound the memory of a long push or a minibatch, the backward's
+included; the results do not depend on them, except for the order in which
+gradients are summed.
 """
 from __future__ import annotations
 
@@ -273,11 +275,12 @@ def encode_backward(params: dict, cfg: EncoderConfig, cache: EncoderCache, d_enc
     """Backprop through ``encode_with_cache``; accumulates into grads.
 
     ``d_encoded`` is the gradient of its encoded frames, in the same order.
-    Block by block from the end, it recomputes the gates from the cached
-    inputs and states (bit-identical to the forward pass), carries the
-    hidden-state gradient back step by step (``nn.gru_step_grads``), and then
-    takes each weight gradient as one product over the block
-    (``nn.gru_param_grads``).
+    Block by block from the end, it recomputes the block's gates from the
+    cached inputs and states with one ``nn.gru_steps`` call (bit-identical to
+    the forward pass); ``nn.GruBackward`` turns them into delta coefficients,
+    so a step back is one multiply and one product with the stacked recurrent
+    weights. Each weight gradient is one product over the block (the output
+    projection's, over the layer).
     """
     d_out = np.zeros((len(cache.positions), cfg.proj))
     d_out[cache.positions] = d_encoded
@@ -285,23 +288,22 @@ def encode_backward(params: dict, cfg: EncoderConfig, cache: EncoderCache, d_enc
         c, pre = cache.layers[k], f"enc{k}"
         rows = len(c.h) - len(c.prev)
         d_in = np.zeros_like(c.x)
-        dh = np.zeros((0, cfg.hidden))
+        carry = np.zeros((0, cfg.hidden))
+        grads[f"{pre}.P"] += d_out.T @ c.h[rows:]
+        grads[f"{pre}.pb"] += d_out.sum(axis=0)
         for bounds in reversed(_blocks(c.starts, rows)):
             lo, hi = bounds[0], bounds[-1]
             pairs, h_prev = _pairs(c.x, c.left[lo:hi], c.right[lo:hi]), c.h[c.prev[lo:hi]]
-            _, gates = nn.gru_steps(params, pre, nn.gru_inputs(params, pre, pairs), h_prev)
-            dh_out = d_out[lo:hi] @ params[f"{pre}.P"]
+            gru = nn.GruBackward(params, pre, nn.gru_steps(params, pre, nn.gru_inputs(params, pre, pairs), h_prev)[1],
+                                 h_prev)
+            dh = d_out[lo:hi] @ params[f"{pre}.P"]
             for a, b in zip(bounds[-2::-1], bounds[:0:-1]):
                 a, b = a - lo, b - lo
-                carry, dh = dh, dh_out[a:b]
-                dh[: len(carry)] += carry  # rows whose last step this is carry nothing
-                deltas, dh = nn.gru_step_grads(params, pre, tuple(g[a:b] for g in gates), h_prev[a:b], dh)
-                for g, d in zip(gates, deltas):
-                    g[a:b] = d  # the step's gates are spent
-            grads[f"{pre}.P"] += d_out[lo:hi].T @ c.h[rows + lo : rows + hi]
-            grads[f"{pre}.pb"] += d_out[lo:hi].sum(axis=0)
-            nn.gru_param_grads(params, pre, gates, pairs, h_prev, grads)
-            d_pairs = nn.gru_input_grads(params, pre, gates)
+                dh[a : a + len(carry)] += carry  # rows whose last step this is carry nothing
+                carry = gru.carry(a, b, dh[a:b])
+            gru.param_grads(pairs, grads)
+            d_pairs = gru.gate_deltas @ gru.W
+            del gru  # the next block's gates are recomputed without this block's kernel alive
             half = d_pairs.shape[1] // 2
             d_in[c.left[lo:hi]] += d_pairs[:, :half]
             d_in[c.right[lo:hi]] += d_pairs[:, half:]

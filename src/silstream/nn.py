@@ -72,7 +72,7 @@ def gru_steps(params: dict, prefix: str, wx: tuple[np.ndarray, ...], H: np.ndarr
     """One GRU step of every row of ``H``, given its input's terms ``wx`` from ``gru_inputs``.
 
     A row's new state does not depend on the other rows, bit for bit
-    (``matvecs``). Returns (H_new, (z, r, uh, n)), the gates ``gru_step_grads`` needs.
+    (``matvecs``). Returns (H_new, (z, r, uh, n)), the gates ``GruBackward`` needs.
     One ``sigmoid`` squashes the z and r pre-activations stacked row-wise.
     """
     wz, wr, wn = wx
@@ -84,38 +84,48 @@ def gru_steps(params: dict, prefix: str, wx: tuple[np.ndarray, ...], H: np.ndarr
     return (1.0 - z) * n + z * H, (z, r, uh, n)
 
 
-def gru_step_grads(params: dict, prefix: str, gates: tuple, H: np.ndarray, dH_new: np.ndarray):
-    """Back through a ``gru_steps`` call on ``H`` that gave ``gates``, given the
-    gradient of its new states. Returns (deltas, dH): the gradients of the z
-    and r pre-activations, of ``Un @ h`` and of the n pre-activation, and of ``H``.
+class GruBackward:
+    """Back through a run of ``gru_steps``: row i of ``gates`` and ``H`` is one
+    step's gates and the state it started from.
 
-    A recurrence carries dH back step by step; ``gru_input_grads`` and
-    ``gru_param_grads`` then take products over as many steps as it likes.
+    A step's gradients of h through the z gate, of ``Un @ h`` and of the z, r
+    and n pre-activations are the gradient of its new state times
+    coefficients of its gates, computed here for the whole run as five blocks
+    of ``hidden`` per row of ``deltas``; ``carry`` turns them into the deltas.
     """
-    z, r, uh, n = gates
-    dan = dH_new * (1.0 - z) * (1.0 - n * n)
-    duh = dan * r
-    daz = dH_new * (H - n) * z * (1.0 - z)
-    dar = dan * uh * r * (1.0 - r)
-    dH = dH_new * z + duh @ params[f"{prefix}.Un"] + daz @ params[f"{prefix}.Uz"] + dar @ params[f"{prefix}.Ur"]
-    return (daz, dar, duh, dan), dH
 
+    def __init__(self, params: dict, prefix: str, gates: tuple, H: np.ndarray):
+        z, r, uh, n = gates
+        self.coef = c = np.empty((len(H), 5, H.shape[1]))  # filled in place: fewer temporaries at peak
+        c[:, 0] = z
+        np.multiply(1.0 - z, 1.0 - n * n, out=c[:, 4])
+        np.multiply(c[:, 4], r, out=c[:, 1])
+        np.multiply((H - n) * z, 1.0 - z, out=c[:, 2])
+        np.multiply(c[:, 1] * uh, 1.0 - r, out=c[:, 3])
+        self.deltas = c.reshape(len(H), -1)  # the same memory, one row per step
+        self.prefix, self.H, self.hidden = prefix, H, H.shape[1]
+        self.U = np.concatenate([np.eye(self.hidden)] + [params[f"{prefix}.U{g}"] for g in "nzr"])
+        self.W = np.concatenate([params[f"{prefix}.W{g}"] for g in GRU_GATES])  # acts on ``gate_deltas``
 
-def gru_input_grads(params: dict, prefix: str, deltas: tuple) -> np.ndarray:
-    """The gradient of the inputs of the GRU steps whose ``gru_step_grads`` are ``deltas``."""
-    daz, dar, _, dan = deltas
-    return daz @ params[f"{prefix}.Wz"] + dar @ params[f"{prefix}.Wr"] + dan @ params[f"{prefix}.Wn"]
+    def carry(self, a: int, b: int, dH_new: np.ndarray) -> np.ndarray:
+        """The deltas of rows a..b from the gradient of their new states; returns the
+        gradient of the states they started from, one product with ``[I; Un; Uz; Ur]``."""
+        np.multiply(self.coef[a:b], dH_new[:, None], out=self.coef[a:b])
+        return self.deltas[a:b, : 4 * self.hidden] @ self.U
 
+    @property
+    def gate_deltas(self) -> np.ndarray:
+        """The gradients of the z, r and n pre-activations, row by row."""
+        return self.deltas[:, 2 * self.hidden :]
 
-def gru_param_grads(params: dict, prefix: str, deltas: tuple, X: np.ndarray, H: np.ndarray, grads: dict):
-    """Add the weight and bias gradients of a stack of GRU steps into grads: row
-    i of ``deltas`` (from ``gru_step_grads``), ``X`` and ``H`` is one step's
-    deltas, input and previous state."""
-    daz, dar, duh, dan = deltas
-    for g, da, da_u in (("z", daz, daz), ("r", dar, dar), ("n", dan, duh)):
-        grads[f"{prefix}.W{g}"] += da.T @ X
-        grads[f"{prefix}.U{g}"] += da_u.T @ H
-        grads[f"{prefix}.b{g}"] += da.sum(axis=0)
+    def param_grads(self, X: np.ndarray, grads: dict):
+        """Add the weight and bias gradients into grads; row i of ``X`` is step i's input."""
+        h, d_gates = self.hidden, self.gate_deltas
+        dW, dU, db = d_gates.T @ X, self.deltas[:, h : 4 * h].T @ self.H, d_gates.sum(axis=0)
+        for i, (g, u) in enumerate(zip(GRU_GATES, "nzr")):
+            grads[f"{self.prefix}.W{g}"] += dW[i * h : (i + 1) * h]
+            grads[f"{self.prefix}.b{g}"] += db[i * h : (i + 1) * h]
+            grads[f"{self.prefix}.U{u}"] += dU[i * h : (i + 1) * h]
 
 
 def zero_grads(params: dict) -> dict:

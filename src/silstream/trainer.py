@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn
-from .attention import (energies, energies_backward, initial_alpha, project_keys, project_queries, soft_step,
-                        soft_step_backward)
+from .attention import energies, initial_alpha, project_keys, project_queries, soft_step, soft_step_backward
 from .data import FeatureSequence
 from .encoder import encode_backward, encode_with_cache
 from .model import ModelConfig, NeuralModel, save_checkpoint
@@ -42,6 +41,12 @@ class TrainConfig:
             raise ValueError("scheduled_sampling must be in [0, 1]")
         if self.selection_noise_std < 0:
             raise ValueError("selection_noise_std must be >= 0")
+        if self.batch_size < 1 or self.epochs < 0:
+            raise ValueError("batch_size must be >= 1 and epochs >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
 
 
 def smoothed_targets(target: int, vocab_size: int, epsilon: float) -> np.ndarray:
@@ -89,12 +94,13 @@ def forward_loss(
     steps = []
     total = 0.0
     n_steps = len(reference) - 1
+    acts = np.empty((n_steps, 2, len(H), cfg.attention.energy_hidden))  # each step's selection and chunk tanh
     for i in range(1, len(reference)):
         x = np.concatenate([params["emb.E"][prev], c])
         s_new, gates = nn.gru_step(params, "dec", x, states[-1])
         sel_query, chunk_query = project_queries(params, s_new[None])
-        e_sel, sel_act = energies(params, "sel", sel_query[0], sel_keys)
-        u, chunk_act = energies(params, "chunk", chunk_query[0], chunk_keys)
+        e_sel, acts[i - 1, 0] = energies(params, "sel", sel_query[0], sel_keys)
+        u, acts[i - 1, 1] = energies(params, "chunk", chunk_query[0], chunk_keys)
         if rng is not None and tcfg.selection_noise_std > 0:
             e_sel = e_sel + rng.normal(0.0, tcfg.selection_noise_std, size=e_sel.shape)
         p = nn.sigmoid(e_sel)
@@ -105,8 +111,8 @@ def forward_loss(
         q = smoothed_targets(reference[i], vocab_size, tcfg.label_smoothing)
         total -= float(q @ logp)
         probs = np.exp(logp)
-        steps.append(dict(prev=prev, x=x, gates=gates, acts=(sel_act, chunk_act), soft_cache=soft_cache,
-                          beta=beta, pre_out=pre_out, dlogits=probs - q))
+        steps.append(dict(prev=prev, x=x, gates=gates, soft_cache=soft_cache, beta=beta, pre_out=pre_out,
+                          dlogits=probs - q))
         prev = reference[i]
         if i < n_steps and rng is not None and tcfg.scheduled_sampling > 0:
             if rng.random() < tcfg.scheduled_sampling:
@@ -115,7 +121,7 @@ def forward_loss(
     loss = total / n_steps
     if not math.isfinite(loss):
         raise FloatingPointError("non-finite training loss")
-    return loss, {"H": H, "enc_cache": enc_cache, "steps": steps, "states": np.array(states)}
+    return loss, {"H": H, "enc_cache": enc_cache, "steps": steps, "states": np.array(states), "acts": acts}
 
 
 def backward(cfg: ModelConfig, params: dict, cache: dict, grads: dict | None = None, scale: float = 1.0) -> dict:
@@ -124,39 +130,40 @@ def backward(cfg: ModelConfig, params: dict, cache: dict, grads: dict | None = N
 
     For an utterance given its ``encoded`` rows the encoder's share is left
     to the caller: ``cache["dH"]`` becomes the (scaled) gradient of those
-    rows. The recurrence is carried back step by step; every weight
-    gradient is one product over the utterance's steps (or frames).
+    rows. The step loop carries back only the state (``nn.GruBackward``),
+    context and alignment gradients; every weight gradient is one product
+    over the utterance's steps (or frames).
     """
     grads = nn.zero_grads(params) if grads is None else grads
     H, steps, S = cache["H"], cache["steps"], cache["states"]
-    hidden, embed = cfg.decoder_hidden, cfg.embed_dim
+    hidden, embed, kinds = cfg.decoder_hidden, cfg.embed_dim, ("sel", "chunk")
     dlogits = np.array([st["dlogits"] for st in steps]) * (scale / len(steps))
     grads["out.W"] += dlogits.T @ np.array([st["pre_out"] for st in steps])
     grads["out.b"] += dlogits.sum(axis=0)
     d_pre = dlogits @ params["out.W"]
-    d_query = np.empty((2, len(steps), cfg.attention.energy_hidden))  # selection, chunk
-    d_keys = np.zeros((2, H.shape[0], cfg.attention.energy_hidden))
+    gru = nn.GruBackward(params, "dec", tuple(map(np.concatenate, zip(*(st["gates"] for st in steps)))), S[:-1])
+    acts = cache["acts"]  # (step, selection or chunk, frame, unit): the energies' tanh activations
+    slopes = (1.0 - acts * acts) * np.array([params[f"att.{kind}.v"] for kind in kinds])[:, None]
+    w_query, w_context = np.concatenate([params[f"att.{kind}.Wq"] for kind in kinds]), gru.W[:, embed:]
+    de = np.empty(acts.shape[:3])  # the gradient of each step's selection and chunk energies
+    d_query = np.empty((len(steps), 2, acts.shape[-1]))
     d_context = np.empty((len(steps), cfg.context_dim))
-    step_deltas, d_x = [None] * len(steps), [None] * len(steps)
-    ds_carry, dc_carry, dalpha_carry = np.zeros(hidden), np.zeros(cfg.context_dim), np.zeros(H.shape[0])
+    ds_carry, dc_carry, dalpha_carry = np.zeros((1, hidden)), np.zeros(cfg.context_dim), np.zeros(H.shape[0])
     for i in reversed(range(len(steps))):
-        st = steps[i]
-        ds = d_pre[i, :hidden] + ds_carry
         d_context[i] = dc = d_pre[i, hidden:] + dc_carry
-        dp, du, dalpha_carry = soft_step_backward(st["soft_cache"], dalpha_carry, H @ dc)
-        p = st["soft_cache"][0]
-        for j, (kind, de) in enumerate(zip(("sel", "chunk"), (dp * p * (1.0 - p), du))):
-            d_query[j, i], dk = energies_backward(params, kind, st["acts"][j], de, grads)
-            d_keys[j] += dk
-            ds = ds + d_query[j, i] @ params[f"att.{kind}.Wq"]
-        step_deltas[i], ds_carry = nn.gru_step_grads(params, "dec", st["gates"], S[i : i + 1], ds)
-        d_x[i] = nn.gru_input_grads(params, "dec", step_deltas[i])
-        dc_carry = d_x[i][0, embed:]
-    deltas = tuple(np.concatenate(d) for d in zip(*step_deltas))
-    nn.gru_param_grads(params, "dec", deltas, np.array([st["x"] for st in steps]), S[:-1], grads)
-    np.add.at(grads["emb.E"], [st["prev"] for st in steps], np.concatenate(d_x)[:, :embed])
+        p = steps[i]["soft_cache"][0]
+        dp, de[i, 1], dalpha_carry = soft_step_backward(steps[i]["soft_cache"], dalpha_carry, H @ dc)
+        de[i, 0] = dp * p * (1.0 - p)
+        d_query[i] = np.matmul(de[i, :, None], slopes[i])[:, 0]
+        ds_carry = gru.carry(i, i + 1, d_pre[i, :hidden] + ds_carry + d_query[i].ravel() @ w_query)
+        dc_carry = gru.gate_deltas[i] @ w_context
+    gru.param_grads(np.array([st["x"] for st in steps]), grads)
+    np.add.at(grads["emb.E"], [st["prev"] for st in steps], gru.gate_deltas @ gru.W[:, :embed])
+    grads["att.sel.r"] += de[:, 0].sum()
     dH = np.array([st["beta"] for st in steps]).T @ d_context
-    for kind, dq, dk in zip(("sel", "chunk"), d_query, d_keys):
+    for j, kind in enumerate(kinds):
+        dq, dk = d_query[:, j], np.einsum("it,ite->te", de[:, j], slopes[:, j])
+        grads[f"att.{kind}.v"] += np.einsum("it,ite->e", de[:, j], acts[:, j])
         grads[f"att.{kind}.Wq"] += dq.T @ S[1:]
         grads[f"att.{kind}.b"] += dq.sum(axis=0)
         grads[f"att.{kind}.Wk"] += dk.T @ H

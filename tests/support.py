@@ -6,6 +6,13 @@ in ``reference_gru_step_backward``, and ``reference_energies``, which takes a
 raw decoder state and multiplies every key frame by ``Wk`` on every call.
 The library computes the same values from stacked rows and projected terms;
 the references below build on these and not on the library's arithmetic.
+The backward references also give, entry by entry, the sum of the
+magnitudes of the terms each gradient sums: the scale of its rounding error
+in any order of summation, which bounds the library's.
+
+``reference_soft_step`` and ``reference_soft_step_backward`` keep the soft
+step's carry loops on numpy scalars; the library runs them on Python floats
+and must agree bit for bit.
 
 The decoder reference is the first training decoder: a per-vector forward
 pass (``reference_decoder_loss``) and a backward pass with per-step outer
@@ -47,6 +54,8 @@ from silstream.attention import (
     AttentionStepResult,
     EXHAUSTED,
     SELECT_THRESHOLD,
+    _moving_sum_back,
+    _moving_sum_fwd,
     initial_alpha,
     mocha_infer_step,
     project_keys,
@@ -113,35 +122,50 @@ def reference_gru_step(params: dict, prefix: str, x: np.ndarray, h: np.ndarray):
     return h_new, (x, h, z, r, uh, n)
 
 
-def reference_gru_step_backward(params: dict, prefix: str, cache, dh_new: np.ndarray, grads: dict):
-    """Backward through one GRU step; accumulates into grads, returns (dx, dh)."""
+def reference_gru_step_backward(params: dict, prefix: str, cache, dh_new: np.ndarray, grads: dict,
+                                magnitude: bool = False):
+    """Backward through one GRU step; accumulates into grads, returns (dx, dh).
+
+    With ``magnitude`` the step runs on absolute values: every parameter, input,
+    state and signed factor (``h - n``, ``Un @ h``) enters as its magnitude, so
+    given ``|dh_new|`` each gradient becomes the sum of the magnitudes of the
+    terms that make it up, the scale of its rounding error.
+    """
+    a = np.abs if magnitude else (lambda v: v)
     x, h, z, r, uh, n = cache
     dn = dh_new * (1.0 - z)
-    dz = dh_new * (h - n)
+    dz = dh_new * a(h - n)
     dh = dh_new * z
+    x, h = a(x), a(h)
+
+    def W(g):
+        return a(params[f"{prefix}.W{g}"])
+
+    def U(g):
+        return a(params[f"{prefix}.U{g}"])
 
     dan = dn * (1.0 - n * n)
     grads[f"{prefix}.Wn"] += np.outer(dan, x)
     grads[f"{prefix}.bn"] += dan
-    dx = params[f"{prefix}.Wn"].T @ dan
-    dr = dan * uh
+    dx = W("n").T @ dan
+    dr = dan * a(uh)
     danh = dan * r
     grads[f"{prefix}.Un"] += np.outer(danh, h)
-    dh += params[f"{prefix}.Un"].T @ danh
+    dh += U("n").T @ danh
 
     daz = dz * z * (1.0 - z)
     grads[f"{prefix}.Wz"] += np.outer(daz, x)
     grads[f"{prefix}.Uz"] += np.outer(daz, h)
     grads[f"{prefix}.bz"] += daz
-    dx += params[f"{prefix}.Wz"].T @ daz
-    dh += params[f"{prefix}.Uz"].T @ daz
+    dx += W("z").T @ daz
+    dh += U("z").T @ daz
 
     dar = dr * r * (1.0 - r)
     grads[f"{prefix}.Wr"] += np.outer(dar, x)
     grads[f"{prefix}.Ur"] += np.outer(dar, h)
     grads[f"{prefix}.br"] += dar
-    dx += params[f"{prefix}.Wr"].T @ dar
-    dh += params[f"{prefix}.Ur"].T @ dar
+    dx += W("r").T @ dar
+    dh += U("r").T @ dar
     return dx, dh
 
 
@@ -156,8 +180,9 @@ def reference_energies(params: dict, kind: str, query: np.ndarray, keys: np.ndar
     return e, (act, keys, query)
 
 
-def reference_energies_backward(params: dict, kind: str, cache, de: np.ndarray, grads: dict):
-    """Accumulate parameter grads; returns (d_query, d_keys)."""
+def reference_energies_backward(params: dict, kind: str, cache, de: np.ndarray, grads: dict, terms=None):
+    """Accumulate parameter grads; returns (d_query, d_keys). ``terms``, if
+    given, gains the magnitude of every term added into grads."""
     prefix = f"att.{kind}"
     act, keys, query = cache
     de = np.asarray(de)
@@ -169,6 +194,13 @@ def reference_energies_backward(params: dict, kind: str, cache, de: np.ndarray, 
     dsum = dpre.sum(axis=0)
     grads[f"{prefix}.Wq"] += np.outer(dsum, query)
     grads[f"{prefix}.b"] += dsum
+    if terms is not None:
+        if kind == "sel":
+            terms["att.sel.r"][0] += np.abs(de).sum()
+        terms[f"{prefix}.v"] += np.abs(de) @ np.abs(act)
+        terms[f"{prefix}.Wk"] += np.abs(dpre).T @ np.abs(keys)
+        terms[f"{prefix}.Wq"] += np.outer(np.abs(dpre).sum(axis=0), np.abs(query))
+        terms[f"{prefix}.b"] += np.abs(dpre).sum(axis=0)
     d_query = params[f"{prefix}.Wq"].T @ dsum
     d_keys = dpre @ params[f"{prefix}.Wk"]
     return d_query, d_keys
@@ -201,31 +233,85 @@ def reference_decoder_loss(cfg, params, H, reference, label_smoothing):
 
 def reference_decoder_backward(cfg, params, H, steps):
     """Gradients of ``reference_decoder_loss``, with per-step outer products.
-    Returns (grads, the gradient of ``H``)."""
-    grads = nn.zero_grads(params)
+    Returns (grads, the gradient of ``H``, terms): ``terms`` holds, entry by
+    entry, the sum of the magnitudes of the terms each gradient sums. Through
+    the GRU recurrence the magnitudes are carried back
+    (``reference_gru_step_backward``); elsewhere a step's term enters with the
+    magnitude of its value."""
+    grads, terms = nn.zero_grads(params), nn.zero_grads(params)
     scale = 1.0 / len(steps)
     dH = np.zeros_like(H)
-    ds_carry = np.zeros(cfg.decoder_hidden)
+    ds_carry, ds_terms = np.zeros(cfg.decoder_hidden), np.zeros(cfg.decoder_hidden)
     dc_carry = np.zeros(cfg.context_dim)
     dalpha_carry = np.zeros(H.shape[0])
     for st in reversed(steps):
         dlogits = (st["probs"] - st["q"]) * scale
         grads["out.W"] += np.outer(dlogits, st["pre_out"])
         grads["out.b"] += dlogits
+        dlogits_terms = (st["probs"] + st["q"]) * scale
+        terms["out.W"] += np.outer(dlogits_terms, np.abs(st["pre_out"]))
+        terms["out.b"] += dlogits_terms
         dpre = params["out.W"].T @ dlogits
+        dpre_terms = np.abs(params["out.W"]).T @ dlogits_terms
         ds = dpre[: cfg.decoder_hidden] + ds_carry
         dc = dpre[cfg.decoder_hidden :] + dc_carry
         dH += np.outer(st["beta"], dc)
         dp, du, dalpha_carry = soft_step_backward(st["soft_cache"], dalpha_carry, H @ dc)
         p = st["soft_cache"][0]
-        dq_sel, dk_sel = reference_energies_backward(params, "sel", st["sel_cache"], dp * p * (1.0 - p), grads)
-        dq_chunk, dk_chunk = reference_energies_backward(params, "chunk", st["chunk_cache"], du, grads)
+        dq_sel, dk_sel = reference_energies_backward(params, "sel", st["sel_cache"], dp * p * (1.0 - p), grads,
+                                                     terms)
+        dq_chunk, dk_chunk = reference_energies_backward(params, "chunk", st["chunk_cache"], du, grads, terms)
+        ds_terms += dpre_terms[: cfg.decoder_hidden] + np.abs(dq_sel) + np.abs(dq_chunk)
         ds += dq_sel + dq_chunk
         dH += dk_sel + dk_chunk
         dx, ds_carry = reference_gru_step_backward(params, "dec", st["gcache"], ds, grads)
+        dx_terms, ds_terms = reference_gru_step_backward(params, "dec", st["gcache"], ds_terms, terms, magnitude=True)
         grads["emb.E"][st["prev"]] += dx[: cfg.embed_dim]
+        terms["emb.E"][st["prev"]] += dx_terms[: cfg.embed_dim]
         dc_carry = dx[cfg.embed_dim :]
-    return grads, dH
+    return grads, dH, terms
+
+
+def reference_soft_step(p, u, alpha_prev, chunk_size: int):
+    """``soft_step`` with its carry loop on numpy scalars, its first form; the
+    window sums are the library's."""
+    n = len(p)
+    q = np.empty(n)
+    carry = 0.0
+    for t in range(n):
+        carry = (1.0 - p[t - 1]) * carry + alpha_prev[t] if t else alpha_prev[0]
+        q[t] = carry
+    alpha = p * q
+    if chunk_size == 1:
+        return alpha, alpha.copy(), (p, q, alpha, None, None, None, chunk_size)
+    expu = np.exp(u - (np.max(u) if n else 0.0))
+    denom = np.maximum(_moving_sum_back(expu, chunk_size), 1e-300)
+    spread = _moving_sum_fwd(alpha / denom, chunk_size)
+    return alpha, expu * spread, (p, q, alpha, expu, denom, spread, chunk_size)
+
+
+def reference_soft_step_backward(cache, d_alpha, d_beta):
+    """``soft_step_backward`` with its carry loop on numpy scalars, its first
+    form; the window sums are the library's."""
+    p, q, alpha, expu, denom, spread, w = cache
+    n = len(p)
+    d_alpha = np.array(d_alpha, dtype=np.float64)
+    if w == 1:
+        d_alpha += d_beta
+        du = np.zeros(n)
+    else:
+        d_ratio = _moving_sum_back(d_beta * expu, w)
+        d_alpha += d_ratio / denom
+        du = (d_beta * spread + _moving_sum_fwd(-d_ratio * alpha / denom / denom, w)) * expu
+    dp = d_alpha * q
+    dq = d_alpha * p
+    d_alpha_prev = np.zeros(n)
+    for t in range(n - 1, -1, -1):
+        d_alpha_prev[t] += dq[t]
+        if t:
+            dp[t - 1] -= q[t - 1] * dq[t]
+            dq[t - 1] += (1.0 - p[t - 1]) * dq[t]
+    return dp, du, d_alpha_prev
 
 
 def flatten_params(params: dict) -> np.ndarray:
@@ -424,8 +510,15 @@ def reference_encode_with_cache(params, cfg, frames):
     return np.array(current).reshape(len(current), cfg.proj), cache
 
 
-def reference_encode_backward(params, cfg, cache, d_encoded, grads) -> None:
-    """Backprop through ``reference_encode_with_cache``; accumulates into grads."""
+def reference_encode_backward(params, cfg, cache, d_encoded, grads, magnitude: bool = False) -> None:
+    """Backprop through ``reference_encode_with_cache``; accumulates into grads.
+
+    With ``magnitude`` (and ``|d_encoded|``) every step runs on absolute values
+    (``reference_gru_step_backward``), so grads gains, entry by entry, the sum
+    of the magnitudes of the terms each gradient sums: the scale of the
+    rounding error of any order of summing them.
+    """
+    a = np.abs if magnitude else (lambda v: v)
     d_outs = [np.asarray(d) for d in d_encoded]
     for k in reversed(range(cfg.num_layers)):
         n_inputs, steps = cache[k]
@@ -435,10 +528,10 @@ def reference_encode_backward(params, cfg, cache, d_encoded, grads) -> None:
         for j in reversed(range(len(steps))):
             gru_cache, h = steps[j]
             dout = d_outs[j]
-            grads[f"enc{k}.P"] += np.outer(dout, h)
+            grads[f"enc{k}.P"] += np.outer(dout, a(h))
             grads[f"enc{k}.pb"] += dout
-            dh = params[f"enc{k}.P"].T @ dout + dh_carry
-            dx, dh_carry = reference_gru_step_backward(params, f"enc{k}", gru_cache, dh, grads)
+            dh = a(params[f"enc{k}.P"]).T @ dout + dh_carry
+            dx, dh_carry = reference_gru_step_backward(params, f"enc{k}", gru_cache, dh, grads, magnitude)
             d_inputs[2 * j] += dx[:in_dim]
             d_inputs[min(2 * j + 1, n_inputs - 1)] += dx[in_dim:]
         d_outs = d_inputs

@@ -287,7 +287,7 @@ def test_criterion_6_remedy_exactness():
     passed("criterion 6", f"{matches} online/offline matches across 3 batch sizes, {elapsed:.1f}s")
 
 
-# --- criterion 8 and 7 use the trained models (see TestTrainedModels below) ----
+# --- criteria 7 and 8 need trained models and do not exist yet (ROADMAP item 1) ---
 
 # --- criterion 9: CPL tooling ---------------------------------------------------
 

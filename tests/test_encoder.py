@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from silstream.encoder import EncoderConfig, PyramidalEncoder, encode_with_cache, init_encoder_params
+from silstream import nn
+from silstream.encoder import (EncoderConfig, PyramidalEncoder, _blocks, encode_backward, encode_with_cache,
+                              init_encoder_params)
 
 from support import encode
 
@@ -151,3 +153,41 @@ def test_cached_encode_lengths_must_split_the_frames(toy):
         with pytest.raises(ValueError):
             encode_with_cache(params, cfg, frames, lengths)
 
+
+
+class CountedProducts(np.ndarray):
+    """A weight matrix that counts the products taken with it on its right."""
+
+    products = 0
+
+    def __rmatmul__(self, other):
+        CountedProducts.products += 1
+        return np.matmul(other, self.view(np.ndarray))
+
+
+def test_backward_recomputes_gates_once_per_block_and_takes_one_product_per_step(toy, monkeypatch):
+    cfg, _, params = toy
+    rng = np.random.default_rng(4)
+    lengths = [37, 0, 5, 64, 12, 64, 1, 30]
+    encoded, cache = encode_with_cache(params, cfg, rng.normal(size=(sum(lengths), cfg.input_dim)), lengths)
+    steps_calls, init = [], nn.GruBackward.__init__
+
+    def counting_steps(*args):
+        steps_calls.append(1)
+        return gru_steps(*args)
+
+    def counting_init(self, *args):
+        init(self, *args)
+        self.U = self.U.view(CountedProducts)
+
+    gru_steps = nn.gru_steps
+    monkeypatch.setattr(nn, "gru_steps", counting_steps)
+    monkeypatch.setattr(nn.GruBackward, "__init__", counting_init)
+    CountedProducts.products = 0
+    encode_backward(params, cfg, cache, rng.normal(size=encoded.shape), nn.zero_grads(params))
+    blocks = steps = 0
+    for layer in cache.layers:
+        rows = len(layer.h) - len(layer.prev)
+        blocks += len(_blocks(layer.starts, rows))
+        steps += len(layer.starts) - 1
+    assert len(steps_calls) <= blocks and CountedProducts.products == steps

@@ -6,9 +6,15 @@ policy, whose display log must equal the display rebuilt from scratch. Also
 the minibatch encoder against per-utterance streaming and the per-step
 reference, the trainer's decoder step against the per-vector references,
 ``nn.sigmoid``, ``nn.softmax`` and ``nn.gru_steps`` against their first
-forms, the scan's energy crossing against the first selection of the
-probabilities, and the encoder's one-row step indices against the general
-ones."""
+forms, ``nn.GruBackward`` against the per-row reference step backward, the
+soft step's Python-float carry loops against their numpy-scalar form, the
+scan's energy crossing against the first selection of the probabilities,
+and the encoder's one-row step indices against the general ones.
+
+Gradients summed in another order than the reference's are bounded entry by
+entry by 1e-12 times the sum of the magnitudes of the terms they sum
+(``magnitude`` in the reference backward passes): a gradient that cancels
+far below its terms carries their rounding, whatever the order."""
 import functools
 import math
 from types import SimpleNamespace
@@ -26,6 +32,8 @@ from silstream.attention import (
     first_crossing,
     project_keys,
     project_queries,
+    soft_step,
+    soft_step_backward,
 )
 from silstream.data import Alignment, Segment
 from silstream.decoder import EOS_POLICIES, BeamConfig, EncodedBuffer, decode_step, initial_hypothesis
@@ -56,10 +64,13 @@ from support import (
     reference_encoded_owners,
     reference_energies,
     reference_gru_step,
+    reference_gru_step_backward,
     reference_mocha_step,
     reference_oracle_step,
     reference_segment_spans,
     reference_sigmoid,
+    reference_soft_step,
+    reference_soft_step_backward,
     reference_softmax,
     reference_start,
 )
@@ -191,6 +202,8 @@ class TestMinibatchEncoderMatchesReference:
     @given(seed=st.integers(0, 2**31 - 1), layers=st.integers(1, 3),
            lengths=st.lists(st.integers(0, 37), min_size=1, max_size=8),
            sizes=st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    # hidden 1: enc0.bz cancels to 1.4e-5, 7e-12 of its largest entry but 2e-16 of its terms
+    @example(seed=230, layers=2, lengths=[17, 3, 23, 34, 26, 31, 37, 17], sizes=[1])
     def test_rows_equal_streamed_utterances_and_gradients_their_sum(self, seed, layers, lengths, sizes):
         rng = np.random.default_rng(seed)
         cfg = EncoderConfig(num_layers=layers, input_dim=int(rng.integers(1, 6)),
@@ -200,7 +213,7 @@ class TestMinibatchEncoderMatchesReference:
         encoded, cache = encode_with_cache(params, cfg, np.concatenate(utts), lengths)
         d_encoded = rng.normal(size=encoded.shape)
         encoder = PyramidalEncoder(cfg, params)
-        want = nn.zero_grads(params)
+        want, terms = nn.zero_grads(params), nn.zero_grads(params)
         end = 0
         for frames in utts:
             state, pieces, lo = encoder.reset(), [], 0
@@ -213,17 +226,19 @@ class TestMinibatchEncoderMatchesReference:
             rows = slice(end, end + len(streamed))
             assert np.array_equal(encoded[rows], streamed) and np.array_equal(streamed, alone)
             reference_encode_backward(params, cfg, ref_cache, d_encoded[rows], want)
+            reference_encode_backward(params, cfg, ref_cache, np.abs(d_encoded[rows]), terms, magnitude=True)
             end += len(streamed)
         assert end == len(encoded) and list(cache.lengths) == [(n + 2**layers - 1) // 2**layers for n in lengths]
         got = nn.zero_grads(params)
         encode_backward(params, cfg, cache, d_encoded, got)
-        for k in want:
-            assert np.abs(got[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), k
+        for k in want:  # each entry within 1e-12 of the magnitudes of the terms it sums
+            assert within(got[k], want[k], terms[k]), k
 
 
 def within(got, want, scale=None) -> bool:
-    """Every entry within 1e-12 of ``scale``, by default the largest magnitude of ``want``."""
-    return np.abs(got - want).max() <= 1e-12 * (np.abs(want).max() if scale is None else scale)
+    """Every entry within 1e-12 of ``scale`` (a number, or one per entry), by
+    default the largest magnitude of ``want``."""
+    return bool(np.all(np.abs(got - want) <= 1e-12 * (np.abs(want).max() if scale is None else scale)))
 
 
 class TestTrainerDecoderMatchesReference:
@@ -248,22 +263,24 @@ class TestTrainerDecoderMatchesReference:
         for i, step in enumerate(cache["steps"]):
             assert np.array_equal(S[i + 1], reference_gru_step(params, "dec", step["x"], S[i])[0])
             queries = project_queries(params, S[i + 1][None])
-            for kind, query, keys, act in zip(("sel", "chunk"), queries, project_keys(params, H), step["acts"]):
+            for kind, query, keys, act in zip(("sel", "chunk"), queries, project_keys(params, H), cache["acts"][i]):
                 e, got_act = energies(params, kind, query[0], keys)
                 assert np.array_equal(got_act, act)
                 assert within(e, reference_energies(params, kind, S[i + 1], H)[0])
 
         want_loss, steps = reference_decoder_loss(cfg, params, H, ref, tcfg.label_smoothing)
-        want, want_dH = reference_decoder_backward(cfg, params, H, steps)
+        want, want_dH, terms = reference_decoder_backward(cfg, params, H, steps)
         assert math.isclose(loss, want_loss, rel_tol=1e-12, abs_tol=0.0)
         assert within(cache["dH"], want_dH)
-        # relative to the largest gradient of the tensor's group: a bias or offset
-        # gradient sums terms of both signs and can cancel to far below them
+        # each entry within 1e-12 of the larger of its group's largest gradient (the
+        # reference sums the energies' terms in another order, which perturbs every
+        # gradient on that scale) and the magnitudes of the terms it sums (a tensor
+        # whose terms have both signs can cancel far below them)
         scale = {}
         for k, g in want.items():
             scale[group_of(k)] = max(scale.get(group_of(k), 0.0), np.abs(g).max())
         for k in want:
-            assert within(got[k], want[k], scale[group_of(k)]), k
+            assert within(got[k], want[k], np.maximum(terms[k], scale[group_of(k)])), k
 
 
 class TestSigmoidMatchesReference:
@@ -349,6 +366,92 @@ class TestGruStepsMatchReference:
             assert np.array_equal(H_new[i], h_new)
             for got, want in zip(gates, (z, r, uh, n)):
                 assert np.array_equal(got[i], want)
+
+
+SOFT_VALUE = st.one_of(st.floats(0.0, 1.0), st.floats(-60.0, 60.0), st.just(float("nan")), st.just(-0.0))
+
+
+class TestSoftStepMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 24), chunk_size=st.integers(1, 5), data=st.data())
+    def test_carry_on_python_floats_bit_identical_to_numpy_scalars(self, n, chunk_size, data):
+        p, u, alpha_prev, d_alpha, d_beta = (
+            np.array(data.draw(st.lists(SOFT_VALUE, min_size=n, max_size=n)), dtype=np.float64) for _ in range(5))
+        with np.errstate(all="ignore"):  # NaN and overflow cases are compared too
+            got, want = soft_step(p, u, alpha_prev, chunk_size), reference_soft_step(p, u, alpha_prev, chunk_size)
+            for g, w in zip(got[:2] + got[2][:6], want[:2] + want[2][:6]):
+                assert (g is None and w is None) or np.array_equal(bits(g), bits(w))
+            got_back = soft_step_backward(got[2], d_alpha, d_beta)
+            want_back = reference_soft_step_backward(want[2], d_alpha, d_beta)
+        for g, w in zip(got_back, want_back):
+            assert np.array_equal(bits(g), bits(w))
+
+
+class TestGruBackwardMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), hidden=st.integers(1, 11),
+           lengths=st.lists(st.integers(1, 10), min_size=1, max_size=8), block=st.integers(1, 10))
+    @example(seed=0, hidden=5, lengths=[7], block=10)  # the decoder's one row, all steps in one run
+    def test_deltas_and_carried_gradients(self, seed, hidden, lengths, block):
+        """Rows alive at a step are a prefix of those alive at the step before (the
+        encoder's packing); each block of ``block`` steps gets its own kernel, so
+        rows end mid-block and the carry crosses blocks."""
+        rng = np.random.default_rng(seed)
+        in_dim, lengths = int(rng.integers(1, 7)), sorted(lengths, reverse=True)
+        params = {}
+        nn.init_gru(params, "g", in_dim, hidden, rng)
+        params = {k: rng.normal(0.0, 1.0, size=v.shape) for k, v in params.items()}
+        alive = [sum(n > i for n in lengths) for i in range(lengths[0])]
+        X, H, gates, h = [], [], [], np.tanh(rng.normal(size=(len(lengths), hidden)))
+        for m in alive:
+            X.append(rng.normal(size=(m, in_dim)))
+            H.append(h[:m])
+            h, g = nn.gru_steps(params, "g", nn.gru_inputs(params, "g", X[-1]), H[-1])
+            gates.append(g)
+        d_new = [rng.normal(size=(m, hidden)) for m in alive]  # each new state's own gradient
+
+        # the reference: one row at a time, and the magnitudes of the terms of each value
+        want = {key: [None] * len(alive) for key in ("deltas", "dh", "dx")}
+        scale = {key: [None] * len(alive) for key in want}
+        want_grads, terms = nn.zero_grads(params), nn.zero_grads(params)
+        dh, dh_terms = np.zeros((len(lengths), hidden)), np.zeros((len(lengths), hidden))
+        for i in reversed(range(len(alive))):
+            for key in want:
+                want[key][i], scale[key][i] = [], []
+            for row in range(alive[i]):
+                cache = (X[i][row], H[i][row], *(g[row] for g in gates[i]))
+                for values, out, grad_in, total, magnitude in (
+                        (want, dh, dh[row] + d_new[i][row], want_grads, False),
+                        (scale, dh_terms, dh_terms[row] + np.abs(d_new[i][row]), terms, True)):
+                    step = nn.zero_grads(params)
+                    dx, out[row] = reference_gru_step_backward(params, "g", cache, grad_in, step, magnitude)
+                    for k in total:
+                        total[k] += step[k]
+                    values["deltas"][i].append(np.concatenate([step["g.Un"].ravel(), step["g.bz"], step["g.br"],
+                                                               step["g.bn"]]))
+                    values["dh"][i].append(out[row].copy())
+                    values["dx"][i].append(dx)
+
+        got_grads, carry, first = nn.zero_grads(params), np.zeros((0, hidden)), list(range(0, len(alive), block))
+        for lo in reversed(first):
+            steps = range(lo, min(lo + block, len(alive)))
+            starts = np.cumsum([0] + [alive[i] for i in steps])
+            gru = nn.GruBackward(params, "g", tuple(np.concatenate(g) for g in zip(*(gates[i] for i in steps))),
+                                 np.concatenate([H[i] for i in steps]))
+            for i in reversed(steps):
+                a, b = starts[i - lo], starts[i - lo + 1]
+                dh_new = d_new[i].copy()
+                dh_new[: len(carry)] += carry
+                carry = gru.carry(a, b, dh_new)
+                duh = gru.deltas[a:b, hidden : 2 * hidden]  # the gradient of Un @ h
+                got = np.concatenate([(duh[:, :, None] * H[i][:, None, :]).reshape(b - a, -1),
+                                      gru.gate_deltas[a:b]], axis=1)
+                assert within(got, np.array(want["deltas"][i]), np.array(scale["deltas"][i]))
+                assert within(carry, np.array(want["dh"][i]), np.array(scale["dh"][i]))
+                assert within((gru.gate_deltas @ gru.W)[a:b], np.array(want["dx"][i]), np.array(scale["dx"][i]))
+            gru.param_grads(np.concatenate([X[i] for i in steps]), got_grads)
+        for k in want_grads:
+            assert within(got_grads[k], want_grads[k], terms[k]), k
 
 
 class TestOneRowEncoderEntries:

@@ -36,6 +36,32 @@ def tiny_example(seed=11, frames=12):
 NO_NOISE = TrainConfig(scheduled_sampling=0.0, selection_noise_std=0.0)
 
 
+class TestTrainConfigValidation:
+    # each of these trained before: batch 0 raised from range(), batch -2 trained on
+    # nothing and reported loss nan without divergence, a NaN rate gave NaN params
+    def test_batch_size_at_least_one(self):
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="batch_size"):
+                TrainConfig(batch_size=bad)
+        assert TrainConfig(batch_size=1).batch_size == 1
+
+    def test_epochs_not_negative(self):
+        with pytest.raises(ValueError, match="epochs"):
+            TrainConfig(epochs=-1)
+        assert TrainConfig(epochs=0).epochs == 0
+
+    def test_learning_rate_finite_and_positive(self):
+        for bad in (0.0, -0.05, math.nan, math.inf):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=bad)
+
+    def test_momentum_in_unit_interval(self):
+        for bad in (-0.1, 1.0, math.nan):
+            with pytest.raises(ValueError, match="momentum"):
+                TrainConfig(momentum=bad)
+        assert TrainConfig(momentum=0.0).momentum == 0.0
+
+
 class TestSmoothedTargets:
     def test_spec_arithmetic(self):
         q = smoothed_targets(0, 4, 0.2)

@@ -1,0 +1,109 @@
+"""A/B runs of the benchmark: a git revision against the working tree.
+
+    python3 tools/bench_ab.py --rev HEAD --workload train_epoch --seed 1 --pairs 10
+
+The revision is unpacked with ``git archive`` into a temporary directory. Each
+pair runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once
+in that checkout and once in the working tree, one process at a time,
+alternating which side runs first. For every end-to-end metric declared in
+the working tree's BENCHMARK.json it prints each side's median [quartiles],
+the relative change of the medians, the pairs the working tree wins (ties
+count for neither side), and whether a gain is shown: at least nine tenths
+of the pairs won and medians further apart than the revision's quartile
+spread. It ends with each side's correct runs and failed operations.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def unpack(rev: str, dest: str) -> None:
+    archive = subprocess.Popen(["git", "-C", ROOT, "archive", "--format=tar", rev], stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise SystemExit(f"git archive {rev} failed")
+
+
+def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run; its final JSON line, or a failed run if it printed none."""
+    cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def compare(metric: dict, old: list[dict], new: list[dict]) -> str:
+    name, lower = metric["name"], metric["better"] == "lower"
+    pairs = [(o["metrics"][name]["value"], n["metrics"][name]["value"]) for o, n in zip(old, new)
+             if name in o["metrics"] and name in n["metrics"]]
+    if not pairs:
+        return f"{name:12s} (missing)"
+    (oq1, om, oq3), (nq1, nm, nq3) = quartiles([o for o, _ in pairs]), quartiles([n for _, n in pairs])
+    wins = sum((n < o) if lower else (n > o) for o, n in pairs)
+    change = (nm - om) / om if om else float("nan")
+    gain = wins >= 0.9 * len(pairs) and abs(nm - om) > oq3 - oq1
+    old_cell, new_cell = f"{om:.4g} [{oq1:.4g}, {oq3:.4g}]", f"{nm:.4g} [{nq1:.4g}, {nq3:.4g}]"
+    return (f"{name:12s} {metric['unit']:5s} {old_cell:>30s}   {new_cell:>30s}   {change:+7.1%}"
+            f"   {wins:>2d}/{len(pairs):<2d}  {'yes' if gain else 'no'}")
+
+
+def main(argv=None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+        bench = json.load(f)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rev", default="HEAD", help="the git revision to compare the working tree against")
+    parser.add_argument("--workload", action="append", choices=[w["name"] for w in bench["workloads"]],
+                        help="repeat for several (default: every workload)")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
+    parser.add_argument("--workdir", default=None, help="where to unpack the revision (default: the system temp)")
+    args = parser.parse_args(argv)
+    sha = subprocess.run(["git", "-C", ROOT, "rev-parse", "--short", args.rev], stdout=subprocess.PIPE,
+                         text=True, check=True).stdout.strip()
+    with tempfile.TemporaryDirectory(dir=args.workdir) as checkout:
+        unpack(args.rev, checkout)
+        for workload in args.workload or [w["name"] for w in bench["workloads"]]:
+            runs: dict[str, list[dict]] = {"rev": [], "tree": []}
+            for i in range(args.pairs):
+                order = ("rev", "tree") if i % 2 == 0 else ("tree", "rev")
+                for side in order:
+                    result = run(checkout if side == "rev" else ROOT, workload, args.seed, args.seconds)
+                    runs[side].append(result)
+                    rtf = result["metrics"].get("rtf", {}).get("value", float("nan"))
+                    print(f"# pair {i + 1} {side:4s} rtf={rtf:.5g} correct={result['correct']}", file=sys.stderr)
+            print(f"\n{workload} seed={args.seed} pairs={args.pairs} seconds={args.seconds:g}: "
+                  f"rev {args.rev} ({sha}) against the working tree")
+            print(f"{'metric':12s} {'unit':5s} {'rev median [q1, q3]':>30s}   {'tree median [q1, q3]':>30s}"
+                  f"   {'change':>7s}   wins   gain")
+            for metric in bench["end_to_end"]:
+                print(compare(metric, runs["rev"], runs["tree"]))
+            for side in ("rev", "tree"):
+                correct = sum(r["correct"] for r in runs[side])
+                failed, attempted = (sum(r[k] for r in runs[side]) for k in ("failed", "attempted"))
+                print(f"{side:4s}: {correct}/{len(runs[side])} runs correct, {failed}/{attempted} operations failed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
