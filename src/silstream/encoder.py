@@ -14,12 +14,12 @@ time-major with its rows sorted longest first: step i holds one entry for
 each row longer than i, so the rows alive at a step are a prefix of those
 alive at the step before, and a row that has ended takes no memory or work.
 
-The routine works through blocks of steps of about ``BLOCK_ENTRIES``
-entries: it projects every input pair of a block through the input weights
-at once, steps the recurrence over the block, then projects the block's new
-states. ``encode_backward`` goes back over the same blocks: it recomputes a
-block's gates in one call, steps back with ``nn.GruBackward`` (one product
-per step) and takes each weight gradient as one product over the block.
+The routine works through blocks of about ``BLOCK_ENTRIES`` entries: one
+gate-batched product projects a block's input pairs through the gate-stacked
+input weights, one per step gives the recurrent terms, and one projects the
+block's new states. ``encode_backward`` recomputes a block's gates in one
+call, steps back with ``nn.GruBackward`` (one product per step) and takes
+each weight gradient as one product over the block.
 Blocks bound the memory of a long push or a minibatch, the backward's
 included; the results do not depend on them, except for the order in which
 gradients are summed.
@@ -65,6 +65,15 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator, params: di
         params[f"enc{k}.P"] = nn.glorot(rng, cfg.proj, cfg.hidden)
         params[f"enc{k}.pb"] = np.zeros(cfg.proj)
     return params
+
+
+def encoder_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every encoder tensor."""
+    shapes = {}
+    for k in range(cfg.num_layers):
+        shapes.update(nn.gru_shapes(f"enc{k}", cfg.layer_input_dim(k), cfg.hidden))
+        shapes.update({f"enc{k}.P": (cfg.proj, cfg.hidden), f"enc{k}.pb": (cfg.proj,)})
+    return shapes
 
 
 BLOCK_ENTRIES = 64  # a block is BLOCK_ENTRIES // rows steps (at least one)
@@ -149,16 +158,7 @@ class PyramidalEncoder:
     def __init__(self, cfg: EncoderConfig, params: dict):
         self.cfg = cfg
         self.params = params
-        self._check_shapes()
-
-    def _check_shapes(self):
-        for k in range(self.cfg.num_layers):
-            want = (self.cfg.hidden, self.cfg.layer_input_dim(k))
-            got = self.params[f"enc{k}.Wz"].shape
-            if got != want:
-                raise ValueError(f"enc{k}.Wz has shape {got}, config wants {want}")
-            if self.params[f"enc{k}.P"].shape != (self.cfg.proj, self.cfg.hidden):
-                raise ValueError(f"enc{k}.P shape mismatch")
+        nn.check_shapes({k: v for k, v in params.items() if k.startswith("enc")}, encoder_shapes(cfg))
 
     def _check_frames(self, frames) -> np.ndarray:
         frames = np.asarray(frames, dtype=np.float64)
@@ -202,10 +202,9 @@ class PyramidalEncoder:
         before = 0  # where the rows' previous states begin in hs
         for bounds in _blocks(starts, rows):
             lo, hi = bounds[0], bounds[-1]
-            wz, wr, wn = nn.gru_inputs(p, pre, _pairs(x, left[lo:hi], right[lo:hi]))
+            wx = nn.gru_inputs(p, pre, _pairs(x, left[lo:hi], right[lo:hi]))
             for a, b in zip(bounds[:-1], bounds[1:]):
-                terms = (wz[a - lo : b - lo], wr[a - lo : b - lo], wn[a - lo : b - lo])
-                h = nn.gru_steps(p, pre, terms, hs[before : before + b - a])[0]
+                h = nn.gru_steps(p, pre, wx[:, a - lo : b - lo], hs[before : before + b - a])[0]
                 hs[rows + a : rows + b] = last[: b - a] = h
                 before = rows + a
             out[lo:hi] = nn.matvecs(p[f"{pre}.P"], hs[rows + lo : rows + hi]) + p[f"{pre}.pb"]

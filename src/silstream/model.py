@@ -37,10 +37,10 @@ from .attention import (
     project_keys,
     project_queries,
 )
-from .encoder import EncoderConfig, PyramidalEncoder, init_encoder_params
+from .encoder import EncoderConfig, PyramidalEncoder, encoder_shapes, init_encoder_params
 from .vocab import Vocab
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,7 @@ class NeuralModel:
     """Wraps a parameter dict behind the shared decoding interface."""
 
     def __init__(self, cfg: ModelConfig, params: dict, vocab: Vocab, silence_aware: bool = False):
-        for name, want in _param_shapes(cfg, vocab.size).items():
-            if name not in params:
-                raise ValueError(f"missing tensor {name}")
-            if params[name].shape != want:
-                raise ValueError(f"{name} has shape {params[name].shape}, config and vocabulary want {want}")
+        nn.check_shapes(params, _param_shapes(cfg, vocab.size))
         self.cfg = cfg
         self.params = params
         self.vocab = vocab
@@ -176,9 +172,7 @@ def _param_shapes(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...
     for kind in ("sel", "chunk"):
         shapes.update({f"att.{kind}.Wq": (a, h), f"att.{kind}.Wk": (a, cfg.context_dim),
                        f"att.{kind}.b": (a,), f"att.{kind}.v": (a,)})
-    for g in nn.GRU_GATES:
-        shapes.update({f"dec.W{g}": (h, cfg.decoder_input_dim), f"dec.U{g}": (h, h), f"dec.b{g}": (h,)})
-    return shapes
+    return shapes | nn.gru_shapes("dec", cfg.decoder_input_dim, h) | encoder_shapes(cfg.encoder)
 
 
 def _checkpoint_body(model: NeuralModel) -> dict:

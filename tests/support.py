@@ -112,12 +112,17 @@ def add_grads(total: dict, part: dict, scale: float = 1.0) -> None:
         total[k] += scale * v
 
 
+Z, R, N = range(3)  # the gates' places in a gate-stacked GRU tensor
+
+
 def reference_gru_step(params: dict, prefix: str, x: np.ndarray, h: np.ndarray):
-    """One GRU step. Returns (h_new, cache) with everything backward needs."""
-    z = reference_sigmoid(params[f"{prefix}.Wz"] @ x + params[f"{prefix}.Uz"] @ h + params[f"{prefix}.bz"])
-    r = reference_sigmoid(params[f"{prefix}.Wr"] @ x + params[f"{prefix}.Ur"] @ h + params[f"{prefix}.br"])
-    uh = params[f"{prefix}.Un"] @ h
-    n = np.tanh(params[f"{prefix}.Wn"] @ x + r * uh + params[f"{prefix}.bn"])
+    """One GRU step, one matrix-vector product per gate and weight. Returns
+    (h_new, cache) with everything backward needs."""
+    W, U, b = (params[f"{prefix}.{t}"] for t in "WUb")
+    z = reference_sigmoid(W[Z] @ x + U[Z] @ h + b[Z])
+    r = reference_sigmoid(W[R] @ x + U[R] @ h + b[R])
+    uh = U[N] @ h
+    n = np.tanh(W[N] @ x + r * uh + b[N])
     h_new = (1.0 - z) * n + z * h
     return h_new, (x, h, z, r, uh, n)
 
@@ -127,7 +132,7 @@ def reference_gru_step_backward(params: dict, prefix: str, cache, dh_new: np.nda
     """Backward through one GRU step; accumulates into grads, returns (dx, dh).
 
     With ``magnitude`` the step runs on absolute values: every parameter, input,
-    state and signed factor (``h - n``, ``Un @ h``) enters as its magnitude, so
+    state and signed factor (``h - n``, ``U[n] @ h``) enters as its magnitude, so
     given ``|dh_new|`` each gradient becomes the sum of the magnitudes of the
     terms that make it up, the scale of its rounding error.
     """
@@ -138,34 +143,31 @@ def reference_gru_step_backward(params: dict, prefix: str, cache, dh_new: np.nda
     dh = dh_new * z
     x, h = a(x), a(h)
 
-    def W(g):
-        return a(params[f"{prefix}.W{g}"])
-
-    def U(g):
-        return a(params[f"{prefix}.U{g}"])
+    W, U = a(params[f"{prefix}.W"]), a(params[f"{prefix}.U"])
+    dW, dU, db = (grads[f"{prefix}.{t}"] for t in "WUb")  # gate g's gradient is the view dW[g]
 
     dan = dn * (1.0 - n * n)
-    grads[f"{prefix}.Wn"] += np.outer(dan, x)
-    grads[f"{prefix}.bn"] += dan
-    dx = W("n").T @ dan
+    dW[N] += np.outer(dan, x)
+    db[N] += dan
+    dx = W[N].T @ dan
     dr = dan * a(uh)
     danh = dan * r
-    grads[f"{prefix}.Un"] += np.outer(danh, h)
-    dh += U("n").T @ danh
+    dU[N] += np.outer(danh, h)
+    dh += U[N].T @ danh
 
     daz = dz * z * (1.0 - z)
-    grads[f"{prefix}.Wz"] += np.outer(daz, x)
-    grads[f"{prefix}.Uz"] += np.outer(daz, h)
-    grads[f"{prefix}.bz"] += daz
-    dx += W("z").T @ daz
-    dh += U("z").T @ daz
+    dW[Z] += np.outer(daz, x)
+    dU[Z] += np.outer(daz, h)
+    db[Z] += daz
+    dx += W[Z].T @ daz
+    dh += U[Z].T @ daz
 
     dar = dr * r * (1.0 - r)
-    grads[f"{prefix}.Wr"] += np.outer(dar, x)
-    grads[f"{prefix}.Ur"] += np.outer(dar, h)
-    grads[f"{prefix}.br"] += dar
-    dx += W("r").T @ dar
-    dh += U("r").T @ dar
+    dW[R] += np.outer(dar, x)
+    dU[R] += np.outer(dar, h)
+    db[R] += dar
+    dx += W[R].T @ dar
+    dh += U[R].T @ dar
     return dx, dh
 
 

@@ -132,6 +132,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             PyramidalEncoder(other, params)
 
+    def test_every_encoder_tensor_checked(self):
+        cfg = EncoderConfig(num_layers=1, input_dim=3, hidden=8, proj=4)
+        params = init_encoder_params(cfg, np.random.default_rng(11))
+        for name, bad in (("enc0.U", np.zeros((3, 8, 9))), ("enc0.b", np.zeros(8)), ("enc0.pb", np.zeros(5)),
+                          ("enc1.W", np.zeros((3, 8, 8)))):  # enc1.W: a layer the config does not have
+            with pytest.raises(ValueError, match=name):
+                PyramidalEncoder(cfg, dict(params, **{name: bad}))
+
 
 def test_determinism(toy):
     cfg, enc, _ = toy

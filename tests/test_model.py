@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -35,11 +37,26 @@ class TestNeuralModelInterface:
         with pytest.raises(ValueError):
             NeuralModel(cfg, params, VOCAB)
 
-    @pytest.mark.parametrize("name, shape", [("att.chunk.Wk", (6, 9)), ("dec.Uz", (10, 11))])
-    def test_bad_attention_or_decoder_shape_rejected(self, model, name, shape):
+    # one tensor of each kind: every GRU tensor of the encoder and the decoder, the encoder's
+    # output projection, every attention tensor, the embedding and the output layer
+    @pytest.mark.parametrize("name", ["att.chunk.Wk", "dec.U", "dec.W", "dec.b", "enc0.W", "enc0.U", "enc1.b",
+                                      "enc1.P", "enc0.pb", "att.sel.Wq", "att.sel.b", "att.sel.v", "att.sel.r",
+                                      "emb.E", "out.W", "out.b"])
+    def test_bad_attention_or_decoder_shape_rejected(self, model, name):
         params = dict(model.params)
-        params[name] = np.zeros(shape)
-        with pytest.raises(ValueError, match=name):
+        shape = params[name].shape
+        bad = shape[:-1] + (shape[-1] + 1,)
+        params[name] = np.zeros(bad)
+        with pytest.raises(ValueError, match=re.escape(f"expected [('{name}', {shape})], given [('{name}', {bad})]")):
+            NeuralModel(model.cfg, params, VOCAB)
+
+    def test_missing_or_unknown_tensor_rejected(self, model):
+        params = dict(model.params)
+        del params["enc1.U"]
+        with pytest.raises(ValueError, match=re.escape("expected [('enc1.U', (3, 12, 12))], given []")):
+            NeuralModel(model.cfg, params, VOCAB)
+        params = dict(model.params, **{"enc0.Uz": np.zeros((12, 12))})  # a version-1 name
+        with pytest.raises(ValueError, match=re.escape("expected [], given [('enc0.Uz', (12, 12))]")):
             NeuralModel(model.cfg, params, VOCAB)
 
     def test_step_distribution_normalized(self, model):
@@ -92,7 +109,32 @@ def test_gru_steps_squash_z_and_r_with_one_sigmoid(monkeypatch):
 
     monkeypatch.setattr(nn, "sigmoid", counting)
     nn.gru_steps(params, "g", nn.gru_inputs(params, "g", rng.normal(size=(8, 4))), rng.normal(size=(8, 6)))
-    assert calls == [(16, 6)]
+    assert calls == [(2, 8, 6)]
+
+
+class CountedProducts(np.ndarray):
+    """A weight tensor that records how many of its entries each product takes."""
+
+    sizes: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountedProducts.sizes += [x.size for x in inputs if isinstance(x, CountedProducts)]
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, CountedProducts) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("rows", [1, 8])
+def test_gru_steps_take_one_gate_batched_recurrent_product(rows):
+    rng = np.random.default_rng(3)
+    params = {}
+    nn.init_gru(params, "g", 4, 6, rng)
+    wx, H = nn.gru_inputs(params, "g", rng.normal(size=(rows, 4))), rng.normal(size=(rows, 6))
+    want = nn.gru_steps(params, "g", wx, H)[0]
+    params["g.U"] = params["g.U"].view(CountedProducts)
+    CountedProducts.sizes = []
+    got = nn.gru_steps(params, "g", wx, H)[0]
+    assert CountedProducts.sizes == [3 * 6 * 6] and np.array_equal(np.asarray(got), want)  # all of U at once
 
 
 def test_nn_log_softmax_normalizes():

@@ -6,8 +6,9 @@ policy, whose display log must equal the display rebuilt from scratch. Also
 the minibatch encoder against per-utterance streaming and the per-step
 reference, the trainer's decoder step against the per-vector references,
 ``nn.sigmoid``, ``nn.softmax`` and ``nn.gru_steps`` against their first
-forms, ``nn.GruBackward`` against the per-row reference step backward, the
-soft step's Python-float carry loops against their numpy-scalar form, the
+forms, the gate-batched GRU products against per-gate ``nn.matvecs``,
+``nn.GruBackward`` against the per-row reference step backward, the soft
+step's Python-float carry loops against their numpy-scalar form, the
 scan's energy crossing against the first selection of the probabilities,
 and the encoder's one-row step indices against the general ones.
 
@@ -202,7 +203,7 @@ class TestMinibatchEncoderMatchesReference:
     @given(seed=st.integers(0, 2**31 - 1), layers=st.integers(1, 3),
            lengths=st.lists(st.integers(0, 37), min_size=1, max_size=8),
            sizes=st.lists(st.integers(1, 9), min_size=1, max_size=4))
-    # hidden 1: enc0.bz cancels to 1.4e-5, 7e-12 of its largest entry but 2e-16 of its terms
+    # hidden 1: the z gate's enc0.b cancels to 1.4e-5, 7e-12 of its largest entry but 2e-16 of its terms
     @example(seed=230, layers=2, lengths=[17, 3, 23, 34, 26, 31, 37, 17], sizes=[1])
     def test_rows_equal_streamed_utterances_and_gradients_their_sum(self, seed, layers, lengths, sizes):
         rng = np.random.default_rng(seed)
@@ -368,6 +369,22 @@ class TestGruStepsMatchReference:
                 assert np.array_equal(got[i], want)
 
 
+class TestGateBatchedProductsMatchPerGate:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), scale=st.floats(0.1, 30.0))
+    def test_bit_identical_to_per_gate_matvecs_for_every_size(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        for in_dim in range(1, 17):
+            for hidden in range(1, 17):
+                M = rng.normal(0.0, scale, size=(3, hidden, in_dim))
+                for rows in (1, 8):
+                    X = rng.normal(size=(rows, in_dim))
+                    got = nn.matvecs(M, X)
+                    assert got.shape == (3, rows, hidden)
+                    for g in range(3):
+                        assert np.array_equal(got[g], nn.matvecs(M[g].copy(), X)), (in_dim, hidden, rows, g)
+
+
 SOFT_VALUE = st.one_of(st.floats(0.0, 1.0), st.floats(-60.0, 60.0), st.just(float("nan")), st.just(-0.0))
 
 
@@ -427,8 +444,7 @@ class TestGruBackwardMatchesReference:
                     dx, out[row] = reference_gru_step_backward(params, "g", cache, grad_in, step, magnitude)
                     for k in total:
                         total[k] += step[k]
-                    values["deltas"][i].append(np.concatenate([step["g.Un"].ravel(), step["g.bz"], step["g.br"],
-                                                               step["g.bn"]]))
+                    values["deltas"][i].append(np.concatenate([step["g.U"][2].ravel(), step["g.b"].ravel()]))
                     values["dh"][i].append(out[row].copy())
                     values["dx"][i].append(dx)
 
@@ -443,7 +459,7 @@ class TestGruBackwardMatchesReference:
                 dh_new = d_new[i].copy()
                 dh_new[: len(carry)] += carry
                 carry = gru.carry(a, b, dh_new)
-                duh = gru.deltas[a:b, hidden : 2 * hidden]  # the gradient of Un @ h
+                duh = gru.deltas[a:b, hidden : 2 * hidden]  # the gradient of U[n] @ h
                 got = np.concatenate([(duh[:, :, None] * H[i][:, None, :]).reshape(b - a, -1),
                                       gru.gate_deltas[a:b]], axis=1)
                 assert within(got, np.array(want["deltas"][i]), np.array(scale["deltas"][i]))

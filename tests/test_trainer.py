@@ -1,3 +1,6 @@
+import base64
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -271,6 +274,25 @@ class TestCheckpointRoundTrip:
         text = path.read_text().replace('"silence_aware": false', '"silence_aware": true')
         path.write_text(text)
         with pytest.raises(ValueError, match="checksum"):
+            load_checkpoint(path)
+
+    def test_version_1_with_valid_checksum_refused(self, tmp_path):
+        cfg, params = tiny_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(NeuralModel(cfg, params, VOCAB), path)
+        body = json.loads(path.read_text())
+        del body["checksum"]
+        tensors = body["tensors"]
+        for name in [n for n in tensors if n.split(".")[-1] in ("W", "U", "b") and n.startswith(("enc", "dec"))]:
+            spec = tensors.pop(name)  # version 1 kept one tensor per gate: enc0.Wz, enc0.Wr, ...
+            stacked = np.frombuffer(base64.b64decode(spec["data"]), dtype="<f8").reshape(spec["shape"])
+            for gate, values in zip("zrn", stacked):
+                tensors[name + gate] = {"shape": list(values.shape),
+                                        "data": base64.b64encode(values.tobytes()).decode("ascii")}
+        body["version"] = 1
+        digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
+        path.write_text(json.dumps({"checksum": digest, **body}))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
             load_checkpoint(path)
 
 

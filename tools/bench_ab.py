@@ -8,9 +8,14 @@ in that checkout and once in the working tree, one process at a time,
 alternating which side runs first. For every end-to-end metric declared in
 the working tree's BENCHMARK.json it prints each side's median [quartiles],
 the relative change of the medians, the pairs the working tree wins (ties
-count for neither side), and whether a gain is shown: at least nine tenths
-of the pairs won and medians further apart than the revision's quartile
-spread. It ends with each side's correct runs and failed operations.
+count for neither side), whether a gain is shown (at least nine tenths of
+the pairs won and medians further apart than the revision's quartile
+spread) and a no-regression verdict against the metric's bound, a fraction
+of the revision's median: ``worse`` when the working tree's median is worse
+by more than the bound, ``unresolved`` when the revision's quartile spread
+is wider than the bound and not every working-tree run beats every revision
+run, else ``ok``. It ends with each side's correct runs and failed
+operations.
 """
 from __future__ import annotations
 
@@ -58,13 +63,21 @@ def compare(metric: dict, old: list[dict], new: list[dict]) -> str:
              if name in o["metrics"] and name in n["metrics"]]
     if not pairs:
         return f"{name:12s} (missing)"
-    (oq1, om, oq3), (nq1, nm, nq3) = quartiles([o for o, _ in pairs]), quartiles([n for _, n in pairs])
+    olds, news = [o for o, _ in pairs], [n for _, n in pairs]
+    (oq1, om, oq3), (nq1, nm, nq3) = quartiles(olds), quartiles(news)
     wins = sum((n < o) if lower else (n > o) for o, n in pairs)
     change = (nm - om) / om if om else float("nan")
     gain = wins >= 0.9 * len(pairs) and abs(nm - om) > oq3 - oq1
+    bound = metric["bound"] * abs(om)
+    if (nm - om if lower else om - nm) > bound:
+        verdict = "worse"
+    elif oq3 - oq1 > bound and not (max(news) < min(olds) if lower else min(news) > max(olds)):
+        verdict = "unresolved"
+    else:
+        verdict = "ok"
     old_cell, new_cell = f"{om:.4g} [{oq1:.4g}, {oq3:.4g}]", f"{nm:.4g} [{nq1:.4g}, {nq3:.4g}]"
     return (f"{name:12s} {metric['unit']:5s} {old_cell:>30s}   {new_cell:>30s}   {change:+7.1%}"
-            f"   {wins:>2d}/{len(pairs):<2d}  {'yes' if gain else 'no'}")
+            f"   {wins:>2d}/{len(pairs):<2d}  {'yes' if gain else 'no':4s}   {verdict}")
 
 
 def main(argv=None) -> int:
@@ -95,7 +108,7 @@ def main(argv=None) -> int:
             print(f"\n{workload} seed={args.seed} pairs={args.pairs} seconds={args.seconds:g}: "
                   f"rev {args.rev} ({sha}) against the working tree")
             print(f"{'metric':12s} {'unit':5s} {'rev median [q1, q3]':>30s}   {'tree median [q1, q3]':>30s}"
-                  f"   {'change':>7s}   wins   gain")
+                  f"   {'change':>7s}   wins   gain   verdict")
             for metric in bench["end_to_end"]:
                 print(compare(metric, runs["rev"], runs["tree"]))
             for side in ("rev", "tree"):
