@@ -3,11 +3,16 @@
 This module holds the beam step and its data: the shared encoded buffer,
 hypotheses and their histories, and the decode result. The decode loop that
 drives the step, with its end-symbol policies, is ``streamer.StreamSession``.
+
+Each surviving candidate of a beam step builds an ``Emission``, a ``History``
+node and a ``Hypothesis``: named tuples, immutable and cheap to build.
 """
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +97,7 @@ class EncodedBuffer:
         return tuple(store[:n] for store in self._keys)
 
 
-@dataclass(frozen=True)
-class Emission:
+class Emission(NamedTuple):
     token: int
     selected_index: int
     peak_index: int
@@ -102,23 +106,40 @@ class Emission:
     forced: bool = False
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class History:
+class History(NamedTuple):
     """A hypothesis' token history as a parent-pointer chain.
 
     Expansions share their parent's chain instead of copying it, so one
     step costs O(1) per hypothesis whatever the history length. Nodes hold
     no decoder state: voided steps keep older beams alive, and their states
     must not be kept with them.
+
+    ``jump`` is a skew-binary jump pointer (Myers, "An applicative
+    random-access stack", 1983): the parent, or the parent's jump's jump when
+    the parent's two jumps span equal distances. Its length depends only on
+    the node's, and greedy jumps reach any ancestor in O(log distance) hops.
     """
 
     token: int
     emission: Emission | None  # None for BOS and for an EOS appended without a step
     parent: History | None
     length: int  # tokens from BOS through this one
+    jump: History | None = None  # None for BOS
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__  # identity: tuple == walks the chain
 
     def extend(self, token: int, emission: Emission | None = None) -> History:
-        return History(token, emission, self, self.length + 1)
+        j = self.jump
+        far = j is not None and j.jump is not None and self.length - j.length == j.length - j.jump.length
+        return History(token, emission, self, self.length + 1, j.jump if far else self)
+
+    def ancestor(self, length: int) -> History:
+        """The node of this chain holding ``length >= 1`` tokens, or this node
+        if it holds no more, in O(log(self.length - length)) hops."""
+        node = self
+        while node.length > length:
+            node = node.jump if node.jump.length >= length else node.parent
+        return node
 
     def nodes_after(self, ancestor: History | None) -> list[History]:
         """The nodes after ``ancestor`` (exclusive) through this one, oldest first.
@@ -137,8 +158,7 @@ class History:
         return out
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(NamedTuple):
     history: History
     log_score: float
     dec_state: object
@@ -160,35 +180,41 @@ class Hypothesis:
 
     def with_eos(self, eos_id: int) -> Hypothesis:
         """This hypothesis closed by an end symbol that no decoding step produced."""
-        return replace(self, history=self.history.extend(eos_id), finished=True)
+        return self._replace(history=self.history.extend(eos_id), finished=True)
+
+
+def common_ancestor(histories: list[History], floor: History) -> History:
+    """The deepest node on every chain of ``histories``, each of which
+    extends ``floor``, folded until it reaches ``floor``. Each fold lifts two
+    nodes to one length, then in lockstep: by their jumps while those differ
+    (the answer lies above both), else to their parents; O(log depth) hops."""
+    common = histories[0]
+    for other in histories[1:]:
+        if common is floor:
+            break
+        a, b = common.ancestor(other.length), other.ancestor(common.length)
+        while a is not b:
+            a, b = (a.parent, b.parent) if a.jump is b.jump else (a.jump, b.jump)
+        common = a
+    return common
 
 
 def initial_hypothesis(model, prev_index: int = -1) -> Hypothesis:
-    return Hypothesis(
-        history=History(model.vocab.bos_id, None, None, 1),
-        log_score=0.0,
-        dec_state=model.decode_start(),
-        att_state=AttentionState(prev_index=prev_index),
-    )
+    bos = History(model.vocab.bos_id, None, None, 1)
+    return Hypothesis(bos, 0.0, model.decode_start(), AttentionState(prev_index))
 
 
 def _finish_runaway(hyp: Hypothesis, eos_id: int, clock_ms: float) -> Hypothesis:
     em = Emission(eos_id, hyp.att_state.prev_index, hyp.att_state.prev_index, clock_ms, 0.0, forced=True)
-    return replace(hyp, history=hyp.history.extend(eos_id, em), finished=True, runaway=True)
+    return hyp._replace(history=hyp.history.extend(eos_id, em), finished=True, runaway=True)
 
 
 def _expand(hyp: Hypothesis, out: StepOutput, token: int, score: float, log_prob: float,
             clock_ms: float, eos_id: int) -> Hypothesis:
     att = out.att
-    em = Emission(token, att.selected_index, att.peak_index, clock_ms, log_prob, forced=att.forced)
-    return Hypothesis(
-        history=hyp.history.extend(token, em),
-        log_score=score,
-        dec_state=out.dec_state,
-        att_state=AttentionState(prev_index=att.selected_index),
-        finished=token == eos_id,
-        runaway=hyp.runaway,
-    )
+    em = Emission(token, att.selected_index, att.peak_index, clock_ms, log_prob, att.forced)
+    return Hypothesis(hyp.history.extend(token, em), score, out.dec_state, AttentionState(att.selected_index),
+                      token == eos_id, hyp.runaway)
 
 
 def decode_step(
@@ -245,7 +271,7 @@ def decode_step(
             taken += 1
             if taken >= cfg.beam_size:
                 break
-    ranked.sort(key=lambda c: -c[0])
+    ranked.sort(key=itemgetter(0), reverse=True)  # stable, like a sort on -score
     merged = kept + [
         (_expand(hyp, out, token, score, log_prob, clock_ms, eos_id), out.att)
         for score, hyp, out, token, log_prob in ranked[: max(0, cfg.beam_size - len(kept))]

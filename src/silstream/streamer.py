@@ -19,6 +19,10 @@ Buffer requirements are per token class: after a silence token a larger
 buffer (and restricted region) applies, making premature end-of-utterance
 emissions during long pauses even less likely.
 
+A decoding push commits through the deepest history node the whole beam
+shares. Jump pointers check that the beam extends the committed prefix and
+find that node in O(beam * log tail) hops, plus a walk over the tokens committed.
+
 The ``plain`` engine is the online baseline without the remedy: it checks
 the gate again before every step, has no restricted region, and under
 ``accept`` and ``restart`` takes one forced step per batch at the buffer
@@ -52,6 +56,7 @@ from .decoder import (
     History,
     Hypothesis,
     best_hypothesis,
+    common_ancestor,
     decode_step,
     initial_hypothesis,
 )
@@ -110,6 +115,10 @@ class StreamSession:
         self.display_log: list[tuple[float, tuple[int, ...]]] = []
         self.wall_ms = 0.0
         self.forced_steps = 0
+        # gate and restricted-region frames after a regular token and after <sil>, indexed by ``token == sil_id``
+        self._sil_id = model.vocab.sil_id
+        self._frames_after = [self._buffer_frames(applicable_buffer(last, stream_cfg, model.vocab))
+                              for last in (None, self._sil_id)]
 
     # --- helpers ---
 
@@ -121,8 +130,7 @@ class StreamSession:
     def _gate(self, best: Hypothesis) -> tuple[bool, int | None]:
         """Whether the buffer extends far enough past ``best``'s attention
         position to decode, and the restricted-region boundary."""
-        last = best.history.token if best.emitted else None
-        gate = self._buffer_frames(applicable_buffer(last, self.scfg, self.model.vocab))
+        gate = self._frames_after[best.history.token == self._sil_id]  # BOS counts as a regular token
         if math.isinf(gate):
             return False, None
         tail = len(self.buffer) - 1 - best.att_state.prev_index
@@ -169,23 +177,14 @@ class StreamSession:
         return [node.token for node in nodes]
 
     def _commit_progress(self) -> list[int]:
-        """Extend the committed prefix to the beam-wide longest common prefix.
-
-        Every hypothesis extends the committed history, so only the tokens
-        after it are compared. Hypotheses of one beam that share a token
-        prefix share its history nodes, so the nodes are compared by identity.
-        """
-        try:
-            tails = [hyp.history.nodes_after(self._committed) for hyp in self.beam]
-        except ValueError:
-            raise RuntimeError("committed prefix would be revised") from None
-        common = tails[0]
-        for tail in tails[1:]:
-            n = 0
-            while n < len(common) and n < len(tail) and common[n] is tail[n]:
-                n += 1
-            common = common[:n]
-        return self._commit(common)
+        """Extend the committed prefix to the beam-wide longest common prefix:
+        hypotheses sharing a token prefix share its history nodes, so it ends
+        at the beam's deepest common node. Only the nodes committed are walked."""
+        committed = self._committed
+        histories = [hyp.history for hyp in self.beam]
+        if any(h.ancestor(committed.length) is not committed for h in histories):
+            raise RuntimeError("committed prefix would be revised")
+        return self._commit(common_ancestor(histories, committed).nodes_after(committed))
 
     def _new_segment_beam(self) -> None:
         """Start a fresh hypothesis at the live edge, with nothing committed."""
@@ -222,7 +221,7 @@ class StreamSession:
         for hyp, att in zip(new_beam, atts):
             if att is None or att.status != "selected":
                 continue
-            region = self._buffer_frames(applicable_buffer(hyp.history.parent.token, self.scfg, self.model.vocab))
+            region = self._frames_after[hyp.history.parent.token == self._sil_id]
             if math.isinf(region) or att.peak_index >= len(self.buffer) - int(region):
                 return "restricted"
         return None

@@ -1,4 +1,4 @@
-"""The A/B summary of tools/bench_ab.py: wins, ties, the gain rule and the no-regression verdict."""
+"""The A/B summary of tools/bench_ab.py: wins, ties, the gain rule, the no-regression verdict and the exit status."""
 import pathlib
 import sys
 
@@ -57,3 +57,41 @@ def test_unresolved_when_the_revision_spreads_wider_than_the_bound():
     assert verdict(bench_ab.compare(RTF, old, runs(*[0.9] * 6))) == "ok"
     assert verdict(bench_ab.compare(dict(RTF, better="higher"), old, runs(*[2.1] * 6))) == "ok"
     assert verdict(bench_ab.compare(dict(RTF, better="higher"), old, runs(*[1.5] * 6))) == "unresolved"
+
+
+BENCH = {"end_to_end": [RTF, dict(RTF, name="op_ms_p95", unit="ms")]}
+
+
+def run_result(rtf, correct=True, failed=0):
+    return {"correct": correct, "attempted": 4, "failed": failed,
+            "metrics": {"rtf": {"value": rtf}, "op_ms_p95": {"value": 1.0}}}
+
+
+def test_summary_names_every_way_the_working_tree_fails():
+    old = [run_result(1.0 + 0.01 * i) for i in range(4)]
+    lines, reasons = bench_ab.summarize(BENCH, {"rev": old, "tree": [run_result(0.9)] * 4})
+    assert reasons == []
+    assert [line[:4] for line in lines] == ["rtf ", "op_m", "rev ", "tree"]
+    # an incorrect or failing revision run is the revision's problem, not the tree's
+    assert bench_ab.summarize(BENCH, {"rev": [run_result(1.0, correct=False, failed=2)] + old[1:],
+                                      "tree": [run_result(0.9)] * 4})[1] == []
+    tree = [run_result(1.4), run_result(1.4, correct=False), run_result(1.4, failed=3), run_result(1.4)]
+    assert bench_ab.summarize(BENCH, {"rev": old, "tree": tree})[1] == [
+        "rtf is worse", "1 of 4 working-tree runs not correct", "3 working-tree operations failed"]
+
+
+def test_exit_status_gates_the_no_regression_rule(monkeypatch, capsys):
+    """``main`` with the benchmark runs replaced: 0 when every workload
+    passes, 1 when one fails, and each failure printed."""
+    tree_rtf = {"stream_long": 0.9, "train_epoch": 0.9}
+
+    def fake_run(checkout, workload, seed, seconds):
+        return run_result(1.0 if checkout != bench_ab.ROOT else tree_rtf[workload])
+
+    monkeypatch.setattr(bench_ab, "unpack", lambda rev, dest: None)
+    monkeypatch.setattr(bench_ab, "run", fake_run)
+    argv = ["--workload", "stream_long", "--workload", "train_epoch", "--pairs", "2"]
+    assert bench_ab.main(argv) == 0
+    tree_rtf["train_epoch"] = 1.5
+    assert bench_ab.main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL train_epoch seed=1: rtf is worse"

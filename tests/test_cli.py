@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -98,6 +99,18 @@ class TestDecodeAndEvaluate:
             assert written[utt_id] == vocab.decode(result.tokens)
         records = [json.loads(line) for line in trace.read_text().splitlines()]
         assert {r["utt_id"] for r in records if "decision" in r} == set(corpus)
+
+    def test_trace_lines_are_byte_stable(self, corpus_dir, tmp_path):
+        """Digests of the beam-8 ``--trace`` files of both decode commands,
+        recorded when emissions were frozen dataclasses."""
+        digests = []
+        for command, extra in (("decode-offline", []), ("decode-online", ["--sil-buffer-ms", "480"])):
+            trace = tmp_path / f"{command}.jsonl"
+            rc = main([command, "--corpus", str(corpus_dir), "--oracle", "silence_aware", "--beam", "8",
+                       "--out", str(tmp_path / "hyp.tsv"), "--trace", str(trace), *extra])
+            assert rc == 0
+            digests.append(hashlib.sha256(trace.read_bytes()).hexdigest()[:16])
+        assert digests == ["fddff645b1eb4129", "6806c1a70a367f69"]
 
 
 class TestTrainCli:

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -288,3 +291,27 @@ class TestDecodeOnline:
                               batch_ms=160, min_buffer_ms=320)
         clocks = [c for c, _ in result.display_log]
         assert clocks == sorted(clocks)
+
+
+class TestRecords:
+    """Emissions, histories and hypotheses are named tuples: read-only, and
+    traced exactly as the frozen dataclasses they replaced."""
+
+    def test_fields_are_read_only(self):
+        utt = make_utt(["a", "b"], [(1, 40)])
+        result = decode_offline(aware(utt), utt.features, BeamConfig(beam_size=4))
+        hyp, em = result.hypothesis, result.emissions[0]
+        for record, name in ((em, "token"), (em, "forced"), (hyp, "log_score"), (hyp, "finished"),
+                             (hyp.history, "parent"), (hyp.history, "jump")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+    def test_trace_records_are_byte_stable(self):
+        """The digest of one beam-8 oracle stream's trace records, display log
+        and session trace, recorded when emissions were frozen dataclasses."""
+        utt = make_utt(["a", "b", "c", "a", "b"], [(1, 40), (3, 120), (4, 16)], seed=3)
+        result, session = stream_decode(aware(utt, d=6, min_sil=3), utt.features, StreamConfig(160, 240, 480),
+                                        BeamConfig(beam_size=8))
+        text = json.dumps([result.trace_records(VOCAB), result.display_log, session.trace])
+        assert session.backtracks
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "e0cc4c7154d8abef"

@@ -10,7 +10,8 @@ forms, the gate-batched GRU products against per-gate ``nn.matvecs``,
 ``nn.GruBackward`` against the per-row reference step backward, the soft
 step's Python-float carry loops against their numpy-scalar form, the
 scan's energy crossing against the first selection of the probabilities,
-and the encoder's one-row step indices against the general ones.
+the encoder's one-row step indices against the general ones, and history
+jump pointers against a parent walk.
 
 Gradients summed in another order than the reference's are bounded entry by
 entry by 1e-12 times the sum of the magnitudes of the terms they sum
@@ -37,7 +38,15 @@ from silstream.attention import (
     soft_step_backward,
 )
 from silstream.data import Alignment, Segment
-from silstream.decoder import EOS_POLICIES, BeamConfig, EncodedBuffer, decode_step, initial_hypothesis
+from silstream.decoder import (
+    EOS_POLICIES,
+    BeamConfig,
+    EncodedBuffer,
+    History,
+    common_ancestor,
+    decode_step,
+    initial_hypothesis,
+)
 from silstream.encoder import (
     EncoderConfig,
     PyramidalEncoder,
@@ -553,3 +562,75 @@ class TestOracleStreamProperties:
             lo, i = hi, i + 1
         if eos_policy == "defer" and not skipping:
             assert session.result().tokens == decode_offline(model, utt.features, beam_cfg).tokens
+
+
+def parent_walk(node: History, length: int) -> History:
+    while node.length > length:
+        node = node.parent
+    return node
+
+
+def parent_walk_common(histories: list[History]) -> History:
+    common = histories[0]
+    for other in histories[1:]:
+        a, b = parent_walk(common, other.length), parent_walk(other, common.length)
+        while a is not b:
+            a, b = a.parent, b.parent
+        common = a
+    return common
+
+
+class TestHistoryJumpPointers:
+    @settings(max_examples=200, deadline=None)
+    @given(growth=st.lists(st.tuples(st.one_of(st.integers(0, 3), st.integers(0, 10**6)), st.integers(0, 6)),
+                           max_size=300),
+           tips=st.lists(st.integers(0, 10**6), min_size=1, max_size=8), floor_at=st.integers(0, 10**6))
+    def test_ancestor_and_common_ancestor_match_a_parent_walk(self, growth, tips, floor_at):
+        """Trees grown only through ``extend``: mostly chains, as a beam grows
+        them, with some nodes extended again at random."""
+        nodes = [History(0, None, None, 1)]
+        for back, token in growth:
+            # small values extend one of the newest nodes, large ones any node
+            parent = nodes[len(nodes) - 1 - back] if back < len(nodes) else nodes[back % len(nodes)]
+            nodes.append(parent.extend(token))
+        beam = [nodes[i % len(nodes)] for i in tips]
+        beam.append(beam[0].parent or beam[0])  # a tip that is an ancestor of another tip
+        for tip in beam:
+            for length in range(1, tip.length + 2):
+                assert tip.ancestor(length) is parent_walk(tip, length)
+        common = parent_walk_common(beam)
+        floor = parent_walk(common, 1 + floor_at % common.length)
+        assert common_ancestor(beam, floor) is common
+        assert common_ancestor(beam, common) is common
+        assert common_ancestor(beam[::-1], nodes[0]) is common
+
+    def test_hops_grow_with_the_log_of_the_depth(self, monkeypatch):
+        """On two chains 2^14 deep that split below the root, reaching any
+        depth from a tip, or the common node of two tips, reads O(log depth)
+        jump and parent pointers: at most 54 and 116 here, where a parent walk
+        reads up to 16383."""
+        root = History(0, None, None, 1)
+        tips = [root.extend(1), root.extend(2)]
+        for _ in range(2**14 - 2):
+            tips = [tip.extend(0) for tip in tips]
+        assert tips[0].length == 2**14
+        reads = [0]
+
+        def counting(field):
+            def read(node):
+                reads[0] += 1
+                return field.__get__(node)
+            return property(read)
+
+        for name in ("jump", "parent"):
+            monkeypatch.setattr(History, name, counting(getattr(History, name)))
+        levels = 14
+        for tip in (tips[0], tips[0].parent.parent.parent):
+            for length in range(1, tip.length + 1):
+                reads[0] = 0
+                assert tip.ancestor(length).length == length
+                assert reads[0] <= 6 * levels
+        for pair in (tips, [tips[0].parent, tips[1].parent.parent.parent]):
+            reads[0] = 0
+            assert common_ancestor(pair, root) is root
+            assert reads[0] <= 12 * levels

@@ -282,3 +282,44 @@ class TestCostGrowth:
             model, utt = long_oracle_stream(seconds)
             stream_decode(model, utt.features, StreamConfig(320, 480, 960), BeamConfig(beam_size=8))
         assert 0 < stripped[1] <= 6 * stripped[0]
+
+    def test_commit_check_walks_only_committed_nodes(self, monkeypatch):
+        """On a beam-8 random NeuralModel stream whose beam agrees on almost
+        nothing before the end, the uncommitted tail grows to about 1000
+        tokens, yet the commit check walks only the nodes it commits.
+        Walking every hypothesis' tail on every push walks about 250k."""
+        vocab = make_vocab([f"t{i}" for i in range(5)])
+        cfg = ModelConfig()
+        params = init_params(cfg, vocab.size, seed=0)
+        params["att.sel.r"][0] = 0.0
+        model = NeuralModel(cfg, params, vocab, silence_aware=True)
+        frames = np.random.default_rng(0).normal(size=(2000, cfg.encoder.input_dim))  # 20 s
+        walked, committed, inside = [0], [0], [False]
+        nodes_after = streamer.History.nodes_after
+        commit_progress = StreamSession._commit_progress
+
+        def counting_nodes_after(history, ancestor):
+            nodes = nodes_after(history, ancestor)
+            walked[0] += len(nodes) if inside[0] else 0
+            return nodes
+
+        def counting_commit_progress(session):
+            inside[0] = True
+            try:
+                newly = commit_progress(session)
+            finally:
+                inside[0] = False
+            committed[0] += len(newly)
+            return newly
+
+        monkeypatch.setattr(streamer.History, "nodes_after", counting_nodes_after)
+        monkeypatch.setattr(StreamSession, "_commit_progress", counting_commit_progress)
+        session = StreamSession(model, StreamConfig(320, 480, 960), BeamConfig(beam_size=8))
+        batches = split_batches(frames, 32)
+        tail = 0
+        for batch in batches[:-1]:
+            session.push(batch)
+            tail = max(tail, min(h.history.length for h in session.beam) - session._committed.length)
+        session.push(batches[-1], is_last=True)
+        assert tail >= 500
+        assert walked[0] == committed[0]

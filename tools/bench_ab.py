@@ -16,6 +16,10 @@ by more than the bound, ``unresolved`` when the revision's quartile spread
 is wider than the bound and not every working-tree run beats every revision
 run, else ``ok``. It ends with each side's correct runs and failed
 operations.
+
+It exits with status 1 when the working tree fails the no-regression rule on
+any workload: a working-tree run is not correct, an operation failed, or a
+metric's verdict is ``worse``.
 """
 from __future__ import annotations
 
@@ -80,6 +84,24 @@ def compare(metric: dict, old: list[dict], new: list[dict]) -> str:
             f"   {wins:>2d}/{len(pairs):<2d}  {'yes' if gain else 'no':4s}   {verdict}")
 
 
+def summarize(bench: dict, runs: dict[str, list[dict]]) -> tuple[list[str], list[str]]:
+    """One workload's summary lines (a line per end-to-end metric, then one
+    per side), and why the working tree fails the no-regression rule: empty
+    when it passes."""
+    lines = [compare(metric, runs["rev"], runs["tree"]) for metric in bench["end_to_end"]]
+    reasons = [f"{line.split()[0]} is worse" for line in lines if line.split()[-1] == "worse"]
+    for side in ("rev", "tree"):
+        correct = sum(r["correct"] for r in runs[side])
+        failed, attempted = (sum(r[k] for r in runs[side]) for k in ("failed", "attempted"))
+        lines.append(f"{side:4s}: {correct}/{len(runs[side])} runs correct, {failed}/{attempted} operations failed")
+    # the loop ends on the working tree's counts
+    if correct < len(runs["tree"]):
+        reasons.append(f"{len(runs['tree']) - correct} of {len(runs['tree'])} working-tree runs not correct")
+    if failed:
+        reasons.append(f"{failed} working-tree operations failed")
+    return lines, reasons
+
+
 def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         bench = json.load(f)
@@ -94,6 +116,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sha = subprocess.run(["git", "-C", ROOT, "rev-parse", "--short", args.rev], stdout=subprocess.PIPE,
                          text=True, check=True).stdout.strip()
+    failures = []
     with tempfile.TemporaryDirectory(dir=args.workdir) as checkout:
         unpack(args.rev, checkout)
         for workload in args.workload or [w["name"] for w in bench["workloads"]]:
@@ -109,13 +132,12 @@ def main(argv=None) -> int:
                   f"rev {args.rev} ({sha}) against the working tree")
             print(f"{'metric':12s} {'unit':5s} {'rev median [q1, q3]':>30s}   {'tree median [q1, q3]':>30s}"
                   f"   {'change':>7s}   wins   gain   verdict")
-            for metric in bench["end_to_end"]:
-                print(compare(metric, runs["rev"], runs["tree"]))
-            for side in ("rev", "tree"):
-                correct = sum(r["correct"] for r in runs[side])
-                failed, attempted = (sum(r[k] for r in runs[side]) for k in ("failed", "attempted"))
-                print(f"{side:4s}: {correct}/{len(runs[side])} runs correct, {failed}/{attempted} operations failed")
-    return 0
+            lines, reasons = summarize(bench, runs)
+            print("\n".join(lines))
+            failures += [f"{workload} seed={args.seed}: {reason}" for reason in reasons]
+    for failure in failures:
+        print(f"FAIL {failure}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
