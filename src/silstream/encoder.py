@@ -17,12 +17,13 @@ alive at the step before, and a row that has ended takes no memory or work.
 The routine works through blocks of about ``BLOCK_ENTRIES`` entries: one
 gate-batched product projects a block's input pairs through the gate-stacked
 input weights, one per step gives the recurrent terms, and one projects the
-block's new states. ``encode_backward`` recomputes a block's gates in one
-call, steps back with ``nn.GruBackward`` (one product per step) and takes
-each weight gradient as one product over the block.
-Blocks bound the memory of a long push or a minibatch, the backward's
-included; the results do not depend on them, except for the order in which
-gradients are summed.
+block's new states. ``encode_with_cache`` keeps each layer's input pairs and
+every step's gates in arrays allocated once per layer; ``encode_backward``
+builds a block's ``nn.GruBackward`` from slices of them, steps back (one
+product per step) and takes each weight gradient as one product over the
+block. Streaming keeps nothing. Blocks bound the memory of a long push and
+of the backward's coefficients; the results do not depend on them, except
+for the order in which gradients are summed.
 """
 from __future__ import annotations
 
@@ -92,7 +93,8 @@ class EncoderState:
 class LayerCache:
     """What ``encode_backward`` needs of one layer's forward pass over a packed stack."""
 
-    x: np.ndarray  # the layer's packed inputs
+    pairs: np.ndarray  # (entries, 2 * input): each entry's input pair
+    gates: np.ndarray  # (4, entries, hidden): each entry's z, r, U[n] @ h and n
     h: np.ndarray  # (rows + entries, hidden): the rows' states before the first step, then each new one
     prev: np.ndarray  # (entries,), the row of h that each step started from
     left: np.ndarray  # (entries,), the two inputs each step read
@@ -181,7 +183,8 @@ class PyramidalEncoder:
         Row b pairs its inputs (2j, 2j + 1). Its odd last input is paired
         with itself when ``final``; otherwise it waits in ``state.leftover``
         for the next call, which only a one-row (streaming) stack makes.
-        Returns the packed outputs and the count of each row.
+        Returns the packed outputs and the count of each row; with ``cache``
+        (a list), appends the layer's ``LayerCache`` to it.
         """
         p, pre = self.params, f"enc{k}"
         if state.leftover[k] is not None:
@@ -199,19 +202,23 @@ class PyramidalEncoder:
         hs[:rows] = state.hidden[k]
         out = np.empty((entries, self.cfg.proj))
         last = state.hidden[k].copy()  # a row that has ended keeps the state of its last step
+        if cache is not None:
+            prev = np.where(step > 0, rows + starts[step - 1] + row, row)
+            kept = LayerCache(pairs=_pairs(x, left, right), gates=np.empty((4, entries, self.cfg.hidden)), h=hs,
+                              prev=prev, left=left, right=right, starts=starts)
+            cache.append(kept)
         before = 0  # where the rows' previous states begin in hs
         for bounds in _blocks(starts, rows):
             lo, hi = bounds[0], bounds[-1]
-            wx = nn.gru_inputs(p, pre, _pairs(x, left[lo:hi], right[lo:hi]))
+            wx = nn.gru_inputs(p, pre, _pairs(x, left[lo:hi], right[lo:hi]) if cache is None else kept.pairs[lo:hi])
             for a, b in zip(bounds[:-1], bounds[1:]):
-                h = nn.gru_steps(p, pre, wx[:, a - lo : b - lo], hs[before : before + b - a])[0]
+                h, gates = nn.gru_steps(p, pre, wx[:, a - lo : b - lo], hs[before : before + b - a])
                 hs[rows + a : rows + b] = last[: b - a] = h
+                if cache is not None:
+                    kept.gates[:, a:b] = gates
                 before = rows + a
             out[lo:hi] = nn.matvecs(p[f"{pre}.P"], hs[rows + lo : rows + hi]) + p[f"{pre}.pb"]
         state.hidden[k] = last
-        if cache is not None:
-            prev = np.where(step > 0, rows + starts[step - 1] + row, row)
-            cache.append(LayerCache(x=x, h=hs, prev=prev, left=left, right=right, starts=starts))
         return out, m
 
     def _layers(self, state: EncoderState, x: np.ndarray, n: np.ndarray, final: bool,
@@ -274,36 +281,31 @@ def encode_backward(params: dict, cfg: EncoderConfig, cache: EncoderCache, d_enc
     """Backprop through ``encode_with_cache``; accumulates into grads.
 
     ``d_encoded`` is the gradient of its encoded frames, in the same order.
-    Block by block from the end, it recomputes the block's gates from the
-    cached inputs and states with one ``nn.gru_steps`` call (bit-identical to
-    the forward pass); ``nn.GruBackward`` turns them into delta coefficients,
-    so a step back is one multiply and one product with the stacked recurrent
-    weights. Each weight gradient is one product over the block (the output
-    projection's, over the layer).
+    Block by block from the end, ``nn.GruBackward`` turns the block's kept
+    gates into delta coefficients, so a step back is one multiply and one
+    product with the stacked recurrent weights. Each weight gradient is one
+    product over the block (the output projection's, over the layer).
     """
     d_out = np.zeros((len(cache.positions), cfg.proj))
     d_out[cache.positions] = d_encoded
     for k in reversed(range(cfg.num_layers)):
         c, pre = cache.layers[k], f"enc{k}"
         rows = len(c.h) - len(c.prev)
-        d_in = np.zeros_like(c.x)
+        d_in = np.zeros((len(cache.layers[k - 1].prev), cfg.proj)) if k else None  # the frames need none
         carry = np.zeros((0, cfg.hidden))
         grads[f"{pre}.P"] += d_out.T @ c.h[rows:]
         grads[f"{pre}.pb"] += d_out.sum(axis=0)
         for bounds in reversed(_blocks(c.starts, rows)):
             lo, hi = bounds[0], bounds[-1]
-            pairs, h_prev = _pairs(c.x, c.left[lo:hi], c.right[lo:hi]), c.h[c.prev[lo:hi]]
-            gru = nn.GruBackward(params, pre, nn.gru_steps(params, pre, nn.gru_inputs(params, pre, pairs), h_prev)[1],
-                                 h_prev)
+            gru = nn.GruBackward(params, pre, c.gates[:, lo:hi], c.h[c.prev[lo:hi]])
             dh = d_out[lo:hi] @ params[f"{pre}.P"]
             for a, b in zip(bounds[-2::-1], bounds[:0:-1]):
                 a, b = a - lo, b - lo
                 dh[a : a + len(carry)] += carry  # rows whose last step this is carry nothing
                 carry = gru.carry(a, b, dh[a:b])
-            gru.param_grads(pairs, grads)
-            d_pairs = gru.gate_deltas @ gru.W
-            del gru  # the next block's gates are recomputed without this block's kernel alive
-            half = d_pairs.shape[1] // 2
-            d_in[c.left[lo:hi]] += d_pairs[:, :half]
-            d_in[c.right[lo:hi]] += d_pairs[:, half:]
+            gru.param_grads(c.pairs[lo:hi], grads)
+            if k:
+                d_pairs = gru.gate_deltas @ gru.W
+                d_in[c.left[lo:hi]] += d_pairs[:, : cfg.proj]
+                d_in[c.right[lo:hi]] += d_pairs[:, cfg.proj :]
         d_out = d_in

@@ -39,8 +39,8 @@ class TrainConfig:
             raise ValueError("label_smoothing must be in [0, 1)")
         if not 0.0 <= self.scheduled_sampling <= 1.0:
             raise ValueError("scheduled_sampling must be in [0, 1]")
-        if self.selection_noise_std < 0:
-            raise ValueError("selection_noise_std must be >= 0")
+        if not (math.isfinite(self.selection_noise_std) and self.selection_noise_std >= 0):
+            raise ValueError("selection_noise_std must be finite and >= 0")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -94,13 +94,13 @@ def forward_loss(
     steps = []
     total = 0.0
     n_steps = len(reference) - 1
-    acts = np.empty((n_steps, 2, len(H), cfg.attention.energy_hidden))  # each step's selection and chunk tanh
+    acts = np.empty((2, n_steps, len(H), cfg.attention.energy_hidden))  # the selection and chunk tanh of each step
     for i in range(1, len(reference)):
         x = np.concatenate([params["emb.E"][prev], c])
         s_new, gates = nn.gru_step(params, "dec", x, states[-1])
         sel_query, chunk_query = project_queries(params, s_new[None])
-        e_sel, acts[i - 1, 0] = energies(params, "sel", sel_query[0], sel_keys)
-        u, acts[i - 1, 1] = energies(params, "chunk", chunk_query[0], chunk_keys)
+        e_sel, acts[0, i - 1] = energies(params, "sel", sel_query[0], sel_keys)
+        u, acts[1, i - 1] = energies(params, "chunk", chunk_query[0], chunk_keys)
         if rng is not None and tcfg.selection_noise_std > 0:
             e_sel = e_sel + rng.normal(0.0, tcfg.selection_noise_std, size=e_sel.shape)
         p = nn.sigmoid(e_sel)
@@ -124,54 +124,74 @@ def forward_loss(
     return loss, {"H": H, "enc_cache": enc_cache, "steps": steps, "states": np.array(states), "acts": acts}
 
 
-def backward(cfg: ModelConfig, params: dict, cache: dict, grads: dict | None = None, scale: float = 1.0) -> dict:
+def backward(cfg: ModelConfig, params: dict, cache, grads: dict | None = None, scale: float = 1.0) -> dict:
     """Add ``scale`` times the gradients of forward_loss into ``grads`` (zeros
     for every parameter tensor if None) and return it.
 
-    For an utterance given its ``encoded`` rows the encoder's share is left
-    to the caller: ``cache["dH"]`` becomes the (scaled) gradient of those
-    rows. The step loop carries back only the state (``nn.GruBackward``),
-    context and alignment gradients; every weight gradient is one product
-    over the utterance's steps (or frames).
+    ``cache`` is one forward_loss cache or a minibatch of them (a list).
+    Each ``cache["dH"]`` becomes the (scaled) gradient of its encoded frames;
+    only an utterance encoded alone is back-propagated through its encoder
+    here. Only the step loop runs per utterance, on the utterance's rows of
+    one ``nn.GruBackward`` over the minibatch's steps; each weight gradient
+    is one product over the minibatch's steps or frames, except attention
+    ``v`` and the offset, summed per utterance.
     """
     grads = nn.zero_grads(params) if grads is None else grads
-    H, steps, S = cache["H"], cache["steps"], cache["states"]
-    hidden, embed, kinds = cfg.decoder_hidden, cfg.embed_dim, ("sel", "chunk")
-    dlogits = np.array([st["dlogits"] for st in steps]) * (scale / len(steps))
+    batch = [cache] if isinstance(cache, dict) else cache
+    steps = [st for c in batch for st in c["steps"]]
+    counts = [len(c["steps"]) for c in batch]
+    hidden, embed, units, kinds = cfg.decoder_hidden, cfg.embed_dim, cfg.attention.energy_hidden, ("sel", "chunk")
+    H = np.concatenate([c["H"] for c in batch])
+    S = np.concatenate([c["states"][:-1] for c in batch])  # the state each step started from
+    dlogits = np.array([st["dlogits"] for st in steps]) * np.repeat([scale / n for n in counts], counts)[:, None]
     grads["out.W"] += dlogits.T @ np.array([st["pre_out"] for st in steps])
     grads["out.b"] += dlogits.sum(axis=0)
     d_pre = dlogits @ params["out.W"]
-    gru = nn.GruBackward(params, "dec", tuple(map(np.concatenate, zip(*(st["gates"] for st in steps)))), S[:-1])
-    acts = cache["acts"]  # (step, selection or chunk, frame, unit): the energies' tanh activations
-    slopes = (1.0 - acts * acts) * np.array([params[f"att.{kind}.v"] for kind in kinds])[:, None]
+    gru = nn.GruBackward(params, "dec", tuple(map(np.concatenate, zip(*(st["gates"] for st in steps)))), S)
+    v = np.array([params[f"att.{kind}.v"] for kind in kinds])[:, None, None]
     w_query, w_context = np.concatenate([params[f"att.{kind}.Wq"] for kind in kinds]), gru.W[:, embed:]
-    de = np.empty(acts.shape[:3])  # the gradient of each step's selection and chunk energies
-    d_query = np.empty((len(steps), 2, acts.shape[-1]))
+    d_query = np.empty((len(steps), 2, units))
     d_context = np.empty((len(steps), cfg.context_dim))
-    ds_carry, dc_carry, dalpha_carry = np.zeros((1, hidden)), np.zeros(cfg.context_dim), np.zeros(H.shape[0])
-    for i in reversed(range(len(steps))):
-        d_context[i] = dc = d_pre[i, hidden:] + dc_carry
-        p = steps[i]["soft_cache"][0]
-        dp, de[i, 1], dalpha_carry = soft_step_backward(steps[i]["soft_cache"], dalpha_carry, H @ dc)
-        de[i, 0] = dp * p * (1.0 - p)
-        d_query[i] = np.matmul(de[i, :, None], slopes[i])[:, 0]
-        ds_carry = gru.carry(i, i + 1, d_pre[i, :hidden] + ds_carry + d_query[i].ravel() @ w_query)
-        dc_carry = gru.gate_deltas[i] @ w_context
+    dk = np.empty((2, len(H), units))  # the gradient of each frame's key terms
+    dv = np.zeros((2, units))
+    dH = np.empty_like(H)
+    row = frame = 0
+    for c, n in zip(batch, counts):
+        Hu, acts = c["H"], c["acts"]  # acts: (selection or chunk, step, frame, unit)
+        rows, frames = slice(row, row + n), slice(frame, frame + len(Hu))
+        de = np.empty(acts.shape[:3])  # the gradient of each step's selection and chunk energies
+        # the energies' slopes v * (1 - act^2), in place and per utterance: the minibatch's at once raise peak memory
+        slopes = acts * acts
+        np.subtract(1.0, slopes, out=slopes)
+        slopes *= v
+        ds_carry, dc_carry, dalpha_carry = np.zeros((1, hidden)), np.zeros(cfg.context_dim), np.zeros(len(Hu))
+        for i in reversed(range(n)):
+            r, soft_cache = row + i, c["steps"][i]["soft_cache"]
+            d_context[r] = dc = d_pre[r, hidden:] + dc_carry
+            p = soft_cache[0]
+            dp, de[1, i], dalpha_carry = soft_step_backward(soft_cache, dalpha_carry, Hu @ dc)
+            de[0, i] = dp * p * (1.0 - p)
+            d_query[r] = np.matmul(de[:, i, None], slopes[:, i])[:, 0]
+            ds_carry = gru.carry(r, r + 1, d_pre[r, :hidden] + ds_carry + d_query[r].ravel() @ w_query)
+            dc_carry = gru.gate_deltas[r] @ w_context
+        np.einsum("jit,jite->jte", de, slopes, out=dk[:, frames])
+        dv += np.einsum("jit,jite->je", de, acts)
+        grads["att.sel.r"] += de[0].sum()
+        dH[frames] = np.array([st["beta"] for st in c["steps"]]).T @ d_context[rows]
+        c["dH"] = dH[frames]  # a view: the key terms' share is added below
+        row, frame = row + n, frame + len(Hu)
     gru.param_grads(np.array([st["x"] for st in steps]), grads)
     np.add.at(grads["emb.E"], [st["prev"] for st in steps], gru.gate_deltas @ gru.W[:, :embed])
-    grads["att.sel.r"] += de[:, 0].sum()
-    dH = np.array([st["beta"] for st in steps]).T @ d_context
+    S_new = np.concatenate([c["states"][1:] for c in batch])
     for j, kind in enumerate(kinds):
-        dq, dk = d_query[:, j], np.einsum("it,ite->te", de[:, j], slopes[:, j])
-        grads[f"att.{kind}.v"] += np.einsum("it,ite->e", de[:, j], acts[:, j])
-        grads[f"att.{kind}.Wq"] += dq.T @ S[1:]
-        grads[f"att.{kind}.b"] += dq.sum(axis=0)
-        grads[f"att.{kind}.Wk"] += dk.T @ H
-        dH += dk @ params[f"att.{kind}.Wk"]
-    if cache["enc_cache"] is None:
-        cache["dH"] = dH
-    else:
-        encode_backward(params, cfg.encoder, cache["enc_cache"], dH, grads)
+        grads[f"att.{kind}.v"] += dv[j]
+        grads[f"att.{kind}.Wq"] += d_query[:, j].T @ S_new
+        grads[f"att.{kind}.b"] += d_query[:, j].sum(axis=0)
+        grads[f"att.{kind}.Wk"] += dk[j].T @ H
+        dH += dk[j] @ params[f"att.{kind}.Wk"]
+    for c in batch:
+        if c["enc_cache"] is not None:
+            encode_backward(params, cfg.encoder, c["enc_cache"], c["dH"], grads)
     return grads
 
 
@@ -198,23 +218,22 @@ def _minibatch_gradients(
 ) -> tuple[float, dict]:
     """Mean loss of a minibatch and its gradients.
 
-    The batch is encoded as one stack and back-propagated through the
-    encoder at once; the decoder runs per utterance in batch order, so the
-    random draws come in the order of training one utterance at a time.
+    The batch is encoded as one stack, its decoder back-propagated as one
+    minibatch and the encoder once. The decoder's forward runs per utterance
+    in batch order, so the random draws come in the order of training one
+    utterance at a time.
     """
     weight = 1.0 / len(batch)
     H, enc_cache = encode_with_cache(params, cfg.encoder, np.concatenate([f.frames for f, _ in batch]),
                                      [f.num_frames for f, _ in batch])
-    dH = np.empty_like(H)
-    grads = nn.zero_grads(params)
-    loss = 0.0
+    caches, loss = [], 0.0
     for (feats, ref), end, n in zip(batch, np.cumsum(enc_cache.lengths), enc_cache.lengths):
-        rows = slice(end - n, end)
-        utt_loss, cache = forward_loss(cfg, params, feats, ref, tcfg, vocab, rng=rng, encoded=H[rows])
-        backward(cfg, params, cache, grads, scale=weight)
-        dH[rows] = cache["dH"]
+        utt_loss, cache = forward_loss(cfg, params, feats, ref, tcfg, vocab, rng=rng, encoded=H[end - n : end])
+        caches.append(cache)
         loss += utt_loss * weight
-    del cache  # the last decoder cache need not outlive the encoder backward
+    grads = backward(cfg, params, caches, scale=weight)
+    dH = np.concatenate([c["dH"] for c in caches])
+    del caches, cache  # the decoder caches need not outlive the encoder backward
     encode_backward(params, cfg.encoder, enc_cache, dH, grads)
     return loss, grads
 

@@ -95,3 +95,23 @@ def test_exit_status_gates_the_no_regression_rule(monkeypatch, capsys):
     tree_rtf["train_epoch"] = 1.5
     assert bench_ab.main(argv) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "FAIL train_epoch seed=1: rtf is worse"
+
+
+def test_every_seed_runs_and_failures_name_their_seed(monkeypatch, capsys):
+    """``--seed`` repeats: each workload runs its pairs once per seed given,
+    and a ``FAIL`` line names the seed that failed."""
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((workload, seed, checkout == bench_ab.ROOT))
+        worse = checkout == bench_ab.ROOT and seed == 2
+        return run_result(1.5 if worse else 1.0)
+
+    monkeypatch.setattr(bench_ab, "unpack", lambda rev, dest: None)
+    monkeypatch.setattr(bench_ab, "run", fake_run)
+    assert bench_ab.main(["--workload", "train_epoch", "--seed", "1", "--seed", "2", "--pairs", "2"]) == 1
+    assert sorted(set(calls)) == [("train_epoch", s, tree) for s in (1, 2) for tree in (False, True)]
+    assert len(calls) == 8  # two pairs of two runs for each seed
+    out = capsys.readouterr().out
+    assert "train_epoch seed=1 pairs=2" in out and "train_epoch seed=2 pairs=2" in out
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == ["FAIL train_epoch seed=2: rtf is worse"]

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from silstream import encoder as encoder_module
 from silstream import nn
-from silstream.encoder import (EncoderConfig, PyramidalEncoder, _blocks, encode_backward, encode_with_cache,
-                              init_encoder_params)
+from silstream.encoder import (EncoderConfig, LayerCache, PyramidalEncoder, encode_backward,
+                               encode_with_cache, init_encoder_params)
 
 from support import encode
 
@@ -173,29 +174,52 @@ class CountedProducts(np.ndarray):
         return np.matmul(other, self.view(np.ndarray))
 
 
-def test_backward_recomputes_gates_once_per_block_and_takes_one_product_per_step(toy, monkeypatch):
+def test_backward_reuses_the_forward_gates_and_takes_one_product_per_step(toy, monkeypatch):
     cfg, _, params = toy
     rng = np.random.default_rng(4)
     lengths = [37, 0, 5, 64, 12, 64, 1, 30]
     encoded, cache = encode_with_cache(params, cfg, rng.normal(size=(sum(lengths), cfg.input_dim)), lengths)
-    steps_calls, init = [], nn.GruBackward.__init__
+    gate_calls, init = [], nn.GruBackward.__init__
 
-    def counting_steps(*args):
-        steps_calls.append(1)
-        return gru_steps(*args)
+    def counting(name, fn):
+        def wrapper(*args):
+            gate_calls.append(name)
+            return fn(*args)
+        return wrapper
 
     def counting_init(self, *args):
         init(self, *args)
         self.U = self.U.view(CountedProducts)
 
-    gru_steps = nn.gru_steps
-    monkeypatch.setattr(nn, "gru_steps", counting_steps)
+    monkeypatch.setattr(nn, "gru_steps", counting("gru_steps", nn.gru_steps))
+    monkeypatch.setattr(nn, "gru_inputs", counting("gru_inputs", nn.gru_inputs))
     monkeypatch.setattr(nn.GruBackward, "__init__", counting_init)
     CountedProducts.products = 0
     encode_backward(params, cfg, cache, rng.normal(size=encoded.shape), nn.zero_grads(params))
-    blocks = steps = 0
-    for layer in cache.layers:
-        rows = len(layer.h) - len(layer.prev)
-        blocks += len(_blocks(layer.starts, rows))
-        steps += len(layer.starts) - 1
-    assert len(steps_calls) <= blocks and CountedProducts.products == steps
+    assert gate_calls == []
+    assert CountedProducts.products == sum(len(layer.starts) - 1 for layer in cache.layers)
+
+
+def test_streaming_keeps_no_gates(toy, monkeypatch):
+    """``push``/``finish`` build no ``LayerCache`` and their state holds only
+    each layer's recurrent state and leftover; the cached encode keeps one
+    gate array per layer."""
+    cfg, enc, params = toy
+    built = []
+
+    class RecordedCache(LayerCache):
+        def __init__(self, **fields):
+            super().__init__(**fields)
+            built.append(self)
+
+    monkeypatch.setattr(encoder_module, "LayerCache", RecordedCache)
+    frames = np.random.default_rng(5).normal(size=(23, cfg.input_dim))
+    state = enc.reset()
+    for lo in range(0, 23, 4):
+        enc.push(state, frames[lo : lo + 4])
+        assert [h.shape for h in state.hidden] == [(1, cfg.hidden)] * cfg.num_layers
+        assert all(left is None or len(left) == 1 for left in state.leftover)
+    enc.finish(state)
+    assert built == []
+    encode_with_cache(params, cfg, frames)
+    assert [layer.gates.shape for layer in built] == [(4, 12, cfg.hidden), (4, 6, cfg.hidden)]

@@ -5,8 +5,9 @@ reference, and oracle streams on both session engines under every end-symbol
 policy, whose display log must equal the display rebuilt from scratch. Also
 the minibatch encoder against per-utterance streaming and the per-step
 reference, the trainer's decoder step against the per-vector references,
-``nn.sigmoid``, ``nn.softmax`` and ``nn.gru_steps`` against their first
-forms, the gate-batched GRU products against per-gate ``nn.matvecs``,
+the decoder backward of a ragged minibatch against the sum of its
+utterances' reference gradients, ``nn.sigmoid``, ``nn.softmax`` and
+``nn.gru_steps`` against their first forms, the gate-batched GRU products against per-gate ``nn.matvecs``,
 ``nn.GruBackward`` against the per-row reference step backward, the soft
 step's Python-float carry loops against their numpy-scalar form, the
 scan's energy crossing against the first selection of the probabilities,
@@ -63,6 +64,7 @@ from silstream.trainer import TrainConfig, backward, forward_loss
 from silstream.vocab import SIL_LABEL, make_vocab, strip_nonscoring
 
 from support import (
+    add_grads,
     first_selection,
     group_of,
     infer_step,
@@ -273,7 +275,7 @@ class TestTrainerDecoderMatchesReference:
         for i, step in enumerate(cache["steps"]):
             assert np.array_equal(S[i + 1], reference_gru_step(params, "dec", step["x"], S[i])[0])
             queries = project_queries(params, S[i + 1][None])
-            for kind, query, keys, act in zip(("sel", "chunk"), queries, project_keys(params, H), cache["acts"][i]):
+            for kind, query, keys, act in zip(("sel", "chunk"), queries, project_keys(params, H), cache["acts"][:, i]):
                 e, got_act = energies(params, kind, query[0], keys)
                 assert np.array_equal(got_act, act)
                 assert within(e, reference_energies(params, kind, S[i + 1], H)[0])
@@ -291,6 +293,40 @@ class TestTrainerDecoderMatchesReference:
             scale[group_of(k)] = max(scale.get(group_of(k), 0.0), np.abs(g).max())
         for k in want:
             assert within(got[k], want[k], np.maximum(terms[k], scale[group_of(k)])), k
+
+
+class TestMinibatchDecoderMatchesReference:
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           utts=st.lists(st.tuples(st.integers(1, 24), st.lists(st.integers(0, VOCAB.size - 1), max_size=5)),
+                         min_size=1, max_size=8))
+    @example(seed=0, utts=[(1, [])])  # one frame, one step
+    @example(seed=1, utts=[(1, []), (24, [1, 2, 3, 1, 2]), (1, [2]), (7, []), (2, [1]), (1, [3, 3]), (9, []), (1, [])])
+    def test_gradients_are_the_sum_of_the_utterances(self, seed, utts):
+        rng = np.random.default_rng(seed)
+        dims = [int(d) for d in rng.integers(1, 9, size=5)]
+        cfg = ModelConfig(encoder=EncoderConfig(proj=dims[0]),
+                          attention=AttentionConfig(chunk_size=int(rng.integers(1, 5)), energy_hidden=dims[1]),
+                          decoder_hidden=dims[2], embed_dim=dims[3])
+        params = {k: v + rng.normal(0.0, 0.3, size=v.shape)
+                  for k, v in init_params(cfg, VOCAB.size, seed=dims[4]).items()}
+        tcfg = TrainConfig(scheduled_sampling=0.0, selection_noise_std=0.0)
+        scale = 1.0 / len(utts)
+        caches, want_dHs = [], []
+        want, terms = nn.zero_grads(params), nn.zero_grads(params)
+        for frames, tokens in utts:
+            H, ref = rng.normal(size=(frames, cfg.context_dim)), [VOCAB.bos_id, *tokens, VOCAB.eos_id]
+            caches.append(forward_loss(cfg, params, None, ref, tcfg, VOCAB, encoded=H)[1])
+            utt_grads, utt_dH, utt_terms = reference_decoder_backward(
+                cfg, params, H, reference_decoder_loss(cfg, params, H, ref, tcfg.label_smoothing)[1])
+            add_grads(want, utt_grads, scale)
+            add_grads(terms, utt_terms, scale)
+            want_dHs.append(utt_dH * scale)
+        got = backward(cfg, params, caches, scale=scale)
+        for cache, want_dH in zip(caches, want_dHs):
+            assert cache["dH"].shape == want_dH.shape and within(cache["dH"], want_dH)
+        for k in want:  # each entry within 1e-12 of the magnitudes of the terms it sums
+            assert within(got[k], want[k], terms[k]), k
 
 
 class TestSigmoidMatchesReference:

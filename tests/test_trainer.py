@@ -58,6 +58,13 @@ class TestTrainConfigValidation:
             with pytest.raises(ValueError, match="learning_rate"):
                 TrainConfig(learning_rate=bad)
 
+    def test_selection_noise_finite_and_not_negative(self):
+        # NaN or inf noise was accepted and fed non-finite energies to every training step
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="selection_noise_std"):
+                TrainConfig(selection_noise_std=bad)
+        assert TrainConfig(selection_noise_std=0.0).selection_noise_std == 0.0
+
     def test_momentum_in_unit_interval(self):
         for bad in (-0.1, 1.0, math.nan):
             with pytest.raises(ValueError, match="momentum"):

@@ -1,25 +1,26 @@
 """A/B runs of the benchmark: a git revision against the working tree.
 
-    python3 tools/bench_ab.py --rev HEAD --workload train_epoch --seed 1 --pairs 10
+    python3 tools/bench_ab.py --rev HEAD --workload train_epoch --seed 1 --seed 2 --pairs 10
 
-The revision is unpacked with ``git archive`` into a temporary directory. Each
-pair runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once
-in that checkout and once in the working tree, one process at a time,
-alternating which side runs first. For every end-to-end metric declared in
-the working tree's BENCHMARK.json it prints each side's median [quartiles],
-the relative change of the medians, the pairs the working tree wins (ties
-count for neither side), whether a gain is shown (at least nine tenths of
-the pairs won and medians further apart than the revision's quartile
-spread) and a no-regression verdict against the metric's bound, a fraction
-of the revision's median: ``worse`` when the working tree's median is worse
-by more than the bound, ``unresolved`` when the revision's quartile spread
-is wider than the bound and not every working-tree run beats every revision
-run, else ``ok``. It ends with each side's correct runs and failed
-operations.
+The revision is unpacked with ``git archive`` into a temporary directory. For
+every workload and seed given, each pair runs ``perfbench/run.py --workload W
+--seed S --seconds T --trace 0`` once in that checkout and once in the working
+tree, one process at a time, alternating which side runs first. For every
+end-to-end metric declared in the working tree's BENCHMARK.json it prints, per
+workload and seed, each side's median [quartiles], the relative change of the
+medians, the pairs the working tree wins (ties count for neither side),
+whether a gain is shown (at least nine tenths of the pairs won and medians
+further apart than the revision's quartile spread) and a no-regression
+verdict against the metric's bound, a fraction of the revision's median:
+``worse`` when the working tree's median is worse by more than the bound,
+``unresolved`` when the revision's quartile spread is wider than the bound
+and not every working-tree run beats every revision run, else ``ok``. It
+ends with each side's correct runs and failed operations.
 
 It exits with status 1 when the working tree fails the no-regression rule on
-any workload: a working-tree run is not correct, an operation failed, or a
-metric's verdict is ``worse``.
+any workload and seed: a working-tree run is not correct, an operation
+failed, or a metric's verdict is ``worse``; each ``FAIL`` line names the
+workload and seed.
 """
 from __future__ import annotations
 
@@ -109,7 +110,8 @@ def main(argv=None) -> int:
     parser.add_argument("--rev", default="HEAD", help="the git revision to compare the working tree against")
     parser.add_argument("--workload", action="append", choices=[w["name"] for w in bench["workloads"]],
                         help="repeat for several (default: every workload)")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, action="append",
+                        help="repeat for several, e.g. the primary and hold-out seeds (default: 1)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     parser.add_argument("--workdir", default=None, help="where to unpack the revision (default: the system temp)")
@@ -120,21 +122,23 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(dir=args.workdir) as checkout:
         unpack(args.rev, checkout)
         for workload in args.workload or [w["name"] for w in bench["workloads"]]:
-            runs: dict[str, list[dict]] = {"rev": [], "tree": []}
-            for i in range(args.pairs):
-                order = ("rev", "tree") if i % 2 == 0 else ("tree", "rev")
-                for side in order:
-                    result = run(checkout if side == "rev" else ROOT, workload, args.seed, args.seconds)
-                    runs[side].append(result)
-                    rtf = result["metrics"].get("rtf", {}).get("value", float("nan"))
-                    print(f"# pair {i + 1} {side:4s} rtf={rtf:.5g} correct={result['correct']}", file=sys.stderr)
-            print(f"\n{workload} seed={args.seed} pairs={args.pairs} seconds={args.seconds:g}: "
-                  f"rev {args.rev} ({sha}) against the working tree")
-            print(f"{'metric':12s} {'unit':5s} {'rev median [q1, q3]':>30s}   {'tree median [q1, q3]':>30s}"
-                  f"   {'change':>7s}   wins   gain   verdict")
-            lines, reasons = summarize(bench, runs)
-            print("\n".join(lines))
-            failures += [f"{workload} seed={args.seed}: {reason}" for reason in reasons]
+            for seed in args.seed or [1]:
+                runs: dict[str, list[dict]] = {"rev": [], "tree": []}
+                for i in range(args.pairs):
+                    order = ("rev", "tree") if i % 2 == 0 else ("tree", "rev")
+                    for side in order:
+                        result = run(checkout if side == "rev" else ROOT, workload, seed, args.seconds)
+                        runs[side].append(result)
+                        rtf = result["metrics"].get("rtf", {}).get("value", float("nan"))
+                        print(f"# {workload} seed={seed} pair {i + 1} {side:4s} rtf={rtf:.5g} "
+                              f"correct={result['correct']}", file=sys.stderr)
+                print(f"\n{workload} seed={seed} pairs={args.pairs} seconds={args.seconds:g}: "
+                      f"rev {args.rev} ({sha}) against the working tree")
+                print(f"{'metric':12s} {'unit':5s} {'rev median [q1, q3]':>30s}   {'tree median [q1, q3]':>30s}"
+                      f"   {'change':>7s}   wins   gain   verdict")
+                lines, reasons = summarize(bench, runs)
+                print("\n".join(lines))
+                failures += [f"{workload} seed={seed}: {reason}" for reason in reasons]
     for failure in failures:
         print(f"FAIL {failure}")
     return 1 if failures else 0
