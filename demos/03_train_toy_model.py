@@ -9,7 +9,7 @@ with strong pre-sigmoid noise on the selection energies (the selection
 probabilities saturate, which is what makes the hard scan used at inference
 agree with the soft expectations used in training).
 
-Takes about 30 s on a 2-vCPU Xeon VM; shrink the corpus or epochs for a quick look.
+Takes about 15 s on a 2-vCPU Xeon VM; shrink the corpus or epochs for a quick look.
 """
 import time
 

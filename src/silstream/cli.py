@@ -228,7 +228,7 @@ def cmd_decode_online(args) -> int:
         for record in session.trace:
             trace.append({"utt_id": utt_id, **record})
         hyps[utt_id] = vocab.decode(result.tokens)
-        latency = metrics.cpl(result.display_log, utt.alignment, utt.features.frame_shift_ms, session.wall_ms)
+        latency = metrics.cpl(result.display_log, utt.alignment, utt.features.frame_shift_ms)
         summaries.append({
             "utt_id": utt_id,
             "cpl_ms": latency.cpl_ms if latency.defined else None,

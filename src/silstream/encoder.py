@@ -84,8 +84,6 @@ BLOCK_ENTRIES = 64  # a block is BLOCK_ENTRIES // rows steps (at least one)
 class EncoderState:
     hidden: list[np.ndarray]  # per layer, the (rows, hidden) recurrent state
     leftover: list[np.ndarray | None]  # per layer, an unpaired input of a one-row stack
-    emitted: int = 0
-    consumed: int = 0
     finished: bool = False
 
 
@@ -235,32 +233,27 @@ class PyramidalEncoder:
         if frames.size == 0:
             return np.zeros((0, self.cfg.proj))
         frames = self._check_frames(frames)
-        state.consumed += frames.shape[0]
-        out, m = self._layers(state, frames, np.array([frames.shape[0]]), final=False)
-        state.emitted += int(m[0])
-        return out
+        return self._layers(state, frames, np.array([frames.shape[0]]), final=False)[0]
 
     def finish(self, state: EncoderState) -> np.ndarray:
         """Flush leftovers by pairing each with a copy of itself, bottom-up."""
         if state.finished:
             raise RuntimeError("encoder already finished")
         state.finished = True
-        out, m = self._layers(state, np.zeros((0, self.cfg.input_dim)), np.zeros(1, dtype=int), final=True)
-        state.emitted += int(m[0])
-        return out
+        return self._layers(state, np.zeros((0, self.cfg.input_dim)), np.zeros(1, dtype=int), final=True)[0]
 
 
-def encode_with_cache(params: dict, cfg: EncoderConfig, frames: np.ndarray, lengths=None):
+def encode_with_cache(params: dict, cfg: EncoderConfig, frames: np.ndarray, lengths):
     """Offline encode (push everything, then finish) keeping the backward cache.
 
-    ``frames`` holds one utterance, or several laid back to back with
-    ``lengths[b]`` rows for utterance b; they are encoded as one stack, each
-    bit-identical to encoding it alone. Returns the encoded frames, back to
-    back, and an ``EncoderCache`` whose ``lengths`` counts them per utterance.
+    ``frames`` holds utterances laid back to back, ``lengths[b]`` rows for
+    utterance b; they are encoded as one stack, each bit-identical to
+    encoding it alone. Returns the encoded frames, back to back, and an
+    ``EncoderCache`` whose ``lengths`` counts them per utterance.
     """
     encoder = PyramidalEncoder(cfg, params)
     frames = encoder._check_frames(frames)
-    lengths = np.array([frames.shape[0]] if lengths is None else lengths, dtype=int)
+    lengths = np.array(lengths, dtype=int)
     if lengths.ndim != 1 or not lengths.size or np.any(lengths < 0) or lengths.sum() != frames.shape[0]:
         raise ValueError(f"lengths {lengths.tolist()} do not split {frames.shape[0]} frames")
     order = np.argsort(-lengths, kind="stable")

@@ -62,36 +62,21 @@ def cer(reference: list[int], hypothesis: list[int], vocab: Vocab) -> CerReport:
     R, H = len(ref), len(hyp)
     # dp holds (edits, -substitutions) so lexicographic min prefers substitutions
     dp = [[(0, 0)] * (H + 1) for _ in range(R + 1)]
-    ops = [[""] * (H + 1) for _ in range(R + 1)]
     for i in range(1, R + 1):
         dp[i][0] = (i, 0)
-        ops[i][0] = "D"
     for j in range(1, H + 1):
         dp[0][j] = (j, 0)
-        ops[0][j] = "I"
     for i in range(1, R + 1):
         for j in range(1, H + 1):
             sub_cost = 0 if ref[i - 1] == hyp[j - 1] else 1
             diag = (dp[i - 1][j - 1][0] + sub_cost, dp[i - 1][j - 1][1] - sub_cost)
             dele = (dp[i - 1][j][0] + 1, dp[i - 1][j][1])
             ins = (dp[i][j - 1][0] + 1, dp[i][j - 1][1])
-            best = min(diag, dele, ins)
-            dp[i][j] = best
-            ops[i][j] = "=S"[sub_cost] if best == diag else ("D" if best == dele else "I")
-    report = CerReport(ref_len=R)
-    i, j = R, H
-    while i > 0 or j > 0:
-        op = ops[i][j]
-        if op in ("=", "S"):
-            report.substitutions += op == "S"
-            i, j = i - 1, j - 1
-        elif op == "D":
-            report.deletions += 1
-            i -= 1
-        else:
-            report.insertions += 1
-            j -= 1
-    return report
+            dp[i][j] = min(diag, dele, ins)
+    edits, subs = dp[R][H][0], -dp[R][H][1]
+    # every alignment has insertions - deletions = H - R
+    gaps = edits - subs
+    return CerReport(substitutions=subs, insertions=(gaps + H - R) // 2, deletions=(gaps - H + R) // 2, ref_len=R)
 
 
 def aggregate_cer(reports: Iterable[CerReport]) -> CerReport:
@@ -114,7 +99,6 @@ class CplRecord:
 
     last_speech_end_ms: float = 0.0
     stabilization_ms: float = 0.0
-    wall_compute_ms: float = 0.0
     defined: bool = True
 
     @property
@@ -126,11 +110,10 @@ def cpl(
     display_log: list[tuple[float, tuple[int, ...]]],
     alignment: Alignment,
     frame_shift_ms: int = 10,
-    wall_compute_ms: float = 0.0,
 ) -> CplRecord:
     last_speech = alignment.last_speech_end_frame()
     if last_speech is None:
-        return CplRecord(defined=False, wall_compute_ms=wall_compute_ms)
+        return CplRecord(defined=False)
     shown: tuple[int, ...] = ()
     stabilization = 0.0
     for clock, display in display_log:
@@ -140,7 +123,6 @@ def cpl(
     return CplRecord(
         last_speech_end_ms=float(last_speech * frame_shift_ms),
         stabilization_ms=stabilization,
-        wall_compute_ms=wall_compute_ms,
     )
 
 
@@ -184,10 +166,7 @@ def evaluate_point(
         model = model_for(utt)
         result, session = stream_decode(model, utt.features, stream_cfg, beam_cfg)
         total = total + cer(utt.tokens, result.tokens, model.vocab)
-        cpls.append(
-            cpl(result.display_log, utt.alignment, utt.features.frame_shift_ms,
-                wall_compute_ms=session.wall_ms)
-        )
+        cpls.append(cpl(result.display_log, utt.alignment, utt.features.frame_shift_ms))
         backtracks += len(session.backtracks)
         wall += session.wall_ms
     avg, undefined = average_cpl(cpls)

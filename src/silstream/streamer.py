@@ -136,11 +136,6 @@ class StreamSession:
         tail = len(self.buffer) - 1 - best.att_state.prev_index
         return tail >= gate, max(0, len(self.buffer) - int(gate))
 
-    @property
-    def committed_tokens(self) -> tuple[int, ...]:
-        """The committed prefix of the current segment, from BOS."""
-        return tuple(node.token for node in self._committed.nodes_after(None))
-
     def _strip(self, nodes: list[History]) -> tuple[int, ...]:
         return tuple(strip_nonscoring([node.token for node in nodes], self.model.vocab))
 
@@ -163,11 +158,11 @@ class StreamSession:
         self.display_log.append((self.clock_ms, self._display()))
 
     def _flat_committed(self) -> tuple[int, ...]:
+        """Every committed token, from BOS: the finished segments', then the current segment's."""
         out = (self.model.vocab.bos_id,)
         for seg in self.segments:
             out += seg
-        out += self.committed_tokens[1:]
-        return out
+        return out + tuple(node.token for node in self._committed.nodes_after(None))[1:]
 
     def _commit(self, nodes: list[History]) -> list[int]:
         """Extend the committed prefix by ``nodes``; returns their tokens."""

@@ -58,30 +58,26 @@ def smoothed_targets(target: int, vocab_size: int, epsilon: float) -> np.ndarray
 def forward_loss(
     cfg: ModelConfig,
     params: dict,
-    features: FeatureSequence,
+    features: np.ndarray,
     reference: list[int],
     tcfg: TrainConfig,
     vocab: Vocab,
     rng: np.random.Generator | None = None,
-    encoded: np.ndarray | None = None,
 ):
     """Mean per-step cross entropy of one utterance. Returns (loss, cache).
 
-    ``reference`` must start with BOS and end with EOS. With scheduled
-    sampling an ``rng`` is required; the sampled tokens are recorded in the
-    cache so backward treats them as constants. ``encoded`` is the
-    utterance's rows of a minibatch encode; without it the utterance is
-    encoded alone, and ``backward`` goes through that encode too. A decoder
-    step has the arithmetic of inference (``NeuralModel.decode_steps``) on one row.
+    ``features`` holds the utterance's encoded frames: its rows of a
+    minibatch encode (``_encode``). ``reference`` must start with BOS and
+    end with EOS. With scheduled sampling an ``rng`` is required; the
+    sampled tokens are recorded in the cache so backward treats them as
+    constants. A decoder step has the arithmetic of inference
+    (``NeuralModel.decode_steps``) on one row.
     """
     if len(reference) < 2 or reference[0] != vocab.bos_id or reference[-1] != vocab.eos_id:
         raise ValueError("reference must be [BOS, ..., EOS]")
     if (tcfg.scheduled_sampling > 0 or tcfg.selection_noise_std > 0) and rng is None:
         raise ValueError("scheduled sampling and selection noise need an rng")
-    if encoded is None:
-        H, enc_cache = encode_with_cache(params, cfg.encoder, features.frames)
-    else:
-        H, enc_cache = encoded, None
+    H = features
     if len(H) == 0:
         raise ValueError("cannot train on an empty utterance")
     sel_keys, chunk_keys = project_keys(params, H)
@@ -121,28 +117,27 @@ def forward_loss(
     loss = total / n_steps
     if not math.isfinite(loss):
         raise FloatingPointError("non-finite training loss")
-    return loss, {"H": H, "enc_cache": enc_cache, "steps": steps, "states": np.array(states), "acts": acts}
+    return loss, {"H": H, "steps": steps, "states": np.array(states), "acts": acts}
 
 
-def backward(cfg: ModelConfig, params: dict, cache, grads: dict | None = None, scale: float = 1.0) -> dict:
+def backward(cfg: ModelConfig, params: dict, cache: list, grads: dict | None = None, scale: float = 1.0) -> dict:
     """Add ``scale`` times the gradients of forward_loss into ``grads`` (zeros
     for every parameter tensor if None) and return it.
 
-    ``cache`` is one forward_loss cache or a minibatch of them (a list).
-    Each ``cache["dH"]`` becomes the (scaled) gradient of its encoded frames;
-    only an utterance encoded alone is back-propagated through its encoder
-    here. Only the step loop runs per utterance, on the utterance's rows of
-    one ``nn.GruBackward`` over the minibatch's steps; each weight gradient
-    is one product over the minibatch's steps or frames, except attention
+    ``cache`` is a minibatch of forward_loss caches (a list). Each
+    ``cache["dH"]`` becomes the (scaled) gradient of its encoded frames,
+    which the caller back-propagates through the encoder. Only the step
+    loop runs per utterance, on the utterance's rows of one
+    ``nn.GruBackward`` over the minibatch's steps; each weight gradient is
+    one product over the minibatch's steps or frames, except attention
     ``v`` and the offset, summed per utterance.
     """
     grads = nn.zero_grads(params) if grads is None else grads
-    batch = [cache] if isinstance(cache, dict) else cache
-    steps = [st for c in batch for st in c["steps"]]
-    counts = [len(c["steps"]) for c in batch]
+    steps = [st for c in cache for st in c["steps"]]
+    counts = [len(c["steps"]) for c in cache]
     hidden, embed, units, kinds = cfg.decoder_hidden, cfg.embed_dim, cfg.attention.energy_hidden, ("sel", "chunk")
-    H = np.concatenate([c["H"] for c in batch])
-    S = np.concatenate([c["states"][:-1] for c in batch])  # the state each step started from
+    H = np.concatenate([c["H"] for c in cache])
+    S = np.concatenate([c["states"][:-1] for c in cache])  # the state each step started from
     dlogits = np.array([st["dlogits"] for st in steps]) * np.repeat([scale / n for n in counts], counts)[:, None]
     grads["out.W"] += dlogits.T @ np.array([st["pre_out"] for st in steps])
     grads["out.b"] += dlogits.sum(axis=0)
@@ -156,7 +151,7 @@ def backward(cfg: ModelConfig, params: dict, cache, grads: dict | None = None, s
     dv = np.zeros((2, units))
     dH = np.empty_like(H)
     row = frame = 0
-    for c, n in zip(batch, counts):
+    for c, n in zip(cache, counts):
         Hu, acts = c["H"], c["acts"]  # acts: (selection or chunk, step, frame, unit)
         rows, frames = slice(row, row + n), slice(frame, frame + len(Hu))
         de = np.empty(acts.shape[:3])  # the gradient of each step's selection and chunk energies
@@ -182,16 +177,13 @@ def backward(cfg: ModelConfig, params: dict, cache, grads: dict | None = None, s
         row, frame = row + n, frame + len(Hu)
     gru.param_grads(np.array([st["x"] for st in steps]), grads)
     np.add.at(grads["emb.E"], [st["prev"] for st in steps], gru.gate_deltas @ gru.W[:, :embed])
-    S_new = np.concatenate([c["states"][1:] for c in batch])
+    S_new = np.concatenate([c["states"][1:] for c in cache])
     for j, kind in enumerate(kinds):
         grads[f"att.{kind}.v"] += dv[j]
         grads[f"att.{kind}.Wq"] += d_query[:, j].T @ S_new
         grads[f"att.{kind}.b"] += d_query[:, j].sum(axis=0)
         grads[f"att.{kind}.Wk"] += dk[j].T @ H
         dH += dk[j] @ params[f"att.{kind}.Wk"]
-    for c in batch:
-        if c["enc_cache"] is not None:
-            encode_backward(params, cfg.encoder, c["enc_cache"], c["dH"], grads)
     return grads
 
 
@@ -202,10 +194,23 @@ def corpus_loss(
     tcfg: TrainConfig,
     vocab: Vocab,
 ) -> float:
-    """Deterministic mean loss (scheduled sampling and selection noise off)."""
+    """Deterministic mean loss (scheduled sampling and selection noise off),
+    encoding ``tcfg.batch_size`` utterances at a time as training does."""
     plain = replace(tcfg, scheduled_sampling=0.0, selection_noise_std=0.0)
-    losses = [forward_loss(cfg, params, f, r, plain, vocab)[0] for f, r in examples]
+    losses = []
+    for lo in range(0, len(examples), tcfg.batch_size):
+        batch = examples[lo : lo + tcfg.batch_size]
+        encoded, _ = _encode(cfg, params, batch)
+        losses += [forward_loss(cfg, params, H, ref, plain, vocab)[0] for H, (_, ref) in zip(encoded, batch)]
     return float(np.mean(losses))
+
+
+def _encode(cfg: ModelConfig, params: dict, batch: list[tuple[FeatureSequence, list[int]]]):
+    """Encode a batch's utterances as one stack. Returns each utterance's
+    encoded rows and the ``EncoderCache``."""
+    H, enc_cache = encode_with_cache(params, cfg.encoder, np.concatenate([f.frames for f, _ in batch]),
+                                     [f.num_frames for f, _ in batch])
+    return np.split(H, np.cumsum(enc_cache.lengths)[:-1]), enc_cache
 
 
 def _minibatch_gradients(
@@ -224,11 +229,10 @@ def _minibatch_gradients(
     utterance at a time.
     """
     weight = 1.0 / len(batch)
-    H, enc_cache = encode_with_cache(params, cfg.encoder, np.concatenate([f.frames for f, _ in batch]),
-                                     [f.num_frames for f, _ in batch])
+    encoded, enc_cache = _encode(cfg, params, batch)
     caches, loss = [], 0.0
-    for (feats, ref), end, n in zip(batch, np.cumsum(enc_cache.lengths), enc_cache.lengths):
-        utt_loss, cache = forward_loss(cfg, params, feats, ref, tcfg, vocab, rng=rng, encoded=H[end - n : end])
+    for H, (_, ref) in zip(encoded, batch):
+        utt_loss, cache = forward_loss(cfg, params, H, ref, tcfg, vocab, rng=rng)
         caches.append(cache)
         loss += utt_loss * weight
     grads = backward(cfg, params, caches, scale=weight)

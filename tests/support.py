@@ -35,12 +35,16 @@ The encoder reference encodes one utterance a ``reference_gru_step`` at a
 time and back-propagates with per-step outer products; the minibatch
 encoder must give each utterance the same frames bit for bit, and gradients
 equal to the per-utterance sum to 1e-12 relative. The training reference
-steps through a minibatch one utterance at a time, encoder included, and
-adds each utterance's gradients with ``add_grads``; ``train`` must agree
-with it to 1e-12 relative. ``reference_sigmoid`` is the first,
-boolean-mask form of ``nn.sigmoid``, and ``reference_softmax`` the first form
-of ``nn.softmax``. ``first_selection`` is the scan's first crossing test, on
-selection probabilities; the library decides it on the energies.
+steps through a minibatch one utterance at a time: it encodes the utterance
+alone, runs ``forward_loss``, ``backward`` on a minibatch of one and
+``encode_backward``, and adds each utterance's gradients with
+``add_grads``; ``train`` must agree with it to 1e-12 relative.
+``reference_sigmoid`` is the first, boolean-mask form of ``nn.sigmoid``, and
+``reference_softmax`` the first form of ``nn.softmax``. ``first_selection``
+is the scan's first crossing test, on selection probabilities; the library
+decides it on the energies. ``reference_cer`` counts the edits by
+backtracing the alignment; ``metrics.cer`` reads them off the final cell of
+the table.
 """
 from __future__ import annotations
 
@@ -63,8 +67,10 @@ from silstream.attention import (
     soft_step,
     soft_step_backward,
 )
-from silstream.encoder import PyramidalEncoder
+from silstream.encoder import PyramidalEncoder, encode_backward, encode_with_cache
+from silstream.metrics import CerReport
 from silstream.trainer import backward, forward_loss, smoothed_targets
+from silstream.vocab import strip_nonscoring
 
 PARAM_GROUPS = {
     "encoder": ("enc",),
@@ -541,7 +547,9 @@ def reference_encode_backward(params, cfg, cache, d_encoded, grads, magnitude: b
 
 def reference_train(cfg, params, vocab, examples, tcfg):
     """``train`` (without evaluation or checkpoints) with a forward and
-    backward pass, encoder included, per utterance."""
+    backward pass, encoder included, per utterance: each utterance is
+    encoded alone, its decoder back-propagated as a minibatch of one and
+    its encoder on its own."""
     params = {k: v.copy() for k, v in params.items()}
     last_good = {k: v.copy() for k, v in params.items()}
     rng = np.random.default_rng(tcfg.seed)
@@ -560,8 +568,11 @@ def reference_train(cfg, params, vocab, examples, tcfg):
                 with np.errstate(all="ignore"):
                     for idx in batch:
                         feats, ref = examples[int(idx)]
-                        loss, cache = forward_loss(cfg, params, feats, ref, tcfg, vocab, rng=rng)
-                        add_grads(batch_grads, backward(cfg, params, cache), scale=weight)
+                        H, enc_cache = encode_with_cache(params, cfg.encoder, feats.frames, [feats.num_frames])
+                        loss, cache = forward_loss(cfg, params, H, ref, tcfg, vocab, rng=rng)
+                        grads = backward(cfg, params, [cache])
+                        encode_backward(params, cfg.encoder, enc_cache, cache["dH"], grads)
+                        add_grads(batch_grads, grads, scale=weight)
                         batch_loss += loss * weight
             except FloatingPointError:
                 diverged = True
@@ -579,3 +590,42 @@ def reference_train(cfg, params, vocab, examples, tcfg):
         history["train_loss"].append(float(np.mean(epoch_losses)))
         last_good = {k: v.copy() for k, v in params.items()}
     return params, history
+
+
+def reference_cer(reference: list[int], hypothesis: list[int], vocab) -> CerReport:
+    """``metrics.cer`` with the first form's operation table and backtrace,
+    which counts each kind of edit along the alignment it recovers."""
+    ref = strip_nonscoring(reference, vocab)
+    hyp = strip_nonscoring(hypothesis, vocab)
+    R, H = len(ref), len(hyp)
+    dp = [[(0, 0)] * (H + 1) for _ in range(R + 1)]
+    ops = [[""] * (H + 1) for _ in range(R + 1)]
+    for i in range(1, R + 1):
+        dp[i][0] = (i, 0)
+        ops[i][0] = "D"
+    for j in range(1, H + 1):
+        dp[0][j] = (j, 0)
+        ops[0][j] = "I"
+    for i in range(1, R + 1):
+        for j in range(1, H + 1):
+            sub_cost = 0 if ref[i - 1] == hyp[j - 1] else 1
+            diag = (dp[i - 1][j - 1][0] + sub_cost, dp[i - 1][j - 1][1] - sub_cost)
+            dele = (dp[i - 1][j][0] + 1, dp[i - 1][j][1])
+            ins = (dp[i][j - 1][0] + 1, dp[i][j - 1][1])
+            best = min(diag, dele, ins)
+            dp[i][j] = best
+            ops[i][j] = "=S"[sub_cost] if best == diag else ("D" if best == dele else "I")
+    report = CerReport(ref_len=R)
+    i, j = R, H
+    while i > 0 or j > 0:
+        op = ops[i][j]
+        if op in ("=", "S"):
+            report.substitutions += op == "S"
+            i, j = i - 1, j - 1
+        elif op == "D":
+            report.deletions += 1
+            i -= 1
+        else:
+            report.insertions += 1
+            j -= 1
+    return report

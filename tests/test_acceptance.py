@@ -26,7 +26,7 @@ from silstream.metrics import aggregate_cer, cer, cpl, sweep, sweep_csv
 from silstream.model import ModelConfig, NeuralModel, init_params
 from silstream.streamer import StreamConfig, decode_offline, stream_decode
 from silstream.synth import CorpusSpec, OracleMode, OracleModel, SynthConfig, gen_corpus, gen_utterance
-from silstream.trainer import TrainConfig, backward, forward_loss
+from silstream.trainer import TrainConfig, _minibatch_gradients, corpus_loss
 from silstream.vocab import make_vocab
 
 from support import PARAM_GROUPS, encode, group_of, infer_step
@@ -151,11 +151,12 @@ def test_criterion_3_gradient_verification():
     )
     params = init_params(cfg, VOCAB.size, seed=3)
     rng = np.random.default_rng(4)
-    feats = ss.FeatureSequence(rng.normal(size=(12, 4)))
-    ref = [VOCAB.bos_id] + [VOCAB.id_of(f"t{i}") for i in (0, 1, 2)] + [VOCAB.eos_id]
+    # a ragged minibatch, checked through the gradient that train applies
+    batch = [(ss.FeatureSequence(rng.normal(size=(frames, 4))),
+              [VOCAB.bos_id] + [VOCAB.id_of(f"t{i}") for i in tokens] + [VOCAB.eos_id])
+             for frames, tokens in ((12, (0, 1, 2)), (7, (3, 1)), (13, (2, 0, 3)))]
     tcfg = TrainConfig(scheduled_sampling=0.0, selection_noise_std=0.0)
-    _, cache = forward_loss(cfg, params, feats, ref, tcfg, VOCAB)
-    grads = backward(cfg, params, cache)
+    _, grads = _minibatch_gradients(cfg, params, batch, tcfg, VOCAB, rng)
     step = 1e-4
     worst = dict.fromkeys(PARAM_GROUPS, 0.0)
     for name in sorted(params):
@@ -165,9 +166,9 @@ def test_criterion_3_gradient_verification():
             idx = it.multi_index
             orig = params[name][idx]
             params[name][idx] = orig + step
-            up, _ = forward_loss(cfg, params, feats, ref, tcfg, VOCAB)
+            up = corpus_loss(cfg, params, batch, tcfg, VOCAB)
             params[name][idx] = orig - step
-            dn, _ = forward_loss(cfg, params, feats, ref, tcfg, VOCAB)
+            dn = corpus_loss(cfg, params, batch, tcfg, VOCAB)
             params[name][idx] = orig
             g_fd[idx] = (up - dn) / (2 * step)
         denom = max(np.abs(g_fd).max(), np.abs(grads[name]).max(), 1e-8)

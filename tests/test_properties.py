@@ -57,6 +57,7 @@ from silstream.encoder import (
     encode_with_cache,
     init_encoder_params,
 )
+from silstream.metrics import cer
 from silstream.model import ModelConfig, NeuralModel, init_params
 from silstream.streamer import ENGINES, StreamConfig, StreamSession, decode_offline
 from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_utterance
@@ -83,6 +84,7 @@ from support import (
     reference_sigmoid,
     reference_soft_step,
     reference_soft_step_backward,
+    reference_cer,
     reference_softmax,
     reference_start,
 )
@@ -268,8 +270,8 @@ class TestTrainerDecoderMatchesReference:
         H = rng.normal(size=(frames, cfg.context_dim))
         ref = [VOCAB.bos_id, *tokens, VOCAB.eos_id]
         tcfg = TrainConfig(scheduled_sampling=0.0, selection_noise_std=0.0)
-        loss, cache = forward_loss(cfg, params, None, ref, tcfg, VOCAB, encoded=H)  # no features: H is given
-        got = backward(cfg, params, cache)
+        loss, cache = forward_loss(cfg, params, H, ref, tcfg, VOCAB)
+        got = backward(cfg, params, [cache])
 
         S = cache["states"]
         for i, step in enumerate(cache["steps"]):
@@ -316,7 +318,7 @@ class TestMinibatchDecoderMatchesReference:
         want, terms = nn.zero_grads(params), nn.zero_grads(params)
         for frames, tokens in utts:
             H, ref = rng.normal(size=(frames, cfg.context_dim)), [VOCAB.bos_id, *tokens, VOCAB.eos_id]
-            caches.append(forward_loss(cfg, params, None, ref, tcfg, VOCAB, encoded=H)[1])
+            caches.append(forward_loss(cfg, params, H, ref, tcfg, VOCAB)[1])
             utt_grads, utt_dH, utt_terms = reference_decoder_backward(
                 cfg, params, H, reference_decoder_loss(cfg, params, H, ref, tcfg.label_smoothing)[1])
             add_grads(want, utt_grads, scale)
@@ -327,6 +329,14 @@ class TestMinibatchDecoderMatchesReference:
             assert cache["dH"].shape == want_dH.shape and within(cache["dH"], want_dH)
         for k in want:  # each entry within 1e-12 of the magnitudes of the terms it sums
             assert within(got[k], want[k], terms[k]), k
+
+
+class TestCerMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(ref=st.lists(st.integers(0, VOCAB.size - 1), max_size=12),
+           hyp=st.lists(st.integers(0, VOCAB.size - 1), max_size=12))
+    def test_same_report_as_the_backtrace(self, ref, hyp):
+        assert cer(ref, hyp, VOCAB) == reference_cer(ref, hyp, VOCAB)
 
 
 class TestSigmoidMatchesReference:

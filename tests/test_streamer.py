@@ -163,7 +163,7 @@ class TestPrefixStability:
             snapshot = list(committed)
             committed += session.push(batch, is_last=i == len(batches) - 1)
             assert committed[: len(snapshot)] == snapshot
-        assert session.result().tokens == list(session.committed_tokens)
+        assert session.result().tokens == list(session._flat_committed()) == [VOCAB.bos_id] + committed
 
     def test_no_commit_inside_restricted_region(self):
         utts = [make_utt(["a", "b"], [(1, 96), (2, 48)], seed=10),

@@ -6,15 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from silstream import nn
 from silstream.attention import AttentionConfig
 from silstream.data import FeatureSequence
 from silstream.encoder import EncoderConfig
 from silstream.model import ModelConfig, NeuralModel, init_params, load_checkpoint, save_checkpoint
-from silstream.trainer import TrainConfig, backward, corpus_loss, forward_loss, smoothed_targets, train
+from silstream.trainer import (TrainConfig, _encode, _minibatch_gradients, backward, corpus_loss, forward_loss,
+                               smoothed_targets, train)
 from silstream.vocab import make_vocab
 
-from support import PARAM_GROUPS, add_grads, group_of, reference_train
+from support import PARAM_GROUPS, group_of, reference_train
 
 VOCAB = make_vocab(["a", "b", "c"])
 
@@ -34,6 +34,11 @@ def tiny_example(seed=11, frames=12):
     feats = FeatureSequence(rng.normal(size=(frames, 4)))
     ref = [VOCAB.bos_id] + VOCAB.encode(["a", "b", "c"]) + [VOCAB.eos_id]
     return feats, ref
+
+
+def encoded(cfg, params, feats):
+    """The utterance's rows of a minibatch encode, as training gives them to forward_loss."""
+    return _encode(cfg, params, [(feats, None)])[0][0]
 
 
 NO_NOISE = TrainConfig(scheduled_sampling=0.0, selection_noise_std=0.0)
@@ -89,48 +94,50 @@ class TestForwardLoss:
         cfg, params = tiny_model()
         feats, _ = tiny_example()
         with pytest.raises(ValueError):
-            forward_loss(cfg, params, feats, VOCAB.encode(["a"]), NO_NOISE, VOCAB)
+            forward_loss(cfg, params, encoded(cfg, params, feats), VOCAB.encode(["a"]), NO_NOISE, VOCAB)
 
     def test_perfect_prediction_zero_loss(self):
         cfg, params = tiny_model()
         feats, ref = tiny_example()
         plain = TrainConfig(label_smoothing=0.0, scheduled_sampling=0.0, selection_noise_std=0.0)
+        H = encoded(cfg, params, feats)
         # crank the output bias so the model predicts each target with certainty
-        loss, cache = forward_loss(cfg, params, feats, ref, plain, VOCAB)
+        loss, cache = forward_loss(cfg, params, H, ref, plain, VOCAB)
         assert loss > 0
         # analytic floor check instead: loss of the smoothed objective is
         # bounded below by the target distribution's entropy
         q = smoothed_targets(0, VOCAB.size, 0.2)
         floor = -(q * np.log(q)).sum()
-        smoothed, _ = forward_loss(cfg, params, feats, ref, NO_NOISE, VOCAB)
+        smoothed, _ = forward_loss(cfg, params, H, ref, NO_NOISE, VOCAB)
         assert smoothed >= floor - 1e-9
 
     def test_deterministic_without_sampling(self):
         cfg, params = tiny_model()
         feats, ref = tiny_example()
-        a, _ = forward_loss(cfg, params, feats, ref, NO_NOISE, VOCAB)
-        b, _ = forward_loss(cfg, params, feats, ref, NO_NOISE, VOCAB)
+        H = encoded(cfg, params, feats)
+        a, _ = forward_loss(cfg, params, H, ref, NO_NOISE, VOCAB)
+        b, _ = forward_loss(cfg, params, H, ref, NO_NOISE, VOCAB)
         assert a == b
 
     def test_sampling_requires_rng(self):
         cfg, params = tiny_model()
         feats, ref = tiny_example()
         with pytest.raises(ValueError):
-            forward_loss(cfg, params, feats, ref, TrainConfig(scheduled_sampling=0.5), VOCAB)
+            forward_loss(cfg, params, encoded(cfg, params, feats), ref, TrainConfig(scheduled_sampling=0.5), VOCAB)
 
     def test_empty_features_rejected(self):
         cfg, params = tiny_model()
-        with pytest.raises(ValueError):
-            forward_loss(cfg, params, FeatureSequence(np.zeros((0, 4))),
-                         [VOCAB.bos_id, VOCAB.eos_id], NO_NOISE, VOCAB)
+        with pytest.raises(ValueError, match="empty utterance"):
+            corpus_loss(cfg, params, [(FeatureSequence(np.zeros((0, 4))), [VOCAB.bos_id, VOCAB.eos_id])],
+                        NO_NOISE, VOCAB)
 
 
 class TestGradients:
     def test_finite_differences_every_group(self):
+        # a ragged minibatch: the gradient train applies against its loss, the mean over the utterances
         cfg, params = tiny_model()
-        feats, ref = tiny_example()
-        _, cache = forward_loss(cfg, params, feats, ref, NO_NOISE, VOCAB)
-        grads = backward(cfg, params, cache)
+        batch = [tiny_example(seed, frames) for seed, frames in ((11, 12), (12, 7), (13, 13))]
+        _, grads = _minibatch_gradients(cfg, params, batch, NO_NOISE, VOCAB, np.random.default_rng(0))
         step = 1e-4
         worst = dict.fromkeys(PARAM_GROUPS, 0.0)
         for name in sorted(params):
@@ -140,9 +147,9 @@ class TestGradients:
                 idx = it.multi_index
                 orig = params[name][idx]
                 params[name][idx] = orig + step
-                up, _ = forward_loss(cfg, params, feats, ref, NO_NOISE, VOCAB)
+                up = corpus_loss(cfg, params, batch, NO_NOISE, VOCAB)
                 params[name][idx] = orig - step
-                dn, _ = forward_loss(cfg, params, feats, ref, NO_NOISE, VOCAB)
+                dn = corpus_loss(cfg, params, batch, NO_NOISE, VOCAB)
                 params[name][idx] = orig
                 g_fd[idx] = (up - dn) / (2 * step)
             denom = max(np.abs(g_fd).max(), np.abs(grads[name]).max(), 1e-8)
@@ -155,19 +162,15 @@ class TestGradients:
         # duplicating an utterance doubles summed gradients, keeps mean ones
         cfg, params = tiny_model()
         feats, ref = tiny_example()
-        _, cache = forward_loss(cfg, params, feats, ref, NO_NOISE, VOCAB)
-        single = backward(cfg, params, cache)
-        doubled = nn.zero_grads(params)
-        for _ in range(2):
-            _, c = forward_loss(cfg, params, feats, ref, NO_NOISE, VOCAB)
-            add_grads(doubled, backward(cfg, params, c))
-        averaged = nn.zero_grads(params)
-        for _ in range(2):
-            _, c = forward_loss(cfg, params, feats, ref, NO_NOISE, VOCAB)
-            add_grads(averaged, backward(cfg, params, c), scale=0.5)
-        for k in single:
-            np.testing.assert_allclose(doubled[k], 2 * single[k], atol=1e-12)
-            np.testing.assert_allclose(averaged[k], single[k], atol=1e-12)
+        rng = np.random.default_rng(0)
+        _, mean_one = _minibatch_gradients(cfg, params, [(feats, ref)], NO_NOISE, VOCAB, rng)
+        _, mean_two = _minibatch_gradients(cfg, params, [(feats, ref)] * 2, NO_NOISE, VOCAB, rng)
+        H = encoded(cfg, params, feats)
+        caches = [forward_loss(cfg, params, H, ref, NO_NOISE, VOCAB)[1] for _ in range(3)]
+        summed_two, summed_one = backward(cfg, params, caches[:2]), backward(cfg, params, caches[2:])
+        for k in params:
+            np.testing.assert_allclose(summed_two[k], 2 * summed_one[k], atol=1e-12)
+            np.testing.assert_allclose(mean_two[k], mean_one[k], atol=1e-12)
 
     def test_zero_loss_zero_gradients(self):
         # if the loss floor is reached exactly the gradient vanishes; emulate
@@ -175,8 +178,8 @@ class TestGradients:
         # gradient wrt out.b sums to zero across the vocabulary by softmax
         cfg, params = tiny_model()
         feats, ref = tiny_example()
-        _, cache = forward_loss(cfg, params, feats, ref, NO_NOISE, VOCAB)
-        grads = backward(cfg, params, cache)
+        _, cache = forward_loss(cfg, params, encoded(cfg, params, feats), ref, NO_NOISE, VOCAB)
+        grads = backward(cfg, params, [cache])
         assert abs(grads["out.b"].sum()) <= 1e-10
 
 
@@ -270,8 +273,8 @@ class TestCheckpointRoundTrip:
         assert back.vocab.tokens == VOCAB.tokens
         for k in params:
             np.testing.assert_array_equal(back.params[k], params[k])
-        a, _ = forward_loss(cfg, params, feats, ref, NO_NOISE, VOCAB)
-        b, _ = forward_loss(back.cfg, back.params, feats, ref, NO_NOISE, VOCAB)
+        a = corpus_loss(cfg, params, [(feats, ref)], NO_NOISE, VOCAB)
+        b = corpus_loss(back.cfg, back.params, [(feats, ref)], NO_NOISE, VOCAB)
         assert a == b
 
     def test_checksum_tamper_detected(self, tmp_path):
@@ -308,8 +311,9 @@ class TestScheduledSampling:
         cfg, params = tiny_model()
         feats, ref = tiny_example()
         tcfg = TrainConfig(scheduled_sampling=1.0, selection_noise_std=0.0)
-        a, _ = forward_loss(cfg, params, feats, ref, tcfg, VOCAB, rng=np.random.default_rng(5))
-        b, _ = forward_loss(cfg, params, feats, ref, tcfg, VOCAB, rng=np.random.default_rng(5))
-        c, _ = forward_loss(cfg, params, feats, ref, tcfg, VOCAB, rng=np.random.default_rng(6))
+        H = encoded(cfg, params, feats)
+        a, _ = forward_loss(cfg, params, H, ref, tcfg, VOCAB, rng=np.random.default_rng(5))
+        b, _ = forward_loss(cfg, params, H, ref, tcfg, VOCAB, rng=np.random.default_rng(5))
+        c, _ = forward_loss(cfg, params, H, ref, tcfg, VOCAB, rng=np.random.default_rng(6))
         assert a == b
         assert a != c  # different sampled histories almost surely differ
