@@ -18,7 +18,7 @@ import numpy as np
 from silstream import BeamConfig, decode_offline, make_vocab
 from silstream.attention import AttentionConfig
 from silstream.encoder import EncoderConfig
-from silstream.metrics import aggregate_cer, cer
+from silstream.metrics import CerReport, cer
 from silstream.model import ModelConfig, NeuralModel, init_params
 from silstream.synth import CorpusSpec, SynthConfig, gen_corpus
 from silstream.trainer import TrainConfig, train
@@ -56,6 +56,6 @@ reports = []
 for utt in list(corpus.values())[:20]:
     result = decode_offline(model, utt.features, BeamConfig(beam_size=1))
     reports.append(cer(utt.tokens, result.tokens, vocab))
-total = aggregate_cer(reports)
+total = sum(reports, CerReport())
 print(f"offline greedy decode on 20 training utterances: "
       f"CER {total.cer:.3f} (S={total.substitutions} I={total.insertions} D={total.deletions})")

@@ -1,54 +1,68 @@
 """Command-line entry points.
 
-Every verb reads an optional JSON config file; explicit flags override
-config values, which override built-in defaults. Traces are JSON-lines,
+Every verb reads an optional JSON config file. Its keys that are flags of
+the verb set those flags' values; a flag given on the command line overrides
+them, and they override the defaults of the library's config classes. Keys
+that are not flags of the verb are ignored. Traces are JSON-lines,
 summaries are CSV.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 
 from . import data, metrics, trainer
-from .decoder import BeamConfig
+from .decoder import EOS_POLICIES, BeamConfig
 from .labeler import LabelerConfig, label_corpus
 from .model import ModelConfig, NeuralModel, init_params, load_checkpoint, save_checkpoint
 from .encoder import EncoderConfig
 from .attention import AttentionConfig
 from .streamer import ENGINES, StreamConfig, decode_offline, stream_decode
-from .synth import CorpusSpec, OracleMode, OracleModel, SynthConfig, gen_corpus, load_corpus, save_corpus
+from .synth import ORACLE_MODES, CorpusSpec, OracleMode, OracleModel, SynthConfig, gen_corpus, load_corpus, save_corpus
 from .vocab import load_vocab, make_vocab
 
-
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)
-
-
-class Options:
-    """Flag > config-file > default resolution."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = _load_config(getattr(args, "config", None))
-
-    def get(self, key: str, default=None):
-        value = getattr(self.args, key, None)
-        if value is not None:
-            return value
-        return self.config.get(key, default)
+# the options whose names differ from the config field they set
+_FLAG_OF = {
+    "num_utterances": "size", "num_layers": "enc_layers", "hidden": "enc_hidden", "proj": "enc_proj",
+    "energy_hidden": "att_hidden", "decoder_hidden": "dec_hidden", "beam_size": "beam", "mode": "oracle",
+    "sil_duration_encoded": "oracle_sil_duration", "min_silence_encoded": "oracle_min_silence",
+}
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+def _options(args: argparse.Namespace, *required: str) -> dict:
+    """The config file's keys that are flags of the verb, overridden by every
+    flag given; exits naming the first ``required`` option that is unset."""
+    config = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as f:
+            config = json.load(f)
+    flags = vars(args)
+    opt = {k: v for k, v in config.items() if k in flags and v is not None}
+    opt.update((k, v) for k, v in flags.items() if v is not None)
+    for key in required:
+        if key not in opt:
+            raise SystemExit(f"silstream {args.command}: --{key.replace('_', '-')} is required "
+                             "(as a flag or a config key)")
+    return opt
 
 
-def _float_list(text: str) -> list[float]:
-    return [math.inf if x == "inf" else float(x) for x in text.split(",") if x]
+def _config(cls, opt: dict, **given):
+    """``cls`` from ``given`` and, for its other fields, the options named
+    after them (or ``_FLAG_OF``), each cast to the type of the field's
+    default. A field with no option keeps the class default."""
+    for f in dataclasses.fields(cls):
+        value = opt.get(_FLAG_OF.get(f.name, f.name))
+        if f.name not in given and value is not None:
+            typed = f.default is not None and f.default is not dataclasses.MISSING
+            given[f.name] = type(f.default)(value) if typed else value
+    return cls(**given)
+
+
+def _list(opt: dict, key: str, cast, default) -> list:
+    """A comma-separated option as a list; ``[default]`` when it is unset."""
+    return [cast(x) for x in opt[key].split(",") if x] if key in opt else [default]
 
 
 def _write_jsonl(records: list[dict], path: str) -> None:
@@ -57,66 +71,40 @@ def _write_jsonl(records: list[dict], path: str) -> None:
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _model_for_args(opt: Options):
-    """Returns (model_for(utt), vocab) from --model or --oracle flags."""
-    ckpt = opt.get("model")
-    oracle = opt.get("oracle")
-    if (ckpt is None) == (oracle is None):
+def _model_for_args(opt: dict, vocab):
+    """Returns (model_for(utt), vocab) from the --model or --oracle option;
+    ``vocab`` is the corpus's, which a checkpoint replaces with its own."""
+    if ("model" in opt) == ("oracle" in opt):
         raise SystemExit("exactly one of --model or --oracle is required")
-    if ckpt:
-        model = load_checkpoint(ckpt)
+    if "model" in opt:
+        model = load_checkpoint(opt["model"])
         return (lambda utt: model), model.vocab
-    mode = OracleMode(
-        mode=oracle,
-        sil_duration_encoded=int(opt.get("oracle_sil_duration", 6)),
-        min_silence_encoded=int(opt.get("oracle_min_silence", 3)),
-    )
-    reduction = int(opt.get("oracle_reduction", 4))
-    corpus_dir = opt.get("corpus")
-    _, vocab = load_corpus(corpus_dir)
-    return (lambda utt: OracleModel(mode, vocab, utt.alignment, total_reduction=reduction)), vocab
+    mode = _config(OracleMode, opt)
+    reduction = {"total_reduction": int(opt["oracle_reduction"])} if "oracle_reduction" in opt else {}
+    return (lambda utt: OracleModel(mode, vocab, utt.alignment, **reduction)), vocab
 
 
 def cmd_gen_synthetic(args) -> int:
-    opt = Options(args)
-    tokens = [f"t{i}" for i in range(int(opt.get("vocab_size", 6)))]
-    vocab = make_vocab(tokens)
-    cfg = SynthConfig(
-        vocab=vocab,
-        feature_dim=int(opt.get("feature_dim", 8)),
-        frames_per_token=int(opt.get("frames_per_token", 8)),
-        noise_sigma=float(opt.get("noise_sigma", 0.0)),
-        pattern_seed=int(opt.get("pattern_seed", 1234)),
-    )
-    spec = CorpusSpec(
-        num_utterances=int(opt.get("size", 50)),
-        min_tokens=int(opt.get("min_tokens", 2)),
-        max_tokens=int(opt.get("max_tokens", 5)),
-        mid_silence_prob=float(opt.get("mid_silence_prob", 0.5)),
-        mid_silence_frames=(int(opt.get("mid_silence_min", 24)), int(opt.get("mid_silence_max", 96))),
-        lead_silence_prob=float(opt.get("lead_silence_prob", 0.0)),
-        lead_silence_frames=(int(opt.get("lead_silence_min", 8)), int(opt.get("lead_silence_max", 24))),
-        trail_silence_prob=float(opt.get("trail_silence_prob", 1.0)),
-        trail_silence_frames=(int(opt.get("trail_silence_min", 24)), int(opt.get("trail_silence_max", 72))),
-        align_to=int(opt.get("align_to", 1)),
-    )
-    corpus = gen_corpus(cfg, spec, seed=int(opt.get("seed", 0)))
-    save_corpus(corpus, vocab, opt.get("out", "corpus"))
-    print(json.dumps({"utterances": len(corpus), "out": opt.get("out", "corpus")}))
+    opt = _options(args)
+    cfg = _config(SynthConfig, opt, vocab=make_vocab([f"t{i}" for i in range(int(opt.get("vocab_size", 6)))]))
+    ranges = {}
+    for kind in ("mid", "lead", "trail"):
+        low, high = getattr(CorpusSpec, f"{kind}_silence_frames")
+        ranges[f"{kind}_silence_frames"] = (int(opt.get(f"{kind}_silence_min", low)),
+                                            int(opt.get(f"{kind}_silence_max", high)))
+    corpus = gen_corpus(cfg, _config(CorpusSpec, opt, **ranges), seed=int(opt.get("seed", 0)))
+    out = opt.get("out", "corpus")
+    save_corpus(corpus, cfg.vocab, out)
+    print(json.dumps({"utterances": len(corpus), "out": out}))
     return 0
 
 
 def cmd_label_silence(args) -> int:
-    opt = Options(args)
-    corpus_dir = opt.get("corpus")
-    corpus, vocab = load_corpus(corpus_dir)
-    cfg = LabelerConfig(
-        duration_frames=int(opt.get("duration_frames", 24)),
-        min_segment_frames=opt.get("min_segment_frames"),
-    )
+    opt = _options(args, "corpus")
+    corpus, vocab = load_corpus(opt["corpus"])
     references = {utt_id: utt.tokens for utt_id, utt in corpus.items()}
     alignments = {utt_id: utt.alignment for utt_id, utt in corpus.items()}
-    labeled, stats = label_corpus(references, alignments, cfg, vocab)
+    labeled, stats = label_corpus(references, alignments, _config(LabelerConfig, opt), vocab)
     out = opt.get("out", "labeled_refs.tsv")
     data.write_references({u: vocab.decode(ids) for u, ids in labeled.items()}, out)
     print(json.dumps({
@@ -130,38 +118,17 @@ def cmd_label_silence(args) -> int:
 
 
 def cmd_train(args) -> int:
-    opt = Options(args)
-    corpus, vocab = load_corpus(opt.get("corpus"))
-    refs_path = opt.get("refs")
-    if refs_path:
-        refs = {u: vocab.encode(toks) for u, toks in data.read_references(refs_path).items()}
+    opt = _options(args, "corpus")
+    corpus, vocab = load_corpus(opt["corpus"])
+    if opt.get("refs"):
+        refs = {u: vocab.encode(toks) for u, toks in data.read_references(opt["refs"]).items()}
     else:
         refs = {u: utt.tokens for u, utt in corpus.items()}
     silence_aware = any(vocab.sil_id in ids for ids in refs.values())
-    sample = next(iter(corpus.values()))
-    cfg = ModelConfig(
-        encoder=EncoderConfig(
-            num_layers=int(opt.get("enc_layers", 2)),
-            input_dim=sample.features.dim,
-            hidden=int(opt.get("enc_hidden", 32)),
-            proj=int(opt.get("enc_proj", 16)),
-        ),
-        attention=AttentionConfig(
-            chunk_size=int(opt.get("chunk_size", 3)),
-            energy_hidden=int(opt.get("att_hidden", 16)),
-        ),
-        decoder_hidden=int(opt.get("dec_hidden", 32)),
-        embed_dim=int(opt.get("embed_dim", 8)),
-    )
-    tcfg = trainer.TrainConfig(
-        label_smoothing=float(opt.get("label_smoothing", 0.2)),
-        scheduled_sampling=float(opt.get("scheduled_sampling", 0.2)),
-        learning_rate=float(opt.get("learning_rate", 0.05)),
-        epochs=int(opt.get("epochs", 10)),
-        batch_size=int(opt.get("batch_size", 8)),
-        seed=int(opt.get("seed", 0)),
-        momentum=float(opt.get("momentum", 0.0)),
-    )
+    input_dim = next(iter(corpus.values())).features.dim
+    cfg = _config(ModelConfig, opt, encoder=_config(EncoderConfig, opt, input_dim=input_dim),
+                  attention=_config(AttentionConfig, opt))
+    tcfg = _config(trainer.TrainConfig, opt)
     examples = [
         (corpus[u].features, [vocab.bos_id] + refs[u] + [vocab.eos_id]) for u in sorted(corpus)
     ]
@@ -172,11 +139,10 @@ def cmd_train(args) -> int:
     )
     out = opt.get("out", "model.ckpt")
     save_checkpoint(NeuralModel(cfg, params, vocab, silence_aware=silence_aware), out)
-    log_path = opt.get("loss_log")
-    if log_path:
+    if opt.get("loss_log"):
         _write_jsonl(
             [{"epoch": i, "train_loss": loss} for i, loss in enumerate(history["train_loss"])],
-            log_path,
+            opt["loss_log"],
         )
     print(json.dumps({
         "out": out,
@@ -189,10 +155,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_decode_offline(args) -> int:
-    opt = Options(args)
-    corpus, _ = load_corpus(opt.get("corpus"))
-    model_for, vocab = _model_for_args(opt)
-    beam_cfg = BeamConfig(beam_size=int(opt.get("beam", 8)))
+    opt = _options(args, "corpus")
+    corpus, vocab = load_corpus(opt["corpus"])
+    model_for, vocab = _model_for_args(opt, vocab)
+    beam_cfg = _config(BeamConfig, opt)
     hyps = {}
     trace = []
     for utt_id in sorted(corpus):
@@ -201,24 +167,20 @@ def cmd_decode_offline(args) -> int:
         hyps[utt_id] = vocab.decode(result.tokens)
         for record in result.trace_records(vocab):
             trace.append({"utt_id": utt_id, **record})
-    data.write_references(hyps, opt.get("out", "hyps_offline.tsv"))
+    out = opt.get("out", "hyps_offline.tsv")
+    data.write_references(hyps, out)
     if opt.get("trace"):
-        _write_jsonl(trace, opt.get("trace"))
-    print(json.dumps({"utterances": len(hyps), "out": opt.get("out", "hyps_offline.tsv")}))
+        _write_jsonl(trace, opt["trace"])
+    print(json.dumps({"utterances": len(hyps), "out": out}))
     return 0
 
 
 def cmd_decode_online(args) -> int:
-    opt = Options(args)
-    corpus, _ = load_corpus(opt.get("corpus"))
-    model_for, vocab = _model_for_args(opt)
-    beam_cfg = BeamConfig(beam_size=int(opt.get("beam", 8)), eos_policy=opt.get("eos_policy", "defer"))
-    stream_cfg = StreamConfig(
-        batch_ms=int(opt.get("batch_ms", 320)),
-        min_buffer_ms=float(opt.get("min_buffer_ms", 480.0)),
-        sil_buffer_ms=float(opt.get("sil_buffer_ms", opt.get("min_buffer_ms", 480.0))),
-        engine=opt.get("engine", "buffered"),
-    )
+    opt = _options(args, "corpus")
+    corpus, vocab = load_corpus(opt["corpus"])
+    model_for, vocab = _model_for_args(opt, vocab)
+    beam_cfg = _config(BeamConfig, opt)
+    stream_cfg = _config(StreamConfig, {"sil_buffer_ms": opt.get("min_buffer_ms"), **opt})
     hyps = {}
     trace = []
     summaries = []
@@ -235,18 +197,19 @@ def cmd_decode_online(args) -> int:
             "restarts": len(result.restarts),
             "backtracks": len(session.backtracks),
         })
-    data.write_references(hyps, opt.get("out", "hyps_online.tsv"))
+    out = opt.get("out", "hyps_online.tsv")
+    data.write_references(hyps, out)
     if opt.get("trace"):
-        _write_jsonl(trace + summaries, opt.get("trace"))
-    print(json.dumps({"utterances": len(hyps), "out": opt.get("out", "hyps_online.tsv")}))
+        _write_jsonl(trace + summaries, opt["trace"])
+    print(json.dumps({"utterances": len(hyps), "out": out}))
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    opt = Options(args)
-    vocab = load_vocab(opt.get("vocab"))
-    refs = data.read_references(opt.get("refs"))
-    hyps = data.read_references(opt.get("hyps"))
+    opt = _options(args, "refs", "hyps", "vocab")
+    vocab = load_vocab(opt["vocab"])
+    refs = data.read_references(opt["refs"])
+    hyps = data.read_references(opt["hyps"])
     missing = sorted(set(refs) - set(hyps))
     if missing:
         raise SystemExit(f"hypotheses missing for: {', '.join(missing)}")
@@ -276,20 +239,19 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    opt = Options(args)
-    corpus, _ = load_corpus(opt.get("corpus"))
-    model_for, _ = _model_for_args(opt)
-    stream_cfg = StreamConfig(batch_ms=int(opt.get("batch_ms", 320)))
-    beam_cfg = BeamConfig(eos_policy=opt.get("eos_policy", "defer"))
+    opt = _options(args, "corpus")
+    corpus, vocab = load_corpus(opt["corpus"])
+    model_for, _ = _model_for_args(opt, vocab)
+    stream_cfg, beam_cfg = _config(StreamConfig, opt), _config(BeamConfig, opt)
     rows = metrics.sweep(
         corpus,
         model_for,
-        beams=_int_list(opt.get("beams", "8")),
-        min_buffers_ms=_float_list(opt.get("min_buffers", "480")),
-        sil_buffers_ms=_float_list(opt.get("sil_buffers", "480")),
+        beams=_list(opt, "beams", int, beam_cfg.beam_size),
+        min_buffers_ms=_list(opt, "min_buffers", float, stream_cfg.min_buffer_ms),
+        sil_buffers_ms=_list(opt, "sil_buffers", float, stream_cfg.sil_buffer_ms),
         stream_cfg=stream_cfg,
         beam_cfg=beam_cfg,
-        simulated_clock=not bool(opt.get("wall_clock", False)),
+        simulated_clock=not opt.get("wall_clock"),
     )
     out = opt.get("out", "sweep.csv")
     with open(out, "w", encoding="utf-8") as f:
@@ -338,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dec-hidden": {"type": int}, "--embed-dim": {"type": int},
     })
     model_flags = {
-        "--model": {}, "--oracle": {"choices": ["silence_aware", "silence_skipping"]},
+        "--model": {}, "--oracle": {"choices": ORACLE_MODES},
         "--oracle-sil-duration": {"type": int}, "--oracle-min-silence": {"type": int},
         "--oracle-reduction": {"type": int},
     }
@@ -349,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--corpus": {}, "--out": {}, "--trace": {}, "--beam": {"type": int},
         "--batch-ms": {"type": int}, "--min-buffer-ms": {"type": float},
         "--sil-buffer-ms": {"type": float},
-        "--eos-policy": {"choices": ["defer", "restart", "accept"]},
+        "--eos-policy": {"choices": EOS_POLICIES},
         "--engine": {"choices": ENGINES}, **model_flags,
     })
     add("evaluate", cmd_evaluate, {
@@ -357,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     })
     add("sweep", cmd_sweep, {
         "--corpus": {}, "--out": {}, "--beams": {}, "--min-buffers": {}, "--sil-buffers": {},
-        "--batch-ms": {"type": int}, "--eos-policy": {"choices": ["defer", "restart", "accept"]},
+        "--batch-ms": {"type": int}, "--eos-policy": {"choices": EOS_POLICIES},
         "--wall-clock": {"action": "store_true", "default": None}, **model_flags,
     })
     return parser

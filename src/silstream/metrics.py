@@ -79,13 +79,6 @@ def cer(reference: list[int], hypothesis: list[int], vocab: Vocab) -> CerReport:
     return CerReport(substitutions=subs, insertions=(gaps + H - R) // 2, deletions=(gaps - H + R) // 2, ref_len=R)
 
 
-def aggregate_cer(reports: Iterable[CerReport]) -> CerReport:
-    total = CerReport()
-    for r in reports:
-        total = total + r
-    return total
-
-
 @dataclass
 class CplRecord:
     """Consumer-perceived latency of one utterance.

@@ -206,14 +206,17 @@ def load_corpus(directory: str) -> tuple[dict[str, Utterance], Vocab]:
     return corpus, vocab
 
 
+ORACLE_MODES = ("silence_aware", "silence_skipping")
+
+
 @dataclass(frozen=True)
 class OracleMode:
-    mode: str = "silence_aware"  # or "silence_skipping"
+    mode: str = "silence_aware"  # one of ORACLE_MODES
     sil_duration_encoded: int = 6
     min_silence_encoded: int = 3
 
     def __post_init__(self):
-        if self.mode not in ("silence_aware", "silence_skipping"):
+        if self.mode not in ORACLE_MODES:
             raise ValueError(f"unknown oracle mode {self.mode!r}")
         if self.sil_duration_encoded < 1:
             raise ValueError("sil_duration_encoded must be >= 1")

@@ -120,19 +120,19 @@ def forward_loss(
     return loss, {"H": H, "steps": steps, "states": np.array(states), "acts": acts}
 
 
-def backward(cfg: ModelConfig, params: dict, cache: list, grads: dict | None = None, scale: float = 1.0) -> dict:
-    """Add ``scale`` times the gradients of forward_loss into ``grads`` (zeros
-    for every parameter tensor if None) and return it.
+def backward(cfg: ModelConfig, params: dict, cache: list, scale: float = 1.0) -> tuple[dict, np.ndarray]:
+    """``scale`` times the gradients of forward_loss: ``(grads, dH)``, the
+    parameter gradients and the gradient of the encoded frames, which the
+    caller back-propagates through the encoder.
 
-    ``cache`` is a minibatch of forward_loss caches (a list). Each
-    ``cache["dH"]`` becomes the (scaled) gradient of its encoded frames,
-    which the caller back-propagates through the encoder. Only the step
+    ``cache`` is a minibatch of forward_loss caches (a list); ``dH`` holds
+    their frames back to back, in the order of ``cache``. Only the step
     loop runs per utterance, on the utterance's rows of one
     ``nn.GruBackward`` over the minibatch's steps; each weight gradient is
     one product over the minibatch's steps or frames, except attention
     ``v`` and the offset, summed per utterance.
     """
-    grads = nn.zero_grads(params) if grads is None else grads
+    grads = nn.zero_grads(params)
     steps = [st for c in cache for st in c["steps"]]
     counts = [len(c["steps"]) for c in cache]
     hidden, embed, units, kinds = cfg.decoder_hidden, cfg.embed_dim, cfg.attention.energy_hidden, ("sel", "chunk")
@@ -172,8 +172,7 @@ def backward(cfg: ModelConfig, params: dict, cache: list, grads: dict | None = N
         np.einsum("jit,jite->jte", de, slopes, out=dk[:, frames])
         dv += np.einsum("jit,jite->je", de, acts)
         grads["att.sel.r"] += de[0].sum()
-        dH[frames] = np.array([st["beta"] for st in c["steps"]]).T @ d_context[rows]
-        c["dH"] = dH[frames]  # a view: the key terms' share is added below
+        dH[frames] = np.array([st["beta"] for st in c["steps"]]).T @ d_context[rows]  # the key terms' share follows
         row, frame = row + n, frame + len(Hu)
     gru.param_grads(np.array([st["x"] for st in steps]), grads)
     np.add.at(grads["emb.E"], [st["prev"] for st in steps], gru.gate_deltas @ gru.W[:, :embed])
@@ -184,7 +183,7 @@ def backward(cfg: ModelConfig, params: dict, cache: list, grads: dict | None = N
         grads[f"att.{kind}.b"] += d_query[:, j].sum(axis=0)
         grads[f"att.{kind}.Wk"] += dk[j].T @ H
         dH += dk[j] @ params[f"att.{kind}.Wk"]
-    return grads
+    return grads, dH
 
 
 def corpus_loss(
@@ -235,8 +234,7 @@ def _minibatch_gradients(
         utt_loss, cache = forward_loss(cfg, params, H, ref, tcfg, vocab, rng=rng)
         caches.append(cache)
         loss += utt_loss * weight
-    grads = backward(cfg, params, caches, scale=weight)
-    dH = np.concatenate([c["dH"] for c in caches])
+    grads, dH = backward(cfg, params, caches, scale=weight)
     del caches, cache  # the decoder caches need not outlive the encoder backward
     encode_backward(params, cfg.encoder, enc_cache, dH, grads)
     return loss, grads

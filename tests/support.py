@@ -570,8 +570,8 @@ def reference_train(cfg, params, vocab, examples, tcfg):
                         feats, ref = examples[int(idx)]
                         H, enc_cache = encode_with_cache(params, cfg.encoder, feats.frames, [feats.num_frames])
                         loss, cache = forward_loss(cfg, params, H, ref, tcfg, vocab, rng=rng)
-                        grads = backward(cfg, params, [cache])
-                        encode_backward(params, cfg.encoder, enc_cache, cache["dH"], grads)
+                        grads, dH = backward(cfg, params, [cache])
+                        encode_backward(params, cfg.encoder, enc_cache, dH, grads)
                         add_grads(batch_grads, grads, scale=weight)
                         batch_loss += loss * weight
             except FloatingPointError:

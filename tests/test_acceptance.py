@@ -22,7 +22,7 @@ from silstream.attention import (
 from silstream.decoder import BeamConfig
 from silstream.encoder import EncoderConfig, PyramidalEncoder, init_encoder_params
 from silstream.labeler import LabelerConfig, label_corpus
-from silstream.metrics import aggregate_cer, cer, cpl, sweep, sweep_csv
+from silstream.metrics import CerReport, cer, cpl, sweep, sweep_csv
 from silstream.model import ModelConfig, NeuralModel, init_params
 from silstream.streamer import StreamConfig, decode_offline, stream_decode
 from silstream.synth import CorpusSpec, OracleMode, OracleModel, SynthConfig, gen_corpus, gen_utterance
@@ -227,10 +227,11 @@ def pathology_results():
                                       BeamConfig(beam_size=1, eos_policy=policy))
             reports.append(cer(utt.tokens, result.tokens, VOCAB))
             restarts += len(result.restarts)
-        out[policy] = (aggregate_cer(reports), restarts)
-    offline = aggregate_cer(
-        [cer(u.tokens, decode_offline(skipping_oracle(u), u.features, BeamConfig(beam_size=1)).tokens, VOCAB)
-         for u in corpus.values()]
+        out[policy] = (sum(reports, CerReport()), restarts)
+    offline = sum(
+        (cer(u.tokens, decode_offline(skipping_oracle(u), u.features, BeamConfig(beam_size=1)).tokens, VOCAB)
+         for u in corpus.values()),
+        CerReport(),
     )
     out["offline"] = (offline, 0)
     return out

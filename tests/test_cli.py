@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from silstream import cli
 from silstream.cli import main
 from silstream.data import read_references
 from silstream.decoder import BeamConfig
@@ -12,6 +13,7 @@ from silstream.encoder import EncoderConfig
 from silstream.attention import AttentionConfig
 from silstream.streamer import StreamConfig, stream_decode
 from silstream.synth import OracleMode, OracleModel, load_corpus
+from silstream.trainer import TrainConfig
 from silstream.vocab import SIL_TOKEN
 
 
@@ -156,3 +158,63 @@ class TestConfigFile:
         assert info["utterances"] == 3  # flag wins over config value
         corpus, _ = load_corpus(str(tmp_path / "from_config"))
         assert len(corpus) == 3
+
+
+class TestConfigPrecedence:
+    """Config keys that are flags reach the built config classes, a flag beats
+    the config, an unset field keeps the class default, a key that is not a
+    flag of the verb is ignored, and an int field takes a JSON float."""
+
+    def test_train(self, corpus_dir, tmp_path, monkeypatch):
+        seen = {}
+
+        def fake_train(cfg, params, vocab, examples, tcfg, **kwargs):
+            seen.update(cfg=cfg, tcfg=tcfg)
+            return params, {"train_loss": [], "diverged": False}
+
+        monkeypatch.setattr(cli.trainer, "train", fake_train)
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({
+            "corpus": str(corpus_dir), "enc_hidden": 12, "att_hidden": 5, "epochs": 3, "batch_size": 2.0,
+            "learning_rate": 0.5, "selection_noise_std": 3.0, "reduction": 3, "out": str(tmp_path / "m.ckpt"),
+        }))
+        assert main(["train", "--config", str(config), "--learning-rate", "0.01"]) == 0
+        cfg, tcfg = seen["cfg"], seen["tcfg"]
+        assert (cfg.encoder.hidden, cfg.attention.energy_hidden, tcfg.epochs) == (12, 5, 3)
+        assert tcfg.learning_rate == 0.01
+        assert tcfg.batch_size == 2 and type(tcfg.batch_size) is int
+        assert tcfg.selection_noise_std == TrainConfig.selection_noise_std
+        assert cfg.encoder == EncoderConfig(input_dim=cfg.encoder.input_dim, hidden=12)
+        assert (cfg.decoder_hidden, tcfg.momentum) == (ModelConfig.decoder_hidden, TrainConfig.momentum)
+
+    def test_decode_online(self, corpus_dir, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(model, features, stream_cfg, beam_cfg):
+            seen.append((model, stream_cfg, beam_cfg))
+            return stream_decode(model, features, stream_cfg, beam_cfg)
+
+        monkeypatch.setattr(cli, "stream_decode", spy)
+        config = tmp_path / "online.json"
+        config.write_text(json.dumps({
+            "corpus": str(corpus_dir), "oracle": "silence_skipping", "oracle_min_silence": 2, "batch_ms": 160,
+            "min_buffer_ms": 240, "beam": 2.0, "eos_policy": "restart", "cap_base": 1,
+        }))
+        assert main(["decode-online", "--config", str(config), "--eos-policy", "accept",
+                     "--out", str(tmp_path / "hyp.tsv")]) == 0
+        model, stream_cfg, beam_cfg = seen[0]
+        assert model.mode == OracleMode("silence_skipping", min_silence_encoded=2)
+        assert stream_cfg == StreamConfig(batch_ms=160, min_buffer_ms=240.0, sil_buffer_ms=240.0)
+        assert beam_cfg == BeamConfig(beam_size=2, eos_policy="accept")
+        assert type(beam_cfg.beam_size) is int
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["decode-offline", "--oracle", "silence_aware"], "--corpus"),
+    (["train"], "--corpus"),
+    (["evaluate"], "--refs"),
+    (["evaluate", "--refs", "refs.tsv", "--hyps", "hyps.tsv"], "--vocab"),
+])
+def test_missing_required_path_names_its_flag(argv, flag):
+    with pytest.raises(SystemExit, match=f"{flag} is required"):
+        main(argv)

@@ -5,7 +5,6 @@ from silstream.data import parse_alignment
 from silstream.decoder import BeamConfig
 from silstream.metrics import (
     CerReport,
-    aggregate_cer,
     average_cpl,
     cer,
     cpl,
@@ -65,7 +64,7 @@ class TestCer:
     def test_aggregate_is_sum(self):
         a = cer([A, B], [A], VOCAB)
         b = cer([C], [B], VOCAB)
-        total = aggregate_cer([a, b])
+        total = sum([a, b], CerReport())
         assert total.ref_len == 3
         assert total.deletions == 1 and total.substitutions == 1
         assert total.cer == pytest.approx(2 / 3)

@@ -271,7 +271,7 @@ class TestTrainerDecoderMatchesReference:
         ref = [VOCAB.bos_id, *tokens, VOCAB.eos_id]
         tcfg = TrainConfig(scheduled_sampling=0.0, selection_noise_std=0.0)
         loss, cache = forward_loss(cfg, params, H, ref, tcfg, VOCAB)
-        got = backward(cfg, params, [cache])
+        got, dH = backward(cfg, params, [cache])
 
         S = cache["states"]
         for i, step in enumerate(cache["steps"]):
@@ -285,7 +285,7 @@ class TestTrainerDecoderMatchesReference:
         want_loss, steps = reference_decoder_loss(cfg, params, H, ref, tcfg.label_smoothing)
         want, want_dH, terms = reference_decoder_backward(cfg, params, H, steps)
         assert math.isclose(loss, want_loss, rel_tol=1e-12, abs_tol=0.0)
-        assert within(cache["dH"], want_dH)
+        assert within(dH, want_dH)
         # each entry within 1e-12 of the larger of its group's largest gradient (the
         # reference sums the energies' terms in another order, which perturbs every
         # gradient on that scale) and the magnitudes of the terms it sums (a tensor
@@ -324,9 +324,9 @@ class TestMinibatchDecoderMatchesReference:
             add_grads(want, utt_grads, scale)
             add_grads(terms, utt_terms, scale)
             want_dHs.append(utt_dH * scale)
-        got = backward(cfg, params, caches, scale=scale)
-        for cache, want_dH in zip(caches, want_dHs):
-            assert cache["dH"].shape == want_dH.shape and within(cache["dH"], want_dH)
+        got, dH = backward(cfg, params, caches, scale=scale)
+        want_dH = np.concatenate(want_dHs)  # the utterances' frames back to back
+        assert dH.shape == want_dH.shape and within(dH, want_dH)
         for k in want:  # each entry within 1e-12 of the magnitudes of the terms it sums
             assert within(got[k], want[k], terms[k]), k
 
