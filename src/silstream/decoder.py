@@ -217,6 +217,14 @@ def _expand(hyp: Hypothesis, out: StepOutput, token: int, score: float, log_prob
                       token == eos_id, hyp.runaway)
 
 
+def _restamp(hyp: Hypothesis, clock_ms: float) -> Hypothesis:
+    """An expanded hypothesis rebuilt with its emission stamped ``clock_ms``."""
+    history, em = hyp.history, hyp.history.emission
+    em = Emission(em.token, em.selected_index, em.peak_index, clock_ms, em.log_prob, em.forced)
+    return Hypothesis(history.parent.extend(history.token, em), hyp.log_score, hyp.dec_state, hyp.att_state,
+                      hyp.finished, hyp.runaway)
+
+
 def decode_step(
     model,
     beam: list[Hypothesis],
@@ -226,6 +234,7 @@ def decode_step(
     clock_ms: float = 0.0,
     force: bool = False,
     block_eos: bool = False,
+    reuse: tuple[list[Hypothesis], list[AttentionStepResult | None]] | None = None,
 ) -> tuple[list[Hypothesis], list[AttentionStepResult | None]]:
     """Expand every live hypothesis by one token.
 
@@ -233,9 +242,18 @@ def decode_step(
     (stalled, signalled through the returned attention results) rather than
     dropped. ``force`` converts such stalls into a forced selection of the
     last frame so decoding can always make progress at finalization.
+
+    ``reuse`` is this step's result over a shorter buffer, from a model with
+    ``stable_steps``, in which every attention result is None or an unforced
+    selection and no hypothesis ran away: the step would select the same
+    expansions again, so each is rebuilt from it with its emission stamped
+    ``clock_ms``, and the model is not run.
     """
     if not beam:
         raise ValueError("empty beam")
+    if reuse is not None:
+        new_beam, atts = reuse
+        return [hyp if att is None else _restamp(hyp, clock_ms) for hyp, att in zip(new_beam, atts)], atts
     eos_id = model.vocab.eos_id
     cap = cfg.max_tokens(len(buffer))
     live = [hyp for hyp in beam if not hyp.finished and hyp.emitted < cap]

@@ -1,10 +1,16 @@
 """The trainable encoder-attention-decoder model and its checkpoint format.
 
 Any object with the same surface (``vocab``, ``total_reduction``,
-``silence_aware``, ``encoder_reset/push/finish``, ``decode_start``,
-``decode_steps``, ``decode_step``) can drive the decoder and streamer; the
-synthetic oracle implements it too, so decoding machinery cannot tell them
-apart.
+``silence_aware``, ``stable_steps``, ``encoder_reset/push/finish``,
+``decode_start``, ``decode_steps``, ``decode_step``) can drive the decoder
+and streamer; the synthetic oracle implements it too, so decoding machinery
+cannot tell them apart.
+
+``stable_steps`` declares that a selected, unforced step over frames
+``0..n-1`` stays bit-identical when frames are appended. A session then
+retries a voided step from its kept result instead of running the model
+again. ``NeuralModel`` is stable: its key terms are row-wise, and the hard
+scan stops at the first crossing at or after ``prev_index``.
 
 ``decode_steps`` is the call the decoder makes: it steps every live
 hypothesis of a beam at once over one ``EncodedBuffer`` and returns one
@@ -90,6 +96,8 @@ class StepOutput:
 
 class NeuralModel:
     """Wraps a parameter dict behind the shared decoding interface."""
+
+    stable_steps = True
 
     def __init__(self, cfg: ModelConfig, params: dict, vocab: Vocab, silence_aware: bool = False):
         nn.check_shapes(params, _param_shapes(cfg, vocab.size))

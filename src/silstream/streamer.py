@@ -19,6 +19,13 @@ Buffer requirements are per token class: after a silence token a larger
 buffer (and restricted region) applies, making premature end-of-utterance
 emissions during long pauses even less likely.
 
+A voided step is retried at the next decoding push. When the model declares
+``stable_steps`` and the retry would compute the step again unchanged (same
+beam and end-symbol blocking, not final, every hypothesis selected unforced
+and none ran away), the session keeps the voided step's result and the retry
+reuses it: the model and the ranking do not run again, and only the clock of
+each new emission is restamped to the retry's. ``reused_steps`` counts them.
+
 A decoding push commits through the deepest history node the whole beam
 shares. Jump pointers check that the beam extends the committed prefix and
 find that node in O(beam * log tail) hops, plus a walk over the tokens committed.
@@ -115,6 +122,9 @@ class StreamSession:
         self.display_log: list[tuple[float, tuple[int, ...]]] = []
         self.wall_ms = 0.0
         self.forced_steps = 0
+        self.reused_steps = 0
+        # (beam, block_eos, (new beam, attention results)) of the last voided step, while its retry may reuse it
+        self._voided: tuple | None = None
         # gate and restricted-region frames after a regular token and after <sil>, indexed by ``token == sil_id``
         self._sil_id = model.vocab.sil_id
         self._frames_after = [self._buffer_frames(applicable_buffer(last, stream_cfg, model.vocab))
@@ -199,13 +209,30 @@ class StreamSession:
         self.restart_pending = False
 
     def _step(self, buffer_complete: bool, force: bool, block_eos: bool):
-        """One beam step over the buffer; counts it if any of its attention steps was forced."""
+        """One beam step over the buffer; counts it if any of its attention steps was forced.
+
+        A retry of the voided step, from the same beam, reuses its result."""
+        reuse = None
+        if self._voided is not None:
+            beam, blocked, result = self._voided
+            if beam is self.beam and blocked == block_eos and not (force or buffer_complete):
+                reuse = result
+                self.reused_steps += 1
+            self._voided = None
         new_beam, atts = decode_step(
             self.model, self.beam, self.buffer, buffer_complete=buffer_complete, cfg=self.bcfg,
-            clock_ms=self.clock_ms, force=force, block_eos=block_eos,
+            clock_ms=self.clock_ms, force=force, block_eos=block_eos, reuse=reuse,
         )
         self.forced_steps += any(a is not None and a.forced for a in atts)
         return new_beam, atts
+
+    def _keep_voided(self, block_eos: bool, new_beam: list[Hypothesis], atts) -> None:
+        """Keep a voided step for its retry if the retry would compute it again
+        unchanged: a stalled hypothesis may select once frames arrive, and the
+        token cap that made a runaway grows with the buffer."""
+        if (self.model.stable_steps and not any(h.runaway for h in new_beam)
+                and all(a is None or (a.status == "selected" and not a.forced) for a in atts)):
+            self._voided = (self.beam, block_eos, (new_beam, atts))
 
     def _void_reason(self, new_beam: list[Hypothesis], atts) -> str | None:
         """Why a mid-stream step must be voided, or None to keep it."""
@@ -247,6 +274,7 @@ class StreamSession:
                 new_beam, atts = self._step(final, force=True, block_eos=block_eos)
                 reason = self._void_reason(new_beam, atts)
             if reason is not None:
+                self._keep_voided(block_eos, new_beam, atts)
                 self.backtracks.append({"batch": self.batch_index, "clock_ms": self.clock_ms, "reason": reason})
                 return "backtrack"
             self.beam = new_beam

@@ -246,6 +246,8 @@ class OracleModel:
         self.alignment = alignment
         self.total_reduction = total_reduction
         self.silence_aware = mode.mode == "silence_aware"
+        # the skipping end symbol reads the buffer length, so appended frames can change a selected step
+        self.stable_steps = self.silence_aware
         self._owner = self._encoded_owners()
         self._num_encoded = len(self._owner)
         self._spans = self._segment_spans()

@@ -44,7 +44,8 @@ alone, runs ``forward_loss``, ``backward`` on a minibatch of one and
 is the scan's first crossing test, on selection probabilities; the library
 decides it on the energies. ``reference_cer`` counts the edits by
 backtracing the alignment; ``metrics.cer`` reads them off the final cell of
-the table.
+the table. ``Declared`` wraps a model to declare its steps stable or not, so
+a session's reuse of voided steps can be switched off or forced on.
 """
 from __future__ import annotations
 
@@ -422,6 +423,18 @@ def reference_decode_step(model, beam: list[RefHyp], frames, beam_size: int, cap
                 break
     expansions.sort(key=lambda h: -h.log_score)
     return kept + expansions[: max(0, beam_size - len(kept))]
+
+
+class Declared:
+    """``model`` with its ``stable_steps`` declaration replaced by ``stable``;
+    every other attribute is the model's."""
+
+    def __init__(self, model, stable: bool):
+        self._model = model
+        self.stable_steps = stable
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
 
 
 def silence_token_count(oracle) -> int:

@@ -115,3 +115,18 @@ def test_every_seed_runs_and_failures_name_their_seed(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "train_epoch seed=1 pairs=2" in out and "train_epoch seed=2 pairs=2" in out
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == ["FAIL train_epoch seed=2: rtf is worse"]
+
+
+def test_main_runs_no_git_once_unpack_is_replaced(monkeypatch, capsys):
+    """Outside a git checkout every subprocess fails; ``main`` with ``unpack``
+    and ``run`` replaced still prints the revision ``unpack`` names and returns
+    its verdict."""
+    def no_process(*args, **kwargs):
+        raise OSError("no process may start")
+
+    monkeypatch.setattr(bench_ab.subprocess, "run", no_process)
+    monkeypatch.setattr(bench_ab.subprocess, "Popen", no_process)
+    monkeypatch.setattr(bench_ab, "unpack", lambda rev, dest: "abc1234")
+    monkeypatch.setattr(bench_ab, "run", lambda checkout, workload, seed, seconds: run_result(1.0))
+    assert bench_ab.main(["--workload", "stream_long", "--pairs", "2"]) == 0
+    assert "rev HEAD (abc1234) against the working tree" in capsys.readouterr().out

@@ -2,7 +2,8 @@
 beam step against the per-hypothesis reference, the windowed MoChA scan
 against the whole-tail scan, the scripted oracle against its per-frame
 reference, and oracle streams on both session engines under every end-symbol
-policy, whose display log must equal the display rebuilt from scratch. Also
+policy, whose display log must equal the display rebuilt from scratch, and
+streams that reuse voided steps against streams that recompute them. Also
 the minibatch encoder against per-utterance streaming and the per-step
 reference, the trainer's decoder step against the per-vector references,
 the decoder backward of a ragged minibatch against the sum of its
@@ -65,6 +66,7 @@ from silstream.trainer import TrainConfig, backward, forward_loss
 from silstream.vocab import SIL_LABEL, make_vocab, strip_nonscoring
 
 from support import (
+    Declared,
     add_grads,
     first_selection,
     group_of,
@@ -571,6 +573,13 @@ class TestOracleMatchesReference:
             assert got == reference_oracle_step(model, owners, spans, n, prev, complete, force)
 
 
+def paused_utt(words, pauses, seed):
+    """An utterance of ``words``, each word at position ``pos >= 1`` followed by
+    ``pauses[pos % len(pauses)]`` frames of silence when that is more than 16."""
+    layout = [(pos, pauses[pos % len(pauses)]) for pos in range(1, len(words) + 1) if pauses[pos % len(pauses)] > 16]
+    return make_utt(words, layout, seed=seed)
+
+
 class TestOracleStreamProperties:
     @settings(max_examples=240, deadline=None)
     @given(words=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=4),
@@ -584,8 +593,7 @@ class TestOracleStreamProperties:
              engine="buffered", eos_policy="restart", skipping=True)
     def test_oracle_prefix_only_grows_and_stream_equals_offline(self, words, pauses, batches, buffers,
                                                                  beam_size, seed, engine, eos_policy, skipping):
-        layout = [(pos, pauses[pos % len(pauses)]) for pos in range(1, len(words) + 1) if pauses[pos % len(pauses)] > 16]
-        utt = make_utt(words, layout, seed=seed)
+        utt = paused_utt(words, pauses, seed)
         # a silence-skipping oracle ends early at long pauses, so restart closes segments
         model = aware(utt, d=6, min_sil=3)
         if skipping:
@@ -608,6 +616,61 @@ class TestOracleStreamProperties:
             lo, i = hi, i + 1
         if eos_policy == "defer" and not skipping:
             assert session.result().tokens == decode_offline(model, utt.features, beam_cfg).tokens
+
+
+def streamed(model, utt, batches, stream_cfg, beam_cfg) -> StreamSession:
+    session = StreamSession(model, stream_cfg, beam_cfg)
+    frames, lo = utt.features.frames, 0
+    for hi in split_points(batches, len(frames)):
+        session.push(frames[lo:hi], is_last=hi == len(frames))
+        lo = hi
+    return session
+
+
+# stalls, voids and retries at every push of a short pause, all reused
+REUSED = dict(words=["a", "b", "c"], pauses=[64], batches=[8], buffers=(240, 480), beam_size=8, seed=0,
+              engine="buffered", eos_policy="defer", sel_r=None)
+
+
+class TestReusedStepsChangeNothing:
+    # sel_r None streams the aware oracle, a number a random NeuralModel with that att.sel.r
+    @settings(max_examples=120, deadline=None)
+    @given(words=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=4),
+           pauses=st.lists(st.integers(8, 120), min_size=1, max_size=5),
+           batches=st.lists(st.integers(1, 48), min_size=1, max_size=8),
+           buffers=st.sampled_from([(0, 0), (120, 120), (240, 480), (480, 960)]),
+           beam_size=st.integers(1, 8), seed=st.integers(0, 1000), engine=st.sampled_from(ENGINES),
+           eos_policy=st.sampled_from(EOS_POLICIES),
+           sel_r=st.sampled_from([None, -2.0, 0.0, 2.0]))
+    @example(**REUSED)
+    def test_stream_equals_the_stream_that_recomputes_every_step(self, words, pauses, batches, buffers, beam_size,
+                                                                 seed, engine, eos_policy, sel_r):
+        self.compare(words, pauses, batches, buffers, beam_size, seed, engine, eos_policy, sel_r)
+
+    def test_the_pinned_example_reuses_steps(self):
+        assert self.compare(**REUSED) > 0
+
+    @staticmethod
+    def compare(words, pauses, batches, buffers, beam_size, seed, engine, eos_policy, sel_r) -> int:
+        """Stream once as is and once behind a declaration of unstable steps;
+        every output must be equal. Returns the steps reused."""
+        utt = paused_utt(words, pauses, seed)
+        if sel_r is None:
+            model = aware(utt, d=6, min_sil=3)
+        else:
+            base = neural_model(seed)
+            base.params["att.sel.r"][0] = sel_r
+            model = NeuralModel(base.cfg, base.params, VOCAB, silence_aware=seed % 2 == 0)
+        stream_cfg = StreamConfig(min_buffer_ms=buffers[0], sil_buffer_ms=buffers[1], engine=engine)
+        beam_cfg = BeamConfig(beam_size=beam_size, eos_policy=eos_policy)
+        reused = streamed(model, utt, batches, stream_cfg, beam_cfg)
+        recomputed = streamed(Declared(model, False), utt, batches, stream_cfg, beam_cfg)
+        assert recomputed.reused_steps == 0
+        got, want = reused.result(), recomputed.result()
+        assert got.tokens == want.tokens and got.emissions == want.emissions
+        assert got.display_log == want.display_log and got.restarts == want.restarts
+        assert reused.trace == recomputed.trace and reused.backtracks == recomputed.backtracks
+        return reused.reused_steps
 
 
 def parent_walk(node: History, length: int) -> History:

@@ -20,6 +20,8 @@ from silstream.streamer import (
 from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_corpus, CorpusSpec, gen_utterance
 from silstream.vocab import make_vocab, strip_nonscoring
 
+from support import Declared
+
 VOCAB = make_vocab(["a", "b", "c"])
 SYNTH = SynthConfig(vocab=VOCAB, feature_dim=8, frames_per_token=8)
 
@@ -207,6 +209,44 @@ class TestCounters:
         assert not result.hypothesis.runaway
         assert forced >= 1
         assert result.forced_steps == session.forced_steps == forced
+
+
+class TestVoidedStepReuse:
+    def test_retry_stamps_kept_tokens_with_its_own_clock(self):
+        utt = make_utt(["a", "b", "c"], [(1, 64), (2, 64)])
+        cfgs = StreamConfig(batch_ms=80, min_buffer_ms=240, sil_buffer_ms=240), BeamConfig(beam_size=1)
+        batches = split_batches(utt.features.frames, 8)  # 80 ms each
+        session = StreamSession(aware(utt), *cfgs)
+        for batch in batches[:3]:
+            session.push(batch)
+        # the step emitting "a" at 240 ms peaks in the restricted region: voided and logged
+        assert session.trace[-1]["decision"] == "backtrack"
+        assert session.backtracks == [{"batch": 2, "clock_ms": 240.0, "reason": "restricted"}]
+        assert session.beam[0].tokens == (VOCAB.bos_id,)
+        session.push(batches[3])
+        assert session.reused_steps == 1
+        kept = session.beam[0].history.ancestor(2).emission
+        assert (kept.token, kept.clock_ms) == (VOCAB.id_of("a"), 320.0)
+        for i in range(4, len(batches)):
+            session.push(batches[i], is_last=i == len(batches) - 1)
+        unreused_result, unreused = stream_decode(Declared(aware(utt), False), utt.features, *cfgs)
+        assert session.reused_steps > 1 and unreused.reused_steps == 0
+        assert session.result().emissions == unreused_result.emissions
+        assert session.trace == unreused.trace and session.backtracks == unreused.backtracks
+
+    def test_skipping_oracle_steps_are_not_stable(self):
+        """The skipping oracle ends at a pause while no onset of a next word is
+        visible, which more audio can change: reusing its voided end symbol
+        would delete "b"."""
+        utt = make_utt(["a", "b"], [(1, 48), (2, 96)], seed=12)
+        cfgs = StreamConfig(batch_ms=320, min_buffer_ms=240, sil_buffer_ms=480), BeamConfig(eos_policy="accept")
+        assert aware(utt).stable_steps and not skipping(utt).stable_steps
+        result, session = stream_decode(skipping(utt), utt.features, *cfgs)
+        assert result.tokens == [VOCAB.bos_id, VOCAB.id_of("a"), VOCAB.id_of("b"), VOCAB.eos_id]
+        assert session.reused_steps == 0 and len(session.backtracks) == 2
+        result, session = stream_decode(Declared(skipping(utt), True), utt.features, *cfgs)
+        assert result.tokens == [VOCAB.bos_id, VOCAB.id_of("a"), VOCAB.eos_id]
+        assert session.reused_steps == 1
 
 
 class TestPathologyThroughStreamer:

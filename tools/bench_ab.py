@@ -35,12 +35,16 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def unpack(rev: str, dest: str) -> None:
+def unpack(rev: str, dest: str) -> str:
+    """Extract ``rev`` into ``dest``; returns its short SHA."""
+    sha = subprocess.run(["git", "-C", ROOT, "rev-parse", "--short", rev], stdout=subprocess.PIPE,
+                         text=True, check=True).stdout.strip()
     archive = subprocess.Popen(["git", "-C", ROOT, "archive", "--format=tar", rev], stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
     archive.stdout.close()
     if archive.wait() != 0:
         raise SystemExit(f"git archive {rev} failed")
+    return sha
 
 
 def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -116,11 +120,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     parser.add_argument("--workdir", default=None, help="where to unpack the revision (default: the system temp)")
     args = parser.parse_args(argv)
-    sha = subprocess.run(["git", "-C", ROOT, "rev-parse", "--short", args.rev], stdout=subprocess.PIPE,
-                         text=True, check=True).stdout.strip()
     failures = []
     with tempfile.TemporaryDirectory(dir=args.workdir) as checkout:
-        unpack(args.rev, checkout)
+        sha = unpack(args.rev, checkout)
         for workload in args.workload or [w["name"] for w in bench["workloads"]]:
             for seed in args.seed or [1]:
                 runs: dict[str, list[dict]] = {"rev": [], "tree": []}
