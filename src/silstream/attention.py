@@ -22,7 +22,7 @@ squashes but multiplies no frame by ``Wk``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class AttentionStepResult:
     context: np.ndarray | None = None
     selected_index: int = -1
     peak_index: int = -1
-    weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
     forced: bool = False
 
 
@@ -120,14 +119,14 @@ def first_crossing(e: np.ndarray) -> int:
 
 def chunk_attend(chunk_energies: np.ndarray, frames: np.ndarray, lo: int):
     """Softmax over the chunk of frames starting at ``lo`` that ``chunk_energies``
-    scores; returns (context, weights, peak_index).
+    scores; returns (context, peak_index).
 
     Argmax ties resolve to the lowest index.
     """
     weights = nn.softmax(chunk_energies)
     context = weights @ frames[lo : lo + len(weights)]
     peak = lo + int(weights.argmax())
-    return context, weights, peak
+    return context, peak
 
 
 def mocha_infer_step(
@@ -180,19 +179,12 @@ def mocha_infer_step(
             context=np.zeros(frames.shape[1]),
             selected_index=n - 1,
             peak_index=n - 1,
-            weights=np.zeros(0),
             forced=True,
         )
     lo = max(0, selected - cfg.chunk_size + 1)
     u = energies(params, "chunk", chunk_query, chunk_keys[lo : selected + 1])[0]
-    context, weights, peak = chunk_attend(u, frames, lo)
-    return AttentionStepResult(
-        status="selected",
-        context=context,
-        selected_index=selected,
-        peak_index=peak,
-        weights=weights,
-    )
+    context, peak = chunk_attend(u, frames, lo)
+    return AttentionStepResult(status="selected", context=context, selected_index=selected, peak_index=peak)
 
 
 def _moving_sum_back(x: np.ndarray, w: int) -> np.ndarray:

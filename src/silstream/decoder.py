@@ -167,14 +167,6 @@ class Hypothesis(NamedTuple):
     runaway: bool = False
 
     @property
-    def tokens(self) -> tuple[int, ...]:
-        return tuple(node.token for node in self.history.nodes_after(None))
-
-    @property
-    def timeline(self) -> tuple[Emission, ...]:
-        return tuple(node.emission for node in self.history.nodes_after(None) if node.emission is not None)
-
-    @property
     def emitted(self) -> int:
         return self.history.length - 1
 

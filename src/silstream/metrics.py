@@ -121,9 +121,9 @@ def cpl(
 
 def average_cpl(records: Iterable[CplRecord]) -> tuple[float, int]:
     """Mean CPL over defined records plus the count of undefined ones."""
+    records = list(records)  # any iterable, a generator too
     defined = [r.cpl_ms for r in records if r.defined]
-    undefined = sum(1 for r in records if not r.defined)
-    return (sum(defined) / len(defined) if defined else math.nan), undefined
+    return (sum(defined) / len(defined) if defined else math.nan), len(records) - len(defined)
 
 
 SWEEP_COLUMNS = (

@@ -101,6 +101,9 @@ class NeuralModel:
 
     def __init__(self, cfg: ModelConfig, params: dict, vocab: Vocab, silence_aware: bool = False):
         nn.check_shapes(params, _param_shapes(cfg, vocab.size))
+        bad = sorted(name for name, value in params.items() if not np.isfinite(value).all())
+        if bad:
+            raise ValueError(f"non-finite values in {bad}")
         self.cfg = cfg
         self.params = params
         self.vocab = vocab

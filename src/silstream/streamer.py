@@ -41,7 +41,8 @@ symbols that arrive while audio is still streaming:
 
 * ``accept``: take the end symbol at face value (the failure-prone baseline).
 * ``restart``: accept it, log a restart, and begin a fresh hypothesis once
-  the next batch arrives; segment outputs are concatenated. The restarted
+  the next batch arrives. The closed segment commits its tokens without its
+  end symbol, so segment outputs are concatenated. The restarted
   hypothesis attaches at the live edge of the stream, so audio arriving
   within the one-batch restart window is never decoded.
 * ``defer``: while a silence-aware model still has audio ahead, the end
@@ -108,9 +109,10 @@ class StreamSession:
         self.enc_state = model.encoder_reset()
         self.buffer = EncodedBuffer()
         self.beam: list[Hypothesis] = [initial_hypothesis(model)]
-        self.segments: list[tuple[int, ...]] = []  # closed restart segments
-        self._committed: History = self.beam[0].history  # end of the committed prefix
-        self._shown: tuple[int, ...] = ()  # stripped display of the segments and the committed prefix
+        # every committed node after BOS, of every segment; a closed segment's end symbol is left out
+        self.committed: list[History] = []
+        self._floor: History = self.beam[0].history  # where the current segment's committed prefix ends
+        self._shown: tuple[int, ...] = ()  # the stripped display of ``committed``
         self.clock_ms = 0.0
         self.batch_index = -1
         self.finalized = False
@@ -151,7 +153,7 @@ class StreamSession:
 
     def _display(self) -> tuple[int, ...]:
         """The committed display plus the best hypothesis' tokens after it."""
-        return self._shown + self._strip(best_hypothesis(self.beam).history.nodes_after(self._committed))
+        return self._shown + self._strip(best_hypothesis(self.beam).history.nodes_after(self._floor))
 
     def _record(self, started: float, decision: str, committed: int = 0, boundary: int | None = None) -> None:
         self.wall_ms += (time.perf_counter() - started) * 1000.0
@@ -167,46 +169,29 @@ class StreamSession:
         )
         self.display_log.append((self.clock_ms, self._display()))
 
-    def _flat_committed(self) -> tuple[int, ...]:
-        """Every committed token, from BOS: the finished segments', then the current segment's."""
-        out = (self.model.vocab.bos_id,)
-        for seg in self.segments:
-            out += seg
-        return out + tuple(node.token for node in self._committed.nodes_after(None))[1:]
-
-    def _commit(self, nodes: list[History]) -> list[int]:
-        """Extend the committed prefix by ``nodes``; returns their tokens."""
-        if nodes:
-            self._committed = nodes[-1]
-            self._shown += self._strip(nodes)
-        return [node.token for node in nodes]
-
-    def _commit_progress(self) -> list[int]:
-        """Extend the committed prefix to the beam-wide longest common prefix:
-        hypotheses sharing a token prefix share its history nodes, so it ends
-        at the beam's deepest common node. Only the nodes committed are walked."""
-        committed = self._committed
-        histories = [hyp.history for hyp in self.beam]
-        if any(h.ancestor(committed.length) is not committed for h in histories):
+    def _commit(self, histories: list[History]) -> None:
+        """Extend the committed prefix through the deepest node every history
+        shares: hypotheses sharing a token prefix share its history nodes.
+        Only the nodes committed are walked."""
+        floor = self._floor
+        if any(h.ancestor(floor.length) is not floor for h in histories):
             raise RuntimeError("committed prefix would be revised")
-        return self._commit(common_ancestor(histories, committed).nodes_after(committed))
+        self._floor = common_ancestor(histories, floor)
+        nodes = self._floor.nodes_after(floor)
+        self.committed += nodes
+        self._shown += self._strip(nodes)
 
     def _new_segment_beam(self) -> None:
         """Start a fresh hypothesis at the live edge, with nothing committed."""
         self.beam = [initial_hypothesis(self.model, prev_index=len(self.buffer) - 1)]
-        self._committed = self.beam[0].history
+        self._floor = self.beam[0].history
 
     def _close_segment(self, best: Hypothesis) -> None:
-        self.segments.append(best.tokens[1:-1])
-        self._commit(best.history.nodes_after(self._committed))  # the rest of the segment is shown
+        self._commit([best.history.parent])  # all but the end symbol
         self.restarts.append(self.clock_ms)
         self.restart_pending = True
         # placeholder until the restart attaches at the next batch's live edge
         self._new_segment_beam()
-
-    def _activate_restart(self) -> None:
-        self._new_segment_beam()
-        self.restart_pending = False
 
     def _step(self, buffer_complete: bool, force: bool, block_eos: bool):
         """One beam step over the buffer; counts it if any of its attention steps was forced.
@@ -283,10 +268,15 @@ class StreamSession:
     # --- main entry points ---
 
     def push(self, frames: np.ndarray, is_last: bool = False) -> list[int]:
-        """Feed one batch; returns tokens newly added to the committed prefix.
+        """Feed one batch; returns the tokens it added to the committed prefix.
 
         The last batch flushes the encoder and decodes to completion with
-        buffering disabled; ``result`` is then available."""
+        buffering disabled; ``result`` is then available. Under every policy
+        BOS followed by every push's return is ``result().tokens``, and each
+        of those tokens after BOS has its emission in ``result().emissions``
+        (an end symbol appended to a stream with no audio has none). Under
+        ``restart`` a closed segment's tokens are returned when it closes,
+        without its end symbol."""
         if self.finalized:
             raise RuntimeError("push after the last batch")
         self.batch_index += 1
@@ -301,34 +291,32 @@ class StreamSession:
             self._record(started, "no-decode")
             return []
         if self.restart_pending:
-            self._activate_restart()
+            self._new_segment_beam()
+            self.restart_pending = False
+        before, decision, boundary = len(self.committed), "committed", None
         if is_last:
             if len(self.buffer) == 0:
                 self.beam = [self.beam[0].with_eos(self.model.vocab.eos_id)]
             elif not self.finished:
                 self._decode(final=True)
-            try:
-                tail = best_hypothesis(self.beam).history.nodes_after(self._committed)
-            except ValueError:
-                raise RuntimeError("final output does not extend the committed prefix") from None
-            newly = self._commit(tail)
-            self._record(started, "committed", committed=len(newly))
-            return newly
-        is_open, boundary = self._gate(best_hypothesis(self.beam))
-        if not is_open:
-            self._record(started, "no-decode", boundary=boundary)
-            return []
-        decision = self._decode(final=False)
-        newly = self._commit_progress()
+            self._commit([best_hypothesis(self.beam).history])
+        else:
+            is_open, boundary = self._gate(best_hypothesis(self.beam))
+            if not is_open:
+                self._record(started, "no-decode", boundary=boundary)
+                return []
+            decision = self._decode(final=False)
+            self._commit([hyp.history for hyp in self.beam])
+        newly = [node.token for node in self.committed[before:]]
         self._record(started, decision, committed=len(newly), boundary=boundary)
         return newly
 
     def result(self) -> DecodeResult:
         if not self.finalized:
             raise RuntimeError("session has not received its last batch yet")
-        best = best_hypothesis(self.beam)
-        tokens = self._flat_committed()
-        res = DecodeResult(tokens=list(tokens), hypothesis=best, emissions=list(best.timeline))
+        res = DecodeResult(tokens=[self.model.vocab.bos_id] + [node.token for node in self.committed],
+                           hypothesis=best_hypothesis(self.beam),
+                           emissions=[node.emission for node in self.committed if node.emission is not None])
         res.display_log = list(self.display_log)
         res.restarts = list(self.restarts)
         res.forced_steps = self.forced_steps

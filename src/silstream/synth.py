@@ -344,7 +344,6 @@ class OracleModel:
             context=frames[pos],
             selected_index=pos,
             peak_index=pos,
-            weights=np.array([1.0]),
             forced=forced,
         )
         return StepOutput(log_probs=self._log_prob_rows[token], dec_state=None, att=att)

@@ -46,6 +46,8 @@ decides it on the energies. ``reference_cer`` counts the edits by
 backtracing the alignment; ``metrics.cer`` reads them off the final cell of
 the table. ``Declared`` wraps a model to declare its steps stable or not, so
 a session's reuse of voided steps can be switched off or forced on.
+``hyp_tokens`` and ``hyp_timeline`` read a hypothesis' tokens and emissions
+off its whole history.
 """
 from __future__ import annotations
 
@@ -367,8 +369,7 @@ def reference_mocha_step(params, cfg, query, frames, prev_index: int, force: boo
     u, _ = reference_energies(params, "chunk", query, frames)
     weights = reference_softmax(u[lo : selected + 1])
     return AttentionStepResult(status="selected", context=weights @ frames[lo : selected + 1],
-                               selected_index=selected, peak_index=lo + int(np.argmax(weights)),
-                               weights=weights)
+                               selected_index=selected, peak_index=lo + int(np.argmax(weights)))
 
 
 @dataclass(frozen=True)
@@ -423,6 +424,16 @@ def reference_decode_step(model, beam: list[RefHyp], frames, beam_size: int, cap
                 break
     expansions.sort(key=lambda h: -h.log_score)
     return kept + expansions[: max(0, beam_size - len(kept))]
+
+
+def hyp_tokens(hyp) -> tuple[int, ...]:
+    """Every token of ``hyp``'s history, BOS first."""
+    return tuple(node.token for node in hyp.history.nodes_after(None))
+
+
+def hyp_timeline(hyp) -> tuple:
+    """The emissions of ``hyp``'s history, oldest first."""
+    return tuple(node.emission for node in hyp.history.nodes_after(None) if node.emission is not None)
 
 
 class Declared:

@@ -67,21 +67,21 @@ def scan_and_attend(probs, chunk_energies, prev_index, chunk_size, frames=None):
         return None
     selected = start + rel
     lo = max(0, selected - chunk_size + 1)
-    context, weights, peak = chunk_attend(np.asarray(chunk_energies, float)[lo : selected + 1], frames, lo)
-    return selected, weights, peak, context
+    context, peak = chunk_attend(np.asarray(chunk_energies, float)[lo : selected + 1], frames, lo)
+    return selected, peak, context
 
 
 class TestHardMode:
     def test_hand_example_scan_and_tie_break(self):
         # probs (0.2, 0.8, 0.9), prev=-1, w=2, equal chunk energies
-        selected, weights, peak, _ = scan_and_attend([0.2, 0.8, 0.9], [1.0, 1.0, 1.0], -1, 2)
+        selected, peak, context = scan_and_attend([0.2, 0.8, 0.9], [1.0, 1.0, 1.0], -1, 2)
         assert selected == 1
-        np.testing.assert_allclose(weights, [0.5, 0.5])
+        np.testing.assert_allclose(context, [0.5, 0.5, 0.0])  # equal weights on frames 0 and 1
         assert peak == 0  # tie resolves to the lowest index
 
     def test_scan_starts_at_previous_selection(self):
         result = scan_and_attend([0.9, 0.1, 0.8], [0.0, 0.0, 0.0], 1, 2)
-        selected, _, _, _ = result
+        selected, _, _ = result
         assert selected == 2  # frame 0 is behind the scan position
 
     def test_all_below_threshold_exhausts(self, setup):
@@ -95,9 +95,8 @@ class TestHardMode:
         assert res.status == "exhausted"
 
     def test_chunk_of_one_copies_frame(self):
-        selected, weights, peak, context = scan_and_attend([0.6, 0.1], [0.3, 0.9], -1, 1)
+        selected, peak, context = scan_and_attend([0.6, 0.1], [0.3, 0.9], -1, 1)
         assert selected == 0 and peak == 0
-        np.testing.assert_allclose(weights, [1.0])
         np.testing.assert_array_equal(context, np.eye(2)[0])
 
     def test_empty_buffer_exhausts(self, setup):
@@ -126,7 +125,6 @@ class TestHardMode:
                 if res.status != "selected":
                     break
                 assert res.selected_index >= last
-                assert res.weights.sum() == pytest.approx(1.0, abs=1e-6)
                 assert res.selected_index - cfg.chunk_size + 1 <= res.peak_index <= res.selected_index
                 last = res.selected_index
                 state = AttentionState(prev_index=last)

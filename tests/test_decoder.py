@@ -13,7 +13,7 @@ from silstream.streamer import StreamConfig, decode_offline, split_batches, stre
 from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_utterance
 from silstream.vocab import make_vocab
 
-from support import encode
+from support import encode, hyp_timeline, hyp_tokens
 
 VOCAB = make_vocab(["a", "b", "c"])
 SYNTH = SynthConfig(vocab=VOCAB, feature_dim=8, frames_per_token=8)
@@ -54,7 +54,7 @@ class TestDecodeStep:
         buffer.append(encode(model, utt.features.frames))
         beam = [initial_hypothesis(model)]
         beam, atts = decode_step(model, beam, buffer, True, BeamConfig(beam_size=1))
-        assert beam[0].tokens[-1] == VOCAB.id_of("a")
+        assert hyp_tokens(beam[0])[-1] == VOCAB.id_of("a")
         assert atts[0].status == "selected"
 
     def test_stalled_hypothesis_kept_not_dropped(self):
@@ -80,7 +80,7 @@ class TestDecodeStep:
         assert beam[0].emitted == 1 and not beam[0].finished
         beam, _ = decode_step(model, beam, buffer, True, cfg)
         assert beam[0].finished and beam[0].runaway
-        assert beam[0].tokens[-1] == VOCAB.eos_id
+        assert hyp_tokens(beam[0])[-1] == VOCAB.eos_id
 
     def test_empty_beam_rejected(self):
         utt = make_utt(["a"], [])
@@ -107,14 +107,14 @@ class TiedModel:
 def argsort_beam_step(beam, log_probs, beam_size, block_eos):
     """(tokens, score) of the beam after one step, ranking each hypothesis'
     candidates by a stable argsort."""
-    kept = [(h.tokens, h.log_score) for h in beam if h.finished]
+    kept = [(hyp_tokens(h), h.log_score) for h in beam if h.finished]
     ranked = []
     for hyp in beam:
         if hyp.finished:
             continue
         order = [int(t) for t in np.argsort(-log_probs, kind="stable")[: beam_size + 1]]
         order = [t for t in order if not (block_eos and t == VOCAB.eos_id)][:beam_size]
-        ranked += [(hyp.tokens + (t,), hyp.log_score + log_probs[t]) for t in order]
+        ranked += [(hyp_tokens(hyp) + (t,), hyp.log_score + log_probs[t]) for t in order]
     ranked.sort(key=lambda c: -c[1])
     return kept + ranked[: max(0, beam_size - len(kept))]
 
@@ -139,7 +139,7 @@ class TestRankingTies:
         for _ in range(4):
             want = argsort_beam_step(beam, log_probs, beam_size, block_eos)
             beam, _ = decode_step(model, beam, buffer, True, cfg, block_eos=block_eos)
-            assert [(h.tokens, h.log_score) for h in beam] == want
+            assert [(hyp_tokens(h), h.log_score) for h in beam] == want
 
 
 class TestDecodeOffline:
@@ -175,7 +175,7 @@ class TestDecodeOffline:
         utt = make_utt(["a", "b", "c"], [(1, 16), (2, 20)], seed=4)
         model = aware(utt)
         result = decode_offline(model, utt.features, BeamConfig(beam_size=2))
-        total = sum(e.log_prob for e in result.hypothesis.timeline)
+        total = sum(e.log_prob for e in hyp_timeline(result.hypothesis))
         assert result.hypothesis.log_score == pytest.approx(total, abs=1e-6)
 
     def test_emission_indices_nondecreasing(self):

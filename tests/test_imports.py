@@ -1,5 +1,5 @@
 """Every name a library module imports is used in that module, and every
-library function has a caller outside the tests."""
+library function, public method and property has a caller outside the tests."""
 import ast
 import importlib
 import inspect
@@ -55,6 +55,9 @@ PINNED = {
     "trainer.backward",
     "trainer.forward_loss",
 }
+# Public methods that perfbench/tracing.py's ModelProxy looks up by name
+# (PROXY_PARAMS); nothing else belongs here.
+PINNED_METHODS = {"model.NeuralModel.decode_step"}
 
 
 def package_exports(init_source: str) -> dict[str, str]:
@@ -127,7 +130,45 @@ def uncalled_functions(library: dict[str, str], callers: list[tuple[str | None, 
     ]
 
 
-def test_every_library_function_has_a_caller_outside_the_tests():
+def read_attributes(source: str) -> set[tuple[str | None, str]]:
+    """Every attribute ``source`` reads: ``self.name`` or ``cls.name`` inside
+    class ``C`` as ``(C, name)``, any other ``x.name`` as ``(None, name)``.
+    A method's references to its own name are left out."""
+    found = set()
+
+    def visit(node, cls, inside):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Attribute) and node.attr not in inside:
+            on_self = isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
+            found.add((cls if on_self else None, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, inside)
+
+    visit(ast.parse(source), None, frozenset())
+    return found
+
+
+def uncalled_methods(library: dict[str, str], callers: list[tuple[str | None, str]]) -> list[str]:
+    """The public methods and properties of the module-level classes of
+    ``library``, as "module.Class.method", whose name no source in ``callers``
+    reads as an attribute: on ``self`` inside the class, or on any other object
+    (attributes are matched by name, as no types are inferred)."""
+    used = set().union(*(read_attributes(source) for _, source in callers))
+    return [
+        f"{name}.{cls.name}.{item.name}"
+        for name, source in sorted(library.items())
+        for cls in ast.parse(source).body
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+        and (None, item.name) not in used and (cls.name, item.name) not in used
+    ]
+
+
+def library_and_callers() -> tuple[dict[str, str], list[tuple[str | None, str]]]:
     library = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     callers = [
         (p.stem if p.parent == SRC else None, p.read_text(encoding="utf-8"))
@@ -135,7 +176,16 @@ def test_every_library_function_has_a_caller_outside_the_tests():
         for p in (ROOT / d).rglob("*.py")
         if "tests" not in p.relative_to(ROOT).parts
     ]
-    missing = [name for name in uncalled_functions(library, callers) if name not in PINNED]
+    return library, callers
+
+
+def test_every_library_function_has_a_caller_outside_the_tests():
+    missing = [name for name in uncalled_functions(*library_and_callers()) if name not in PINNED]
+    assert missing == [], "no caller outside tests/: move these to tests/support.py or delete them"
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    missing = [name for name in uncalled_methods(*library_and_callers()) if name not in PINNED_METHODS]
     assert missing == [], "no caller outside tests/: move these to tests/support.py or delete them"
 
 
@@ -150,6 +200,13 @@ def test_pinned_functions_are_hooked_by_the_benchmark():
     assert PINNED <= hooked
 
 
+def test_pinned_methods_are_proxied_by_the_benchmark():
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    proxied = next(ast.literal_eval(node.value) for node in tracing.body
+                   if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "PROXY_PARAMS")
+    assert {name.rpartition(".")[2] for name in PINNED_METHODS} <= set(proxied)
+
+
 def test_detects_an_uncalled_function():
     library = {
         "m": "def used():\n    pass\n\ndef unused():\n    return unused()\n\ndef push():\n    pass\n",
@@ -158,3 +215,13 @@ def test_detects_an_uncalled_function():
     caller = "from silstream import m\nm.used()\nsession.push()\n"
     # a call of itself is no caller, nor is a method or another module's function of the same name
     assert uncalled_functions(library, [("m", library["m"]), (None, caller)]) == ["m.unused", "m.push", "n.used"]
+
+
+def test_detects_an_uncalled_method():
+    library = {"m": "class A:\n    def used(self):\n        return self.mine()\n\n    def mine(self):\n        pass\n\n"
+                    "    @property\n    def shown(self):\n        return self.shown\n\n"
+                    "    def _private(self):\n        pass\n\n"
+                    "class B:\n    def mine(self):\n        pass\n\n    def called(self):\n        pass\n"}
+    caller = "a.used()\nb.called\n"
+    # a read of self.name counts for that class only; a method reading its own name is no caller
+    assert uncalled_methods(library, [("m", library["m"]), (None, caller)]) == ["m.A.shown", "m.B.mine"]

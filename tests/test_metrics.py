@@ -98,6 +98,13 @@ class TestCpl:
         assert avg == pytest.approx(defined.cpl_ms)
         assert count == 1
 
+    def test_average_reads_a_generator_once(self):
+        defined = cpl([(500.0, (A,))], parse_alignment("a 0 100"), 10)
+        undefined = cpl([(500.0, ())], parse_alignment("SIL 0 100"), 10)
+        avg, count = average_cpl(r for r in [defined, undefined, defined])
+        assert avg == defined.cpl_ms
+        assert count == 1
+
     def test_average_equals_mean_of_defined(self):
         alignment = parse_alignment("a 0 50")
         records = [

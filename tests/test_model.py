@@ -7,7 +7,7 @@ from silstream import nn
 from silstream.attention import AttentionConfig, AttentionState
 from silstream.decoder import EncodedBuffer
 from silstream.encoder import EncoderConfig
-from silstream.model import ModelConfig, NeuralModel, init_params
+from silstream.model import ModelConfig, NeuralModel, init_params, load_checkpoint, save_checkpoint
 from silstream.vocab import make_vocab
 
 from support import encode, flatten_params, unflatten_params
@@ -58,6 +58,22 @@ class TestNeuralModelInterface:
         params = dict(model.params, **{"enc0.Uz": np.zeros((12, 12))})  # a version-1 name
         with pytest.raises(ValueError, match=re.escape("expected [], given [('enc0.Uz', (12, 12))]")):
             NeuralModel(model.cfg, params, VOCAB)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, model, value):
+        params = {name: arr.copy() for name, arr in model.params.items()}
+        params["out.b"][0] = value
+        params["enc1.U"][2, 3, 4] = value
+        with pytest.raises(ValueError, match=re.escape("non-finite values in ['enc1.U', 'out.b']")):
+            NeuralModel(model.cfg, params, VOCAB)
+
+    def test_checkpoint_with_a_non_finite_tensor_does_not_load(self, model, tmp_path):
+        # a valid checksum over a corrupt tensor: the checksum alone lets it through
+        model.params["out.b"][0] = np.nan
+        path = str(tmp_path / "nan.ckpt")
+        save_checkpoint(model, path)
+        with pytest.raises(ValueError, match=re.escape("non-finite values in ['out.b']")):
+            load_checkpoint(path)
 
     def test_step_distribution_normalized(self, model):
         rng = np.random.default_rng(0)

@@ -2,7 +2,8 @@
 beam step against the per-hypothesis reference, the windowed MoChA scan
 against the whole-tail scan, the scripted oracle against its per-frame
 reference, and oracle streams on both session engines under every end-symbol
-policy, whose display log must equal the display rebuilt from scratch, and
+policy, whose display log must equal the display rebuilt from scratch and
+whose pushes, trace counts and emissions must add up to the result, and
 streams that reuse voided steps against streams that recompute them. Also
 the minibatch encoder against per-utterance streaming and the per-step
 reference, the trainer's decoder step against the per-vector references,
@@ -70,6 +71,8 @@ from support import (
     add_grads,
     first_selection,
     group_of,
+    hyp_timeline,
+    hyp_tokens,
     infer_step,
     reference_decode_step,
     reference_decoder_backward,
@@ -175,10 +178,10 @@ class TestBatchedStepMatchesReference:
             beam, _ = decode_step(model, beam, buffer, True, beam_cfg, force=force, block_eos=block_eos)
             ref = reference_decode_step(model, ref, frames[:cut], beam_size, beam_cfg.max_tokens(cut),
                                         force, block_eos)
-            assert [h.tokens for h in beam] == [r.tokens for r in ref]
+            assert [hyp_tokens(h) for h in beam] == [r.tokens for r in ref]
             assert [h.finished for h in beam] == [r.finished for r in ref]
-            assert [tuple(e.selected_index for e in h.timeline) for h in beam] == [r.selected for r in ref]
-            assert [tuple(e.peak_index for e in h.timeline) for h in beam] == [r.peaks for r in ref]
+            assert [tuple(e.selected_index for e in hyp_timeline(h)) for h in beam] == [r.selected for r in ref]
+            assert [tuple(e.peak_index for e in hyp_timeline(h)) for h in beam] == [r.peaks for r in ref]
             for h, r in zip(beam, ref):
                 assert math.isclose(h.log_score, r.log_score, rel_tol=1e-12, abs_tol=0.0)
 
@@ -191,7 +194,7 @@ class TestWindowedScanMatchesWholeTail:
     @example(seed=0, n=0, chunk_size=1, bias=0.0, v_scale=1.0, force=True, prev="none")
     @example(seed=0, n=40, chunk_size=1, bias=-6.0, v_scale=1.0, force=False, prev="none")
     @example(seed=0, n=40, chunk_size=1, bias=-6.0, v_scale=1.0, force=True, prev="none")
-    def test_selection_peak_weights_and_context(self, seed, n, chunk_size, bias, v_scale, force, prev):
+    def test_selection_peak_and_context(self, seed, n, chunk_size, bias, v_scale, force, prev):
         rng = np.random.default_rng(seed)
         dims = [int(d) for d in rng.integers(1, 13, size=4)]
         cfg = ModelConfig(encoder=EncoderConfig(proj=dims[0]),
@@ -208,7 +211,6 @@ class TestWindowedScanMatchesWholeTail:
         want = reference_mocha_step(params, cfg.attention, query, frames, prev_index, force)
         assert (got.status, got.selected_index, got.peak_index, got.forced) == (
             want.status, want.selected_index, want.peak_index, want.forced)
-        assert np.allclose(got.weights, want.weights, rtol=0.0, atol=1e-12)
         if want.context is not None:
             assert np.allclose(got.context, want.context, rtol=0.0, atol=1e-12)
 
@@ -591,8 +593,12 @@ class TestOracleStreamProperties:
     # restart closes segments holding a word each, and voids steps between them
     @example(words=["a", "b", "c"], pauses=[120], batches=[8], buffers=(120, 120), beam_size=2, seed=0,
              engine="buffered", eos_policy="restart", skipping=True)
+    @example(words=["a", "b", "c"], pauses=[120], batches=[8], buffers=(120, 120), beam_size=1, seed=0,
+             engine="plain", eos_policy="restart", skipping=True)
     def test_oracle_prefix_only_grows_and_stream_equals_offline(self, words, pauses, batches, buffers,
                                                                  beam_size, seed, engine, eos_policy, skipping):
+        """Also, under every policy, every committed token is returned by one
+        push, counted once in the trace and has its emission."""
         utt = paused_utt(words, pauses, seed)
         # a silence-skipping oracle ends early at long pauses, so restart closes segments
         model = aware(utt, d=6, min_sil=3)
@@ -602,20 +608,28 @@ class TestOracleStreamProperties:
         stream_cfg = StreamConfig(min_buffer_ms=buffers[0], sil_buffer_ms=buffers[1], engine=engine)
         session = StreamSession(model, stream_cfg, beam_cfg)
         frames = utt.features.frames
-        lo, i = 0, 0
+        lo, i, returned = 0, 0, [VOCAB.bos_id]
         while lo < len(frames):
             hi = min(len(frames), lo + batches[i % len(batches)])
-            before = session._flat_committed()
-            session.push(frames[lo:hi], is_last=hi == len(frames))
-            assert session._flat_committed()[: len(before)] == before
-            # the incrementally kept display equals the display rebuilt from scratch
+            before = list(session.committed)
+            returned += session.push(frames[lo:hi], is_last=hi == len(frames))
+            assert session.committed[: len(before)] == before  # the same nodes
+            # the incrementally kept display equals the display rebuilt from
+            # scratch: the closed segments' committed tokens, then the best hypothesis'
             best = max(session.beam, key=lambda h: h.log_score)
-            rebuilt = [t for seg in session.segments for t in strip_nonscoring(list(seg), VOCAB)]
-            rebuilt += strip_nonscoring(list(best.tokens), VOCAB)
+            closed = list(session.committed)
+            while closed and best.history.ancestor(closed[-1].length) is closed[-1]:
+                closed.pop()  # committed in the current segment
+            rebuilt = strip_nonscoring([node.token for node in closed], VOCAB)
+            rebuilt += strip_nonscoring(list(hyp_tokens(best)), VOCAB)
             assert session.display_log[-1][1] == tuple(rebuilt)
             lo, i = hi, i + 1
+        result = session.result()
+        assert returned == result.tokens
+        assert sum(record["committed"] for record in session.trace) == len(result.tokens) - 1
+        assert [em.token for em in result.emissions] == result.tokens[1:]
         if eos_policy == "defer" and not skipping:
-            assert session.result().tokens == decode_offline(model, utt.features, beam_cfg).tokens
+            assert result.tokens == decode_offline(model, utt.features, beam_cfg).tokens
 
 
 def streamed(model, utt, batches, stream_cfg, beam_cfg) -> StreamSession:

@@ -20,7 +20,7 @@ from silstream.streamer import (
 from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_corpus, CorpusSpec, gen_utterance
 from silstream.vocab import make_vocab, strip_nonscoring
 
-from support import Declared
+from support import Declared, hyp_timeline, hyp_tokens
 
 VOCAB = make_vocab(["a", "b", "c"])
 SYNTH = SynthConfig(vocab=VOCAB, feature_dim=8, frames_per_token=8)
@@ -165,7 +165,8 @@ class TestPrefixStability:
             snapshot = list(committed)
             committed += session.push(batch, is_last=i == len(batches) - 1)
             assert committed[: len(snapshot)] == snapshot
-        assert session.result().tokens == list(session._flat_committed()) == [VOCAB.bos_id] + committed
+        assert session.result().tokens == [VOCAB.bos_id] + [node.token for node in session.committed]
+        assert session.result().tokens == [VOCAB.bos_id] + committed
 
     def test_no_commit_inside_restricted_region(self):
         utts = [make_utt(["a", "b"], [(1, 96), (2, 48)], seed=10),
@@ -179,10 +180,10 @@ class TestPrefixStability:
                                         BeamConfig(beam_size=1))
                 batches = split_batches(utt.features.frames, batch_ms // 10)
                 for batch in batches[:-1]:
-                    before = len(session.beam[0].timeline)
+                    before = len(hyp_timeline(session.beam[0]))
                     session.push(batch)
-                    tokens = session.beam[0].tokens
-                    for i, em in enumerate(session.beam[0].timeline[before:], start=before):
+                    tokens = hyp_tokens(session.beam[0])
+                    for i, em in enumerate(hyp_timeline(session.beam[0])[before:], start=before):
                         # the token before the emission sets the restricted region it must clear
                         region = session._buffer_frames(applicable_buffer(tokens[i], session.scfg, VOCAB))
                         assert em.peak_index < len(session.buffer) - int(region)
@@ -222,7 +223,7 @@ class TestVoidedStepReuse:
         # the step emitting "a" at 240 ms peaks in the restricted region: voided and logged
         assert session.trace[-1]["decision"] == "backtrack"
         assert session.backtracks == [{"batch": 2, "clock_ms": 240.0, "reason": "restricted"}]
-        assert session.beam[0].tokens == (VOCAB.bos_id,)
+        assert hyp_tokens(session.beam[0]) == (VOCAB.bos_id,)
         session.push(batches[3])
         assert session.reused_steps == 1
         kept = session.beam[0].history.ancestor(2).emission
@@ -336,30 +337,30 @@ class TestCostGrowth:
         frames = np.random.default_rng(0).normal(size=(2000, cfg.encoder.input_dim))  # 20 s
         walked, committed, inside = [0], [0], [False]
         nodes_after = streamer.History.nodes_after
-        commit_progress = StreamSession._commit_progress
+        commit = StreamSession._commit
 
         def counting_nodes_after(history, ancestor):
             nodes = nodes_after(history, ancestor)
             walked[0] += len(nodes) if inside[0] else 0
             return nodes
 
-        def counting_commit_progress(session):
+        def counting_commit(session, histories):
+            before = len(session.committed)
             inside[0] = True
             try:
-                newly = commit_progress(session)
+                commit(session, histories)
             finally:
                 inside[0] = False
-            committed[0] += len(newly)
-            return newly
+            committed[0] += len(session.committed) - before
 
         monkeypatch.setattr(streamer.History, "nodes_after", counting_nodes_after)
-        monkeypatch.setattr(StreamSession, "_commit_progress", counting_commit_progress)
+        monkeypatch.setattr(StreamSession, "_commit", counting_commit)
         session = StreamSession(model, StreamConfig(320, 480, 960), BeamConfig(beam_size=8))
         batches = split_batches(frames, 32)
         tail = 0
         for batch in batches[:-1]:
             session.push(batch)
-            tail = max(tail, min(h.history.length for h in session.beam) - session._committed.length)
+            tail = max(tail, min(h.history.length for h in session.beam) - 1 - len(session.committed))
         session.push(batches[-1], is_last=True)
         assert tail >= 500
         assert walked[0] == committed[0]
