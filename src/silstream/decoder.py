@@ -235,6 +235,11 @@ def decode_step(
     dropped. ``force`` converts such stalls into a forced selection of the
     last frame so decoding can always make progress at finalization.
 
+    The model may hand one ``StepOutput`` object to several hypotheses (the
+    oracle does, for all hypotheses at one attention position); its token
+    ranking is then computed once and read by each of them, and nothing here
+    writes to it.
+
     ``reuse`` is this step's result over a shorter buffer, from a model with
     ``stable_steps``, in which every attention result is None or an unforced
     selection and no hypothesis ran away: the step would select the same
@@ -260,6 +265,9 @@ def decode_step(
     # every candidate expansion as (score, hypothesis, step, token, log prob),
     # in beam order then token order; only the survivors become hypotheses
     ranked: list[tuple[float, Hypothesis, StepOutput, int, float]] = []
+    # each distinct step output's log probs and token order, by id: hypotheses
+    # the model gave one output share its ranking
+    rankings: dict[int, tuple[list[float], list[int]]] = {}
     for hyp in beam:
         if hyp.finished:
             kept.append((hyp, None))
@@ -271,10 +279,15 @@ def decode_step(
         if out.stalled:
             kept.append((hyp, out.att))
             continue
-        log_probs = out.log_probs.tolist()
+        ranking = rankings.get(id(out))
+        if ranking is None:
+            log_probs = out.log_probs.tolist()
+            # the order of a stable argsort of -log_probs: ties keep their index order
+            ranking = rankings[id(out)] = (
+                log_probs, heapq.nlargest(cfg.beam_size + 1, range(len(log_probs)), key=log_probs.__getitem__))
+        log_probs, order = ranking
         taken = 0
-        # the order of a stable argsort of -log_probs: ties keep their index order
-        for token in heapq.nlargest(cfg.beam_size + 1, range(len(log_probs)), key=log_probs.__getitem__):
+        for token in order:
             if block_eos and token == eos_id:
                 continue
             ranked.append((hyp.log_score + log_probs[token], hyp, out, token, log_probs[token]))
@@ -298,7 +311,6 @@ def best_hypothesis(beam: list[Hypothesis]) -> Hypothesis:
 @dataclass
 class DecodeResult:
     tokens: list[int]
-    hypothesis: Hypothesis | None
     emissions: list[Emission] = field(default_factory=list)
     restarts: list[float] = field(default_factory=list)
     display_log: list[tuple[float, tuple[int, ...]]] = field(default_factory=list)

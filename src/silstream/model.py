@@ -14,14 +14,19 @@ scan stops at the first crossing at or after ``prev_index``.
 
 ``decode_steps`` is the call the decoder makes: it steps every live
 hypothesis of a beam at once over one ``EncodedBuffer`` and returns one
-``StepOutput`` per hypothesis. ``NeuralModel`` runs the decoder GRU, the
-attention query terms and the output layer once over the stacked beam,
-reads each frame's attention key terms from the buffer, which computes
-them once per frame, and scores only the chunk each hard-attention step
-selects. ``decode_step`` is the one-hypothesis form over a raw frame
-matrix. Training steps its soft-attention decoder with the same GRU,
-projections and ``attention.energies`` on one row, so a state it computes
-is bit for bit the state inference computes from the same inputs.
+``StepOutput`` per hypothesis. A model may return the same ``StepOutput``
+object for several hypotheses whose step it knows to be equal (the oracle
+does for hypotheses at one attention position); the decoder then ranks its
+tokens once. Nobody mutates a ``StepOutput`` or its arrays after the model
+returns it. ``NeuralModel`` returns a fresh one per hypothesis: it runs
+the decoder GRU, the attention query terms and the output layer once over
+the stacked beam, reads each frame's attention key terms from the buffer,
+which computes them once per frame, and scores only the chunk each
+hard-attention step selects. ``decode_step`` is the one-hypothesis form
+over a raw frame matrix. Training steps its soft-attention decoder with
+the same GRU, projections and ``attention.energies`` on one row, so a state
+it computes is bit for bit the state inference computes from the same
+inputs.
 """
 from __future__ import annotations
 
@@ -83,7 +88,8 @@ def init_params(cfg: ModelConfig, vocab_size: int, seed: int = 0) -> dict:
 
 @dataclass
 class StepOutput:
-    """Result of expanding one hypothesis by one decoding step."""
+    """Result of one decoding step: of one hypothesis, or of several whose
+    steps the model shares (see the module docstring). Read-only."""
 
     log_probs: np.ndarray | None
     dec_state: object

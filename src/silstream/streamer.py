@@ -13,7 +13,10 @@ extends to the full offline-equivalent output.
 
 The display log holds, after every push, the committed prefix plus the best
 hypothesis' tentative tokens, stripped of BOS/EOS/SIL. The stripped committed
-part is extended as tokens commit, so a push strips only the tokens after it.
+part is extended as tokens commit, and the last display is extended when the
+best hypothesis extends the last one shown, so a push strips only the tokens
+the best hypothesis gained; when the best hypothesis switches to another
+branch, the tokens after the committed part are stripped again.
 
 Buffer requirements are per token class: after a silence token a larger
 buffer (and restricted region) applies, making premature end-of-utterance
@@ -113,6 +116,7 @@ class StreamSession:
         self.committed: list[History] = []
         self._floor: History = self.beam[0].history  # where the current segment's committed prefix ends
         self._shown: tuple[int, ...] = ()  # the stripped display of ``committed``
+        self._shown_best: tuple[History, tuple[int, ...]] = (self._floor, ())  # the last display and its best node
         self.clock_ms = 0.0
         self.batch_index = -1
         self.finalized = False
@@ -152,8 +156,18 @@ class StreamSession:
         return tuple(strip_nonscoring([node.token for node in nodes], self.model.vocab))
 
     def _display(self) -> tuple[int, ...]:
-        """The committed display plus the best hypothesis' tokens after it."""
-        return self._shown + self._strip(best_hypothesis(self.beam).history.nodes_after(self._floor))
+        """The committed display plus the best hypothesis' tokens after it.
+
+        When the best hypothesis extends the last display's best node, only
+        the tokens after that node are stripped."""
+        best = best_hypothesis(self.beam).history
+        node, shown = self._shown_best
+        if best.ancestor(node.length) is node:
+            shown += self._strip(best.nodes_after(node))
+        else:
+            shown = self._shown + self._strip(best.nodes_after(self._floor))
+        self._shown_best = (best, shown)
+        return shown
 
     def _record(self, started: float, decision: str, committed: int = 0, boundary: int | None = None) -> None:
         self.wall_ms += (time.perf_counter() - started) * 1000.0
@@ -242,7 +256,10 @@ class StreamSession:
         plain = self.scfg.engine == "plain"
         block_eos = not final and policy == "defer" and self.model.silence_aware
         forced_left = not final and plain and policy != "defer"
-        for _ in range(self.bcfg.max_tokens(len(self.buffer)) + self.bcfg.beam_size + 9):
+        # over one buffer a stalled hypothesis stays stalled until a forced
+        # step, and every selecting one gains a token, so each run of steps
+        # ends within cap + 3 steps; the plain engine's forced step starts a second
+        for _ in range(2 * (self.bcfg.max_tokens(len(self.buffer)) + 4)):
             best = best_hypothesis(self.beam)
             if best.finished:
                 if not final and policy == "accept":
@@ -315,7 +332,6 @@ class StreamSession:
         if not self.finalized:
             raise RuntimeError("session has not received its last batch yet")
         res = DecodeResult(tokens=[self.model.vocab.bos_id] + [node.token for node in self.committed],
-                           hypothesis=best_hypothesis(self.beam),
                            emissions=[node.emission for node in self.committed if node.emission is not None])
         res.display_log = list(self.display_log)
         res.restarts = list(self.restarts)

@@ -349,12 +349,17 @@ class OracleModel:
         return StepOutput(log_probs=self._log_prob_rows[token], dec_state=None, att=att)
 
     def decode_steps(self, dec_states, prev_tokens, buffer, att_states, buffer_complete, force=False):
-        """``decode_step`` for each hypothesis over the frames of ``buffer``."""
+        """``decode_step`` over the frames of ``buffer`` once per distinct
+        attention position: every hypothesis at one position gets the same
+        ``StepOutput`` object, because the step reads only the position, the
+        frames and the flags (every oracle decoder state is None)."""
         frames = buffer.array
-        return [
-            self.decode_step(dec_state, prev_token, frames, att_state, buffer_complete, force)
-            for dec_state, prev_token, att_state in zip(dec_states, prev_tokens, att_states)
-        ]
+        steps: dict[int, StepOutput] = {}
+        for dec_state, prev_token, att_state in zip(dec_states, prev_tokens, att_states):
+            if att_state.prev_index not in steps:
+                steps[att_state.prev_index] = self.decode_step(
+                    dec_state, prev_token, frames, att_state, buffer_complete, force)
+        return [steps[att_state.prev_index] for att_state in att_states]
 
     def decode_step(
         self,
@@ -365,6 +370,11 @@ class OracleModel:
         buffer_complete: bool,
         force: bool = False,
     ) -> StepOutput:
+        """The scripted step of a hypothesis attending ``att_state.prev_index``
+        over ``frames``. ``prev_token`` is not read, and ``dec_state`` (None
+        from ``decode_start``) is only handed back by a stalled step. The
+        output's log-prob row is shared by every step emitting its token, so
+        no caller may write to it."""
         n = frames.shape[0]
         if n > self._num_encoded:
             raise ValueError(

@@ -45,12 +45,19 @@ is the scan's first crossing test, on selection probabilities; the library
 decides it on the energies. ``reference_cer`` counts the edits by
 backtracing the alignment; ``metrics.cer`` reads them off the final cell of
 the table. ``Declared`` wraps a model to declare its steps stable or not, so
-a session's reuse of voided steps can be switched off or forced on.
+a session's reuse of voided steps can be switched off or forced on, and
+``FreshOutputs`` wraps a model to hand every hypothesis its own copy of a
+step output, so a decoder given it can share no ranking between hypotheses.
 ``hyp_tokens`` and ``hyp_timeline`` read a hypothesis' tokens and emissions
-off its whole history.
+off its whole history; ``final_best`` and ``offline_best`` give the best
+hypothesis a session, or ``decode_offline``'s session, ends on.
+``reference_display`` rebuilds a session's display from scratch: the closed
+segments' committed tokens, then the best hypothesis' whole history,
+stripped.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -70,8 +77,11 @@ from silstream.attention import (
     soft_step,
     soft_step_backward,
 )
+from silstream.decoder import best_hypothesis
 from silstream.encoder import PyramidalEncoder, encode_backward, encode_with_cache
 from silstream.metrics import CerReport
+from silstream.model import StepOutput
+from silstream.streamer import StreamConfig, StreamSession
 from silstream.trainer import backward, forward_loss, smoothed_targets
 from silstream.vocab import strip_nonscoring
 
@@ -434,6 +444,51 @@ def hyp_tokens(hyp) -> tuple[int, ...]:
 def hyp_timeline(hyp) -> tuple:
     """The emissions of ``hyp``'s history, oldest first."""
     return tuple(node.emission for node in hyp.history.nodes_after(None) if node.emission is not None)
+
+
+def final_best(session):
+    """The best hypothesis of a session's last beam; under ``restart``, of its last segment."""
+    return best_hypothesis(session.beam)
+
+
+def offline_best(model, features, cfg):
+    """The best hypothesis the session of ``decode_offline(model, features, cfg)`` ends on."""
+    session = StreamSession(model, StreamConfig(), cfg, frame_shift_ms=features.frame_shift_ms)
+    session.push(features.frames, is_last=True)
+    return final_best(session)
+
+
+def reference_display(session) -> tuple[int, ...]:
+    """The display of ``session`` now, rebuilt from scratch: the committed
+    tokens of the closed segments, then every token of the best hypothesis,
+    stripped of BOS/EOS/SIL."""
+    best = final_best(session).history
+    closed = list(session.committed)
+    while closed and best.ancestor(closed[-1].length) is closed[-1]:
+        closed.pop()  # committed in the current segment
+    vocab = session.model.vocab
+    return tuple(strip_nonscoring([node.token for node in closed], vocab)
+                 + strip_nonscoring([node.token for node in best.nodes_after(None)], vocab))
+
+
+class FreshOutputs:
+    """``model`` whose ``decode_steps`` hands each hypothesis a fresh copy of
+    its step output (log probs, context and attention result); every other
+    attribute is the model's."""
+
+    def __init__(self, model):
+        self._model = model
+
+    def decode_steps(self, *args, **kwargs):
+        def copy(out):
+            log_probs = None if out.log_probs is None else out.log_probs.copy()
+            context = None if out.att.context is None else out.att.context.copy()
+            return StepOutput(log_probs, out.dec_state, dataclasses.replace(out.att, context=context))
+
+        return [copy(out) for out in self._model.decode_steps(*args, **kwargs)]
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
 
 
 class Declared:

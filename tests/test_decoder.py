@@ -13,7 +13,7 @@ from silstream.streamer import StreamConfig, decode_offline, split_batches, stre
 from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_utterance
 from silstream.vocab import make_vocab
 
-from support import encode, hyp_timeline, hyp_tokens
+from support import encode, hyp_timeline, hyp_tokens, offline_best
 
 VOCAB = make_vocab(["a", "b", "c"])
 SYNTH = SynthConfig(vocab=VOCAB, feature_dim=8, frames_per_token=8)
@@ -174,9 +174,9 @@ class TestDecodeOffline:
     def test_score_additivity(self):
         utt = make_utt(["a", "b", "c"], [(1, 16), (2, 20)], seed=4)
         model = aware(utt)
-        result = decode_offline(model, utt.features, BeamConfig(beam_size=2))
-        total = sum(e.log_prob for e in hyp_timeline(result.hypothesis))
-        assert result.hypothesis.log_score == pytest.approx(total, abs=1e-6)
+        best = offline_best(model, utt.features, BeamConfig(beam_size=2))
+        total = sum(e.log_prob for e in hyp_timeline(best))
+        assert best.log_score == pytest.approx(total, abs=1e-6)
 
     def test_emission_indices_nondecreasing(self):
         utt = make_utt(["a", "b", "c"], [(1, 28), (3, 16)], seed=5)
@@ -199,7 +199,7 @@ class TestDecodeOffline:
             utt = make_utt(["a", "b"], [(1, 24)], seed=seed)
             model = aware(utt)
             scores = [
-                decode_offline(model, utt.features, BeamConfig(beam_size=k)).hypothesis.log_score
+                offline_best(model, utt.features, BeamConfig(beam_size=k)).log_score
                 for k in (1, 4, 8)
             ]
             assert scores[0] <= scores[1] + 1e-9 <= scores[2] + 2e-9
@@ -211,8 +211,8 @@ class TestBeamDominanceNeural:
         model = neural_model(seed=3)
         for _ in range(10):
             feats = FeatureSequence(rng.normal(size=(int(rng.integers(16, 48)), 8)))
-            narrow = decode_offline(model, feats, BeamConfig(beam_size=1)).hypothesis.log_score
-            wide = decode_offline(model, feats, BeamConfig(beam_size=8)).hypothesis.log_score
+            narrow = offline_best(model, feats, BeamConfig(beam_size=1)).log_score
+            wide = offline_best(model, feats, BeamConfig(beam_size=8)).log_score
             assert wide >= narrow - 1e-9
 
 
@@ -299,8 +299,8 @@ class TestRecords:
 
     def test_fields_are_read_only(self):
         utt = make_utt(["a", "b"], [(1, 40)])
-        result = decode_offline(aware(utt), utt.features, BeamConfig(beam_size=4))
-        hyp, em = result.hypothesis, result.emissions[0]
+        em = decode_offline(aware(utt), utt.features, BeamConfig(beam_size=4)).emissions[0]
+        hyp = offline_best(aware(utt), utt.features, BeamConfig(beam_size=4))
         for record, name in ((em, "token"), (em, "forced"), (hyp, "log_score"), (hyp, "finished"),
                              (hyp.history, "parent"), (hyp.history, "jump")):
             with pytest.raises(AttributeError):

@@ -1,9 +1,12 @@
 """Property tests of the batched decoder: buffer key projection, the batched
 beam step against the per-hypothesis reference, the windowed MoChA scan
 against the whole-tail scan, the scripted oracle against its per-frame
-reference, and oracle streams on both session engines under every end-symbol
-policy, whose display log must equal the display rebuilt from scratch and
-whose pushes, trace counts and emissions must add up to the result, and
+reference, the oracle's one step per attention position against its step per
+hypothesis, beam steps over shared step outputs against steps over fresh
+copies, oracle streams on both session engines under every end-symbol
+policy, whose pushes, trace counts and emissions must add up to the result,
+oracle and random-model streams on both engines under every policy, whose
+display after every push must equal the display rebuilt from scratch, and
 streams that reuse voided steps against streams that recompute them. Also
 the minibatch encoder against per-utterance streaming and the per-step
 reference, the trainer's decoder step against the per-vector references,
@@ -48,6 +51,7 @@ from silstream.decoder import (
     History,
     common_ancestor,
     decode_step,
+    Hypothesis,
     initial_hypothesis,
 )
 from silstream.encoder import (
@@ -62,13 +66,15 @@ from silstream.encoder import (
 from silstream.metrics import cer
 from silstream.model import ModelConfig, NeuralModel, init_params
 from silstream.streamer import ENGINES, StreamConfig, StreamSession, decode_offline
-from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_utterance
+from silstream.synth import ORACLE_MODES, OracleMode, OracleModel, SynthConfig, gen_utterance
 from silstream.trainer import TrainConfig, backward, forward_loss
-from silstream.vocab import SIL_LABEL, make_vocab, strip_nonscoring
+from silstream.vocab import SIL_LABEL, make_vocab
 
 from support import (
     Declared,
+    FreshOutputs,
     add_grads,
+    encode,
     first_selection,
     group_of,
     hyp_timeline,
@@ -77,6 +83,7 @@ from support import (
     reference_decode_step,
     reference_decoder_backward,
     reference_decoder_loss,
+    reference_display,
     reference_encode_backward,
     reference_encode_with_cache,
     reference_encoded_owners,
@@ -614,15 +621,7 @@ class TestOracleStreamProperties:
             before = list(session.committed)
             returned += session.push(frames[lo:hi], is_last=hi == len(frames))
             assert session.committed[: len(before)] == before  # the same nodes
-            # the incrementally kept display equals the display rebuilt from
-            # scratch: the closed segments' committed tokens, then the best hypothesis'
-            best = max(session.beam, key=lambda h: h.log_score)
-            closed = list(session.committed)
-            while closed and best.history.ancestor(closed[-1].length) is closed[-1]:
-                closed.pop()  # committed in the current segment
-            rebuilt = strip_nonscoring([node.token for node in closed], VOCAB)
-            rebuilt += strip_nonscoring(list(hyp_tokens(best)), VOCAB)
-            assert session.display_log[-1][1] == tuple(rebuilt)
+            assert session.display_log[-1][1] == reference_display(session)
             lo, i = hi, i + 1
         result = session.result()
         assert returned == result.tokens
@@ -630,6 +629,135 @@ class TestOracleStreamProperties:
         assert [em.token for em in result.emissions] == result.tokens[1:]
         if eos_policy == "defer" and not skipping:
             assert result.tokens == decode_offline(model, utt.features, beam_cfg).tokens
+
+
+def same_step(got, want) -> bool:
+    """Whether two step outputs hold equal fields, arrays compared by value."""
+    def equal(a, b):
+        return (a is None) == (b is None) and (a is None or np.array_equal(a, b))
+
+    return (equal(got.log_probs, want.log_probs) and got.dec_state is want.dec_state is None
+            and equal(got.att.context, want.att.context)
+            and (got.att.status, got.att.selected_index, got.att.peak_index, got.att.forced)
+            == (want.att.status, want.att.selected_index, want.att.peak_index, want.att.forced))
+
+
+def same_attention(got, want) -> bool:
+    if got is None or want is None:
+        return got is want
+    return ((got.status, got.selected_index, got.peak_index, got.forced)
+            == (want.status, want.selected_index, want.peak_index, want.forced)
+            and (got.context is None) == (want.context is None)
+            and (got.context is None or np.array_equal(got.context, want.context)))
+
+
+def oracle_beam(model, positions, scores) -> list[Hypothesis]:
+    """A beam of fresh hypotheses attending ``positions`` with log scores ``scores``."""
+    return [initial_hypothesis(model, prev_index=p)._replace(log_score=s) for p, s in zip(positions, scores)]
+
+
+class TestOracleSharesOneStepPerPosition:
+    """The oracle steps once per distinct attention position and hands that
+    output to every hypothesis there; the decoder's shared ranking of it
+    gives the beam fresh copies give."""
+
+    @staticmethod
+    def draw_case(data, words, pauses, seed, mode):
+        utt = paused_utt(words, pauses, seed)
+        model = OracleModel(OracleMode(mode, 6, 3), VOCAB, utt.alignment, 4)
+        frames = encode(model, utt.features.frames)
+        # one position for the whole beam, or a position per hypothesis
+        size = data.draw(st.integers(1, 8))
+        if data.draw(st.booleans()):
+            positions = [data.draw(st.integers(-1, len(frames) - 1))] * size
+        else:
+            positions = data.draw(st.lists(st.integers(-1, len(frames) - 1), min_size=size, max_size=size))
+        return model, frames, positions
+
+    @settings(max_examples=200, deadline=None)
+    @given(words=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=4),
+           pauses=st.lists(st.integers(8, 120), min_size=1, max_size=5), seed=st.integers(0, 1000),
+           mode=st.sampled_from(ORACLE_MODES), complete=st.booleans(), force=st.booleans(), data=st.data())
+    def test_one_output_per_position_equal_to_each_hypothesis_step(self, words, pauses, seed, mode, complete,
+                                                                   force, data):
+        model, frames, positions = self.draw_case(data, words, pauses, seed, mode)
+        buffer = EncodedBuffer()
+        buffer.append(frames[: data.draw(st.integers(0, len(frames)))])
+        states = [AttentionState(p) for p in positions]
+        tokens = data.draw(st.lists(st.integers(0, VOCAB.size - 1), min_size=len(states), max_size=len(states)))
+        outs = model.decode_steps([None] * len(states), tokens, buffer, states, complete, force=force)
+        assert len(outs) == len(states)
+        for out, state, token in zip(outs, states, tokens):
+            assert same_step(out, model.decode_step(None, token, buffer.array, state, complete, force))
+        for out, p in zip(outs, positions):
+            assert all((out is other) == (p == q) for other, q in zip(outs, positions))
+
+    @settings(max_examples=120, deadline=None)
+    @given(words=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=4),
+           pauses=st.lists(st.integers(8, 120), min_size=1, max_size=5), seed=st.integers(0, 1000),
+           mode=st.sampled_from(ORACLE_MODES), beam_size=st.sampled_from([1, 8]), block_eos=st.booleans(),
+           force=st.booleans(), steps=st.integers(1, 6), data=st.data())
+    def test_shared_outputs_give_the_beam_fresh_copies_give(self, words, pauses, seed, mode, beam_size,
+                                                            block_eos, force, steps, data):
+        model, frames, positions = self.draw_case(data, words, pauses, seed, mode)
+        scores = data.draw(st.lists(st.sampled_from([0.0, -0.5, -1.0, -3.0]), min_size=len(positions),
+                                    max_size=len(positions)))
+        beam_cfg = BeamConfig(beam_size=beam_size)
+        shared, fresh = oracle_beam(model, positions, scores), oracle_beam(model, positions, scores)
+        buffer = EncodedBuffer()
+        for _ in range(steps):
+            buffer.append(frames[len(buffer) : data.draw(st.integers(len(buffer), len(frames)))])
+            complete = len(buffer) == len(frames)
+            shared, shared_atts = decode_step(model, shared, buffer, complete, beam_cfg, clock_ms=len(buffer),
+                                              force=force, block_eos=block_eos)
+            fresh, fresh_atts = decode_step(FreshOutputs(model), fresh, buffer, complete, beam_cfg,
+                                            clock_ms=len(buffer), force=force, block_eos=block_eos)
+            assert [hyp_tokens(h) for h in shared] == [hyp_tokens(h) for h in fresh]
+            assert [h.log_score for h in shared] == [h.log_score for h in fresh]
+            assert [(h.finished, h.runaway, h.att_state) for h in shared] == [
+                (h.finished, h.runaway, h.att_state) for h in fresh]
+            assert [hyp_timeline(h) for h in shared] == [hyp_timeline(h) for h in fresh]
+            assert all(same_attention(a, b) for a, b in zip(shared_atts, fresh_atts, strict=True))
+
+
+class TestIncrementalDisplay:
+    # sel_r None streams an oracle, a number a random NeuralModel with that att.sel.r
+    @settings(max_examples=120, deadline=None)
+    @given(words=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=4),
+           pauses=st.lists(st.integers(8, 120), min_size=1, max_size=5),
+           batches=st.lists(st.integers(1, 48), min_size=1, max_size=8),
+           buffers=st.sampled_from([(0, 0), (120, 120), (240, 480), (480, 960)]),
+           beam_size=st.integers(1, 8), seed=st.integers(0, 1000), engine=st.sampled_from(ENGINES),
+           eos_policy=st.sampled_from(EOS_POLICIES), mode=st.sampled_from(ORACLE_MODES),
+           sel_r=st.sampled_from([None, -2.0, 0.0, 2.0]))
+    # the skipping oracle closes a segment at each long pause under restart
+    @example(words=["a", "b", "c"], pauses=[120], batches=[8], buffers=(120, 120), beam_size=2, seed=0,
+             engine="buffered", eos_policy="restart", mode="silence_skipping", sel_r=None)
+    @example(words=["a", "b", "c"], pauses=[120], batches=[8], buffers=(120, 120), beam_size=1, seed=0,
+             engine="plain", eos_policy="restart", mode="silence_skipping", sel_r=None)
+    # the best hypothesis stalls while another runs to the token cap, then the
+    # plain engine's forced step runs a second one there: a decode of 2 * cap steps
+    @example(words=["a"], pauses=[58], batches=[1], buffers=(0, 0), beam_size=2, seed=0,
+             engine="plain", eos_policy="restart", mode="silence_aware", sel_r=0.0)
+    # a random model's best hypothesis switches branch while nothing commits
+    @example(words=["a", "b", "c", "a"], pauses=[40], batches=[16], buffers=(240, 480), beam_size=8, seed=1,
+             engine="buffered", eos_policy="defer", mode="silence_aware", sel_r=0.0)
+    def test_every_push_displays_the_rebuilt_display(self, words, pauses, batches, buffers, beam_size, seed,
+                                                     engine, eos_policy, mode, sel_r):
+        utt = paused_utt(words, pauses, seed)
+        if sel_r is None:
+            model = OracleModel(OracleMode(mode, 6, 3), VOCAB, utt.alignment, 4)
+        else:
+            base = neural_model(seed)
+            base.params["att.sel.r"][0] = sel_r
+            model = NeuralModel(base.cfg, base.params, VOCAB, silence_aware=mode == "silence_aware")
+        stream_cfg = StreamConfig(min_buffer_ms=buffers[0], sil_buffer_ms=buffers[1], engine=engine)
+        session = StreamSession(model, stream_cfg, BeamConfig(beam_size=beam_size, eos_policy=eos_policy))
+        frames, lo = utt.features.frames, 0
+        for hi in split_points(batches, len(frames)):
+            session.push(frames[lo:hi], is_last=hi == len(frames))
+            assert session.display_log[-1][1] == reference_display(session)
+            lo = hi
 
 
 def streamed(model, utt, batches, stream_cfg, beam_cfg) -> StreamSession:

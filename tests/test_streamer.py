@@ -20,7 +20,7 @@ from silstream.streamer import (
 from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_corpus, CorpusSpec, gen_utterance
 from silstream.vocab import make_vocab, strip_nonscoring
 
-from support import Declared, hyp_timeline, hyp_tokens
+from support import Declared, final_best, hyp_timeline, hyp_tokens
 
 VOCAB = make_vocab(["a", "b", "c"])
 SYNTH = SynthConfig(vocab=VOCAB, feature_dim=8, frames_per_token=8)
@@ -207,7 +207,7 @@ class TestCounters:
         feats = FeatureSequence(np.random.default_rng(4).normal(size=(120, 8)))
         result, session = stream_decode(model, feats, StreamConfig(batch_ms=160), BeamConfig(beam_size=1))
         forced = sum(em.forced for em in result.emissions)
-        assert not result.hypothesis.runaway
+        assert not final_best(session).runaway
         assert forced >= 1
         assert result.forced_steps == session.forced_steps == forced
 

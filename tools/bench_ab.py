@@ -47,10 +47,11 @@ def unpack(rev: str, dest: str) -> str:
     return sha
 
 
-def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run; its final JSON line, or a failed run if it printed none."""
+def run(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One benchmark run, untraced unless ``trace`` is 1; its final JSON line,
+    or a failed run if it printed none."""
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     try:
