@@ -631,24 +631,22 @@ class TestOracleStreamProperties:
             assert result.tokens == decode_offline(model, utt.features, beam_cfg).tokens
 
 
-def same_step(got, want) -> bool:
-    """Whether two step outputs hold equal fields, arrays compared by value."""
-    def equal(a, b):
-        return (a is None) == (b is None) and (a is None or np.array_equal(a, b))
-
-    return (equal(got.log_probs, want.log_probs) and got.dec_state is want.dec_state is None
-            and equal(got.att.context, want.att.context)
-            and (got.att.status, got.att.selected_index, got.att.peak_index, got.att.forced)
-            == (want.att.status, want.att.selected_index, want.att.peak_index, want.att.forced))
+def same_array(a, b) -> bool:
+    return (a is None) == (b is None) and (a is None or np.array_equal(a, b))
 
 
 def same_attention(got, want) -> bool:
+    """Whether two attention results (or Nones) hold equal fields, arrays compared by value."""
     if got is None or want is None:
         return got is want
     return ((got.status, got.selected_index, got.peak_index, got.forced)
             == (want.status, want.selected_index, want.peak_index, want.forced)
-            and (got.context is None) == (want.context is None)
-            and (got.context is None or np.array_equal(got.context, want.context)))
+            and same_array(got.context, want.context))
+
+
+def same_step(got, want) -> bool:
+    return (same_array(got.log_probs, want.log_probs) and got.dec_state is want.dec_state is None
+            and same_attention(got.att, want.att))
 
 
 def oracle_beam(model, positions, scores) -> list[Hypothesis]:
