@@ -116,7 +116,8 @@ class StreamSession:
         self.committed: list[History] = []
         self._floor: History = self.beam[0].history  # where the current segment's committed prefix ends
         self._shown: tuple[int, ...] = ()  # the stripped display of ``committed``
-        self._shown_best: tuple[History, tuple[int, ...]] = (self._floor, ())  # the last display and its best node
+        # the last display's best node, and that display
+        self._shown_best: tuple[History, tuple[int, ...]] = (self._floor, ())
         self.clock_ms = 0.0
         self.batch_index = -1
         self.finalized = False
