@@ -25,7 +25,7 @@ from .encoder import EncoderConfig, PyramidalEncoder, init_encoder_params
 from .labeler import LabelerConfig, LabelStats, insert_silence, label_corpus
 from .metrics import CerReport, CplRecord, cer, cpl, sweep, sweep_csv
 from .model import ModelConfig, NeuralModel, init_params, load_checkpoint, save_checkpoint
-from .streamer import StreamConfig, StreamSession, applicable_buffer, decode_offline, stream_decode
+from .streamer import StreamConfig, StreamSession, decode_offline, stream_decode
 from .synth import CorpusSpec, OracleMode, OracleModel, SynthConfig, Utterance, gen_corpus, gen_utterance
 from .trainer import TrainConfig, backward, forward_loss, train
 from .vocab import Vocab, make_vocab, strip_nonscoring
@@ -60,7 +60,6 @@ __all__ = [
     "TrainConfig",
     "Utterance",
     "Vocab",
-    "applicable_buffer",
     "backward",
     "cer",
     "cpl",

@@ -36,7 +36,6 @@ CROSSING_BAND = 1e-15  # holds the negative energies whose probability rounds to
 class AttentionConfig:
     chunk_size: int = 3
     energy_hidden: int = 16
-    init_selection_bias: float = -1.0
 
     def __post_init__(self):
         if self.chunk_size < 1:
@@ -72,7 +71,7 @@ def init_attention_params(
         params[f"{prefix}.Wk"] = nn.glorot(rng, cfg.energy_hidden, key_dim)
         params[f"{prefix}.b"] = np.zeros(cfg.energy_hidden)
         params[f"{prefix}.v"] = nn.glorot(rng, 1, cfg.energy_hidden)[0]
-    params["att.sel.r"] = np.array([cfg.init_selection_bias])
+    params["att.sel.r"] = np.array([-1.0])
     return params
 
 

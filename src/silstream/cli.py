@@ -51,13 +51,17 @@ def _options(args: argparse.Namespace, *required: str) -> dict:
 def _config(cls, opt: dict, **given):
     """``cls`` from ``given`` and, for its other fields, the options named
     after them (or ``_FLAG_OF``), each cast to the type of the field's
-    default. A field with no option keeps the class default."""
+    default. A field with no option keeps the class default. Exits with
+    the message of a value the class refuses."""
     for f in dataclasses.fields(cls):
         value = opt.get(_FLAG_OF.get(f.name, f.name))
         if f.name not in given and value is not None:
             typed = f.default is not None and f.default is not dataclasses.MISSING
             given[f.name] = type(f.default)(value) if typed else value
-    return cls(**given)
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise SystemExit(f"silstream {opt['command']}: {exc}") from None
 
 
 def _list(opt: dict, key: str, cast, default) -> list:

@@ -21,25 +21,24 @@ from .model import StepOutput
 from .vocab import Vocab
 
 EOS_POLICIES = ("defer", "restart", "accept")
+CAP_BASE, CAP_PER_FRAME = 8, 2  # the token cap: a hypothesis that reaches it is finished as a runaway
+
+
+def max_tokens(encoded_frames: int) -> int:
+    """The most tokens a hypothesis may emit over ``encoded_frames`` frames."""
+    return CAP_BASE + CAP_PER_FRAME * encoded_frames
 
 
 @dataclass(frozen=True)
 class BeamConfig:
     beam_size: int = 8
-    cap_base: int = 8
-    cap_per_frame: int = 2
     eos_policy: str = "defer"
 
     def __post_init__(self):
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
-        if self.cap_base < 1 or self.cap_per_frame < 0:
-            raise ValueError("token cap must be positive")
         if self.eos_policy not in EOS_POLICIES:
             raise ValueError(f"eos_policy must be one of {EOS_POLICIES}")
-
-    def max_tokens(self, encoded_frames: int) -> int:
-        return self.cap_base + self.cap_per_frame * encoded_frames
 
 
 def _reserve(store: np.ndarray, used: int, rows: int, width: int) -> np.ndarray:
@@ -252,7 +251,7 @@ def decode_step(
         new_beam, atts = reuse
         return [hyp if att is None else _restamp(hyp, clock_ms) for hyp, att in zip(new_beam, atts)], atts
     eos_id = model.vocab.eos_id
-    cap = cfg.max_tokens(len(buffer))
+    cap = max_tokens(len(buffer))
     live = [hyp for hyp in beam if not hyp.finished and hyp.emitted < cap]
     outs: list[StepOutput] = []
     if live:

@@ -40,23 +40,19 @@ class EncoderConfig:
     input_dim: int = 8
     hidden: int = 32
     proj: int = 16
-    reduction: int = 2  # per-layer; only 2 is supported
 
     def __post_init__(self):
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
         if min(self.input_dim, self.hidden, self.proj) < 1:
             raise ValueError("encoder dims must be positive")
-        if self.reduction != 2:
-            raise ValueError("only a per-layer reduction of 2 is supported")
 
     @property
     def total_reduction(self) -> int:
-        return self.reduction**self.num_layers
+        return 2**self.num_layers
 
     def layer_input_dim(self, k: int) -> int:
-        base = self.input_dim if k == 0 else self.proj
-        return self.reduction * base
+        return 2 * (self.input_dim if k == 0 else self.proj)
 
 
 def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator, params: dict | None = None) -> dict:
@@ -158,7 +154,6 @@ class PyramidalEncoder:
     def __init__(self, cfg: EncoderConfig, params: dict):
         self.cfg = cfg
         self.params = params
-        nn.check_shapes({k: v for k, v in params.items() if k.startswith("enc")}, encoder_shapes(cfg))
 
     def _check_frames(self, frames) -> np.ndarray:
         frames = np.asarray(frames, dtype=np.float64)

@@ -51,7 +51,7 @@ from .attention import (
 from .encoder import EncoderConfig, PyramidalEncoder, encoder_shapes, init_encoder_params
 from .vocab import Vocab
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class NeuralModel:
     stable_steps = True
 
     def __init__(self, cfg: ModelConfig, params: dict, vocab: Vocab, silence_aware: bool = False):
-        nn.check_shapes(params, _param_shapes(cfg, vocab.size))
+        nn.check_shapes(params, param_shapes(cfg, vocab.size))
         bad = sorted(name for name, value in params.items() if not np.isfinite(value).all())
         if bad:
             raise ValueError(f"non-finite values in {bad}")
@@ -181,7 +181,7 @@ class NeuralModel:
         return outs
 
 
-def _param_shapes(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+def param_shapes(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
     """The shape of every tensor a model with this config and vocabulary has."""
     h, a = cfg.decoder_hidden, cfg.attention.energy_hidden
     shapes = {"att.sel.r": (1,), "emb.E": (vocab_size, cfg.embed_dim),

@@ -70,8 +70,9 @@ from .decoder import (
     common_ancestor,
     decode_step,
     initial_hypothesis,
+    max_tokens,
 )
-from .vocab import Vocab, strip_nonscoring
+from .vocab import strip_nonscoring
 
 ENGINES = ("buffered", "plain")
 
@@ -86,19 +87,12 @@ class StreamConfig:
     def __post_init__(self):
         if self.batch_ms <= 0:
             raise ValueError("batch_ms must be positive")
-        if self.min_buffer_ms < 0:
-            raise ValueError("min_buffer_ms must be nonnegative")
-        if self.sil_buffer_ms < self.min_buffer_ms:
-            raise ValueError("sil_buffer_ms must be >= min_buffer_ms")
+        if not (math.isfinite(self.min_buffer_ms) and self.min_buffer_ms >= 0):
+            raise ValueError("min_buffer_ms must be finite and nonnegative")
+        if not (math.isfinite(self.sil_buffer_ms) and self.sil_buffer_ms >= self.min_buffer_ms):
+            raise ValueError("sil_buffer_ms must be finite and >= min_buffer_ms")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
-
-
-def applicable_buffer(last_token: int | None, cfg: StreamConfig, vocab: Vocab) -> float:
-    """Buffer requirement in ms given the most recently emitted token."""
-    if last_token is not None and last_token == vocab.sil_id:
-        return cfg.sil_buffer_ms
-    return cfg.min_buffer_ms
 
 
 class StreamSession:
@@ -134,24 +128,17 @@ class StreamSession:
         self._voided: tuple | None = None
         # gate and restricted-region frames after a regular token and after <sil>, indexed by ``token == sil_id``
         self._sil_id = model.vocab.sil_id
-        self._frames_after = [self._buffer_frames(applicable_buffer(last, stream_cfg, model.vocab))
-                              for last in (None, self._sil_id)]
+        self._frames_after = [ms_to_encoded_frames(ms, frame_shift_ms, model.total_reduction)
+                              for ms in (stream_cfg.min_buffer_ms, stream_cfg.sil_buffer_ms)]
 
     # --- helpers ---
 
-    def _buffer_frames(self, ms: float) -> float:
-        if math.isinf(ms):
-            return math.inf
-        return ms_to_encoded_frames(ms, self.frame_shift_ms, self.model.total_reduction)
-
-    def _gate(self, best: Hypothesis) -> tuple[bool, int | None]:
+    def _gate(self, best: Hypothesis) -> tuple[bool, int]:
         """Whether the buffer extends far enough past ``best``'s attention
         position to decode, and the restricted-region boundary."""
         gate = self._frames_after[best.history.token == self._sil_id]  # BOS counts as a regular token
-        if math.isinf(gate):
-            return False, None
         tail = len(self.buffer) - 1 - best.att_state.prev_index
-        return tail >= gate, max(0, len(self.buffer) - int(gate))
+        return tail >= gate, max(0, len(self.buffer) - gate)
 
     def _strip(self, nodes: list[History]) -> tuple[int, ...]:
         return tuple(strip_nonscoring([node.token for node in nodes], self.model.vocab))
@@ -244,7 +231,7 @@ class StreamSession:
             if att is None or att.status != "selected":
                 continue
             region = self._frames_after[hyp.history.parent.token == self._sil_id]
-            if math.isinf(region) or att.peak_index >= len(self.buffer) - int(region):
+            if att.peak_index >= len(self.buffer) - region:
                 return "restricted"
         return None
 
@@ -260,7 +247,7 @@ class StreamSession:
         # over one buffer a stalled hypothesis stays stalled until a forced
         # step, and every selecting one gains a token, so each run of steps
         # ends within cap + 3 steps; the plain engine's forced step starts a second
-        for _ in range(2 * (self.bcfg.max_tokens(len(self.buffer)) + 4)):
+        for _ in range(2 * (max_tokens(len(self.buffer)) + 4)):
             best = best_hypothesis(self.beam)
             if best.finished:
                 if not final and policy == "accept":
@@ -297,11 +284,13 @@ class StreamSession:
         without its end symbol."""
         if self.finalized:
             raise RuntimeError("push after the last batch")
-        self.batch_index += 1
         frames = np.asarray(frames, dtype=np.float64)
+        if frames.ndim != 2:
+            raise ValueError(f"expected a (frames, features) matrix, got shape {frames.shape}")
+        self.batch_index += 1
         started = time.perf_counter()
         self.buffer.append(self.model.encoder_push(self.enc_state, frames))
-        self.clock_ms += frames.shape[0] * self.frame_shift_ms if frames.ndim == 2 else 0
+        self.clock_ms += frames.shape[0] * self.frame_shift_ms
         if is_last:
             self.finalized = True
             self.buffer.append(self.model.encoder_finish(self.enc_state))

@@ -38,7 +38,7 @@ class SynthConfig:
     frames_per_token: int = 8
     noise_sigma: float = 0.0
     pattern_seed: int = 1234
-    frame_shift_ms: int = 10
+    frame_shift_ms = 10  # a class constant, not a field
 
     def __post_init__(self):
         if self.frames_per_token < 1:
@@ -264,11 +264,7 @@ class OracleModel:
         if enc_state.finished:
             raise RuntimeError("push after finish")
         frames = np.asarray(frames, dtype=np.float64)
-        rows = enc_state.pending
-        if frames.ndim == 2:
-            rows = frames if rows is None else np.concatenate([rows, frames])
-        if rows is None:
-            return np.zeros((0, 0))
+        rows = frames if enc_state.pending is None else np.concatenate([enc_state.pending, frames])
         r = self.total_reduction
         n = rows.shape[0] // r * r
         enc_state.pending = rows[n:].copy()

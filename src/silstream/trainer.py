@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import nn
 from .attention import energies, initial_alpha, project_keys, project_queries, soft_step, soft_step_backward
 from .data import FeatureSequence
 from .encoder import encode_backward, encode_with_cache
-from .model import ModelConfig, NeuralModel, save_checkpoint
+from .model import ModelConfig, NeuralModel, param_shapes, save_checkpoint
 from .vocab import Vocab
 
 @dataclass(frozen=True)
@@ -186,24 +186,6 @@ def backward(cfg: ModelConfig, params: dict, cache: list, scale: float = 1.0) ->
     return grads, dH
 
 
-def corpus_loss(
-    cfg: ModelConfig,
-    params: dict,
-    examples: list[tuple[FeatureSequence, list[int]]],
-    tcfg: TrainConfig,
-    vocab: Vocab,
-) -> float:
-    """Deterministic mean loss (scheduled sampling and selection noise off),
-    encoding ``tcfg.batch_size`` utterances at a time as training does."""
-    plain = replace(tcfg, scheduled_sampling=0.0, selection_noise_std=0.0)
-    losses = []
-    for lo in range(0, len(examples), tcfg.batch_size):
-        batch = examples[lo : lo + tcfg.batch_size]
-        encoded, _ = _encode(cfg, params, batch)
-        losses += [forward_loss(cfg, params, H, ref, plain, vocab)[0] for H, (_, ref) in zip(encoded, batch)]
-    return float(np.mean(losses))
-
-
 def _encode(cfg: ModelConfig, params: dict, batch: list[tuple[FeatureSequence, list[int]]]):
     """Encode a batch's utterances as one stack. Returns each utterance's
     encoded rows and the ``EncoderCache``."""
@@ -246,23 +228,24 @@ def train(
     vocab: Vocab,
     examples: list[tuple[FeatureSequence, list[int]]],
     tcfg: TrainConfig,
-    eval_examples: list[tuple[FeatureSequence, list[int]]] | None = None,
     checkpoint_dir: str | None = None,
     silence_aware: bool = False,
 ):
     """Gradient-descent training loop. Returns (params, history).
 
-    Deterministic for a fixed seed. If the loss goes non-finite the loop
-    aborts and the parameters from the last completed epoch are returned
-    (matching the last checkpoint on disk).
+    Refuses parameters whose tensors do not match ``cfg`` and ``vocab``
+    (checked once, here). Deterministic for a fixed seed. If the loss goes
+    non-finite the loop aborts and the parameters from the last completed
+    epoch are returned (matching the last checkpoint on disk).
     """
     if not examples:
         raise ValueError("empty training corpus")
+    nn.check_shapes(params, param_shapes(cfg, vocab.size))
     params = {k: v.copy() for k, v in params.items()}
     last_good = {k: v.copy() for k, v in params.items()}
     rng = np.random.default_rng(tcfg.seed)
     velocity = nn.zero_grads(params)
-    history = {"train_loss": [], "eval_loss": [], "diverged": False}
+    history = {"train_loss": [], "diverged": False}
 
     for epoch in range(tcfg.epochs):
         order = rng.permutation(len(examples))
@@ -289,8 +272,6 @@ def train(
             history["diverged"] = True
             return last_good, history
         history["train_loss"].append(float(np.mean(epoch_losses)))
-        if eval_examples:
-            history["eval_loss"].append(corpus_loss(cfg, params, eval_examples, tcfg, vocab))
         last_good = {k: v.copy() for k, v in params.items()}
         if checkpoint_dir:
             os.makedirs(checkpoint_dir, exist_ok=True)

@@ -39,6 +39,9 @@ steps through a minibatch one utterance at a time: it encodes the utterance
 alone, runs ``forward_loss``, ``backward`` on a minibatch of one and
 ``encode_backward``, and adds each utterance's gradients with
 ``add_grads``; ``train`` must agree with it to 1e-12 relative.
+``corpus_loss`` is the loss the finite-difference checks differentiate:
+the deterministic mean loss, encoded ``batch_size`` utterances at a time as
+training does.
 ``reference_sigmoid`` is the first, boolean-mask form of ``nn.sigmoid``, and
 ``reference_softmax`` the first form of ``nn.softmax``. ``first_selection``
 is the scan's first crossing test, on selection probabilities; the library
@@ -82,7 +85,7 @@ from silstream.encoder import PyramidalEncoder, encode_backward, encode_with_cac
 from silstream.metrics import CerReport
 from silstream.model import StepOutput
 from silstream.streamer import StreamConfig, StreamSession
-from silstream.trainer import backward, forward_loss, smoothed_targets
+from silstream.trainer import _encode, backward, forward_loss, smoothed_targets
 from silstream.vocab import strip_nonscoring
 
 PARAM_GROUPS = {
@@ -625,7 +628,7 @@ def reference_encode_backward(params, cfg, cache, d_encoded, grads, magnitude: b
 
 
 def reference_train(cfg, params, vocab, examples, tcfg):
-    """``train`` (without evaluation or checkpoints) with a forward and
+    """``train`` (without checkpoints) with a forward and
     backward pass, encoder included, per utterance: each utterance is
     encoded alone, its decoder back-propagated as a minibatch of one and
     its encoder on its own."""
@@ -669,6 +672,18 @@ def reference_train(cfg, params, vocab, examples, tcfg):
         history["train_loss"].append(float(np.mean(epoch_losses)))
         last_good = {k: v.copy() for k, v in params.items()}
     return params, history
+
+
+def corpus_loss(cfg, params, examples, tcfg, vocab) -> float:
+    """Deterministic mean loss (scheduled sampling and selection noise off),
+    encoding ``tcfg.batch_size`` utterances at a time as training does."""
+    plain = dataclasses.replace(tcfg, scheduled_sampling=0.0, selection_noise_std=0.0)
+    losses = []
+    for lo in range(0, len(examples), tcfg.batch_size):
+        batch = examples[lo : lo + tcfg.batch_size]
+        encoded, _ = _encode(cfg, params, batch)
+        losses += [forward_loss(cfg, params, H, ref, plain, vocab)[0] for H, (_, ref) in zip(encoded, batch)]
+    return float(np.mean(losses))
 
 
 def reference_cer(reference: list[int], hypothesis: list[int], vocab) -> CerReport:

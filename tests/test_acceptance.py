@@ -26,10 +26,10 @@ from silstream.metrics import CerReport, cer, cpl, sweep, sweep_csv
 from silstream.model import ModelConfig, NeuralModel, init_params
 from silstream.streamer import StreamConfig, decode_offline, stream_decode
 from silstream.synth import CorpusSpec, OracleMode, OracleModel, SynthConfig, gen_corpus, gen_utterance
-from silstream.trainer import TrainConfig, _minibatch_gradients, corpus_loss
+from silstream.trainer import TrainConfig, _minibatch_gradients
 from silstream.vocab import make_vocab
 
-from support import PARAM_GROUPS, encode, group_of, infer_step
+from support import PARAM_GROUPS, corpus_loss, encode, group_of, infer_step
 
 VOCAB = make_vocab([f"t{i}" for i in range(5)])
 SYNTH = SynthConfig(vocab=VOCAB, feature_dim=8, frames_per_token=8)

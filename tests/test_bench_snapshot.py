@@ -1,5 +1,7 @@
 """tools/bench_snapshot.py on tiny settings: one real benchmark run of each
-kind and two short oracle streams, checked against the snapshot's schema."""
+kind, two short oracle streams and one demo 04 sweep, checked against the
+snapshot's schema."""
+import hashlib
 import json
 import pathlib
 import sys
@@ -19,7 +21,7 @@ def test_snapshot_schema_and_compare(tmp_path, capsys):
     snap = json.loads(out.read_text(encoding="utf-8"))
     assert snap["schema"] == bench_snapshot.SCHEMA
     assert {"git_sha", "dirty", "machine", "calibration", "settings", "runs", "misread", "per_token",
-            "per_token_growth"} <= set(snap)
+            "per_token_growth", "demo_sweep"} <= set(snap)
     assert {"nproc", "cpu", "python", "numpy"} <= set(snap["machine"])
     assert snap["calibration"]["reference_s"] > 0 and snap["calibration"]["factor"] > 0
 
@@ -41,6 +43,12 @@ def test_snapshot_schema_and_compare(tmp_path, capsys):
         assert row["tokens"] > 0 and row["ms_per_token"] > 0 and row["ms_per_token_wall"] > 0
     assert set(snap["per_token_growth"]) == {"1", "2"}
 
+    sweep = snap["demo_sweep"]
+    assert (sweep["utterances"], sweep["points"]) == (12, 4) and sweep["s"] > 0 and sweep["wall_s"] > 0
+    # the sweep timed is the demo's: its CSV is the one the demo prints
+    golden = (ROOT / "tests" / "golden" / "04_latency_accuracy_tradeoff.txt").read_text(encoding="utf-8")
+    assert sweep["csv_sha256"] == hashlib.sha256((golden.split("\n\n")[0] + "\n").encode()).hexdigest()
+
     # a snapshot compared with a copy whose rtf doubled
     faster = json.loads(out.read_text(encoding="utf-8"))
     faster["runs"][0]["metrics"]["rtf"]["value"] *= 2
@@ -52,3 +60,4 @@ def test_snapshot_schema_and_compare(tmp_path, capsys):
     rtf = [line for line in lines if line.startswith("stream_long seed1 trace0 rtf ")]
     assert len(rtf) == 1 and rtf[0].split()[-1] == "+100.0%"
     assert any(line.startswith("per_token beam2 4s ms_per_token") for line in lines)
+    assert any(line.startswith("demo_sweep s ") for line in lines)

@@ -209,6 +209,11 @@ class TestConfigPrecedence:
         assert type(beam_cfg.beam_size) is int
 
 
+def test_non_finite_buffer_exits_with_a_message(corpus_dir):
+    with pytest.raises(SystemExit, match="silstream decode-online: min_buffer_ms must be finite and nonnegative"):
+        main(["decode-online", "--corpus", str(corpus_dir), "--oracle", "silence_aware", "--min-buffer-ms", "nan"])
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["decode-offline", "--oracle", "silence_aware"], "--corpus"),
     (["train"], "--corpus"),

@@ -1,9 +1,11 @@
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from silstream import decoder
 from silstream.data import FeatureSequence
 from silstream.decoder import BeamConfig, EncodedBuffer, decode_step, initial_hypothesis
 from silstream.model import ModelConfig, NeuralModel, StepOutput, init_params
@@ -74,11 +76,12 @@ class TestDecodeStep:
         model = aware(utt)
         buffer = EncodedBuffer()
         buffer.append(encode(model, utt.features.frames))
-        cfg = BeamConfig(beam_size=1, cap_base=1, cap_per_frame=0)
+        cfg = BeamConfig(beam_size=1)
         beam = [initial_hypothesis(model)]
-        beam, _ = decode_step(model, beam, buffer, True, cfg)
-        assert beam[0].emitted == 1 and not beam[0].finished
-        beam, _ = decode_step(model, beam, buffer, True, cfg)
+        with mock.patch.object(decoder, "CAP_BASE", 1), mock.patch.object(decoder, "CAP_PER_FRAME", 0):
+            beam, _ = decode_step(model, beam, buffer, True, cfg)
+            assert beam[0].emitted == 1 and not beam[0].finished
+            beam, _ = decode_step(model, beam, buffer, True, cfg)
         assert beam[0].finished and beam[0].runaway
         assert hyp_tokens(beam[0])[-1] == VOCAB.eos_id
 

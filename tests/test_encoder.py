@@ -3,10 +3,16 @@ import pytest
 
 from silstream import encoder as encoder_module
 from silstream import nn
+from silstream.data import FeatureSequence
 from silstream.encoder import (EncoderConfig, LayerCache, PyramidalEncoder, encode_backward,
                                encode_with_cache, init_encoder_params)
+from silstream.model import ModelConfig, NeuralModel, init_params
+from silstream.trainer import TrainConfig, train
+from silstream.vocab import make_vocab
 
 from support import encode
+
+VOCAB = make_vocab(["a", "b"])
 
 
 @pytest.fixture
@@ -14,6 +20,13 @@ def toy():
     cfg = EncoderConfig(num_layers=2, input_dim=8, hidden=32, proj=16)
     params = init_encoder_params(cfg, np.random.default_rng(0))
     return cfg, PyramidalEncoder(cfg, params), params
+
+
+def entry_points(cfg):
+    """Build a model from parameters, and train them (no epoch), under ``cfg``."""
+    example = (FeatureSequence(np.zeros((4, cfg.encoder.input_dim))), [VOCAB.bos_id, VOCAB.eos_id])
+    return (lambda params: NeuralModel(cfg, params, VOCAB),
+            lambda params: train(cfg, params, VOCAB, [example], TrainConfig(epochs=0)))
 
 
 def random_partition(rng, total):
@@ -124,20 +137,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             enc.push(enc.reset(), bad)
 
+    # the encoder's tensors are checked where parameters enter: by the model and by training
     def test_param_shape_mismatch(self):
-        cfg = EncoderConfig(num_layers=1, input_dim=3, hidden=8, proj=4)
-        params = init_encoder_params(cfg, np.random.default_rng(11))
-        other = EncoderConfig(num_layers=1, input_dim=5, hidden=8, proj=4)
-        with pytest.raises(ValueError):
-            PyramidalEncoder(other, params)
+        cfg = ModelConfig(encoder=EncoderConfig(num_layers=1, input_dim=3, hidden=8, proj=4))
+        params = init_params(cfg, VOCAB.size, seed=11)
+        other = ModelConfig(encoder=EncoderConfig(num_layers=1, input_dim=5, hidden=8, proj=4))
+        for entry in entry_points(other):
+            with pytest.raises(ValueError):
+                entry(params)
 
     def test_every_encoder_tensor_checked(self):
-        cfg = EncoderConfig(num_layers=1, input_dim=3, hidden=8, proj=4)
-        params = init_encoder_params(cfg, np.random.default_rng(11))
+        cfg = ModelConfig(encoder=EncoderConfig(num_layers=1, input_dim=3, hidden=8, proj=4))
+        params = init_params(cfg, VOCAB.size, seed=11)
         for name, bad in (("enc0.U", np.zeros((3, 8, 9))), ("enc0.b", np.zeros(8)), ("enc0.pb", np.zeros(5)),
                           ("enc1.W", np.zeros((3, 8, 8)))):  # enc1.W: a layer the config does not have
-            with pytest.raises(ValueError, match=name):
-                PyramidalEncoder(cfg, dict(params, **{name: bad}))
+            for entry in entry_points(cfg):
+                with pytest.raises(ValueError, match=name):
+                    entry(dict(params, **{name: bad}))
 
 
 def test_determinism(toy):

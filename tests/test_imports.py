@@ -1,8 +1,13 @@
-"""Every name a library module imports is used in that module, and every
-library function, public method and property has a caller outside the tests."""
+"""Every name a library module imports is used in that module, every
+library function, public method and property has a caller outside the tests,
+and every option (a defaulted config field or parameter) is set outside the
+tests."""
 import ast
+import collections
 import importlib
 import inspect
+import itertools
+import json
 import pathlib
 
 import pytest
@@ -225,3 +230,145 @@ def test_detects_an_uncalled_method():
     caller = "a.used()\nb.called\n"
     # a read of self.name counts for that class only; a method reading its own name is no caller
     assert uncalled_methods(library, [("m", library["m"]), (None, caller)]) == ["m.A.shown", "m.B.mine"]
+
+
+# Options that no call outside tests/ sets by name, each with the reason it stays.
+UNSET_ALLOWED = {
+    "synth.CorpusSpec.lead_silence_frames": "the CLI sets it by a computed name, from --lead-silence-min "
+                                            "and --lead-silence-max",
+    "cli.main.argv": "the console script calls main() without arguments, so argparse reads sys.argv",
+}
+
+
+def _frozen_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               and any(k.arg == "frozen" and getattr(k.value, "value", None) is True for k in d.keywords)
+               for d in cls.decorator_list)
+
+
+def _init_fields(cls: ast.ClassDef) -> tuple[list[str], list[str]]:
+    """A dataclass's init fields in order, and those of them with a default."""
+    names, defaulted = [], []
+    for item in cls.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and any(k.arg == "init" and getattr(k.value, "value", None) is False
+                                               for k in value.keywords):
+            continue
+        names.append(item.target.id)
+        if value is not None:
+            defaulted.append(item.target.id)
+    return names, defaulted
+
+
+def _params(fn: ast.FunctionDef) -> tuple[list[str], list[str]]:
+    """A function's positional parameters, and those of all its parameters with a default."""
+    a = fn.args
+    positional = [p.arg for p in a.posonlyargs + a.args]
+    keyword = [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return positional, positional[len(positional) - len(a.defaults):] + keyword
+
+
+def library_options(library: dict[str, str]) -> list[tuple[str, str, list[str], list[str], bool]]:
+    """Every call target of ``library`` as ``(callee name, owner, positional
+    names, defaulted names, is a config)``: the init fields of each frozen
+    dataclass (a config) and the parameters of each class's ``__init__``,
+    owned by "module.Class"; those of each public function or method, owned
+    by "module.function" or "module.Class.method"."""
+    out = []
+    for module, source in sorted(library.items()):
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                out.append((node.name, f"{module}.{node.name}", *_params(node), False))
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            owner = f"{module}.{node.name}"
+            if _frozen_dataclass(node):
+                out.append((node.name, owner, *_init_fields(node), True))
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (item.name == "__init__" or not item.name.startswith("_")):
+                    positional, defaulted = _params(item)
+                    init = item.name == "__init__"
+                    out.append((node.name if init else item.name, owner if init else f"{owner}.{item.name}",
+                                positional[1:], defaulted, False))
+    return out
+
+
+def json_keys(value) -> set[str]:
+    """Every key of the objects in a JSON value, at any depth."""
+    if isinstance(value, dict):
+        return set(value).union(*map(json_keys, value.values()))
+    return set().union(*map(json_keys, value)) if isinstance(value, list) else set()
+
+
+def unset_options(library: dict[str, str], callers: list[tuple[str | None, str]], workload_keys: set[str]) -> list[str]:
+    """The options of ``library``, as "owner.name", that no source in ``callers`` sets.
+
+    A call sets an option by keyword, or positionally, when its callee's name
+    is the option's class, function or method (no types are inferred). A
+    config field is also set by a ``replace(...)`` keyword of its name, by a
+    keyword of ``cli._config(Class, ...)`` or a CLI option that ``_config``
+    maps to it (``cli._FLAG_OF``), and by a key of ``workload_keys``."""
+    options = library_options(library)
+    by_callee = collections.defaultdict(list)
+    for option in options:
+        by_callee[option[0]].append(option)
+    cli = ast.parse(library.get("cli", ""))
+    flag_of = next((ast.literal_eval(node.value) for node in cli.body if isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", None) == "_FLAG_OF"), {})
+    flags = {node.value[2:].replace("-", "_") for node in ast.walk(cli)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith("--")}
+    given, field_names = set(), set(workload_keys)
+    for _, source in callers:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            keywords = [k.arg for k in call.keywords if k.arg]
+            if callee == "replace":
+                field_names.update(keywords)
+            elif callee == "_config" and call.args:
+                cls = getattr(call.args[0], "id", getattr(call.args[0], "attr", None))
+                for _, owner, _, defaulted, _ in by_callee.get(cls, []):
+                    given.update(f"{owner}.{name}" for name in keywords)
+                    given.update(f"{owner}.{name}" for name in defaulted if flag_of.get(name, name) in flags)
+            else:
+                args = list(itertools.takewhile(lambda a: not isinstance(a, ast.Starred), call.args))
+                for _, owner, positional, _, _ in by_callee.get(callee, []):
+                    given.update(f"{owner}.{name}" for name in positional[: len(args)] + keywords)
+    return [f"{owner}.{name}" for _, owner, _, defaulted, config in options for name in defaulted
+            if f"{owner}.{name}" not in given and not (config and name in field_names)]
+
+
+def workload_keys() -> set[str]:
+    return json_keys(json.loads((ROOT / "perfbench" / "workloads.json").read_text(encoding="utf-8")))
+
+
+def test_every_option_is_set_outside_the_tests():
+    unset = [name for name in unset_options(*library_and_callers(), workload_keys()) if name not in UNSET_ALLOWED]
+    assert unset == [], "no caller outside tests/ sets these: make them constants or remove them"
+
+
+def test_allowed_unset_options_exist():
+    library, _ = library_and_callers()
+    options = {f"{owner}.{name}" for _, owner, _, defaulted, _ in library_options(library) for name in defaulted}
+    assert set(UNSET_ALLOWED) <= options
+
+
+def test_detects_an_unset_option():
+    library = {
+        "m": "@dataclass(frozen=True)\nclass C:\n    a: int\n    pos: int = 1\n    kw: int = 2\n"
+             "    rep: int = 3\n    flag: int = 4\n    key: int = 5\n    unset: int = 6\n"
+             "    ids: dict = field(init=False)\n\n"
+             "@dataclass\nclass Plain:\n    free: int = 0\n\n"
+             "class K:\n    def __init__(self, x, y=0):\n        pass\n\n"
+             "    def run(self, z=0, *, w=1):\n        pass\n\n"
+             "def f(x, y=0, *, z=1):\n    pass\n",
+        "cli": "_FLAG_OF = {'flag': 'other'}\n\ndef _config(cls, opt):\n    pass\n\n"
+               "def build(p):\n    p.add_argument('--other')\n    return _config(C, p)\n",
+    }
+    caller = "m.C(0, 1, kw=2)\nreplace(c, rep=3)\nK(1, y=2).run(3)\nm.f(0, 1, z=2)\n"
+    # a field of a non-frozen dataclass or with init=False is no option
+    assert unset_options(library, [("m", library["m"]), ("cli", library["cli"]), (None, caller)], {"key"}) == [
+        "m.C.unset", "m.K.run.w"]

@@ -26,12 +26,13 @@ far below its terms carries their rounding, whatever the order."""
 import functools
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from silstream import nn
+from silstream import decoder, nn
 from silstream.attention import (
     CROSSING_BAND,
     AttentionConfig,
@@ -175,22 +176,24 @@ class TestBatchedStepMatchesReference:
         params["att.sel.r"][0] = bias
         model = NeuralModel(cfg, params, VOCAB)
         frames = rng.normal(size=(total, 8))
-        beam_cfg = BeamConfig(beam_size=beam_size, cap_base=cap_base, cap_per_frame=0)
+        beam_cfg = BeamConfig(beam_size=beam_size)
         buffer = EncodedBuffer()
         beam, ref = [initial_hypothesis(model)], [reference_start(model)]
         # the buffer grows between steps, so key terms are projected a part at a time
         cuts = sorted(int(c) for c in rng.integers(0, total + 1, size=steps))
-        for cut in cuts:
-            buffer.append(frames[len(buffer):cut])
-            beam, _ = decode_step(model, beam, buffer, True, beam_cfg, force=force, block_eos=block_eos)
-            ref = reference_decode_step(model, ref, frames[:cut], beam_size, beam_cfg.max_tokens(cut),
-                                        force, block_eos)
-            assert [hyp_tokens(h) for h in beam] == [r.tokens for r in ref]
-            assert [h.finished for h in beam] == [r.finished for r in ref]
-            assert [tuple(e.selected_index for e in hyp_timeline(h)) for h in beam] == [r.selected for r in ref]
-            assert [tuple(e.peak_index for e in hyp_timeline(h)) for h in beam] == [r.peaks for r in ref]
-            for h, r in zip(beam, ref):
-                assert math.isclose(h.log_score, r.log_score, rel_tol=1e-12, abs_tol=0.0)
+        # a cap of 1 to 8 tokens whatever the buffer, so runaways happen
+        with mock.patch.object(decoder, "CAP_BASE", cap_base), mock.patch.object(decoder, "CAP_PER_FRAME", 0):
+            for cut in cuts:
+                buffer.append(frames[len(buffer):cut])
+                beam, _ = decode_step(model, beam, buffer, True, beam_cfg, force=force, block_eos=block_eos)
+                ref = reference_decode_step(model, ref, frames[:cut], beam_size, decoder.max_tokens(cut),
+                                            force, block_eos)
+                assert [hyp_tokens(h) for h in beam] == [r.tokens for r in ref]
+                assert [h.finished for h in beam] == [r.finished for r in ref]
+                assert [tuple(e.selected_index for e in hyp_timeline(h)) for h in beam] == [r.selected for r in ref]
+                assert [tuple(e.peak_index for e in hyp_timeline(h)) for h in beam] == [r.peaks for r in ref]
+                for h, r in zip(beam, ref):
+                    assert math.isclose(h.log_score, r.log_score, rel_tol=1e-12, abs_tol=0.0)
 
 
 class TestWindowedScanMatchesWholeTail:

@@ -12,7 +12,6 @@ from silstream.attention import AttentionConfig
 from silstream.streamer import (
     StreamConfig,
     StreamSession,
-    applicable_buffer,
     decode_offline,
     split_batches,
     stream_decode,
@@ -38,23 +37,37 @@ def skipping(utt):
     return OracleModel(OracleMode("silence_skipping"), VOCAB, utt.alignment, 4)
 
 
+def frames_after(cfg, token):
+    """The gate and restricted region, in 40 ms encoded frames, that a session
+    with ``cfg`` applies after ``token``."""
+    session = StreamSession(aware(make_utt(["a"], [])), cfg, BeamConfig())
+    return session._frames_after[token == VOCAB.sil_id]
+
+
 class TestApplicableBuffer:
     def test_silence_buffer_when_last_token_is_silence(self):
         cfg = StreamConfig(min_buffer_ms=480, sil_buffer_ms=2400)
-        assert applicable_buffer(VOCAB.sil_id, cfg, VOCAB) == 2400
+        assert frames_after(cfg, VOCAB.sil_id) == 2400 // 40
 
     def test_regular_token_uses_min_buffer(self):
         cfg = StreamConfig(min_buffer_ms=960, sil_buffer_ms=960)
-        assert applicable_buffer(VOCAB.id_of("a"), cfg, VOCAB) == 960
+        assert frames_after(cfg, VOCAB.id_of("a")) == 960 // 40
 
     def test_utterance_start_uses_min_buffer(self):
         cfg = StreamConfig(min_buffer_ms=480, sil_buffer_ms=2400)
-        assert applicable_buffer(VOCAB.bos_id, cfg, VOCAB) == 480
-        assert applicable_buffer(None, cfg, VOCAB) == 480
+        assert frames_after(cfg, VOCAB.bos_id) == 480 // 40
+        assert frames_after(cfg, None) == 480 // 40
 
     def test_silence_buffer_cannot_undercut_min(self):
         with pytest.raises(ValueError):
             StreamConfig(min_buffer_ms=480, sil_buffer_ms=120)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_buffers_refused(self, bad):
+        with pytest.raises(ValueError, match="min_buffer_ms must be finite"):
+            StreamConfig(min_buffer_ms=bad, sil_buffer_ms=bad)
+        with pytest.raises(ValueError, match="sil_buffer_ms must be finite"):
+            StreamConfig(min_buffer_ms=480, sil_buffer_ms=bad)
 
 
 class TestSessionBasics:
@@ -91,6 +104,24 @@ class TestSessionBasics:
         batches = split_batches(utt.features.frames, 16)
         for i, batch in enumerate(batches):
             session.push(batch, is_last=i == len(batches) - 1)
+        assert session.clock_ms == utt.features.duration_ms
+
+    @pytest.mark.parametrize("kind", ["oracle", "neural"])
+    def test_push_of_one_frame_vector_refused(self, kind):
+        # a (features,) vector is not a batch of frames: it is refused, and the session keeps its state
+        utt = make_utt(["a", "b"], [(1, 24)])
+        if kind == "oracle":
+            model = aware(utt)
+        else:
+            cfg = ModelConfig(encoder=EncoderConfig(num_layers=2, input_dim=8, hidden=8, proj=8),
+                              attention=AttentionConfig(chunk_size=3, energy_hidden=4), decoder_hidden=8, embed_dim=4)
+            model = NeuralModel(cfg, init_params(cfg, VOCAB.size, seed=1), VOCAB)
+        session = StreamSession(model, StreamConfig(batch_ms=160), BeamConfig(beam_size=1))
+        frames = utt.features.frames
+        with pytest.raises(ValueError, match=r"expected a \(frames, features\) matrix, got shape \(8,\)"):
+            session.push(frames[0])
+        assert (session.batch_index, session.clock_ms, len(session.buffer)) == (-1, 0.0, 0)
+        session.push(frames, is_last=True)
         assert session.clock_ms == utt.features.duration_ms
 
 
@@ -138,7 +169,7 @@ class TestOfflineEquivalence:
         offline = decode_offline(model, feats, BeamConfig(beam_size=2))
         result, _ = stream_decode(
             model, feats,
-            StreamConfig(batch_ms=160, min_buffer_ms=math.inf, sil_buffer_ms=math.inf),
+            StreamConfig(batch_ms=160, min_buffer_ms=10**6, sil_buffer_ms=10**6),
             BeamConfig(beam_size=2),
         )
         assert result.tokens == offline.tokens
@@ -185,8 +216,8 @@ class TestPrefixStability:
                     tokens = hyp_tokens(session.beam[0])
                     for i, em in enumerate(hyp_timeline(session.beam[0])[before:], start=before):
                         # the token before the emission sets the restricted region it must clear
-                        region = session._buffer_frames(applicable_buffer(tokens[i], session.scfg, VOCAB))
-                        assert em.peak_index < len(session.buffer) - int(region)
+                        region = session._frames_after[tokens[i] == VOCAB.sil_id]
+                        assert em.peak_index < len(session.buffer) - region
                         checked += 1
         assert checked > 0
 

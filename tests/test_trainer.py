@@ -10,11 +10,11 @@ from silstream.attention import AttentionConfig
 from silstream.data import FeatureSequence
 from silstream.encoder import EncoderConfig
 from silstream.model import ModelConfig, NeuralModel, init_params, load_checkpoint, save_checkpoint
-from silstream.trainer import (TrainConfig, _encode, _minibatch_gradients, backward, corpus_loss, forward_loss,
+from silstream.trainer import (TrainConfig, _encode, _minibatch_gradients, backward, forward_loss,
                                smoothed_targets, train)
 from silstream.vocab import make_vocab
 
-from support import PARAM_GROUPS, group_of, reference_train
+from support import PARAM_GROUPS, corpus_loss, group_of, reference_train
 
 VOCAB = make_vocab(["a", "b", "c"])
 
@@ -249,13 +249,6 @@ class TestTrainLoop:
         for k in want:
             assert np.abs(got[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), k
 
-    def test_eval_loss_tracked(self):
-        cfg, params = tiny_model()
-        corpus = self.corpus()
-        tcfg = TrainConfig(epochs=2, learning_rate=0.05, seed=3)
-        _, history = train(cfg, params, VOCAB, corpus, tcfg, eval_examples=corpus[:2])
-        assert len(history["eval_loss"]) == 2
-
     def test_checkpoints_written_per_epoch(self, tmp_path):
         cfg, params = tiny_model()
         tcfg = TrainConfig(epochs=2, learning_rate=0.05, seed=4)
@@ -272,7 +265,7 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         back = load_checkpoint(path)
-        assert back.silence_aware
+        assert back.cfg == cfg and back.silence_aware
         assert back.vocab.tokens == VOCAB.tokens
         for k in params:
             np.testing.assert_array_equal(back.params[k], params[k])
@@ -306,6 +299,21 @@ class TestCheckpointRoundTrip:
         digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
         path.write_text(json.dumps({"checksum": digest, **body}))
         with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
+    def test_version_2_with_valid_checksum_refused(self, tmp_path):
+        cfg, params = tiny_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(NeuralModel(cfg, params, VOCAB), path)
+        body = json.loads(path.read_text())
+        del body["checksum"]
+        # version 2 saved the per-layer reduction and the initial selection bias with the config
+        body["config"]["encoder"]["reduction"] = 2
+        body["config"]["attention"]["init_selection_bias"] = -1.0
+        body["version"] = 2
+        digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
+        path.write_text(json.dumps({"checksum": digest, **body}))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
             load_checkpoint(path)
 
 

@@ -1,8 +1,9 @@
-"""A benchmark snapshot: the perfbench workloads, untraced and traced, and the
-per-token cost of streamed oracle decodes, written as one JSON file.
+"""A benchmark snapshot: the perfbench workloads, untraced and traced, the
+per-token cost of streamed oracle decodes and the time of demo 04's sweep,
+written as one JSON file.
 
-    python3 tools/bench_snapshot.py --out BENCH_17.json
-    python3 tools/bench_snapshot.py --compare BENCH_16.json BENCH_17.json
+    python3 tools/bench_snapshot.py --out BENCH_18.json
+    python3 tools/bench_snapshot.py --compare BENCH_17.json BENCH_18.json
 
 For every workload and seed given (default: every workload of BENCHMARK.json
 on seeds 1 and 2) it runs ``perfbench/run.py`` in this checkout through
@@ -20,6 +21,13 @@ wall milliseconds and scaled to the reference host speed by the kernel of
 ``perfbench/calibration.py``, and for each beam the growth: the cost per token
 on the longest stream over that on the shortest.
 
+Last, in this process, it runs the sweep of ``demos/04_latency_accuracy_tradeoff.py``
+``--repeats`` times: its corpus (seed 5, 12 utterances), its oracle and its
+grid of four buffer settings, the corpus built once, outside the timing. It
+records the median time of one sweep in wall seconds and scaled to the
+reference host speed, and the SHA-256 of the sweep's CSV, which the demo
+prints.
+
 The file also holds the git SHA (and whether the tree had changes), the
 machine (``perfbench/run.py``'s ``machine_info``) and the calibration factor
 of the in-process timings (reference slice time over measured slice time).
@@ -31,6 +39,7 @@ indicative only: a performance claim needs ``tools/bench_ab.py``'s pairs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -42,7 +51,7 @@ import bench_ab
 
 ROOT = bench_ab.ROOT
 PERFBENCH = os.path.join(ROOT, "perfbench")
-SCHEMA = 1
+SCHEMA = 2
 # per-layer metrics the tracing hooks misread, and why
 MISREAD = {
     "attention.key_rows": "the mocha_infer_step hook counts the whole tail after prev_index per call, "
@@ -135,6 +144,32 @@ def per_token(workloads, calibration, audio_seconds, beams, repeats, seed) -> tu
     return rows, statistics.mean(factors)
 
 
+def demo_sweep(workloads, calibration, repeats) -> dict:
+    """Demo 04's sweep, timed over ``repeats`` runs, with the demo's corpus,
+    oracle, buffer grid and stream and beam settings."""
+    import silstream as ss
+
+    vocab = ss.make_vocab([f"t{i}" for i in range(4)])
+    spec = ss.CorpusSpec(num_utterances=12, min_tokens=1, max_tokens=3, mid_silence_prob=0.7,
+                         mid_silence_frames=(32, 120), trail_silence_prob=0.8, trail_silence_frames=(16, 64),
+                         align_to=4)
+    corpus = ss.gen_corpus(ss.SynthConfig(vocab=vocab, feature_dim=8, frames_per_token=8), spec, seed=5)
+    mode = ss.OracleMode("silence_aware", sil_duration_encoded=6, min_silence_encoded=3)
+    stream_cfg, beam_cfg = ss.StreamConfig(batch_ms=160), ss.BeamConfig(beam_size=1, eos_policy="defer")
+    clock = calibration.Clock(workloads.load_spec()["calibration"]["reference_s"])
+    wall, scaled = [], []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        rows = ss.sweep(corpus, lambda utt: ss.OracleModel(mode, vocab, utt.alignment, total_reduction=4),
+                        beams=[1], min_buffers_ms=[40, 80, 160, 320], sil_buffers_ms=[320],
+                        stream_cfg=stream_cfg, beam_cfg=beam_cfg)
+        wall.append(time.perf_counter() - started)
+        scaled.append(wall[-1] * clock.factor(wall[-1]))
+    print(f"# demo 04 sweep {statistics.median(scaled):.4g} s", file=sys.stderr)
+    return {"utterances": len(corpus), "points": len(rows), "s": statistics.median(scaled),
+            "wall_s": statistics.median(wall), "csv_sha256": hashlib.sha256(ss.sweep_csv(rows).encode()).hexdigest()}
+
+
 def growth(rows: list[dict]) -> dict[str, float]:
     """Per beam: cost per token on the longest stream over that on the shortest."""
     out = {}
@@ -159,6 +194,7 @@ def snapshot(args) -> dict:
         "misread": MISREAD,
         "per_token": rows,
         "per_token_growth": growth(rows),
+        "demo_sweep": demo_sweep(workloads, calibration, args.repeats),
     }
 
 
@@ -170,6 +206,8 @@ def values(snap: dict) -> dict[tuple, float]:
             out[r["workload"], f"seed{r['seed']}", f"trace{r['trace']}", name] = m["value"]
     for r in snap["per_token"]:
         out["per_token", f"beam{r['beam']}", f"{r['audio_s']:g}s", "ms_per_token"] = r["ms_per_token"]
+    if "demo_sweep" in snap:  # from schema 2
+        out["demo_sweep", "s"] = snap["demo_sweep"]["s"]
     return out
 
 
@@ -190,7 +228,7 @@ def main(argv=None) -> int:
         bench = json.load(f)
     names = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", help="the snapshot file to write, e.g. BENCH_17.json")
+    parser.add_argument("--out", help="the snapshot file to write, e.g. BENCH_18.json")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="print the changes between two snapshots")
     parser.add_argument("--workload", action="append", choices=names, help="repeat for several (default: all)")
     parser.add_argument("--seed", type=int, action="append", help="repeat for several (default: 1 and 2)")
@@ -198,7 +236,7 @@ def main(argv=None) -> int:
     parser.add_argument("--audio-s", type=float, action="append",
                         help="oracle stream seconds, repeat for several (default: 10, 50, 200)")
     parser.add_argument("--beam", type=int, action="append", help="repeat for several (default: 1 and 8)")
-    parser.add_argument("--repeats", type=int, default=5, help="decodes per per-token row")
+    parser.add_argument("--repeats", type=int, default=5, help="decodes per per-token row, and demo 04 sweeps")
     args = parser.parse_args(argv)
     if args.compare:
         snapshots = []
