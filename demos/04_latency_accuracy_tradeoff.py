@@ -8,7 +8,8 @@ so results are machine-independent.
 
 The sweep below runs the silence-aware scripted model over a small corpus
 for a grid of buffer settings and prints the CSV the command-line tool
-would emit.
+would emit. Importing the file builds the corpus without sweeping;
+``run_sweep()`` runs the sweep (``tools/bench_snapshot.py`` times it).
 """
 from silstream import BeamConfig, StreamConfig, make_vocab
 from silstream.metrics import sweep, sweep_csv
@@ -33,18 +34,25 @@ def model_for(utt):
 
 
 frame_ms = 40  # one encoded frame at 10 ms shift and 4x reduction
-rows = sweep(
-    corpus, model_for,
-    beams=[1],
-    min_buffers_ms=[1 * frame_ms, 2 * frame_ms, 4 * frame_ms, 8 * frame_ms],
-    sil_buffers_ms=[8 * frame_ms],
-    stream_cfg=StreamConfig(batch_ms=160),
-    beam_cfg=BeamConfig(beam_size=1, eos_policy="defer"),
-)
-print(sweep_csv(rows))
 
-print("reading: the scripted model is exact, so the error columns stay at zero")
-print("while average latency grows with the minimum buffer:")
-for row in rows:
-    print(f"  min buffer {row['min_buffer_ms']:5.0f} ms -> "
-          f"avg latency {row['avg_cpl_ms']:6.1f} ms, {row['backtracks']} backtracks")
+
+def run_sweep() -> list[dict]:
+    return sweep(
+        corpus, model_for,
+        beams=[1],
+        min_buffers_ms=[1 * frame_ms, 2 * frame_ms, 4 * frame_ms, 8 * frame_ms],
+        sil_buffers_ms=[8 * frame_ms],
+        stream_cfg=StreamConfig(batch_ms=160),
+        beam_cfg=BeamConfig(beam_size=1, eos_policy="defer"),
+    )
+
+
+if __name__ == "__main__":
+    rows = run_sweep()
+    print(sweep_csv(rows))
+
+    print("reading: the scripted model is exact, so the error columns stay at zero")
+    print("while average latency grows with the minimum buffer:")
+    for row in rows:
+        print(f"  min buffer {row['min_buffer_ms']:5.0f} ms -> "
+              f"avg latency {row['avg_cpl_ms']:6.1f} ms, {row['backtracks']} backtracks")

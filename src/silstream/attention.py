@@ -61,10 +61,8 @@ class AttentionStepResult:
 EXHAUSTED = AttentionStepResult(status="exhausted")
 
 
-def init_attention_params(
-    cfg: AttentionConfig, query_dim: int, key_dim: int, rng: np.random.Generator, params: dict | None = None
-) -> dict:
-    params = {} if params is None else params
+def init_attention_params(cfg: AttentionConfig, query_dim: int, key_dim: int, rng: np.random.Generator) -> dict:
+    params = {}
     for name in ("sel", "chunk"):
         prefix = f"att.{name}"
         params[f"{prefix}.Wq"] = nn.glorot(rng, cfg.energy_hidden, query_dim)

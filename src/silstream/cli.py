@@ -48,16 +48,31 @@ def _options(args: argparse.Namespace, *required: str) -> dict:
     return opt
 
 
+def _cast(opt: dict, key: str, cast, value):
+    """``cast(value)``; exits naming option ``key`` if that fails or changes a value that is not a string."""
+    try:
+        typed = cast(value)
+        if not isinstance(value, (str, cast)) and typed != value:
+            raise ValueError(f"expected {cast.__name__}, got {value!r}")
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"silstream {opt['command']}: {key}: {exc}") from None
+    return typed
+
+
+def _int(opt: dict, key: str, default: int | None) -> int:
+    return _cast(opt, key, int, opt.get(key, default))
+
+
 def _config(cls, opt: dict, **given):
     """``cls`` from ``given`` and, for its other fields, the options named
     after them (or ``_FLAG_OF``), each cast to the type of the field's
     default. A field with no option keeps the class default. Exits with
     the message of a value the class refuses."""
     for f in dataclasses.fields(cls):
-        value = opt.get(_FLAG_OF.get(f.name, f.name))
-        if f.name not in given and value is not None:
+        key = _FLAG_OF.get(f.name, f.name)
+        if f.name not in given and opt.get(key) is not None:
             typed = f.default is not None and f.default is not dataclasses.MISSING
-            given[f.name] = type(f.default)(value) if typed else value
+            given[f.name] = _cast(opt, key, type(f.default), opt[key]) if typed else opt[key]
     try:
         return cls(**given)
     except ValueError as exc:
@@ -65,8 +80,12 @@ def _config(cls, opt: dict, **given):
 
 
 def _list(opt: dict, key: str, cast, default) -> list:
-    """A comma-separated option as a list; ``[default]`` when it is unset."""
-    return [cast(x) for x in opt[key].split(",") if x] if key in opt else [default]
+    """A comma-separated option, or a config file's JSON list, as a list;
+    ``[default]`` when it is unset."""
+    if key not in opt:
+        return [default]
+    items = _cast(opt, key, list, opt[key].split(",") if isinstance(opt[key], str) else opt[key])
+    return [_cast(opt, key, cast, x) for x in items if x != ""]
 
 
 def _write_jsonl(records: list[dict], path: str) -> None:
@@ -84,19 +103,19 @@ def _model_for_args(opt: dict, vocab):
         model = load_checkpoint(opt["model"])
         return (lambda utt: model), model.vocab
     mode = _config(OracleMode, opt)
-    reduction = {"total_reduction": int(opt["oracle_reduction"])} if "oracle_reduction" in opt else {}
+    reduction = {"total_reduction": _int(opt, "oracle_reduction", None)} if "oracle_reduction" in opt else {}
     return (lambda utt: OracleModel(mode, vocab, utt.alignment, **reduction)), vocab
 
 
 def cmd_gen_synthetic(args) -> int:
     opt = _options(args)
-    cfg = _config(SynthConfig, opt, vocab=make_vocab([f"t{i}" for i in range(int(opt.get("vocab_size", 6)))]))
+    cfg = _config(SynthConfig, opt, vocab=make_vocab([f"t{i}" for i in range(_int(opt, "vocab_size", 6))]))
     ranges = {}
     for kind in ("mid", "lead", "trail"):
         low, high = getattr(CorpusSpec, f"{kind}_silence_frames")
-        ranges[f"{kind}_silence_frames"] = (int(opt.get(f"{kind}_silence_min", low)),
-                                            int(opt.get(f"{kind}_silence_max", high)))
-    corpus = gen_corpus(cfg, _config(CorpusSpec, opt, **ranges), seed=int(opt.get("seed", 0)))
+        ranges[f"{kind}_silence_frames"] = (_int(opt, f"{kind}_silence_min", low),
+                                            _int(opt, f"{kind}_silence_max", high))
+    corpus = gen_corpus(cfg, _config(CorpusSpec, opt, **ranges), seed=_int(opt, "seed", 0))
     out = opt.get("out", "corpus")
     save_corpus(corpus, cfg.vocab, out)
     print(json.dumps({"utterances": len(corpus), "out": out}))
@@ -111,13 +130,7 @@ def cmd_label_silence(args) -> int:
     labeled, stats = label_corpus(references, alignments, _config(LabelerConfig, opt), vocab)
     out = opt.get("out", "labeled_refs.tsv")
     data.write_references({u: vocab.decode(ids) for u, ids in labeled.items()}, out)
-    print(json.dumps({
-        "utterances": stats.utterances,
-        "changed": stats.changed,
-        "silence_tokens": stats.silence_tokens,
-        "segments_skipped": stats.segments_skipped,
-        "out": out,
-    }))
+    print(json.dumps({**dataclasses.asdict(stats), "out": out}))
     return 0
 
 
@@ -169,8 +182,8 @@ def cmd_decode_offline(args) -> int:
         utt = corpus[utt_id]
         result = decode_offline(model_for(utt), utt.features, beam_cfg)
         hyps[utt_id] = vocab.decode(result.tokens)
-        for record in result.trace_records(vocab):
-            trace.append({"utt_id": utt_id, **record})
+        for em in result.emissions:
+            trace.append({"utt_id": utt_id, "token": em.token, "label": vocab.token_of(em.token), **em._asdict()})
     out = opt.get("out", "hyps_offline.tsv")
     data.write_references(hyps, out)
     if opt.get("trace"):
@@ -217,28 +230,15 @@ def cmd_evaluate(args) -> int:
     missing = sorted(set(refs) - set(hyps))
     if missing:
         raise SystemExit(f"hypotheses missing for: {', '.join(missing)}")
+    reports = {u: metrics.cer(vocab.encode(refs[u]), vocab.encode(hyps[u]), vocab) for u in sorted(refs)}
+    total = sum(reports.values(), metrics.CerReport())
     rows = ["utt_id,cer,substitutions,insertions,deletions,ref_len"]
-    total = metrics.CerReport()
-    for utt_id in sorted(refs):
-        report = metrics.cer(vocab.encode(refs[utt_id]), vocab.encode(hyps[utt_id]), vocab)
-        total = total + report
-        rows.append(
-            f"{utt_id},{report.cer:.6f},{report.substitutions},"
-            f"{report.insertions},{report.deletions},{report.ref_len}"
-        )
-    rows.append(
-        f"TOTAL,{total.cer:.6f},{total.substitutions},{total.insertions},{total.deletions},{total.ref_len}"
-    )
+    for utt_id, r in [*reports.items(), ("TOTAL", total)]:
+        rows.append(f"{utt_id},{r.cer:.6f},{r.substitutions},{r.insertions},{r.deletions},{r.ref_len}")
     out = opt.get("out", "cer_report.csv")
     with open(out, "w", encoding="utf-8") as f:
         f.write("\n".join(rows) + "\n")
-    print(json.dumps({
-        "cer": total.cer,
-        "sub_rate": total.sub_rate,
-        "ins_rate": total.ins_rate,
-        "del_rate": total.del_rate,
-        "out": out,
-    }))
+    print(json.dumps({**total.rates(), "out": out}))
     return 0
 
 

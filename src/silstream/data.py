@@ -77,15 +77,8 @@ class Alignment:
                 )
             expected = seg.end
 
-    @property
-    def num_frames(self) -> int:
-        return self.segments[-1].end if self.segments else 0
-
-    def speech_segments(self) -> list[Segment]:
-        return [s for s in self.segments if not s.is_silence]
-
     def last_speech_end_frame(self) -> int | None:
-        speech = self.speech_segments()
+        speech = [s for s in self.segments if not s.is_silence]
         return speech[-1].end if speech else None
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .attention import AttentionState, AttentionStepResult
 from .model import StepOutput
-from .vocab import Vocab
 
 EOS_POLICIES = ("defer", "restart", "accept")
 CAP_BASE, CAP_PER_FRAME = 8, 2  # the token cap: a hypothesis that reaches it is finished as a runaway
@@ -314,17 +313,3 @@ class DecodeResult:
     restarts: list[float] = field(default_factory=list)
     display_log: list[tuple[float, tuple[int, ...]]] = field(default_factory=list)
     forced_steps: int = 0
-
-    def trace_records(self, vocab: Vocab) -> list[dict]:
-        return [
-            {
-                "token": em.token,
-                "label": vocab.token_of(em.token),
-                "selected_index": em.selected_index,
-                "peak_index": em.peak_index,
-                "clock_ms": em.clock_ms,
-                "log_prob": em.log_prob,
-                "forced": em.forced,
-            }
-            for em in self.emissions
-        ]

@@ -55,8 +55,8 @@ class EncoderConfig:
         return 2 * (self.input_dim if k == 0 else self.proj)
 
 
-def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator, params: dict | None = None) -> dict:
-    params = {} if params is None else params
+def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict:
+    params = {}
     for k in range(cfg.num_layers):
         nn.init_gru(params, f"enc{k}", cfg.layer_input_dim(k), cfg.hidden, rng)
         params[f"enc{k}.P"] = nn.glorot(rng, cfg.proj, cfg.hidden)

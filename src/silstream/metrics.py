@@ -41,6 +41,10 @@ class CerReport:
     def del_rate(self) -> float:
         return self.deletions / max(self.ref_len, 1)
 
+    def rates(self) -> dict[str, float]:
+        """The error rates, as the sweep CSV and ``silstream evaluate`` name them."""
+        return {"cer": self.cer, "sub_rate": self.sub_rate, "ins_rate": self.ins_rate, "del_rate": self.del_rate}
+
     def __add__(self, other: "CerReport") -> "CerReport":
         return CerReport(
             self.substitutions + other.substitutions,
@@ -164,10 +168,7 @@ def evaluate_point(
         wall += session.wall_ms
     avg, undefined = average_cpl(cpls)
     return {
-        "cer": total.cer,
-        "sub_rate": total.sub_rate,
-        "ins_rate": total.ins_rate,
-        "del_rate": total.del_rate,
+        **total.rates(),
         "avg_cpl_ms": avg,
         "undefined_cpl_count": undefined,
         "backtracks": backtracks,
@@ -214,19 +215,14 @@ def sweep(
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return f"{value:.6f}"
     return str(value)
 
 
 def sweep_csv(rows: list[dict]) -> str:
+    """One line per row; a failed row has "nan" in the columns it lacks."""
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
-        if row.get("failed"):
-            cells = [_fmt(row[c]) if c in row else "nan" for c in SWEEP_COLUMNS]
-        else:
-            cells = [_fmt(row[c]) for c in SWEEP_COLUMNS]
-        lines.append(",".join(cells))
+        lines.append(",".join(_fmt(row[c]) if c in row else "nan" for c in SWEEP_COLUMNS))
     return "\n".join(lines) + "\n"

@@ -76,9 +76,8 @@ class ModelConfig:
 
 def init_params(cfg: ModelConfig, vocab_size: int, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    init_encoder_params(cfg.encoder, rng, params)
-    init_attention_params(cfg.attention, cfg.decoder_hidden, cfg.encoder.proj, rng, params)
+    params = init_encoder_params(cfg.encoder, rng)
+    params.update(init_attention_params(cfg.attention, cfg.decoder_hidden, cfg.encoder.proj, rng))
     nn.init_gru(params, "dec", cfg.decoder_input_dim, cfg.decoder_hidden, rng)
     params["emb.E"] = rng.normal(0.0, 0.1, size=(vocab_size, cfg.embed_dim))
     params["out.W"] = nn.glorot(rng, vocab_size, cfg.output_input_dim)

@@ -18,14 +18,17 @@ from __future__ import annotations
 
 import bisect
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import data
 from .attention import AttentionState, AttentionStepResult
 from .data import Alignment, FeatureSequence, Segment
+from .labeler import LabelerConfig, silence_tokens_for
 from .model import StepOutput
-from .vocab import SIL_LABEL, Vocab
+from .vocab import SIL_LABEL, Vocab, load_vocab, save_vocab
 
 ORACLE_EPS = 1e-4
 MIN_PATTERN_DISTANCE = 1.0  # least distance between two token patterns, and from silence
@@ -171,11 +174,6 @@ def gen_corpus(cfg: SynthConfig, spec: CorpusSpec, seed: int) -> dict[str, Utter
 
 def save_corpus(corpus: dict[str, Utterance], vocab: Vocab, directory: str) -> None:
     """Write a corpus directory: vocab.txt, refs.tsv, alignments.txt, feats/."""
-    import os
-
-    from . import data
-    from .vocab import save_vocab
-
     os.makedirs(os.path.join(directory, "feats"), exist_ok=True)
     save_vocab(vocab, os.path.join(directory, "vocab.txt"))
     refs = {utt_id: vocab.decode(utt.tokens) for utt_id, utt in corpus.items()}
@@ -188,11 +186,6 @@ def save_corpus(corpus: dict[str, Utterance], vocab: Vocab, directory: str) -> N
 
 
 def load_corpus(directory: str) -> tuple[dict[str, Utterance], Vocab]:
-    import os
-
-    from . import data
-    from .vocab import load_vocab
-
     vocab = load_vocab(os.path.join(directory, "vocab.txt"))
     refs = data.read_references(os.path.join(directory, "refs.tsv"))
     with open(os.path.join(directory, "alignments.txt"), encoding="utf-8") as f:
@@ -304,22 +297,18 @@ class OracleModel:
         return [(s, e) if s < e else (0, 0) for s, e in zip(starts, ends)]
 
     def _build_schedule(self) -> list[_Emission]:
+        """Each word at its last encoded frame; each silence gets the labeler's token count."""
         d = self.mode.sil_duration_encoded
+        labeler = LabelerConfig(d, self.mode.min_silence_encoded)
         schedule: list[_Emission] = []
         for seg, (s, e) in zip(self.alignment.segments, self._spans):
-            m = e - s
-            if m <= 0:
+            if e <= s:
                 continue
             if not seg.is_silence:
                 schedule.append(_Emission(pos=e - 1, token=self.vocab.id_of(seg.label), onset=s))
             elif self.silence_aware:
-                if m < self.mode.min_silence_encoded:
-                    continue
-                if m // d >= 1:
-                    for k in range(1, m // d + 1):
-                        schedule.append(_Emission(pos=s + k * d - 1, token=self.vocab.sil_id, onset=None))
-                else:
-                    schedule.append(_Emission(pos=e - 1, token=self.vocab.sil_id, onset=None))
+                for k in range(1, silence_tokens_for(e - s, labeler) + 1):
+                    schedule.append(_Emission(pos=min(s + k * d, e) - 1, token=self.vocab.sil_id, onset=None))
         if any(schedule[i].pos >= schedule[i + 1].pos for i in range(len(schedule) - 1)):
             raise RuntimeError("oracle emission schedule is not strictly increasing")
         return schedule

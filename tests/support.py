@@ -30,6 +30,10 @@ summed in another order).
 The oracle reference builds the scripted oracle's frame ownership with the
 first per-frame loops and decides its end of utterance by scanning every
 visible frame; the array-built ``OracleModel`` must agree with it exactly.
+``reference_schedule`` is the oracle's first emission schedule, with its own
+two-branch silence rule; ``OracleModel`` counts silence tokens with the
+labeler's rule and must place the same tokens at the same frames.
+``alignment_frames`` is the frame count an alignment covers.
 
 The encoder reference encodes one utterance a ``reference_gru_step`` at a
 time and back-propagates with per-step outer products; the minibatch
@@ -85,6 +89,7 @@ from silstream.encoder import PyramidalEncoder, encode_backward, encode_with_cac
 from silstream.metrics import CerReport
 from silstream.model import StepOutput
 from silstream.streamer import StreamConfig, StreamSession
+from silstream.synth import _Emission
 from silstream.trainer import _encode, backward, forward_loss, smoothed_targets
 from silstream.vocab import strip_nonscoring
 
@@ -511,9 +516,13 @@ def silence_token_count(oracle) -> int:
     return sum(1 for entry in oracle._schedule if entry.token == oracle.vocab.sil_id)
 
 
+def alignment_frames(alignment) -> int:
+    return alignment.segments[-1].end if alignment.segments else 0
+
+
 def reference_encoded_owners(alignment, r: int) -> list[int]:
     """Majority owner segment of each encoded frame (ties to the earlier one)."""
-    t_raw = alignment.num_frames
+    t_raw = alignment_frames(alignment)
     owners = []
     for j in range(math.ceil(t_raw / r)):
         lo, hi = j * r, (j + 1) * r
@@ -538,6 +547,29 @@ def reference_segment_spans(owners: list[int], num_segments: int) -> list[tuple[
         js = [j for j, o in enumerate(owners) if o == idx]
         spans.append((js[0], js[-1] + 1) if js else (0, 0))
     return spans
+
+
+def reference_schedule(oracle, spans) -> list[_Emission]:
+    """The oracle's emission schedule over segment ``spans``: a word at its
+    last encoded frame; a silence of m >= ``min_silence_encoded`` frames gets
+    a token every d frames, or one at its last frame when m < d."""
+    d = oracle.mode.sil_duration_encoded
+    schedule = []
+    for seg, (s, e) in zip(oracle.alignment.segments, spans):
+        m = e - s
+        if m <= 0:
+            continue
+        if not seg.is_silence:
+            schedule.append(_Emission(pos=e - 1, token=oracle.vocab.id_of(seg.label), onset=s))
+        elif oracle.silence_aware:
+            if m < oracle.mode.min_silence_encoded:
+                continue
+            if m // d >= 1:
+                for k in range(1, m // d + 1):
+                    schedule.append(_Emission(pos=s + k * d - 1, token=oracle.vocab.sil_id, onset=None))
+            else:
+                schedule.append(_Emission(pos=e - 1, token=oracle.vocab.sil_id, onset=None))
+    return schedule
 
 
 def reference_oracle_step(oracle, owners, spans, n: int, prev: int, buffer_complete: bool, force: bool):

@@ -214,6 +214,35 @@ def test_non_finite_buffer_exits_with_a_message(corpus_dir):
         main(["decode-online", "--corpus", str(corpus_dir), "--oracle", "silence_aware", "--min-buffer-ms", "nan"])
 
 
+@pytest.mark.parametrize("verb, config, flags, message", [
+    ("decode-online", {"beam": "abc"}, [], "beam: invalid literal for int() with base 10: 'abc'"),
+    ("decode-online", {"beam": 8.7}, [], "beam: expected int, got 8.7"),
+    ("sweep", {}, ["--beams", "1,x"], "beams: invalid literal for int() with base 10: 'x'"),
+    ("sweep", {"beams": [1, 8.5]}, [], "beams: expected int, got 8.5"),
+    ("sweep", {"beams": 8}, [], "beams: 'int' object is not iterable"),
+], ids=["no-cast", "cast-changes-it", "flag-list-item", "config-list-item", "config-list-scalar"])
+def test_bad_option_value_exits_naming_the_option(corpus_dir, tmp_path, verb, config, flags, message):
+    """A value that does not cast, or that the cast would change, exits with
+    a message naming its option, from the config file or the command line."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--corpus", str(corpus_dir), "--oracle", "silence_aware", "--config", str(path),
+              "--out", str(tmp_path / "out"), *flags])
+    assert str(exc.value) == f"silstream {verb}: {message}"
+
+
+def test_config_file_list_option(corpus_dir, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"beams": [1, 8], "min_buffers": [240.0, 480], "sil_buffers": "480"}))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--corpus", str(corpus_dir), "--oracle", "silence_aware", "--config", str(path),
+                 "--out", str(out)]) == 0
+    rows = [line.split(",")[:3] for line in out.read_text().splitlines()[1:]]
+    assert rows == [["1", "240.000000", "480.000000"], ["1", "480.000000", "480.000000"],
+                    ["8", "240.000000", "480.000000"], ["8", "480.000000", "480.000000"]]
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["decode-offline", "--oracle", "silence_aware"], "--corpus"),
     (["train"], "--corpus"),

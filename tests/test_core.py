@@ -17,6 +17,8 @@ from silstream.data import (
 )
 from silstream.vocab import Vocab, load_vocab, make_vocab, save_vocab, strip_nonscoring
 
+from support import alignment_frames
+
 
 @pytest.fixture
 def vocab():
@@ -96,7 +98,7 @@ class TestAlignment:
     def test_parse_basic(self):
         alignment = parse_alignment("a 0 50\nSIL 50 150\nb 150 200\n")
         assert len(alignment.segments) == 3
-        assert alignment.num_frames == 200
+        assert alignment_frames(alignment) == 200
         assert alignment.segments[1].is_silence
 
     def test_overlap_rejected(self):
@@ -114,7 +116,7 @@ class TestAlignment:
     def test_empty_text(self):
         alignment = parse_alignment("")
         assert alignment.segments == ()
-        assert alignment.num_frames == 0
+        assert alignment_frames(alignment) == 0
 
     def test_roundtrip_canonical(self):
         text = "a 0 50\nSIL 50 150\nb 150 200\n"

@@ -315,6 +315,7 @@ class TestRecords:
         utt = make_utt(["a", "b", "c", "a", "b"], [(1, 40), (3, 120), (4, 16)], seed=3)
         result, session = stream_decode(aware(utt, d=6, min_sil=3), utt.features, StreamConfig(160, 240, 480),
                                         BeamConfig(beam_size=8))
-        text = json.dumps([result.trace_records(VOCAB), result.display_log, session.trace])
+        records = [{"token": em.token, "label": VOCAB.token_of(em.token), **em._asdict()} for em in result.emissions]
+        text = json.dumps([records, result.display_log, session.trace])
         assert session.backtracks
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == "e0cc4c7154d8abef"

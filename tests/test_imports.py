@@ -156,21 +156,66 @@ def read_attributes(source: str) -> set[tuple[str | None, str]]:
     return found
 
 
-def uncalled_methods(library: dict[str, str], callers: list[tuple[str | None, str]]) -> list[str]:
+def class_members(library: dict[str, str]) -> dict[str, set[str]]:
+    """For each name, the module-level classes of ``library``, as
+    "module.Class", that have it as a method, property or field: a name
+    assigned in the class body or on ``self`` in one of its methods."""
+    owners = collections.defaultdict(set)
+    for module, source in library.items():
+        for cls in ast.parse(source).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    owners[item.name].add(f"{module}.{cls.name}")
+                targets = item.targets if isinstance(item, ast.Assign) else [getattr(item, "target", None)]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        owners[target.id].add(f"{module}.{cls.name}")
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    owners[node.attr].add(f"{module}.{cls.name}")
+    return owners
+
+
+def uncalled_methods(library: dict[str, str], callers: list[tuple[str | None, str]],
+                     shared_reads=frozenset()) -> list[str]:
     """The public methods and properties of the module-level classes of
     ``library``, as "module.Class.method", whose name no source in ``callers``
     reads as an attribute: on ``self`` inside the class, or on any other object
-    (attributes are matched by name, as no types are inferred)."""
+    (attributes are matched by name, as no types are inferred). When another
+    library class also has the name (``class_members``), a read on another
+    object counts only for a method that ``shared_reads`` names."""
     used = set().union(*(read_attributes(source) for _, source in callers))
-    return [
-        f"{name}.{cls.name}.{item.name}"
-        for name, source in sorted(library.items())
-        for cls in ast.parse(source).body
-        if isinstance(cls, ast.ClassDef)
-        for item in cls.body
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
-        and (None, item.name) not in used and (cls.name, item.name) not in used
-    ]
+    owners = class_members(library)
+    missing = []
+    for name, source in sorted(library.items()):
+        for cls in ast.parse(source).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) or item.name.startswith("_"):
+                    continue
+                method = f"{name}.{cls.name}.{item.name}"
+                shared = owners[item.name] != {f"{name}.{cls.name}"} and method not in shared_reads
+                if (cls.name, item.name) not in used and ((None, item.name) not in used or shared):
+                    missing.append(method)
+    return missing
+
+
+# Public methods and properties whose name another library class also has,
+# each with the callers that reach it through a read on another object.
+_INTERFACE = "the model interface: the streamer and decoder call it on whichever model they drive"
+SHARED_READS = {
+    **{f"{cls}.{method}": _INTERFACE for cls in ("model.NeuralModel", "synth.OracleModel")
+       for method in ("encoder_reset", "encoder_push", "encoder_finish", "decode_start", "decode_steps")},
+    "model.NeuralModel.total_reduction": "StreamSession reads model.total_reduction to size its buffers",
+    "encoder.EncoderConfig.total_reduction": "NeuralModel.total_reduction reads cfg.encoder.total_reduction",
+    "encoder.PyramidalEncoder.push": "NeuralModel.encoder_push calls self._encoder.push",
+    "streamer.StreamSession.push": "stream_decode and perfbench's stream workloads call session.push",
+    "data.Segment.length": "the labeler and the oracle read seg.length of alignment segments",
+}
 
 
 def library_and_callers() -> tuple[dict[str, str], list[tuple[str | None, str]]]:
@@ -190,8 +235,16 @@ def test_every_library_function_has_a_caller_outside_the_tests():
 
 
 def test_every_public_method_has_a_caller_outside_the_tests():
-    missing = [name for name in uncalled_methods(*library_and_callers()) if name not in PINNED_METHODS]
+    missing = [name for name in uncalled_methods(*library_and_callers(), SHARED_READS) if name not in PINNED_METHODS]
     assert missing == [], "no caller outside tests/: move these to tests/support.py or delete them"
+
+
+def test_shared_reads_name_shared_methods():
+    library, _ = library_and_callers()
+    owners = class_members(library)
+    for method in SHARED_READS:
+        cls, _, name = method.rpartition(".")
+        assert cls in owners[name] and len(owners[name]) > 1, method
 
 
 def test_pinned_functions_are_hooked_by_the_benchmark():
@@ -226,10 +279,20 @@ def test_detects_an_uncalled_method():
     library = {"m": "class A:\n    def used(self):\n        return self.mine()\n\n    def mine(self):\n        pass\n\n"
                     "    @property\n    def shown(self):\n        return self.shown\n\n"
                     "    def _private(self):\n        pass\n\n"
-                    "class B:\n    def mine(self):\n        pass\n\n    def called(self):\n        pass\n"}
-    caller = "a.used()\nb.called\n"
-    # a read of self.name counts for that class only; a method reading its own name is no caller
-    assert uncalled_methods(library, [("m", library["m"]), (None, caller)]) == ["m.A.shown", "m.B.mine"]
+                    "class B:\n    def mine(self):\n        pass\n\n    def called(self):\n        pass\n\n"
+                    "    def size(self):\n        pass\n\n    def push(self):\n        pass\n\n"
+                    "    def run(self):\n        pass\n",
+               "n": "class C:\n    size: int = 0\n\n    def __init__(self):\n        self.push = None\n\n"
+                    "class D:\n    def run(self):\n        pass\n"}
+    caller = "a.used()\nb.called\nx.size\nx.push\nx.run()\n"
+    # a read of self.name counts for that class only; a method reading its own name is no caller;
+    # a read on another object of a name another class has as a method, property or field counts
+    # only for the methods named in shared_reads
+    callers = [("m", library["m"]), ("n", library["n"]), (None, caller)]
+    assert uncalled_methods(library, callers) == ["m.A.shown", "m.B.mine", "m.B.size", "m.B.push", "m.B.run",
+                                                  "n.D.run"]
+    assert uncalled_methods(library, callers, {"m.B.run"}) == ["m.A.shown", "m.B.mine", "m.B.size", "m.B.push",
+                                                               "n.D.run"]
 
 
 # Options that no call outside tests/ sets by name, each with the reason it stays.

@@ -25,7 +25,6 @@ entry by 1e-12 times the sum of the magnitudes of the terms they sum
 far below its terms carries their rounding, whatever the order."""
 import functools
 import math
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -93,6 +92,7 @@ from support import (
     reference_gru_step_backward,
     reference_mocha_step,
     reference_oracle_step,
+    reference_schedule,
     reference_segment_spans,
     reference_sigmoid,
     reference_soft_step,
@@ -570,10 +570,7 @@ class TestOracleMatchesReference:
         spans = reference_segment_spans(owners, len(segments))
         assert model._owner == owners and all(type(o) is int for o in model._owner)
         assert model._spans == spans
-        # the schedule the unchanged builder makes from the reference spans
-        ref = SimpleNamespace(mode=model.mode, vocab=VOCAB, alignment=alignment,
-                              silence_aware=model.silence_aware, _spans=spans)
-        assert model._schedule == OracleModel._build_schedule(ref)
+        assert model._schedule == reference_schedule(model, spans)
         frames = np.zeros((len(owners), 1))
         for _ in range(20):
             n = data.draw(st.integers(0, len(owners)))

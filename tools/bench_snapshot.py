@@ -21,12 +21,12 @@ wall milliseconds and scaled to the reference host speed by the kernel of
 ``perfbench/calibration.py``, and for each beam the growth: the cost per token
 on the longest stream over that on the shortest.
 
-Last, in this process, it runs the sweep of ``demos/04_latency_accuracy_tradeoff.py``
-``--repeats`` times: its corpus (seed 5, 12 utterances), its oracle and its
-grid of four buffer settings, the corpus built once, outside the timing. It
-records the median time of one sweep in wall seconds and scaled to the
-reference host speed, and the SHA-256 of the sweep's CSV, which the demo
-prints.
+Last, in this process, it loads ``demos/04_latency_accuracy_tradeoff.py``
+with ``runpy``, which builds the demo's corpus (seed 5, 12 utterances)
+outside the timing, and runs the demo's ``run_sweep`` (its oracle and its
+grid of four buffer settings) ``--repeats`` times. It records the median
+time of one sweep in wall seconds and scaled to the reference host speed,
+and the SHA-256 of the sweep's CSV, which the demo prints.
 
 The file also holds the git SHA (and whether the tree had changes), the
 machine (``perfbench/run.py``'s ``machine_info``) and the calibration factor
@@ -42,6 +42,7 @@ import argparse
 import hashlib
 import json
 import os
+import runpy
 import statistics
 import subprocess
 import sys
@@ -145,29 +146,20 @@ def per_token(workloads, calibration, audio_seconds, beams, repeats, seed) -> tu
 
 
 def demo_sweep(workloads, calibration, repeats) -> dict:
-    """Demo 04's sweep, timed over ``repeats`` runs, with the demo's corpus,
-    oracle, buffer grid and stream and beam settings."""
-    import silstream as ss
-
-    vocab = ss.make_vocab([f"t{i}" for i in range(4)])
-    spec = ss.CorpusSpec(num_utterances=12, min_tokens=1, max_tokens=3, mid_silence_prob=0.7,
-                         mid_silence_frames=(32, 120), trail_silence_prob=0.8, trail_silence_frames=(16, 64),
-                         align_to=4)
-    corpus = ss.gen_corpus(ss.SynthConfig(vocab=vocab, feature_dim=8, frames_per_token=8), spec, seed=5)
-    mode = ss.OracleMode("silence_aware", sil_duration_encoded=6, min_silence_encoded=3)
-    stream_cfg, beam_cfg = ss.StreamConfig(batch_ms=160), ss.BeamConfig(beam_size=1, eos_policy="defer")
+    """Demo 04's ``run_sweep``, timed over ``repeats`` runs; loading the demo
+    builds its corpus, outside the timing."""
+    demo = runpy.run_path(os.path.join(ROOT, "demos", "04_latency_accuracy_tradeoff.py"))
     clock = calibration.Clock(workloads.load_spec()["calibration"]["reference_s"])
     wall, scaled = [], []
     for _ in range(repeats):
         started = time.perf_counter()
-        rows = ss.sweep(corpus, lambda utt: ss.OracleModel(mode, vocab, utt.alignment, total_reduction=4),
-                        beams=[1], min_buffers_ms=[40, 80, 160, 320], sil_buffers_ms=[320],
-                        stream_cfg=stream_cfg, beam_cfg=beam_cfg)
+        rows = demo["run_sweep"]()
         wall.append(time.perf_counter() - started)
         scaled.append(wall[-1] * clock.factor(wall[-1]))
     print(f"# demo 04 sweep {statistics.median(scaled):.4g} s", file=sys.stderr)
-    return {"utterances": len(corpus), "points": len(rows), "s": statistics.median(scaled),
-            "wall_s": statistics.median(wall), "csv_sha256": hashlib.sha256(ss.sweep_csv(rows).encode()).hexdigest()}
+    csv = demo["sweep_csv"](rows)
+    return {"utterances": len(demo["corpus"]), "points": len(rows), "s": statistics.median(scaled),
+            "wall_s": statistics.median(wall), "csv_sha256": hashlib.sha256(csv.encode()).hexdigest()}
 
 
 def growth(rows: list[dict]) -> dict[str, float]:
