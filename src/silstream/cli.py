@@ -32,14 +32,15 @@ _FLAG_OF = {
 
 
 def _options(args: argparse.Namespace, *required: str) -> dict:
-    """The config file's keys that are flags of the verb, overridden by every
-    flag given; exits naming the first ``required`` option that is unset."""
+    """The config file's keys that are flags of the verb, each cast with its flag's
+    type, overridden by every flag given; exits naming the first unset ``required`` option."""
     config = {}
     if args.config:
         with open(args.config, encoding="utf-8") as f:
             config = json.load(f)
     flags = vars(args)
-    opt = {k: v for k, v in config.items() if k in flags and v is not None}
+    opt = {k: _cast(flags, k, args.types[k], v) if k in args.types else v
+           for k, v in config.items() if k in flags and v is not None}
     opt.update((k, v) for k, v in flags.items() if v is not None)
     for key in required:
         if key not in opt:
@@ -59,20 +60,14 @@ def _cast(opt: dict, key: str, cast, value):
     return typed
 
 
-def _int(opt: dict, key: str, default: int | None) -> int:
-    return _cast(opt, key, int, opt.get(key, default))
-
-
 def _config(cls, opt: dict, **given):
     """``cls`` from ``given`` and, for its other fields, the options named
-    after them (or ``_FLAG_OF``), each cast to the type of the field's
-    default. A field with no option keeps the class default. Exits with
-    the message of a value the class refuses."""
+    after them (or ``_FLAG_OF``). A field with no option keeps the class
+    default. Exits with the message of a value the class refuses."""
     for f in dataclasses.fields(cls):
         key = _FLAG_OF.get(f.name, f.name)
         if f.name not in given and opt.get(key) is not None:
-            typed = f.default is not None and f.default is not dataclasses.MISSING
-            given[f.name] = _cast(opt, key, type(f.default), opt[key]) if typed else opt[key]
+            given[f.name] = opt[key]
     try:
         return cls(**given)
     except ValueError as exc:
@@ -103,19 +98,18 @@ def _model_for_args(opt: dict, vocab):
         model = load_checkpoint(opt["model"])
         return (lambda utt: model), model.vocab
     mode = _config(OracleMode, opt)
-    reduction = {"total_reduction": _int(opt, "oracle_reduction", None)} if "oracle_reduction" in opt else {}
+    reduction = {"total_reduction": opt["oracle_reduction"]} if "oracle_reduction" in opt else {}
     return (lambda utt: OracleModel(mode, vocab, utt.alignment, **reduction)), vocab
 
 
 def cmd_gen_synthetic(args) -> int:
     opt = _options(args)
-    cfg = _config(SynthConfig, opt, vocab=make_vocab([f"t{i}" for i in range(_int(opt, "vocab_size", 6))]))
+    cfg = _config(SynthConfig, opt, vocab=make_vocab([f"t{i}" for i in range(opt.get("vocab_size", 6))]))
     ranges = {}
     for kind in ("mid", "lead", "trail"):
         low, high = getattr(CorpusSpec, f"{kind}_silence_frames")
-        ranges[f"{kind}_silence_frames"] = (_int(opt, f"{kind}_silence_min", low),
-                                            _int(opt, f"{kind}_silence_max", high))
-    corpus = gen_corpus(cfg, _config(CorpusSpec, opt, **ranges), seed=_int(opt, "seed", 0))
+        ranges[f"{kind}_silence_frames"] = (opt.get(f"{kind}_silence_min", low), opt.get(f"{kind}_silence_max", high))
+    corpus = gen_corpus(cfg, _config(CorpusSpec, opt, **ranges), seed=opt.get("seed", 0))
     out = opt.get("out", "corpus")
     save_corpus(corpus, cfg.vocab, out)
     print(json.dumps({"utterances": len(corpus), "out": out}))
@@ -274,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, types={f[2:].replace("-", "_"): kw["type"] for f, kw in flags.items() if "type" in kw})
         return p
 
     add("gen-synthetic", cmd_gen_synthetic, {

@@ -64,15 +64,6 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict:
     return params
 
 
-def encoder_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    """The shape of every encoder tensor."""
-    shapes = {}
-    for k in range(cfg.num_layers):
-        shapes.update(nn.gru_shapes(f"enc{k}", cfg.layer_input_dim(k), cfg.hidden))
-        shapes.update({f"enc{k}.P": (cfg.proj, cfg.hidden), f"enc{k}.pb": (cfg.proj,)})
-    return shapes
-
-
 BLOCK_ENTRIES = 64  # a block is BLOCK_ENTRIES // rows steps (at least one)
 
 

@@ -48,7 +48,7 @@ from .attention import (
     project_keys,
     project_queries,
 )
-from .encoder import EncoderConfig, PyramidalEncoder, encoder_shapes, init_encoder_params
+from .encoder import EncoderConfig, PyramidalEncoder, init_encoder_params
 from .vocab import Vocab
 
 CHECKPOINT_VERSION = 3
@@ -105,7 +105,7 @@ class NeuralModel:
     stable_steps = True
 
     def __init__(self, cfg: ModelConfig, params: dict, vocab: Vocab, silence_aware: bool = False):
-        nn.check_shapes(params, param_shapes(cfg, vocab.size))
+        nn.check_shapes(params, init_params(cfg, vocab.size))
         bad = sorted(name for name, value in params.items() if not np.isfinite(value).all())
         if bad:
             raise ValueError(f"non-finite values in {bad}")
@@ -180,17 +180,6 @@ class NeuralModel:
         return outs
 
 
-def param_shapes(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
-    """The shape of every tensor a model with this config and vocabulary has."""
-    h, a = cfg.decoder_hidden, cfg.attention.energy_hidden
-    shapes = {"att.sel.r": (1,), "emb.E": (vocab_size, cfg.embed_dim),
-              "out.W": (vocab_size, cfg.output_input_dim), "out.b": (vocab_size,)}
-    for kind in ("sel", "chunk"):
-        shapes.update({f"att.{kind}.Wq": (a, h), f"att.{kind}.Wk": (a, cfg.context_dim),
-                       f"att.{kind}.b": (a,), f"att.{kind}.v": (a,)})
-    return shapes | nn.gru_shapes("dec", cfg.decoder_input_dim, h) | encoder_shapes(cfg.encoder)
-
-
 def _checkpoint_body(model: NeuralModel) -> dict:
     tensors = {
         name: {
@@ -225,8 +214,7 @@ def load_checkpoint(path: str) -> NeuralModel:
     if payload["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload['version']}")
     c = payload["config"]
-    cfg = ModelConfig(EncoderConfig(**c["encoder"]), AttentionConfig(**c["attention"]),
-                      c["decoder_hidden"], c["embed_dim"])
+    cfg = ModelConfig(**c | {"encoder": EncoderConfig(**c["encoder"]), "attention": AttentionConfig(**c["attention"])})
     params = {}
     for name, spec in payload["tensors"].items():
         flat = np.frombuffer(base64.b64decode(spec["data"]), dtype="<f8")

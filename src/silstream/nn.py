@@ -44,23 +44,19 @@ def glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     return rng.uniform(-scale, scale, size=(fan_out, fan_in))
 
 
-def check_shapes(params: dict, shapes: dict) -> None:
-    """Raise ValueError unless ``params`` holds exactly the tensors of ``shapes``, in their shapes."""
-    want, got = set(shapes.items()), {(name, value.shape) for name, value in params.items()}
+def check_shapes(params: dict, reference: dict) -> None:
+    """Raise ValueError unless ``params`` holds exactly the tensors of ``reference``, in their shapes."""
+    want, got = ({(name, value.shape) for name, value in p.items()} for p in (reference, params))
     if got != want:
         raise ValueError(f"tensors expected {sorted(want - got)}, given {sorted(got - want)}")
 
 
-def gru_shapes(prefix: str, input_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
-    """A GRU's tensors, each stacking its z, r and n gates in that order."""
-    return {f"{prefix}.W": (3, hidden, input_dim), f"{prefix}.U": (3, hidden, hidden), f"{prefix}.b": (3, hidden)}
-
-
 def init_gru(params: dict, prefix: str, input_dim: int, hidden: int, rng: np.random.Generator):
-    params.update({name: np.zeros(shape) for name, shape in gru_shapes(prefix, input_dim, hidden).items()})
-    W, U = params[f"{prefix}.W"], params[f"{prefix}.U"]
+    """A GRU's tensors, each stacking its z, r and n gates in that order."""
+    W, U = np.zeros((3, hidden, input_dim)), np.zeros((3, hidden, hidden))
     for g in range(3):  # each gate's W, then its U: the draws of one tensor per gate
         W[g], U[g] = glorot(rng, hidden, input_dim), glorot(rng, hidden, hidden)
+    params.update({f"{prefix}.W": W, f"{prefix}.U": U, f"{prefix}.b": np.zeros((3, hidden))})
 
 
 def gru_step(params: dict, prefix: str, x: np.ndarray, h: np.ndarray):

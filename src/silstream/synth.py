@@ -144,6 +144,20 @@ class CorpusSpec:
     trail_silence_frames: tuple[int, int] = (24, 72)
     align_to: int = 1  # round every silence length up to a multiple of this
 
+    def __post_init__(self):
+        if self.num_utterances < 0:
+            raise ValueError("num_utterances must be >= 0")
+        if not 0 <= self.min_tokens <= self.max_tokens:
+            raise ValueError(f"need 0 <= min_tokens <= max_tokens, got {self.min_tokens} and {self.max_tokens}")
+        for kind in ("mid", "lead", "trail"):
+            prob, (low, high) = getattr(self, f"{kind}_silence_prob"), getattr(self, f"{kind}_silence_frames")
+            if not 0 <= prob <= 1:
+                raise ValueError(f"{kind}_silence_prob must be in [0, 1], got {prob}")
+            if not 1 <= low <= high:
+                raise ValueError(f"{kind}_silence_frames needs 1 <= low <= high, got ({low}, {high})")
+        if self.align_to < 1:
+            raise ValueError("align_to must be >= 1")
+
 
 def gen_corpus(cfg: SynthConfig, spec: CorpusSpec, seed: int) -> dict[str, Utterance]:
     rng = np.random.default_rng(seed)

@@ -17,7 +17,7 @@ from . import nn
 from .attention import energies, initial_alpha, project_keys, project_queries, soft_step, soft_step_backward
 from .data import FeatureSequence
 from .encoder import encode_backward, encode_with_cache
-from .model import ModelConfig, NeuralModel, param_shapes, save_checkpoint
+from .model import ModelConfig, NeuralModel, init_params, save_checkpoint
 from .vocab import Vocab
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ def train(
     """
     if not examples:
         raise ValueError("empty training corpus")
-    nn.check_shapes(params, param_shapes(cfg, vocab.size))
+    nn.check_shapes(params, init_params(cfg, vocab.size))
     params = {k: v.copy() for k, v in params.items()}
     last_good = {k: v.copy() for k, v in params.items()}
     rng = np.random.default_rng(tcfg.seed)

@@ -220,16 +220,34 @@ def test_non_finite_buffer_exits_with_a_message(corpus_dir):
     ("sweep", {}, ["--beams", "1,x"], "beams: invalid literal for int() with base 10: 'x'"),
     ("sweep", {"beams": [1, 8.5]}, [], "beams: expected int, got 8.5"),
     ("sweep", {"beams": 8}, [], "beams: 'int' object is not iterable"),
-], ids=["no-cast", "cast-changes-it", "flag-list-item", "config-list-item", "config-list-scalar"])
+    # min_segment_frames' field defaults to None, so only its flag gives it a type
+    ("label-silence", {"min_segment_frames": "abc"}, [],
+     "min_segment_frames: invalid literal for int() with base 10: 'abc'"),
+    ("label-silence", {"min_segment_frames": 2.5}, [], "min_segment_frames: expected int, got 2.5"),
+], ids=["no-cast", "cast-changes-it", "flag-list-item", "config-list-item", "config-list-scalar",
+        "none-default-no-cast", "none-default-cast-changes-it"])
 def test_bad_option_value_exits_naming_the_option(corpus_dir, tmp_path, verb, config, flags, message):
     """A value that does not cast, or that the cast would change, exits with
-    a message naming its option, from the config file or the command line."""
+    a message naming its option, from the config file or the command line.
+    The oracle is a config key, which a verb without ``--oracle`` ignores."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps({"oracle": "silence_aware", **config}))
     with pytest.raises(SystemExit) as exc:
-        main([verb, "--corpus", str(corpus_dir), "--oracle", "silence_aware", "--config", str(path),
-              "--out", str(tmp_path / "out"), *flags])
+        main([verb, "--corpus", str(corpus_dir), "--config", str(path), "--out", str(tmp_path / "out"), *flags])
     assert str(exc.value) == f"silstream {verb}: {message}"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--min-tokens", "5", "--max-tokens", "2"], "need 0 <= min_tokens <= max_tokens, got 5 and 2"),
+    (["--mid-silence-min", "50", "--mid-silence-max", "10"], "mid_silence_frames needs 1 <= low <= high, got (50, 10)"),
+    (["--align-to", "0"], "align_to must be >= 1"),
+    (["--mid-silence-prob", "2"], "mid_silence_prob must be in [0, 1], got 2.0"),
+], ids=["tokens", "silence-frames", "align-to", "silence-prob"])
+def test_invalid_corpus_spec_exits_naming_the_option(tmp_path, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-synthetic", "--out", str(tmp_path / "c"), "--size", "2", *flags])
+    assert str(exc.value) == f"silstream gen-synthetic: {message}"
+    assert not (tmp_path / "c").exists()
 
 
 def test_config_file_list_option(corpus_dir, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -24,6 +25,23 @@ def model():
         embed_dim=5,
     )
     return NeuralModel(cfg, init_params(cfg, VOCAB.size, seed=9), VOCAB)
+
+
+def params_digest(params: dict) -> str:
+    """Names, order and bytes of every tensor."""
+    blob = b"".join(name.encode() + np.ascontiguousarray(v, "<f8").tobytes() for name, v in params.items())
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("cfg, vocab_size, seed, digest", [
+    (ModelConfig(), 9, 0, "4004314b2c255f51"),
+    (ModelConfig(EncoderConfig(num_layers=3, input_dim=5, hidden=7, proj=4),
+                 AttentionConfig(chunk_size=2, energy_hidden=3), decoder_hidden=6, embed_dim=5), 11, 3,
+     "a0b39c88e58add0f"),
+], ids=["default", "three-layer"])
+def test_init_params_draws_unchanged(cfg, vocab_size, seed, digest):
+    """Training losses, demo 03 and saved models depend on the order of the draws."""
+    assert params_digest(init_params(cfg, vocab_size, seed=seed)) == digest
 
 
 class TestNeuralModelInterface:

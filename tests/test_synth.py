@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,18 @@ class TestGenerator:
             h.update(np.ascontiguousarray(utt.features.frames, dtype="<f8").tobytes())
             h.update(repr((utt.tokens, [(s.label, s.start, s.end) for s in utt.alignment.segments])).encode())
         assert h.hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("field, message", [
+        ({"num_utterances": -1}, "num_utterances must be >= 0"),
+        ({"min_tokens": -1}, "0 <= min_tokens <= max_tokens, got -1 and 5"),
+        ({"lead_silence_prob": -0.5}, "lead_silence_prob must be in [0, 1], got -0.5"),
+        ({"trail_silence_prob": float("nan")}, "trail_silence_prob must be in [0, 1], got nan"),
+        ({"lead_silence_frames": (0, 4)}, "lead_silence_frames needs 1 <= low <= high, got (0, 4)"),
+        ({"trail_silence_frames": (9, 8)}, "trail_silence_frames needs 1 <= low <= high, got (9, 8)"),
+    ])
+    def test_corpus_spec_refuses_invalid_fields(self, field, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CorpusSpec(**field)
 
     def test_corpus_generation_and_roundtrip(self, cfg, vocab, tmp_path):
         corpus = gen_corpus(cfg, CorpusSpec(num_utterances=5, align_to=4), seed=9)

@@ -62,6 +62,13 @@ MISREAD = {
     "decoder.steps": "a retry that reuses a voided step counts as a decoder step, though neither the "
                      "model nor the ranking runs",
     "decoder.hyps_per_step": "a reused step's live hypotheses count as stepped",
+    **dict.fromkeys(("model.calls", "model.busy_s", "model.stalled_frac"),
+                    "ModelProxy times decode_step, but a decode calls decode_steps, which the proxy passes "
+                    "through untimed, so it reads 0 on every traced run"),
+    **dict.fromkeys(("nn.gru_calls", "nn.gru_busy_s"),
+                    "the nn.gru_step hook sees only the trainer's one-row step, not the nn.gru_steps that "
+                    "the encoder and a NeuralModel decode run, so it reads 0 on stream_neural and leaves "
+                    "the encoder out on train_epoch"),
 }
 
 
