@@ -2,14 +2,16 @@
 
 Two modes share one parameterization:
 
-* hard mode (inference): scan encoded frames left to right from the previous
-  selection; the first frame whose selection probability crosses 0.5 is
-  chosen, and a softmax over the chunk ending there yields the context.
-  The scan scores windows of ``chunk_size``, then twice as many rows, and so
-  on, and stops at the first window with a crossing, so a step costs about
-  the distance it moves rather than the whole buffer tail. The crossing is
-  decided on the selection energies (``first_crossing``), without squashing
-  them, and selects the frame the probabilities would.
+* hard mode (inference): each hypothesis scans encoded frames left to right
+  from its previous selection (``mocha_infer_step``); the first frame whose
+  selection probability crosses 0.5 is chosen. The scan scores windows of
+  ``chunk_size``, then twice as many rows, and so on, and stops at the first
+  window with a crossing, so a step costs about the distance it moves rather
+  than the whole buffer tail. The crossing is decided on the selection
+  energies (``first_crossing``), without squashing them, and selects the
+  frame the probabilities would. Then one chunk stage for every selection
+  of a beam step (``chunk_attend``) takes a softmax over the chunk ending at
+  each selected frame, which yields its context.
 * soft mode (training): expected-alignment recurrence over selection
   probabilities, followed by the induced chunkwise distribution.
 
@@ -114,74 +116,77 @@ def first_crossing(e: np.ndarray) -> int:
     return -1
 
 
-def chunk_attend(chunk_energies: np.ndarray, frames: np.ndarray, lo: int):
-    """Softmax over the chunk of frames starting at ``lo`` that ``chunk_energies``
-    scores; returns (context, peak_index).
-
-    Argmax ties resolve to the lowest index.
-    """
-    weights = nn.softmax(chunk_energies)
-    context = weights @ frames[lo : lo + len(weights)]
-    peak = lo + int(weights.argmax())
-    return context, peak
-
-
 def mocha_infer_step(
     params: dict,
     cfg: AttentionConfig,
-    query: tuple[np.ndarray, np.ndarray],
+    query: np.ndarray,
     frames: np.ndarray,
     state: AttentionState,
     force: bool = False,
     *,
-    keys: tuple[np.ndarray, np.ndarray],
+    keys: np.ndarray,
 ) -> AttentionStepResult:
-    """Hard-mode step: monotonic scan then chunk softmax.
+    """Hard-mode scan of one hypothesis: the frame its step selects.
 
     ``force`` converts an exhausted scan into a forced step so decoding can
     always make progress (e.g. at finalization): the position pins to the
     last frame but the context is zero, mirroring what soft training
     produces when the expected alignment runs off the end of the input.
+    A selected, unforced step is returned without its context and peak
+    (None and -1): ``chunk_attend`` computes them for every such step of a
+    beam at once.
 
-    ``query`` is the pair of selection and chunk query terms (one row of
-    each of ``project_queries``) and ``keys`` the key terms of ``frames``
-    (``project_keys``), so callers stepping many queries over one buffer
-    project every frame once. Selection energies are scored in windows from
-    the previous selection (``chunk_size`` rows, then each twice the last)
-    up to the first crossing; they are row-wise, so the frame selected is
-    the one a whole-tail scan selects. The crossing is found on the
-    energies (``first_crossing``), which selects the frame whose
-    ``nn.sigmoid`` probability first reaches the threshold, without
-    computing the probabilities. Chunk energies are computed on the chunk
-    only.
+    ``query`` is the selection query term (a row of ``project_queries``) and
+    ``keys`` the selection key terms of ``frames`` (``project_keys``), so
+    callers stepping many queries over one buffer project every frame once.
+    Selection energies are scored in windows from the previous selection
+    (``chunk_size`` rows, then each twice the last) up to the first
+    crossing; they are row-wise, so the frame selected is the one a
+    whole-tail scan selects. The crossing is found on the energies
+    (``first_crossing``), which selects the frame whose ``nn.sigmoid``
+    probability first reaches the threshold, without computing the
+    probabilities.
     """
     n = frames.shape[0]
     if n == 0:
         return EXHAUSTED
-    sel_query, chunk_query = query
-    sel_keys, chunk_keys = keys
     start, width = max(state.prev_index, 0), cfg.chunk_size
-    selected = -1
-    while selected < 0 and start < n:
+    while start < n:
         stop = min(n, start + width)
-        rel = first_crossing(energies(params, "sel", sel_query, sel_keys[start:stop])[0])
+        rel = first_crossing(energies(params, "sel", query, keys[start:stop])[0])
         if rel >= 0:
-            selected = start + rel
+            return AttentionStepResult(status="selected", selected_index=start + rel)
         start, width = stop, 2 * width
-    if selected < 0:
-        if not force or state.prev_index >= n:
-            return EXHAUSTED
-        return AttentionStepResult(
-            status="selected",
-            context=np.zeros(frames.shape[1]),
-            selected_index=n - 1,
-            peak_index=n - 1,
-            forced=True,
-        )
-    lo = max(0, selected - cfg.chunk_size + 1)
-    u = energies(params, "chunk", chunk_query, chunk_keys[lo : selected + 1])[0]
-    context, peak = chunk_attend(u, frames, lo)
-    return AttentionStepResult(status="selected", context=context, selected_index=selected, peak_index=peak)
+    if not force or state.prev_index >= n:
+        return EXHAUSTED
+    return AttentionStepResult("selected", np.zeros(frames.shape[1]), n - 1, n - 1, forced=True)
+
+
+def chunk_attend(params: dict, queries: np.ndarray, selected: list[int], frames: np.ndarray, keys: np.ndarray,
+                 chunk_size: int) -> list[tuple[np.ndarray, int]]:
+    """Chunk stage of hard-mode steps: the (context, peak index) of each row i,
+    from a softmax over the chunk of ``chunk_size`` frames that ends at
+    ``selected[i]`` (fewer at the stream start), scored by the chunk query
+    term ``queries[i]`` against the chunk key terms ``keys``.
+
+    The rows of one chunk length are stacked: one ``energies`` over their
+    (rows, length, energy_hidden) terms, a softmax per row and one batched
+    context product. No chunk is padded, so each row is bit for bit the row
+    computed alone. Argmax ties resolve to the lowest index.
+    """
+    lengths = [min(s + 1, chunk_size) for s in selected]
+    out = [None] * len(selected)
+    for m in set(lengths):
+        rows = [i for i, length in enumerate(lengths) if length == m]
+        lo = np.array([selected[i] - m + 1 for i in rows])
+        idx = lo[:, None] + np.arange(m)
+        u = energies(params, "chunk", queries[rows][:, None], keys[idx])[0]
+        ex = np.exp(u - u.max(axis=1, keepdims=True))
+        weights = ex / ex.sum(axis=1, keepdims=True)
+        contexts = np.matmul(weights[:, None], frames[idx])[:, 0]
+        for i, context, peak in zip(rows, contexts, (lo + weights.argmax(axis=1)).tolist()):
+            out[i] = context, peak
+    return out
 
 
 def _moving_sum_back(x: np.ndarray, w: int) -> np.ndarray:

@@ -104,7 +104,11 @@ def _model_for_args(opt: dict, vocab):
 
 def cmd_gen_synthetic(args) -> int:
     opt = _options(args)
-    cfg = _config(SynthConfig, opt, vocab=make_vocab([f"t{i}" for i in range(opt.get("vocab_size", 6))]))
+    try:
+        vocab = make_vocab([f"t{i}" for i in range(opt.get("vocab_size", 6))])
+    except ValueError as exc:
+        raise SystemExit(f"silstream gen-synthetic: --vocab-size: {exc}") from None
+    cfg = _config(SynthConfig, opt, vocab=vocab)
     ranges = {}
     for kind in ("mid", "lead", "trail"):
         low, high = getattr(CorpusSpec, f"{kind}_silence_frames")

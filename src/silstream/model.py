@@ -21,12 +21,12 @@ tokens once. Nobody mutates a ``StepOutput`` or its arrays after the model
 returns it. ``NeuralModel`` returns a fresh one per hypothesis: it runs
 the decoder GRU, the attention query terms and the output layer once over
 the stacked beam, reads each frame's attention key terms from the buffer,
-which computes them once per frame, and scores only the chunk each
-hard-attention step selects. ``decode_step`` is the one-hypothesis form
-over a raw frame matrix. Training steps its soft-attention decoder with
-the same GRU, projections and ``attention.energies`` on one row, so a state
-it computes is bit for bit the state inference computes from the same
-inputs.
+which computes them once per frame, scans once per hypothesis, and scores
+the chunks the scans select in one stacked chunk stage. ``decode_step`` is
+the same step of one hypothesis over a raw frame matrix. Training steps its
+soft-attention decoder with the same GRU, projections and
+``attention.energies`` on one row, so a state it computes is bit for bit the
+state inference computes from the same inputs.
 """
 from __future__ import annotations
 
@@ -43,6 +43,7 @@ from .attention import (
     AttentionConfig,
     AttentionState,
     AttentionStepResult,
+    chunk_attend,
     init_attention_params,
     mocha_infer_step,
     project_keys,
@@ -159,25 +160,27 @@ class NeuralModel:
         return self._steps([dec_state], [prev_token], frames, keys, [att_state], force)[0]
 
     def _steps(self, dec_states, prev_tokens, frames, keys, att_states, force) -> list[StepOutput]:
-        # stacked matrix-vector products keep every row bit-identical to a
-        # one-hypothesis step, so beam width cannot change a hypothesis' scores
-        p = self.params
+        # stacked matrix-vector products and the chunk stage's unpadded rows keep every row
+        # bit-identical to a one-hypothesis step, so beam width cannot change a hypothesis' scores
+        p, att_cfg = self.params, self.cfg.attention
         S = np.array([s for s, _ in dec_states])
         X = np.concatenate([p["emb.E"][prev_tokens], np.array([c for _, c in dec_states])], axis=1)
         S_new, _ = nn.gru_steps(p, "dec", nn.gru_inputs(p, "dec", X), S)
         sel_q, chunk_q = project_queries(p, S_new)
-        atts = [
-            mocha_infer_step(p, self.cfg.attention, (sel_q[i], chunk_q[i]), frames, att_state, force, keys=keys)
-            for i, att_state in enumerate(att_states)
-        ]
-        live = [i for i, att in enumerate(atts) if att.status != "exhausted"]
-        outs = [StepOutput(log_probs=None, dec_state=state, att=att) for state, att in zip(dec_states, atts)]
+        atts = [mocha_infer_step(p, att_cfg, sel_q[i], frames, att_state, force, keys=keys[0])
+                for i, att_state in enumerate(att_states)]
+        live = [i for i, att in enumerate(atts) if att.status == "selected"]
+        chunked = [i for i in live if not atts[i].forced]
+        chunks = chunk_attend(p, chunk_q[chunked], [atts[i].selected_index for i in chunked], frames, keys[1],
+                              att_cfg.chunk_size)
+        for i, (context, peak) in zip(chunked, chunks):
+            atts[i].context, atts[i].peak_index = context, peak
+        log_probs = {}
         if live:
             Z = np.concatenate([S_new[live], np.array([atts[i].context for i in live])], axis=1)
-            log_probs = nn.log_softmax(nn.matvecs(p["out.W"], Z) + p["out.b"])
-            for row, i in enumerate(live):
-                outs[i] = StepOutput(log_probs=log_probs[row], dec_state=(S_new[i], atts[i].context), att=atts[i])
-        return outs
+            log_probs = dict(zip(live, nn.log_softmax(nn.matvecs(p["out.W"], Z) + p["out.b"])))
+        return [StepOutput(log_probs[i], (S_new[i], att.context), att) if i in log_probs
+                else StepOutput(None, state, att) for i, (state, att) in enumerate(zip(dec_states, atts))]
 
 
 def _checkpoint_body(model: NeuralModel) -> dict:

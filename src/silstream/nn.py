@@ -22,11 +22,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    ex = np.exp(logits - logits.max())
-    return ex / ex.sum()
-
-
 def matvecs(W: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``W @ x`` for every row ``x`` of ``X``; ``W`` is a matrix, giving (rows, out),
     or a stack of them, giving (stack, rows, out).

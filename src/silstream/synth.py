@@ -155,6 +155,8 @@ class CorpusSpec:
                 raise ValueError(f"{kind}_silence_prob must be in [0, 1], got {prob}")
             if not 1 <= low <= high:
                 raise ValueError(f"{kind}_silence_frames needs 1 <= low <= high, got ({low}, {high})")
+        if self.min_tokens == 0 and max(self.lead_silence_prob, self.trail_silence_prob) < 1:
+            raise ValueError("min_tokens 0 draws empty utterances unless lead_silence_prob or trail_silence_prob is 1")
         if self.align_to < 1:
             raise ValueError("align_to must be >= 1")
 

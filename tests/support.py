@@ -77,6 +77,7 @@ from silstream.attention import (
     SELECT_THRESHOLD,
     _moving_sum_back,
     _moving_sum_fwd,
+    chunk_attend,
     initial_alpha,
     mocha_infer_step,
     project_keys,
@@ -128,10 +129,16 @@ def selection_probability(params: dict, query: np.ndarray, key: np.ndarray) -> f
 
 
 def infer_step(params, cfg, query, frames, state, force=False) -> AttentionStepResult:
-    """``mocha_infer_step`` for a raw decoder state over raw encoded frames."""
+    """A hard-attention step for a raw decoder state over raw encoded frames:
+    ``mocha_infer_step``'s scan, then ``chunk_attend`` on its selection unless
+    the step is exhausted or forced."""
     sel_query, chunk_query = project_queries(params, np.asarray(query)[None])
-    return mocha_infer_step(params, cfg, (sel_query[0], chunk_query[0]), frames, state, force,
-                            keys=project_keys(params, frames))
+    sel_keys, chunk_keys = project_keys(params, frames)
+    att = mocha_infer_step(params, cfg, sel_query[0], frames, state, force, keys=sel_keys)
+    if att.status == "selected" and not att.forced:
+        [(att.context, att.peak_index)] = chunk_attend(params, chunk_query, [att.selected_index], frames, chunk_keys,
+                                                       cfg.chunk_size)
+    return att
 
 
 def add_grads(total: dict, part: dict, scale: float = 1.0) -> None:

@@ -57,8 +57,11 @@ class TestSelectionProbability:
             assert 0.0 < p < 1.0
 
 
-def scan_and_attend(probs, chunk_energies, prev_index, chunk_size, frames=None):
-    """Drive the hard-mode scan and chunk softmax from given probabilities."""
+def scan_and_attend(probs, chunk_scores, prev_index, chunk_size, frames=None):
+    """Drive the hard-mode scan from given probabilities and the chunk stage
+    from given scores: one-wide chunk key terms, a zero query term and
+    ``v = 1`` give each frame the energy ``tanh(score)``, which keeps the
+    scores' order and ties."""
     n = len(probs)
     frames = np.eye(n) if frames is None else frames
     start = max(prev_index, 0)
@@ -66,8 +69,8 @@ def scan_and_attend(probs, chunk_energies, prev_index, chunk_size, frames=None):
     if rel < 0:
         return None
     selected = start + rel
-    lo = max(0, selected - chunk_size + 1)
-    context, peak = chunk_attend(np.asarray(chunk_energies, float)[lo : selected + 1], frames, lo)
+    [(context, peak)] = chunk_attend({"att.chunk.v": np.ones(1)}, np.zeros((1, 1)), [selected], frames,
+                                     np.asarray(chunk_scores, float)[:, None], chunk_size)
     return selected, peak, context
 
 

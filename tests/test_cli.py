@@ -242,7 +242,10 @@ def test_bad_option_value_exits_naming_the_option(corpus_dir, tmp_path, verb, co
     (["--mid-silence-min", "50", "--mid-silence-max", "10"], "mid_silence_frames needs 1 <= low <= high, got (50, 10)"),
     (["--align-to", "0"], "align_to must be >= 1"),
     (["--mid-silence-prob", "2"], "mid_silence_prob must be in [0, 1], got 2.0"),
-], ids=["tokens", "silence-frames", "align-to", "silence-prob"])
+    (["--vocab-size", "0"], "--vocab-size: vocabulary needs at least one non-reserved token"),
+    (["--min-tokens", "0", "--max-tokens", "0", "--trail-silence-prob", "0"],
+     "min_tokens 0 draws empty utterances unless lead_silence_prob or trail_silence_prob is 1"),
+], ids=["tokens", "silence-frames", "align-to", "silence-prob", "vocab-size", "empty-utterance"])
 def test_invalid_corpus_spec_exits_naming_the_option(tmp_path, flags, message):
     with pytest.raises(SystemExit) as exc:
         main(["gen-synthetic", "--out", str(tmp_path / "c"), "--size", "2", *flags])

@@ -1,5 +1,6 @@
 """Property tests of the batched decoder: buffer key projection, the batched
-beam step against the per-hypothesis reference, the windowed MoChA scan
+beam step against the per-hypothesis reference, a hypothesis' step in a beam
+against its step alone, the windowed MoChA scan
 against the whole-tail scan, the scripted oracle against its per-frame
 reference, the oracle's one step per attention position against its step per
 hypothesis, beam steps over shared step outputs against steps over fresh
@@ -11,7 +12,7 @@ streams that reuse voided steps against streams that recompute them. Also
 the minibatch encoder against per-utterance streaming and the per-step
 reference, the trainer's decoder step against the per-vector references,
 the decoder backward of a ragged minibatch against the sum of its
-utterances' reference gradients, ``nn.sigmoid``, ``nn.softmax`` and
+utterances' reference gradients, ``nn.sigmoid``, the chunk stage's stacked softmax and
 ``nn.gru_steps`` against their first forms, the gate-batched GRU products against per-gate ``nn.matvecs``,
 ``nn.GruBackward`` against the per-row reference step backward, the soft
 step's Python-float carry loops against their numpy-scalar form, the
@@ -36,6 +37,7 @@ from silstream.attention import (
     CROSSING_BAND,
     AttentionConfig,
     AttentionState,
+    chunk_attend,
     energies,
     first_crossing,
     project_keys,
@@ -194,6 +196,39 @@ class TestBatchedStepMatchesReference:
                 assert [tuple(e.peak_index for e in hyp_timeline(h)) for h in beam] == [r.peaks for r in ref]
                 for h, r in zip(beam, ref):
                     assert math.isclose(h.log_score, r.log_score, rel_tol=1e-12, abs_tol=0.0)
+
+
+class TestBeamStepMatchesStepAlone:
+    """``decode_steps`` gives a hypothesis in a beam the step it gives it alone,
+    bit for bit, at every chunk size and at the stream start, where chunks are short."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), beam_size=st.integers(2, 8), chunk_size=st.integers(1, 4),
+           n=st.integers(0, 12), bias=st.floats(-3.0, 6.0), force=st.booleans())
+    @example(seed=0, beam_size=8, chunk_size=4, n=6, bias=6.0, force=False)
+    def test_each_output_bit_identical(self, seed, beam_size, chunk_size, n, bias, force):
+        rng = np.random.default_rng(seed)
+        dims = [int(d) for d in rng.integers(1, 13, size=4)]
+        cfg = ModelConfig(encoder=EncoderConfig(proj=dims[0]),
+                          attention=AttentionConfig(chunk_size=chunk_size, energy_hidden=dims[1]),
+                          decoder_hidden=dims[2], embed_dim=dims[3])
+        params = init_params(cfg, VOCAB.size, seed=seed)
+        params["att.sel.r"][0] = bias  # a large bias selects where the scan starts
+        model = NeuralModel(cfg, params, VOCAB)
+        buffer = EncodedBuffer()
+        buffer.append(rng.normal(size=(n, cfg.context_dim)))
+        dec_states = [(rng.normal(size=cfg.decoder_hidden), rng.normal(size=cfg.context_dim))
+                      for _ in range(beam_size)]
+        tokens = [int(t) for t in rng.integers(0, VOCAB.size, size=beam_size)]
+        att_states = [AttentionState(int(p)) for p in rng.integers(-1, n + 1, size=beam_size)]
+        together = model.decode_steps(dec_states, tokens, buffer, att_states, True, force)
+        for i, got in enumerate(together):
+            alone = model.decode_steps(dec_states[i : i + 1], tokens[i : i + 1], buffer, att_states[i : i + 1],
+                                       True, force)[0]
+            assert (got.att.status, got.att.selected_index, got.att.peak_index, got.att.forced) == (
+                alone.att.status, alone.att.selected_index, alone.att.peak_index, alone.att.forced)
+            for a, b in ((got.log_probs, alone.log_probs), (got.att.context, alone.att.context)):
+                assert (a is None) == (b is None) and (a is None or np.array_equal(bits(a), bits(b)))
 
 
 class TestWindowedScanMatchesWholeTail:
@@ -412,12 +447,29 @@ class TestEnergyCrossingMatchesProbabilities:
 
 
 class TestSoftmaxMatchesReference:
+    """The chunk stage's stacked softmax, row by row against the first one-row form."""
+
     @settings(max_examples=300, deadline=None)
-    @given(values=st.lists(st.one_of(ANY_FLOAT, st.floats(-30.0, 30.0)), min_size=1, max_size=12))
-    def test_bit_identical(self, values):
-        x = np.array(values, dtype=np.float64)
+    @given(seed=st.integers(0, 2**31 - 1), chunk_size=st.integers(1, 4), n=st.integers(1, 12),
+           scale=st.sampled_from([1.0, 30.0, 1e3, 1e300]), data=st.data())
+    def test_bit_identical(self, seed, chunk_size, n, scale, data):
+        rng = np.random.default_rng(seed)
+        hidden = int(rng.integers(1, 9))
+        params = {"att.chunk.v": rng.normal(size=hidden) * scale}  # 1e300: energies overflow to inf
+        keys, frames = rng.normal(size=(n, hidden)) * 3.0, rng.normal(size=(n, int(rng.integers(1, 9))))
+        selected = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+        queries = rng.normal(size=(len(selected), hidden))
         with np.errstate(all="ignore"):  # inf - inf
-            assert np.array_equal(bits(nn.softmax(x)), bits(reference_softmax(x)))
+            weighed = chunk_attend(params, queries, selected, np.eye(n), keys, chunk_size)  # contexts of eye
+            attended = chunk_attend(params, queries, selected, frames, keys, chunk_size)
+            for i, s in enumerate(selected):
+                lo = max(0, s - chunk_size + 1)
+                want = reference_softmax(energies(params, "chunk", queries[i], keys[lo : s + 1])[0])
+                (weights, peak), (context, _) = weighed[i], attended[i]
+                assert np.array_equal(bits(weights[lo : s + 1]), bits(want))
+                assert not weights[:lo].any() and not weights[s + 1 :].any()
+                assert np.array_equal(bits(context), bits(want @ frames[lo : s + 1]))
+                assert peak == lo + int(np.argmax(want))
 
 
 class TestGruStepsMatchReference:

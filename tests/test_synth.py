@@ -99,10 +99,17 @@ class TestGenerator:
         ({"trail_silence_prob": float("nan")}, "trail_silence_prob must be in [0, 1], got nan"),
         ({"lead_silence_frames": (0, 4)}, "lead_silence_frames needs 1 <= low <= high, got (0, 4)"),
         ({"trail_silence_frames": (9, 8)}, "trail_silence_frames needs 1 <= low <= high, got (9, 8)"),
+        ({"min_tokens": 0, "trail_silence_prob": 0.5}, "min_tokens 0 draws empty utterances unless"),
     ])
     def test_corpus_spec_refuses_invalid_fields(self, field, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             CorpusSpec(**field)
+
+    @pytest.mark.parametrize("field", [{"trail_silence_prob": 1.0},
+                                       {"lead_silence_prob": 1.0, "trail_silence_prob": 0.0}])
+    def test_spec_with_no_tokens_draws_a_silence(self, cfg, field):
+        corpus = gen_corpus(cfg, CorpusSpec(num_utterances=8, min_tokens=0, max_tokens=0, **field), seed=3)
+        assert all(not utt.tokens and utt.alignment.segments for utt in corpus.values())
 
     def test_corpus_generation_and_roundtrip(self, cfg, vocab, tmp_path):
         corpus = gen_corpus(cfg, CorpusSpec(num_utterances=5, align_to=4), seed=9)
