@@ -33,45 +33,40 @@ _FLAG_OF = {
 
 def _options(args: argparse.Namespace, *required: str) -> dict:
     """The config file's keys that are flags of the verb, each cast with its flag's
-    type, overridden by every flag given; exits naming the first unset ``required`` option."""
+    type, overridden by every flag given; refuses naming the first unset ``required`` option."""
     config = {}
     if args.config:
         with open(args.config, encoding="utf-8") as f:
             config = json.load(f)
     flags = vars(args)
-    opt = {k: _cast(flags, k, args.types[k], v) if k in args.types else v
+    opt = {k: _cast(k, args.types[k], v) if k in args.types else v
            for k, v in config.items() if k in flags and v is not None}
     opt.update((k, v) for k, v in flags.items() if v is not None)
     for key in required:
         if key not in opt:
-            raise SystemExit(f"silstream {args.command}: --{key.replace('_', '-')} is required "
-                             "(as a flag or a config key)")
+            raise ValueError(f"--{key.replace('_', '-')} is required (as a flag or a config key)")
     return opt
 
 
-def _cast(opt: dict, key: str, cast, value):
-    """``cast(value)``; exits naming option ``key`` if that fails or changes a value that is not a string."""
+def _cast(key: str, cast, value):
+    """``cast(value)``; refuses, naming option ``key``, a value it fails on, a non-string it changes, or a bool."""
     try:
         typed = cast(value)
-        if not isinstance(value, (str, cast)) and typed != value:
-            raise ValueError(f"expected {cast.__name__}, got {value!r}")
     except (TypeError, ValueError) as exc:
-        raise SystemExit(f"silstream {opt['command']}: {key}: {exc}") from None
+        raise ValueError(f"{key}: {exc}") from None
+    if isinstance(value, bool) or not isinstance(value, (str, cast)) and typed != value:
+        raise ValueError(f"{key}: expected {cast.__name__}, got {value!r}")
     return typed
 
 
 def _config(cls, opt: dict, **given):
-    """``cls`` from ``given`` and, for its other fields, the options named
-    after them (or ``_FLAG_OF``). A field with no option keeps the class
-    default. Exits with the message of a value the class refuses."""
+    """``cls`` from ``given`` and, for its other fields, the options named after them
+    (or ``_FLAG_OF``). A field with no option keeps the class default."""
     for f in dataclasses.fields(cls):
         key = _FLAG_OF.get(f.name, f.name)
         if f.name not in given and opt.get(key) is not None:
             given[f.name] = opt[key]
-    try:
-        return cls(**given)
-    except ValueError as exc:
-        raise SystemExit(f"silstream {opt['command']}: {exc}") from None
+    return cls(**given)
 
 
 def _list(opt: dict, key: str, cast, default) -> list:
@@ -79,8 +74,8 @@ def _list(opt: dict, key: str, cast, default) -> list:
     ``[default]`` when it is unset."""
     if key not in opt:
         return [default]
-    items = _cast(opt, key, list, opt[key].split(",") if isinstance(opt[key], str) else opt[key])
-    return [_cast(opt, key, cast, x) for x in items if x != ""]
+    items = _cast(key, list, opt[key].split(",") if isinstance(opt[key], str) else opt[key])
+    return [_cast(key, cast, x) for x in items if x != ""]
 
 
 def _write_jsonl(records: list[dict], path: str) -> None:
@@ -93,7 +88,7 @@ def _model_for_args(opt: dict, vocab):
     """Returns (model_for(utt), vocab) from the --model or --oracle option;
     ``vocab`` is the corpus's, which a checkpoint replaces with its own."""
     if ("model" in opt) == ("oracle" in opt):
-        raise SystemExit("exactly one of --model or --oracle is required")
+        raise ValueError("exactly one of --model or --oracle is required")
     if "model" in opt:
         model = load_checkpoint(opt["model"])
         return (lambda utt: model), model.vocab
@@ -107,7 +102,7 @@ def cmd_gen_synthetic(args) -> int:
     try:
         vocab = make_vocab([f"t{i}" for i in range(opt.get("vocab_size", 6))])
     except ValueError as exc:
-        raise SystemExit(f"silstream gen-synthetic: --vocab-size: {exc}") from None
+        raise ValueError(f"--vocab-size: {exc}") from None
     cfg = _config(SynthConfig, opt, vocab=vocab)
     ranges = {}
     for kind in ("mid", "lead", "trail"):
@@ -135,12 +130,13 @@ def cmd_label_silence(args) -> int:
 def cmd_train(args) -> int:
     opt = _options(args, "corpus")
     corpus, vocab = load_corpus(opt["corpus"])
+    refs = {u: utt.tokens for u, utt in corpus.items()}
     if opt.get("refs"):
         refs = {u: vocab.encode(toks) for u, toks in data.read_references(opt["refs"]).items()}
-    else:
-        refs = {u: utt.tokens for u, utt in corpus.items()}
+    if missing := sorted(set(corpus) - set(refs)):
+        raise ValueError(f"references missing for: {', '.join(missing)}")
     silence_aware = any(vocab.sil_id in ids for ids in refs.values())
-    input_dim = next(iter(corpus.values())).features.dim
+    input_dim = next((utt.features.dim for utt in corpus.values()), 1)  # trainer.train refuses an empty corpus
     cfg = _config(ModelConfig, opt, encoder=_config(EncoderConfig, opt, input_dim=input_dim),
                   attention=_config(AttentionConfig, opt))
     tcfg = _config(trainer.TrainConfig, opt)
@@ -225,9 +221,8 @@ def cmd_evaluate(args) -> int:
     vocab = load_vocab(opt["vocab"])
     refs = data.read_references(opt["refs"])
     hyps = data.read_references(opt["hyps"])
-    missing = sorted(set(refs) - set(hyps))
-    if missing:
-        raise SystemExit(f"hypotheses missing for: {', '.join(missing)}")
+    if missing := sorted(set(refs) - set(hyps)):
+        raise ValueError(f"hypotheses missing for: {', '.join(missing)}")
     reports = {u: metrics.cer(vocab.encode(refs[u]), vocab.encode(hyps[u]), vocab) for u in sorted(refs)}
     total = sum(reports.values(), metrics.CerReport())
     rows = ["utt_id,cer,substitutions,insertions,deletions,ref_len"]
@@ -328,8 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Runs one verb; the one error path: a ValueError or OSError exits 1 as ``silstream <verb>: <message>``."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"silstream {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -171,15 +171,19 @@ def write_features(features: FeatureSequence, path: str) -> None:
 
 
 def read_features(path: str) -> FeatureSequence:
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) != 4:
-            raise ValueError(f"{path}: bad feature header {header!r}")
-        dim, shift, window, num = (int(x) for x in header)
-        rows = np.zeros((0, dim)) if num == 0 else np.loadtxt(f, dtype=np.float64, ndmin=2)
-    if rows.shape != (num, dim):
-        raise ValueError(f"{path}: expected {num}x{dim} features, got {rows.shape}")
-    return FeatureSequence(rows, frame_shift_ms=shift, frame_window_ms=window)
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline().split()
+            if len(header) != 4:
+                raise ValueError(f"bad feature header {header!r}")
+            dim, shift, window, num = (int(x) for x in header)
+            lines = [line for line in f if line.strip()]  # loadtxt warns when it gets none
+            rows = np.loadtxt(lines, dtype=np.float64, ndmin=2) if lines else np.zeros((0, dim))
+        if rows.shape != (num, dim):
+            raise ValueError(f"expected {num}x{dim} features, got {rows.shape}")
+        return FeatureSequence(rows, frame_shift_ms=shift, frame_window_ms=window)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_references(path: str) -> dict[str, list[str]]:

@@ -7,8 +7,7 @@ because each layer keeps its recurrent state and at most one unpaired
 leftover frame between pushes.
 
 One layer routine runs a stack of rows with per-row lengths. Streaming is
-the one-row case, whose step indices are computed directly rather than from
-the per-row counts; ``encode_with_cache`` encodes a training minibatch as one
+the one-row case; ``encode_with_cache`` encodes a training minibatch as one
 stack, each row bit-identical to encoding it alone. A stack is packed
 time-major with its rows sorted longest first: step i holds one entry for
 each row longer than i, so the rows alive at a step are a prefix of those
@@ -128,13 +127,6 @@ def _entries(n: np.ndarray, m: np.ndarray):
     return starts, step, row, left, right
 
 
-def _one_row_entries(n: int, m: int):
-    """``_entries`` of a one-row stack, computed directly: entry j is step j."""
-    step = np.arange(m)
-    left = 2 * step
-    return np.arange(m + 1), step, np.zeros(m, dtype=step.dtype), left, np.minimum(left + 1, n - 1)
-
-
 def _pairs(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.concatenate([x[left], x[right]], axis=1)
 
@@ -180,7 +172,7 @@ class PyramidalEncoder:
         if m[0] == 0 and cache is None:  # nothing to step and no layer cache to record
             return np.zeros((0, self.cfg.proj)), m
         rows = len(n)
-        starts, step, row, left, right = _one_row_entries(int(n[0]), int(m[0])) if rows == 1 else _entries(n, m)
+        starts, step, row, left, right = _entries(n, m)
         entries = int(starts[-1])
         hs = np.empty((rows + entries, self.cfg.hidden))
         hs[:rows] = state.hidden[k]

@@ -208,19 +208,24 @@ def save_checkpoint(model: NeuralModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> NeuralModel:
-    with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
-    stored = payload.pop("checksum", None)
-    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
-    if stored != digest:
-        raise ValueError(f"{path}: checkpoint checksum mismatch")
-    if payload["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {payload['version']}")
-    c = payload["config"]
-    cfg = ModelConfig(**c | {"encoder": EncoderConfig(**c["encoder"]), "attention": AttentionConfig(**c["attention"])})
-    params = {}
-    for name, spec in payload["tensors"].items():
-        flat = np.frombuffer(base64.b64decode(spec["data"]), dtype="<f8")
-        params[name] = flat.reshape(spec["shape"]).astype(np.float64).copy()
-    vocab = Vocab(tuple(payload["vocab"]))
-    return NeuralModel(cfg, params, vocab, silence_aware=payload["silence_aware"])
+    """The saved model; a ValueError naming ``path`` unless ``save_checkpoint`` of it writes the same JSON."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            payload = json.load(f)
+        stored = payload.pop("checksum", None)
+        body = json.dumps(payload, sort_keys=True)
+        if stored != hashlib.sha256(body.encode("utf-8")).hexdigest():
+            raise ValueError("checkpoint checksum mismatch")
+        if payload["version"] != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {payload['version']}")
+        c = payload["config"]
+        cfg = ModelConfig(**c | {k: cls(**{n: int(x) for n, x in c[k].items()})
+                                 for k, cls in (("encoder", EncoderConfig), ("attention", AttentionConfig))})
+        params = {name: np.frombuffer(base64.b64decode(spec["data"]), dtype="<f8").reshape(spec["shape"]).astype(float)
+                  for name, spec in payload["tensors"].items()}
+        model = NeuralModel(cfg, params, Vocab(tuple(payload["vocab"])), silence_aware=bool(payload["silence_aware"]))
+        if json.dumps(_checkpoint_body(model), sort_keys=True) != body:  # an extra key, or a value a cast changed
+            raise ValueError("checkpoint body has a key or value type its version does not write")
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:  # a key missing, renamed or retyped
+        raise ValueError(f"{path}: {exc if isinstance(exc, ValueError) else repr(exc)}") from None
+    return model

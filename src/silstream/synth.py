@@ -70,7 +70,7 @@ def token_patterns(cfg: SynthConfig) -> np.ndarray:
                 patterns[i] = candidate
                 break
         else:
-            raise RuntimeError("could not place distinct token patterns; raise feature_dim")
+            raise ValueError("could not place distinct token patterns; raise feature_dim")
     patterns.flags.writeable = False
     return patterns
 

@@ -217,18 +217,23 @@ def test_non_finite_buffer_exits_with_a_message(corpus_dir):
 @pytest.mark.parametrize("verb, config, flags, message", [
     ("decode-online", {"beam": "abc"}, [], "beam: invalid literal for int() with base 10: 'abc'"),
     ("decode-online", {"beam": 8.7}, [], "beam: expected int, got 8.7"),
+    ("decode-online", {"beam": True}, [], "beam: expected int, got True"),  # a bool is an int
+    ("decode-online", {"min_buffer_ms": False}, [], "min_buffer_ms: expected float, got False"),
     ("sweep", {}, ["--beams", "1,x"], "beams: invalid literal for int() with base 10: 'x'"),
     ("sweep", {"beams": [1, 8.5]}, [], "beams: expected int, got 8.5"),
     ("sweep", {"beams": 8}, [], "beams: 'int' object is not iterable"),
+    ("sweep", {"beams": [1, True]}, [], "beams: expected int, got True"),
     # min_segment_frames' field defaults to None, so only its flag gives it a type
     ("label-silence", {"min_segment_frames": "abc"}, [],
      "min_segment_frames: invalid literal for int() with base 10: 'abc'"),
     ("label-silence", {"min_segment_frames": 2.5}, [], "min_segment_frames: expected int, got 2.5"),
-], ids=["no-cast", "cast-changes-it", "flag-list-item", "config-list-item", "config-list-scalar",
-        "none-default-no-cast", "none-default-cast-changes-it"])
+], ids=["no-cast", "cast-changes-it", "bool-for-int", "bool-for-float", "flag-list-item",
+        "config-list-item", "config-list-scalar", "config-list-bool", "none-default-no-cast",
+        "none-default-cast-changes-it"])
 def test_bad_option_value_exits_naming_the_option(corpus_dir, tmp_path, verb, config, flags, message):
-    """A value that does not cast, or that the cast would change, exits with
-    a message naming its option, from the config file or the command line.
+    """A value that does not cast, that the cast would change, or that is a
+    JSON boolean exits with a message naming its option, from the config file
+    or the command line.
     The oracle is a config key, which a verb without ``--oracle`` ignores."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"oracle": "silence_aware", **config}))
@@ -245,7 +250,8 @@ def test_bad_option_value_exits_naming_the_option(corpus_dir, tmp_path, verb, co
     (["--vocab-size", "0"], "--vocab-size: vocabulary needs at least one non-reserved token"),
     (["--min-tokens", "0", "--max-tokens", "0", "--trail-silence-prob", "0"],
      "min_tokens 0 draws empty utterances unless lead_silence_prob or trail_silence_prob is 1"),
-], ids=["tokens", "silence-frames", "align-to", "silence-prob", "vocab-size", "empty-utterance"])
+    (["--feature-dim", "1", "--vocab-size", "8"], "could not place distinct token patterns; raise feature_dim"),
+], ids=["tokens", "silence-frames", "align-to", "silence-prob", "vocab-size", "empty-utterance", "feature-dim"])
 def test_invalid_corpus_spec_exits_naming_the_option(tmp_path, flags, message):
     with pytest.raises(SystemExit) as exc:
         main(["gen-synthetic", "--out", str(tmp_path / "c"), "--size", "2", *flags])

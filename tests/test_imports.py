@@ -1,7 +1,7 @@
 """Every name a library module imports is used in that module, every
 library function, public method and property has a caller outside the tests,
-and every option (a defaulted config field or parameter) is set outside the
-tests."""
+every option (a defaulted config field or parameter) is set outside the
+tests, and only ``cli.main`` raises SystemExit."""
 import ast
 import collections
 import importlib
@@ -41,6 +41,39 @@ def test_no_unused_imports(path):
 
 def test_detects_an_unused_import():
     assert unused_imports("import math\nimport os\nos.sep\n") == ["line 1: math"]
+
+
+def system_exits(source: str) -> list[str]:
+    """Each ``raise SystemExit`` in ``source``, as "qualified.function:line" ("<module>" outside any)."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", None) == "SystemExit":
+                found.append(f"{scope or '<module>'}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_cli_main_raises_system_exit():
+    """The one error path: library code and CLI helpers refuse with ValueError,
+    and ``cli.main`` alone turns it into the exit line."""
+    raised = [f"{p.stem}.{site}" for p in sorted(SRC.glob("*.py"))
+              for site in system_exits(p.read_text(encoding="utf-8"))]
+    assert [site for site in raised if not site.startswith("cli.main:")] == []
+    assert raised, "cli.main no longer raises SystemExit: update this check"
+
+
+def test_detects_a_system_exit_outside_main():
+    source = ("def main():\n    raise SystemExit('x')\n\ndef helper():\n    raise SystemExit\n\n"
+              "class C:\n    def main(self):\n        raise SystemExit(1)\n\nraise SystemExit\n")
+    assert system_exits(source) == ["main:2", "helper:5", "C.main:9", "<module>:11"]
 
 
 ROOT = SRC.parent.parent

@@ -17,8 +17,7 @@ utterances' reference gradients, ``nn.sigmoid``, the chunk stage's stacked softm
 ``nn.GruBackward`` against the per-row reference step backward, the soft
 step's Python-float carry loops against their numpy-scalar form, the
 scan's energy crossing against the first selection of the probabilities,
-the encoder's one-row step indices against the general ones, and history
-jump pointers against a parent walk.
+and history jump pointers against a parent walk.
 
 Gradients summed in another order than the reference's are bounded entry by
 entry by 1e-12 times the sum of the magnitudes of the terms they sum
@@ -59,8 +58,6 @@ from silstream.decoder import (
 from silstream.encoder import (
     EncoderConfig,
     PyramidalEncoder,
-    _entries,
-    _one_row_entries,
     encode_backward,
     encode_with_cache,
     init_encoder_params,
@@ -589,20 +586,6 @@ class TestGruBackwardMatchesReference:
             gru.param_grads(np.concatenate([X[i] for i in steps]), got_grads)
         for k in want_grads:
             assert within(got_grads[k], want_grads[k], terms[k]), k
-
-
-class TestOneRowEncoderEntries:
-    @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(0, 400), final=st.booleans())
-    @example(n=0, final=True)
-    @example(n=1, final=True)
-    @example(n=1, final=False)
-    def test_direct_indices_equal_the_general_ones(self, n, final):
-        m = (n + 1) // 2 if final else n // 2
-        got = _one_row_entries(n, m)
-        want = _entries(np.array([n]), np.array([m]))
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 class TestOracleMatchesReference:
