@@ -23,6 +23,8 @@ from .streamer import ENGINES, StreamConfig, decode_offline, stream_decode
 from .synth import ORACLE_MODES, CorpusSpec, OracleMode, OracleModel, SynthConfig, gen_corpus, load_corpus, save_corpus
 from .vocab import load_vocab, make_vocab
 
+# the flags whose config-file values may be JSON lists; ``_list`` casts their items
+_LISTS = ("--beams", "--min-buffers", "--sil-buffers")
 # the options whose names differ from the config field they set
 _FLAG_OF = {
     "num_utterances": "size", "num_layers": "enc_layers", "hidden": "enc_hidden", "proj": "enc_proj",
@@ -32,12 +34,14 @@ _FLAG_OF = {
 
 
 def _options(args: argparse.Namespace, *required: str) -> dict:
-    """The config file's keys that are flags of the verb, each cast with its flag's
-    type, overridden by every flag given; refuses naming the first unset ``required`` option."""
+    """The config file's keys that are flags of the verb, each cast with its flag's type
+    or ``str``, overridden by every flag given; refuses naming the first unset ``required`` option."""
     config = {}
     if args.config:
         with open(args.config, encoding="utf-8") as f:
             config = json.load(f)
+        if not isinstance(config, dict):
+            raise ValueError(f"{args.config}: expected a JSON object, got {type(config).__name__}")
     flags = vars(args)
     opt = {k: _cast(k, args.types[k], v) if k in args.types else v
            for k, v in config.items() if k in flags and v is not None}
@@ -267,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
-        p.set_defaults(fn=fn, types={f[2:].replace("-", "_"): kw["type"] for f, kw in flags.items() if "type" in kw})
+        p.set_defaults(fn=fn, types={f[2:].replace("-", "_"): kw.get("type", str) for f, kw in flags.items()
+                                     if "action" not in kw and f not in _LISTS})
         return p
 
     add("gen-synthetic", cmd_gen_synthetic, {

@@ -4,14 +4,14 @@ This module holds the beam step and its data: the shared encoded buffer,
 hypotheses and their histories, and the decode result. The decode loop that
 drives the step, with its end-symbol policies, is ``streamer.StreamSession``.
 
-Each surviving candidate of a beam step builds an ``Emission``, a ``History``
-node and a ``Hypothesis``: named tuples, immutable and cheap to build.
+Each survivor of a kept beam step builds an ``Emission``, a ``History`` node
+and a ``Hypothesis``: named tuples, immutable and cheap to build.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -207,12 +207,15 @@ def _expand(hyp: Hypothesis, out: StepOutput, token: int, score: float, log_prob
                       token == eos_id, hyp.runaway)
 
 
-def _restamp(hyp: Hypothesis, clock_ms: float) -> Hypothesis:
-    """An expanded hypothesis rebuilt with its emission stamped ``clock_ms``."""
-    history, em = hyp.history, hyp.history.emission
-    em = Emission(em.token, em.selected_index, em.peak_index, clock_ms, em.log_prob, em.forced)
-    return Hypothesis(history.parent.extend(history.token, em), hyp.log_score, hyp.dec_state, hyp.att_state,
-                      hyp.finished, hyp.runaway)
+class VoidedStep(NamedTuple):
+    """Why a step was voided, and its survivors: ``kept``, which take no token
+    (finished, stalled or closed at the token cap), then the expansions
+    ``chosen``, best first, unbuilt; ``atts``, the attention result of each."""
+
+    reason: str
+    kept: list[Hypothesis]
+    chosen: list[tuple[float, Hypothesis, StepOutput, int, float]]
+    atts: list[AttentionStepResult | None]
 
 
 def decode_step(
@@ -224,9 +227,12 @@ def decode_step(
     clock_ms: float = 0.0,
     force: bool = False,
     block_eos: bool = False,
-    reuse: tuple[list[Hypothesis], list[AttentionStepResult | None]] | None = None,
-) -> tuple[list[Hypothesis], list[AttentionStepResult | None]]:
-    """Expand every live hypothesis by one token.
+    void=None,
+    reuse: VoidedStep | None = None,
+) -> tuple[list[Hypothesis] | None, list[AttentionStepResult | None], VoidedStep | None]:
+    """Expand every live hypothesis by one token: rank, check, then build.
+    Returns the new beam, each hypothesis' attention result (None if it took
+    no step) and None; for a voided step, None, the results and the step.
 
     Hypotheses whose attention cannot select a frame yet are kept as-is
     (stalled, signalled through the returned attention results) rather than
@@ -238,72 +244,68 @@ def decode_step(
     ranking is then computed once and read by each of them, and nothing here
     writes to it.
 
-    ``reuse`` is this step's result over a shorter buffer, from a model with
-    ``stable_steps``, in which every attention result is None or an unforced
-    selection and no hypothesis ran away: the step would select the same
-    expansions again, so each is rebuilt from it with its emission stamped
-    ``clock_ms``, and the model is not run.
+    ``void``, the caller's void rule, reads the (token before the step,
+    attention result) pair of each chosen expansion and returns the reason
+    to void the step, or None; only a kept step builds its survivors (a
+    hypothesis at the token cap is closed as it is ranked). ``reuse`` is a
+    voided step of this beam over a shorter buffer, from a model with
+    ``stable_steps``, that kept only finished hypotheses, none at the token
+    cap, and chose only unforced expansions: the step would rank the same
+    survivors again, so the model and the ranking do not run; the rule checks
+    them again, and they are built with emissions at ``clock_ms``.
     """
     if not beam:
         raise ValueError("empty beam")
-    if reuse is not None:
-        new_beam, atts = reuse
-        return [hyp if att is None else _restamp(hyp, clock_ms) for hyp, att in zip(new_beam, atts)], atts
     eos_id = model.vocab.eos_id
-    cap = max_tokens(len(buffer))
-    live = [hyp for hyp in beam if not hyp.finished and hyp.emitted < cap]
-    outs: list[StepOutput] = []
-    if live:
-        outs = model.decode_steps(
+    if reuse is not None:
+        kept, chosen, atts = reuse.kept, reuse.chosen, reuse.atts
+    else:
+        cap = max_tokens(len(buffer))
+        live = [hyp for hyp in beam if not hyp.finished and hyp.emitted < cap]
+        steps = iter(model.decode_steps(
             [h.dec_state for h in live], [h.history.token for h in live], buffer,
             [h.att_state for h in live], buffer_complete, force=force,
-        )
-    steps = iter(outs)
-    kept: list[tuple[Hypothesis, AttentionStepResult | None]] = []
-    # every candidate expansion as (score, hypothesis, step, token, log prob),
-    # in beam order then token order; only the survivors become hypotheses
-    ranked: list[tuple[float, Hypothesis, StepOutput, int, float]] = []
-    # each distinct step output's log probs and token order, by id: hypotheses
-    # the model gave one output share its ranking
-    rankings: dict[int, tuple[list[float], list[int]]] = {}
-    for hyp in beam:
-        if hyp.finished:
-            kept.append((hyp, None))
-            continue
-        if hyp.emitted >= cap:
-            kept.append((_finish_runaway(hyp, eos_id, clock_ms), None))
-            continue
-        out = next(steps)
-        if out.stalled:
-            kept.append((hyp, out.att))
-            continue
-        ranking = rankings.get(id(out))
-        if ranking is None:
-            log_probs = out.log_probs.tolist()
-            # the order of a stable argsort of -log_probs: ties keep their index order
-            ranking = rankings[id(out)] = (
-                log_probs, heapq.nlargest(cfg.beam_size + 1, range(len(log_probs)), key=log_probs.__getitem__))
-        log_probs, order = ranking
-        taken = 0
-        for token in order:
-            if block_eos and token == eos_id:
+        ) if live else ())
+        kept, atts = [], []
+        # every candidate expansion, in beam order then token order; only the survivors become hypotheses
+        ranked: list[tuple[float, Hypothesis, StepOutput, int, float]] = []
+        # each distinct step output's log probs and beam_size best tokens (no end symbol
+        # while it is blocked), by id: hypotheses the model gave one output share its ranking
+        rankings: dict[int, tuple[list[float], list[int]]] = {}
+        for hyp in beam:
+            if hyp.finished or hyp.emitted >= cap:
+                kept.append(hyp if hyp.finished else _finish_runaway(hyp, eos_id, clock_ms))
+                atts.append(None)
                 continue
-            ranked.append((hyp.log_score + log_probs[token], hyp, out, token, log_probs[token]))
-            taken += 1
-            if taken >= cfg.beam_size:
-                break
-    ranked.sort(key=itemgetter(0), reverse=True)  # stable, like a sort on -score
-    merged = kept + [
-        (_expand(hyp, out, token, score, log_prob, clock_ms, eos_id), out.att)
-        for score, hyp, out, token, log_prob in ranked[: max(0, cfg.beam_size - len(kept))]
-    ]
-    new_beam = [h for h, _ in merged]
-    att_results = [a for _, a in merged]
-    return new_beam, att_results
+            out = next(steps)
+            if out.stalled:
+                kept.append(hyp)
+                atts.append(out.att)
+                continue
+            ranking = rankings.get(id(out))
+            if ranking is None:
+                log_probs = out.log_probs.tolist()
+                # the order of a stable argsort of -log_probs: ties keep their index order
+                order = heapq.nlargest(cfg.beam_size + 1, range(len(log_probs)), key=log_probs.__getitem__)
+                if block_eos and eos_id in order:
+                    order.remove(eos_id)
+                ranking = rankings[id(out)] = (log_probs, order[: cfg.beam_size])
+            log_probs, order = ranking
+            for token in order:
+                ranked.append((hyp.log_score + log_probs[token], hyp, out, token, log_probs[token]))
+        ranked.sort(key=itemgetter(0), reverse=True)  # stable, like a sort on -score
+        chosen = ranked[: max(0, cfg.beam_size - len(kept))]
+        atts += [out.att for _, _, out, _, _ in chosen]
+    if void is not None:
+        reason = void([(hyp.history.token, out.att) for _, hyp, out, _, _ in chosen])
+        if reason is not None:
+            return None, atts, VoidedStep(reason, kept, chosen, atts)
+    return kept + [_expand(hyp, out, token, score, log_prob, clock_ms, eos_id)
+                   for score, hyp, out, token, log_prob in chosen], atts, None
 
 
 def best_hypothesis(beam: list[Hypothesis]) -> Hypothesis:
-    return max(beam, key=lambda h: h.log_score)
+    return max(beam, key=attrgetter("log_score"))
 
 
 @dataclass

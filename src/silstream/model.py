@@ -12,21 +12,21 @@ retries a voided step from its kept result instead of running the model
 again. ``NeuralModel`` is stable: its key terms are row-wise, and the hard
 scan stops at the first crossing at or after ``prev_index``.
 
-``decode_steps`` is the call the decoder makes: it steps every live
-hypothesis of a beam at once over one ``EncodedBuffer`` and returns one
-``StepOutput`` per hypothesis. A model may return the same ``StepOutput``
-object for several hypotheses whose step it knows to be equal (the oracle
-does for hypotheses at one attention position); the decoder then ranks its
-tokens once. Nobody mutates a ``StepOutput`` or its arrays after the model
-returns it. ``NeuralModel`` returns a fresh one per hypothesis: it runs
-the decoder GRU, the attention query terms and the output layer once over
-the stacked beam, reads each frame's attention key terms from the buffer,
-which computes them once per frame, scans once per hypothesis, and scores
-the chunks the scans select in one stacked chunk stage. ``decode_step`` is
-the same step of one hypothesis over a raw frame matrix. Training steps its
-soft-attention decoder with the same GRU, projections and
-``attention.energies`` on one row, so a state it computes is bit for bit the
-state inference computes from the same inputs.
+``decode_steps`` is the call the decoder makes: it steps every live hypothesis
+of a beam at once over one ``EncodedBuffer`` and returns one ``StepOutput``
+per hypothesis; it forces an attention step only when asked to by ``force``. A
+model may return the same ``StepOutput`` object for several hypotheses whose
+step it knows to be equal (the oracle does for hypotheses at one attention
+position); the decoder then ranks its tokens once. Nobody mutates a
+``StepOutput`` or its arrays after the model returns it. ``NeuralModel``
+returns a fresh one per hypothesis: it runs the decoder GRU, the attention
+query terms and the output layer once over the stacked beam, reads each
+frame's attention key terms from the buffer, which computes them once per
+frame, scans once per hypothesis, and scores the chunks the scans select in
+one stacked chunk stage. ``decode_step`` is the same step of one hypothesis
+over a raw frame matrix. Training steps its soft-attention decoder with the
+same GRU, projections and ``attention.energies`` on one row, so a state it
+computes is bit for bit the state inference computes from the same inputs.
 """
 from __future__ import annotations
 
@@ -223,7 +223,7 @@ def load_checkpoint(path: str) -> NeuralModel:
                                  for k, cls in (("encoder", EncoderConfig), ("attention", AttentionConfig))})
         params = {name: np.frombuffer(base64.b64decode(spec["data"]), dtype="<f8").reshape(spec["shape"]).astype(float)
                   for name, spec in payload["tensors"].items()}
-        model = NeuralModel(cfg, params, Vocab(tuple(payload["vocab"])), silence_aware=bool(payload["silence_aware"]))
+        model = NeuralModel(cfg, params, Vocab(tuple(map(str, payload["vocab"]))), bool(payload["silence_aware"]))
         if json.dumps(_checkpoint_body(model), sort_keys=True) != body:  # an extra key, or a value a cast changed
             raise ValueError("checkpoint body has a key or value type its version does not write")
     except (KeyError, TypeError, AttributeError, ValueError) as exc:  # a key missing, renamed or retyped

@@ -22,12 +22,14 @@ Buffer requirements are per token class: after a silence token a larger
 buffer (and restricted region) applies, making premature end-of-utterance
 emissions during long pauses even less likely.
 
-A voided step is retried at the next decoding push. When the model declares
-``stable_steps`` and the retry would compute the step again unchanged (same
-beam and end-symbol blocking, not final, every hypothesis selected unforced
-and none ran away), the session keeps the voided step's result and the retry
-reuses it: the model and the ranking do not run again, and only the clock of
-each new emission is restamped to the retry's. ``reused_steps`` counts them.
+A beam step is checked before its hypotheses are built, so a voided step builds
+no expansion; it is retried at the next decoding push. When the model declares
+``stable_steps`` and the retry would rank the step again unchanged (same beam
+and end-symbol blocking, not final, every unexpanded hypothesis finished and
+none at the token cap, no expansion forced), the retry reuses the voided step's
+ranked survivors: the model and the ranking do not run again, the void rule
+checks them against the grown buffer, and each survivor is built once, at the
+retry's clock. ``reused_steps`` counts them.
 
 A decoding push commits through the deepest history node the whole beam
 shares. Jump pointers check that the beam extends the committed prefix and
@@ -124,7 +126,7 @@ class StreamSession:
         self.wall_ms = 0.0
         self.forced_steps = 0
         self.reused_steps = 0
-        # (beam, block_eos, (new beam, attention results)) of the last voided step, while its retry may reuse it
+        # (beam, block_eos, VoidedStep) of the last voided step, while its retry may reuse it
         self._voided: tuple | None = None
         # gate and restricted-region frames after a regular token and after <sil>, indexed by ``token == sil_id``
         self._sil_id = model.vocab.sil_id
@@ -196,44 +198,38 @@ class StreamSession:
         self._new_segment_beam()
 
     def _step(self, buffer_complete: bool, force: bool, block_eos: bool):
-        """One beam step over the buffer; counts it if any of its attention steps was forced.
-
-        A retry of the voided step, from the same beam, reuses its result."""
+        """One beam step over the buffer, voided by ``_void_reason`` unless final;
+        counts it if any attention step was forced. A voided step's retry from
+        the same beam reuses it if it would rank it again unchanged: no forced
+        step, every unexpanded hypothesis finished, none at the token cap (a
+        stalled one may select once frames arrive; the cap grows with the buffer)."""
         reuse = None
         if self._voided is not None:
-            beam, blocked, result = self._voided
+            beam, blocked, voided = self._voided
             if beam is self.beam and blocked == block_eos and not (force or buffer_complete):
-                reuse = result
+                reuse = voided
                 self.reused_steps += 1
             self._voided = None
-        new_beam, atts = decode_step(
+        new_beam, atts, voided = decode_step(
             self.model, self.beam, self.buffer, buffer_complete=buffer_complete, cfg=self.bcfg,
-            clock_ms=self.clock_ms, force=force, block_eos=block_eos, reuse=reuse,
+            clock_ms=self.clock_ms, force=force, block_eos=block_eos,
+            void=None if buffer_complete else self._void_reason, reuse=reuse,
         )
-        self.forced_steps += any(a is not None and a.forced for a in atts)
-        return new_beam, atts
+        if force:  # models force an attention step only when asked to
+            self.forced_steps += any(a is not None and a.forced for a in atts)
+        elif voided is not None and self.model.stable_steps and all(h.finished and not h.runaway for h in voided.kept):
+            self._voided = (self.beam, block_eos, voided)
+        return new_beam, voided
 
-    def _keep_voided(self, block_eos: bool, new_beam: list[Hypothesis], atts) -> None:
-        """Keep a voided step for its retry if the retry would compute it again
-        unchanged: a stalled hypothesis may select once frames arrive, and the
-        token cap that made a runaway grows with the buffer."""
-        if (self.model.stable_steps and not any(h.runaway for h in new_beam)
-                and all(a is None or (a.status == "selected" and not a.forced) for a in atts)):
-            self._voided = (self.beam, block_eos, (new_beam, atts))
-
-    def _void_reason(self, new_beam: list[Hypothesis], atts) -> str | None:
-        """Why a mid-stream step must be voided, or None to keep it."""
-        if not any(a is not None and a.status == "selected" for a in atts):
+    def _void_reason(self, expansions) -> str | None:
+        """Why a mid-stream step must be voided, or None to keep it, from the
+        (token before the step, attention result) pair of each expansion it keeps."""
+        if not expansions:
             return "exhausted"
-        if self.scfg.engine == "plain":
-            return None
-        for hyp, att in zip(new_beam, atts):
-            if att is None or att.status != "selected":
-                continue
-            region = self._frames_after[hyp.history.parent.token == self._sil_id]
-            if att.peak_index >= len(self.buffer) - region:
-                return "restricted"
-        return None
+        edge = len(self.buffer)
+        restricted = self.scfg.engine == "buffered" and any(
+            att.peak_index >= edge - self._frames_after[token == self._sil_id] for token, att in expansions)
+        return "restricted" if restricted else None
 
     def _decode(self, final: bool) -> str:
         """Step the beam until its best hypothesis finishes or, mid-stream,
@@ -257,15 +253,12 @@ class StreamSession:
                 return "committed"
             if plain and not final and not self._gate(best)[0]:
                 return "committed"
-            new_beam, atts = self._step(final, force=final, block_eos=block_eos)
-            reason = None if final else self._void_reason(new_beam, atts)
-            if reason == "exhausted" and forced_left:
+            new_beam, voided = self._step(final, force=final, block_eos=block_eos)
+            if voided is not None and voided.reason == "exhausted" and forced_left:
                 forced_left = False
-                new_beam, atts = self._step(final, force=True, block_eos=block_eos)
-                reason = self._void_reason(new_beam, atts)
-            if reason is not None:
-                self._keep_voided(block_eos, new_beam, atts)
-                self.backtracks.append({"batch": self.batch_index, "clock_ms": self.clock_ms, "reason": reason})
+                new_beam, voided = self._step(final, force=True, block_eos=block_eos)
+            if voided is not None:
+                self.backtracks.append({"batch": self.batch_index, "clock_ms": self.clock_ms, "reason": voided.reason})
                 return "backtrack"
             self.beam = new_beam
         raise RuntimeError("decode failed to terminate within the token cap")

@@ -135,6 +135,17 @@ class TestCheckpointMutations:
             load_checkpoint(str(path))
         assert str(exc.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("entry", [5, None, True, ["t0"]], ids=["int", "null", "bool", "list"])
+    def test_resigned_vocabulary_entry_of_another_type_is_refused_naming_the_path(self, work, entry):
+        """A list entry retyped, where the key mutations above retype only dict values."""
+        body = json.loads(json.dumps(BODY))
+        body["vocab"][body["vocab"].index("t0")] = entry
+        path = work / "vocab.ckpt"
+        write_resigned(body, path)
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(str(path))
+        assert str(exc.value).startswith(f"{path}: ")
+
 
 def corpus_file(corpus, name: str):
     """The file ``name`` of ``corpus``; "feats" names its first feature file."""

@@ -259,6 +259,30 @@ def test_invalid_corpus_spec_exits_naming_the_option(tmp_path, flags, message):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("config, message", [
+    ([1, 2], "{path}: expected a JSON object, got list"),
+    ({"corpus": 5}, "corpus: expected str, got 5"),
+], ids=["not-an-object", "untyped-option-not-a-string"])
+def test_bad_config_file_shape_exits_with_a_message(tmp_path, config, message):
+    """A config file that is not a JSON object, or a value for an option with no
+    type that is not a string, exits 1 with one line, not a traceback."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main(["label-silence", "--config", str(path)])
+    assert str(exc.value) == "silstream label-silence: " + message.format(path=path)
+
+
+def test_config_file_flag_and_lists_stay_uncast(corpus_dir, tmp_path):
+    """A store-true flag's JSON boolean and the sweep's JSON lists are read as they are."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"wall_clock": True, "beams": [1], "min_buffers": [240], "sil_buffers": [480]}))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--corpus", str(corpus_dir), "--oracle", "silence_aware", "--config", str(path),
+                 "--out", str(out)]) == 0
+    assert [line.split(",")[:3] for line in out.read_text().splitlines()[1:]] == [["1", "240.000000", "480.000000"]]
+
+
 def test_config_file_list_option(corpus_dir, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"beams": [1, 8], "min_buffers": [240.0, 480], "sil_buffers": "480"}))

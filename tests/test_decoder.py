@@ -55,7 +55,7 @@ class TestDecodeStep:
         buffer = EncodedBuffer()
         buffer.append(encode(model, utt.features.frames))
         beam = [initial_hypothesis(model)]
-        beam, atts = decode_step(model, beam, buffer, True, BeamConfig(beam_size=1))
+        beam, atts, _ = decode_step(model, beam, buffer, True, BeamConfig(beam_size=1))
         assert hyp_tokens(beam[0])[-1] == VOCAB.id_of("a")
         assert atts[0].status == "selected"
 
@@ -66,8 +66,8 @@ class TestDecodeStep:
         frames = encode(model, utt.features.frames)
         buffer.append(frames[:3])  # inside the pending silence window
         beam = [initial_hypothesis(model)]
-        beam, _ = decode_step(model, beam, buffer, False, BeamConfig(beam_size=1))
-        beam2, atts = decode_step(model, beam, buffer, False, BeamConfig(beam_size=1))
+        beam, _, _ = decode_step(model, beam, buffer, False, BeamConfig(beam_size=1))
+        beam2, atts, _ = decode_step(model, beam, buffer, False, BeamConfig(beam_size=1))
         assert beam2 == beam  # 'a' emitted, then stall leaves the beam unchanged
         assert atts[0].status == "exhausted"
 
@@ -79,9 +79,9 @@ class TestDecodeStep:
         cfg = BeamConfig(beam_size=1)
         beam = [initial_hypothesis(model)]
         with mock.patch.object(decoder, "CAP_BASE", 1), mock.patch.object(decoder, "CAP_PER_FRAME", 0):
-            beam, _ = decode_step(model, beam, buffer, True, cfg)
+            beam, _, _ = decode_step(model, beam, buffer, True, cfg)
             assert beam[0].emitted == 1 and not beam[0].finished
-            beam, _ = decode_step(model, beam, buffer, True, cfg)
+            beam, _, _ = decode_step(model, beam, buffer, True, cfg)
         assert beam[0].finished and beam[0].runaway
         assert hyp_tokens(beam[0])[-1] == VOCAB.eos_id
 
@@ -141,7 +141,7 @@ class TestRankingTies:
         beam = [initial_hypothesis(model)]
         for _ in range(4):
             want = argsort_beam_step(beam, log_probs, beam_size, block_eos)
-            beam, _ = decode_step(model, beam, buffer, True, cfg, block_eos=block_eos)
+            beam, _, _ = decode_step(model, beam, buffer, True, cfg, block_eos=block_eos)
             assert [(hyp_tokens(h), h.log_score) for h in beam] == want
 
 

@@ -7,8 +7,10 @@ hypothesis, beam steps over shared step outputs against steps over fresh
 copies, oracle streams on both session engines under every end-symbol
 policy, whose pushes, trace counts and emissions must add up to the result,
 oracle and random-model streams on both engines under every policy, whose
-display after every push must equal the display rebuilt from scratch, and
-streams that reuse voided steps against streams that recompute them. Also
+display after every push must equal the display rebuilt from scratch,
+streams that reuse voided steps against streams that recompute them, the
+history nodes a voided step and its retry build, and beam steps under a void
+rule that never fires, or retried from a voided step, against plain steps. Also
 the minibatch encoder against per-utterance streaming and the per-step
 reference, the trainer's decoder step against the per-vector references,
 the decoder backward of a ragged minibatch against the sum of its
@@ -31,7 +33,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from silstream import decoder, nn
+from silstream import decoder, nn, streamer
 from silstream.attention import (
     CROSSING_BAND,
     AttentionConfig,
@@ -184,7 +186,7 @@ class TestBatchedStepMatchesReference:
         with mock.patch.object(decoder, "CAP_BASE", cap_base), mock.patch.object(decoder, "CAP_PER_FRAME", 0):
             for cut in cuts:
                 buffer.append(frames[len(buffer):cut])
-                beam, _ = decode_step(model, beam, buffer, True, beam_cfg, force=force, block_eos=block_eos)
+                beam, _, _ = decode_step(model, beam, buffer, True, beam_cfg, force=force, block_eos=block_eos)
                 ref = reference_decode_step(model, ref, frames[:cut], beam_size, decoder.max_tokens(cut),
                                             force, block_eos)
                 assert [hyp_tokens(h) for h in beam] == [r.tokens for r in ref]
@@ -741,10 +743,10 @@ class TestOracleSharesOneStepPerPosition:
         for _ in range(steps):
             buffer.append(frames[len(buffer) : data.draw(st.integers(len(buffer), len(frames)))])
             complete = len(buffer) == len(frames)
-            shared, shared_atts = decode_step(model, shared, buffer, complete, beam_cfg, clock_ms=len(buffer),
-                                              force=force, block_eos=block_eos)
-            fresh, fresh_atts = decode_step(FreshOutputs(model), fresh, buffer, complete, beam_cfg,
-                                            clock_ms=len(buffer), force=force, block_eos=block_eos)
+            shared, shared_atts, _ = decode_step(model, shared, buffer, complete, beam_cfg, clock_ms=len(buffer),
+                                                 force=force, block_eos=block_eos)
+            fresh, fresh_atts, _ = decode_step(FreshOutputs(model), fresh, buffer, complete, beam_cfg,
+                                               clock_ms=len(buffer), force=force, block_eos=block_eos)
             assert [hyp_tokens(h) for h in shared] == [hyp_tokens(h) for h in fresh]
             assert [h.log_score for h in shared] == [h.log_score for h in fresh]
             assert [(h.finished, h.runaway, h.att_state) for h in shared] == [
@@ -846,6 +848,107 @@ class TestReusedStepsChangeNothing:
         assert got.display_log == want.display_log and got.restarts == want.restarts
         assert reused.trace == recomputed.trace and reused.backtracks == recomputed.backtracks
         return reused.reused_steps
+
+
+class TestVoidedStepsBuildNothing:
+    def test_a_voided_step_builds_no_node_and_its_retry_builds_each_survivor_once(self, monkeypatch):
+        """On the pinned ``REUSED`` stream, a step whose beam the session does not
+        keep builds no history node, and a retry that reuses a voided step builds
+        one node per hypothesis it expands."""
+        utt = paused_utt(REUSED["words"], REUSED["pauses"], REUSED["seed"])
+        stream_cfg = StreamConfig(min_buffer_ms=REUSED["buffers"][0], sil_buffer_ms=REUSED["buffers"][1])
+        session = StreamSession(aware(utt, d=6, min_sil=3), stream_cfg, BeamConfig(beam_size=REUSED["beam_size"]))
+        built, steps, adopted = [0], [], set()
+        extend, step = History.extend, streamer.decode_step
+
+        def counted_extend(node, *args):
+            built[0] += 1
+            return extend(node, *args)
+
+        def counted_step(model, beam, *args, **kwargs):
+            before = built[0]
+            out = step(model, beam, *args, **kwargs)
+            steps.append((beam, out[0], built[0] - before, kwargs.get("reuse") is not None))
+            return out
+
+        monkeypatch.setattr(History, "extend", counted_extend)
+        monkeypatch.setattr(streamer, "decode_step", counted_step)
+        frames, lo = utt.features.frames, 0
+        for hi in split_points(REUSED["batches"], len(frames)):
+            session.push(frames[lo:hi], is_last=hi == len(frames))
+            adopted.add(id(session.beam))
+            lo = hi
+        adopted.update(id(beam) for beam, _, _, _ in steps)  # a step was kept iff its beam was stepped or ended a push
+        voided = [nodes for _, new_beam, nodes, _ in steps if id(new_beam) not in adopted]
+        retried = [(beam, new_beam, nodes) for beam, new_beam, nodes, reused in steps
+                   if reused and id(new_beam) in adopted]
+        assert len(voided) == len(session.backtracks) > 0 and len(retried) > 0
+        assert voided == [0] * len(voided)
+        for beam, new_beam, nodes in retried:
+            assert nodes == sum(all(hyp is not old for old in beam) for hyp in new_beam) > 0
+
+
+def same_beam(got, want) -> bool:
+    """Whether two beams hold equal hypotheses: tokens, emissions, score, flags and states."""
+    def states(hyp):  # the oracle's decoder state is None, a neural model's a pair of arrays
+        return () if hyp.dec_state is None else hyp.dec_state
+
+    return len(got) == len(want) and all(
+        hyp_tokens(g) == hyp_tokens(w) and hyp_timeline(g) == hyp_timeline(w)
+        and (g.log_score, g.finished, g.runaway, g.att_state) == (w.log_score, w.finished, w.runaway, w.att_state)
+        and len(states(g)) == len(states(w)) and all(same_array(a, b) for a, b in zip(states(g), states(w)))
+        for g, w in zip(got, want))
+
+
+class TestVoidRule:
+    """``decode_step``'s void rule reads the chosen expansions before any is
+    built: a rule that never fires changes nothing, and a voided step that may
+    be reused, retried over a longer buffer at a later clock, equals the step
+    computed fresh there."""
+
+    # sel_r None steps the aware oracle, a number a random NeuralModel with that att.sel.r
+    @settings(max_examples=100, deadline=None)
+    @given(words=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=4),
+           pauses=st.lists(st.integers(8, 120), min_size=1, max_size=5), seed=st.integers(0, 1000),
+           sel_r=st.sampled_from([None, -2.0, 0.0, 2.0]), beam_size=st.sampled_from([1, 3, 8]),
+           block_eos=st.booleans(), data=st.data())
+    def test_unfired_rule_changes_nothing_and_retry_equals_fresh_step(self, words, pauses, seed, sel_r, beam_size,
+                                                                       block_eos, data):
+        utt = paused_utt(words, pauses, seed)
+        if sel_r is None:
+            model = aware(utt, d=6, min_sil=3)
+        else:
+            base = neural_model(seed % 7)
+            base.params["att.sel.r"][0] = sel_r
+            model = NeuralModel(base.cfg, base.params, VOCAB, silence_aware=True)
+        frames = encode(model, utt.features.frames)
+        beam_cfg, buffer, beam = BeamConfig(beam_size=beam_size), EncodedBuffer(), [initial_hypothesis(model)]
+        for _ in range(data.draw(st.integers(1, 8))):
+            buffer.append(frames[len(buffer) : data.draw(st.integers(len(buffer), len(frames)))])
+            complete = len(buffer) == len(frames)
+            step = functools.partial(decode_step, model, beam, buffer, complete, beam_cfg, clock_ms=10.0 * len(buffer),
+                                     force=complete, block_eos=block_eos)
+            want, want_atts, none = step()
+            got, got_atts, unfired = step(void=lambda expansions: None)
+            assert none is unfired is None and same_beam(got, want)
+            assert all(same_attention(a, b) for a, b in zip(got_atts, want_atts, strict=True))
+            seen = []
+            gone, void_atts, voided = step(void=lambda expansions: seen.append(expansions) or "voided")
+            assert gone is None and voided.reason == "voided"
+            assert all(same_attention(a, b) for a, b in zip(void_atts, want_atts, strict=True))
+            expanded = [(h.history.parent.token, a) for h, a in zip(want, want_atts) if a and a.status == "selected"]
+            assert [token for token, _ in seen[0]] == [token for token, _ in expanded]
+            assert all(same_attention(a, b) for (_, a), (_, b) in zip(seen[0], expanded, strict=True))
+            if (not complete and all(h.finished and not h.runaway for h in voided.kept)
+                    and not any(a and a.forced for a in void_atts)):
+                # the session's retry: more frames, a later clock, unforced and never final
+                buffer.append(frames[len(buffer) : data.draw(st.integers(len(buffer), len(frames)))])
+                retry = functools.partial(decode_step, model, beam, buffer, False, beam_cfg,
+                                          clock_ms=10.0 * len(buffer), block_eos=block_eos)
+                (got, got_atts, _), (fresh, fresh_atts, _) = retry(reuse=voided), retry()
+                assert same_beam(got, fresh)
+                assert all(same_attention(a, b) for a, b in zip(got_atts, fresh_atts, strict=True))
+            beam = want
 
 
 def parent_walk(node: History, length: int) -> History:
