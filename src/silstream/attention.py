@@ -7,9 +7,10 @@ Two modes share one parameterization:
   selection probability crosses 0.5 is chosen. The scan scores windows of
   ``chunk_size``, then twice as many rows, and so on, and stops at the first
   window with a crossing, so a step costs about the distance it moves rather
-  than the whole buffer tail. The crossing is decided on the selection
-  energies (``first_crossing``), without squashing them, and selects the
-  frame the probabilities would. Then one chunk stage for every selection
+  than the whole buffer tail; a beam step scores the uncut first windows in
+  one stacked call (``first_windows``). The crossing is decided on the
+  selection energies (``first_crossing``), without squashing them, and selects
+  the frame the probabilities would. Then one chunk stage for every selection
   of a beam step (``chunk_attend``) takes a softmax over the chunk ending at
   each selected frame, which yields its context.
 * soft mode (training): expected-alignment recurrence over selection
@@ -110,9 +111,9 @@ def first_crossing(e: np.ndarray) -> int:
     on numpy's ``exp``, so an energy within ``CROSSING_BAND`` below zero is
     confirmed with ``nn.sigmoid`` itself.
     """
-    for i in (e > -CROSSING_BAND).nonzero()[0]:
+    for i in (e > -CROSSING_BAND).nonzero()[0].tolist():
         if e[i] >= 0.0 or nn.sigmoid(e[i]) >= SELECT_THRESHOLD:
-            return int(i)
+            return i
     return -1
 
 
@@ -125,6 +126,7 @@ def mocha_infer_step(
     force: bool = False,
     *,
     keys: np.ndarray,
+    first: np.ndarray | None = None,
 ) -> AttentionStepResult:
     """Hard-mode scan of one hypothesis: the frame its step selects.
 
@@ -140,12 +142,13 @@ def mocha_infer_step(
     ``keys`` the selection key terms of ``frames`` (``project_keys``), so
     callers stepping many queries over one buffer project every frame once.
     Selection energies are scored in windows from the previous selection
-    (``chunk_size`` rows, then each twice the last) up to the first
-    crossing; they are row-wise, so the frame selected is the one a
-    whole-tail scan selects. The crossing is found on the energies
-    (``first_crossing``), which selects the frame whose ``nn.sigmoid``
-    probability first reaches the threshold, without computing the
-    probabilities.
+    (``chunk_size`` rows, then each twice the last) up to the first crossing;
+    they are row-wise, so the frame selected is the one a whole-tail scan
+    selects. ``first`` holds the first window's energies (a row of
+    ``first_windows``), or None, for a window the buffer end cuts and for
+    one-hypothesis callers, when the scan scores it itself. The crossing is
+    found on the energies (``first_crossing``): the frame whose ``nn.sigmoid``
+    probability first reaches the threshold, without computing it.
     """
     n = frames.shape[0]
     if n == 0:
@@ -153,13 +156,24 @@ def mocha_infer_step(
     start, width = max(state.prev_index, 0), cfg.chunk_size
     while start < n:
         stop = min(n, start + width)
-        rel = first_crossing(energies(params, "sel", query, keys[start:stop])[0])
+        rel = first_crossing(energies(params, "sel", query, keys[start:stop])[0] if first is None else first)
         if rel >= 0:
             return AttentionStepResult(status="selected", selected_index=start + rel)
-        start, width = stop, 2 * width
+        start, width, first = stop, 2 * width, None
     if not force or state.prev_index >= n:
         return EXHAUSTED
     return AttentionStepResult("selected", np.zeros(frames.shape[1]), n - 1, n - 1, forced=True)
+
+
+def first_windows(params: dict, queries: np.ndarray, keys: np.ndarray, states: list[AttentionState],
+                  chunk_size: int) -> list[np.ndarray | None]:
+    """Selection energies of each row's first scan window, ``chunk_size`` keys from ``max(prev_index, 0)``,
+    in one stacked ``energies`` call; None where the buffer end cuts the window, which is never padded."""
+    rows = [i for i, state in enumerate(states) if max(state.prev_index, 0) + chunk_size <= len(keys)]
+    idx = np.array([max(states[i].prev_index, 0) for i in rows], dtype=int)[:, None] + np.arange(chunk_size)
+    stacked = queries if len(rows) == len(states) else queries[rows]  # no window is cut in the common case
+    e = dict(zip(rows, energies(params, "sel", stacked[:, None], keys[idx])[0] if rows else ()))
+    return [e.get(i) for i in range(len(states))]
 
 
 def chunk_attend(params: dict, queries: np.ndarray, selected: list[int], frames: np.ndarray, keys: np.ndarray,
@@ -180,7 +194,7 @@ def chunk_attend(params: dict, queries: np.ndarray, selected: list[int], frames:
         rows = [i for i, length in enumerate(lengths) if length == m]
         lo = np.array([selected[i] - m + 1 for i in rows])
         idx = lo[:, None] + np.arange(m)
-        u = energies(params, "chunk", queries[rows][:, None], keys[idx])[0]
+        u = energies(params, "chunk", (queries if len(rows) == len(out) else queries[rows])[:, None], keys[idx])[0]
         ex = np.exp(u - u.max(axis=1, keepdims=True))
         weights = ex / ex.sum(axis=1, keepdims=True)
         contexts = np.matmul(weights[:, None], frames[idx])[:, 0]

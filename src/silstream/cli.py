@@ -34,7 +34,7 @@ _FLAG_OF = {
 
 
 def _options(args: argparse.Namespace, *required: str) -> dict:
-    """The config file's keys that are flags of the verb, each cast with its flag's type
+    """The config file's keys that are flags of the verb, each cast with its flag's type, ``bool``
     or ``str``, overridden by every flag given; refuses naming the first unset ``required`` option."""
     config = {}
     if args.config:
@@ -53,12 +53,13 @@ def _options(args: argparse.Namespace, *required: str) -> dict:
 
 
 def _cast(key: str, cast, value):
-    """``cast(value)``; refuses, naming option ``key``, a value it fails on, a non-string it changes, or a bool."""
+    """``cast(value)``; refuses, naming option ``key``, a value it fails on, a non-string it changes, or a
+    bool unless ``cast`` is ``bool`` (a store-true flag's type), which takes nothing else."""
     try:
         typed = cast(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{key}: {exc}") from None
-    if isinstance(value, bool) or not isinstance(value, (str, cast)) and typed != value:
+    if isinstance(value, bool) != (cast is bool) or not isinstance(value, (str, cast)) and typed != value:
         raise ValueError(f"{key}: expected {cast.__name__}, got {value!r}")
     return typed
 
@@ -271,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
-        p.set_defaults(fn=fn, types={f[2:].replace("-", "_"): kw.get("type", str) for f, kw in flags.items()
-                                     if "action" not in kw and f not in _LISTS})
+        p.set_defaults(fn=fn, types={f[2:].replace("-", "_"): bool if "action" in kw else kw.get("type", str)
+                                     for f, kw in flags.items() if f not in _LISTS})
         return p
 
     add("gen-synthetic", cmd_gen_synthetic, {

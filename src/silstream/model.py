@@ -22,11 +22,12 @@ position); the decoder then ranks its tokens once. Nobody mutates a
 returns a fresh one per hypothesis: it runs the decoder GRU, the attention
 query terms and the output layer once over the stacked beam, reads each
 frame's attention key terms from the buffer, which computes them once per
-frame, scans once per hypothesis, and scores the chunks the scans select in
-one stacked chunk stage. ``decode_step`` is the same step of one hypothesis
-over a raw frame matrix. Training steps its soft-attention decoder with the
-same GRU, projections and ``attention.energies`` on one row, so a state it
-computes is bit for bit the state inference computes from the same inputs.
+frame, scores the uncut first scan windows in one stacked call, scans once per
+hypothesis from there, and scores the chunks the scans select in one stacked
+chunk stage. ``decode_step`` is the same step of one hypothesis over a raw
+frame matrix. Training steps its soft-attention decoder with the same GRU,
+projections and ``attention.energies`` on one row, so a state it computes is
+bit for bit the state inference computes from the same inputs.
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ from .attention import (
     AttentionState,
     AttentionStepResult,
     chunk_attend,
+    first_windows,
     init_attention_params,
     mocha_infer_step,
     project_keys,
@@ -167,7 +169,8 @@ class NeuralModel:
         X = np.concatenate([p["emb.E"][prev_tokens], np.array([c for _, c in dec_states])], axis=1)
         S_new, _ = nn.gru_steps(p, "dec", nn.gru_inputs(p, "dec", X), S)
         sel_q, chunk_q = project_queries(p, S_new)
-        atts = [mocha_infer_step(p, att_cfg, sel_q[i], frames, att_state, force, keys=keys[0])
+        firsts = first_windows(p, sel_q, keys[0], att_states, att_cfg.chunk_size)
+        atts = [mocha_infer_step(p, att_cfg, sel_q[i], frames, att_state, force, keys=keys[0], first=firsts[i])
                 for i, att_state in enumerate(att_states)]
         live = [i for i, att in enumerate(atts) if att.status == "selected"]
         chunked = [i for i in live if not atts[i].forced]

@@ -227,9 +227,12 @@ def test_non_finite_buffer_exits_with_a_message(corpus_dir):
     ("label-silence", {"min_segment_frames": "abc"}, [],
      "min_segment_frames: invalid literal for int() with base 10: 'abc'"),
     ("label-silence", {"min_segment_frames": 2.5}, [], "min_segment_frames: expected int, got 2.5"),
+    # a store-true flag takes only a JSON boolean: the string "false" would turn the wall clock on
+    ("sweep", {"wall_clock": "false"}, [], "wall_clock: expected bool, got 'false'"),
+    ("sweep", {"wall_clock": 0}, [], "wall_clock: expected bool, got 0"),
 ], ids=["no-cast", "cast-changes-it", "bool-for-int", "bool-for-float", "flag-list-item",
         "config-list-item", "config-list-scalar", "config-list-bool", "none-default-no-cast",
-        "none-default-cast-changes-it"])
+        "none-default-cast-changes-it", "string-for-flag", "int-for-flag"])
 def test_bad_option_value_exits_naming_the_option(corpus_dir, tmp_path, verb, config, flags, message):
     """A value that does not cast, that the cast would change, or that is a
     JSON boolean exits with a message naming its option, from the config file
@@ -281,6 +284,21 @@ def test_config_file_flag_and_lists_stay_uncast(corpus_dir, tmp_path):
     assert main(["sweep", "--corpus", str(corpus_dir), "--oracle", "silence_aware", "--config", str(path),
                  "--out", str(out)]) == 0
     assert [line.split(",")[:3] for line in out.read_text().splitlines()[1:]] == [["1", "240.000000", "480.000000"]]
+
+
+@pytest.mark.parametrize("wall_clock", [False, None])
+def test_config_file_flag_false_or_null_leaves_it_off(corpus_dir, tmp_path, wall_clock):
+    """``false`` and ``null`` for a store-true flag both leave it off: the sweep keeps
+    its simulated clock and writes the CSV it writes without the key."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"wall_clock": wall_clock}))
+    csvs = []
+    for config in (["--config", str(path)], []):
+        out = tmp_path / f"sweep{len(csvs)}.csv"
+        assert main(["sweep", "--corpus", str(corpus_dir), "--oracle", "silence_aware", *config,
+                     "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_config_file_list_option(corpus_dir, tmp_path):

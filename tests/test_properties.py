@@ -1,6 +1,8 @@
 """Property tests of the batched decoder: buffer key projection, the batched
 beam step against the per-hypothesis reference, a hypothesis' step in a beam
-against its step alone, the windowed MoChA scan
+against its step alone, each hypothesis' attention result in a beam, whose
+first scan window is scored stacked, against the one-hypothesis scan, the
+windowed MoChA scan
 against the whole-tail scan, the scripted oracle against its per-frame
 reference, the oracle's one step per attention position against its step per
 hypothesis, beam steps over shared step outputs against steps over fresh
@@ -228,6 +230,58 @@ class TestBeamStepMatchesStepAlone:
                 alone.att.status, alone.att.selected_index, alone.att.peak_index, alone.att.forced)
             for a, b in ((got.log_probs, alone.log_probs), (got.att.context, alone.att.context)):
                 assert (a is None) == (b is None) and (a is None or np.array_equal(bits(a), bits(b)))
+
+
+class TestStackedFirstWindowMatchesScanAlone:
+    """Each hypothesis of a ``decode_steps`` beam gets, bit for bit, the attention
+    result ``infer_step`` gives its new decoder state alone, which scores its first
+    window by itself. Buffers may be shorter than ``chunk_size``; starts fall inside,
+    within ``chunk_size`` of the end and past it. The selection offset either is
+    drawn, so the crossing falls in the first window, a later one or none, or sits
+    on the largest energy of the first window of the hypothesis nearest the end
+    (``edge`` 0: that energy is exactly 0 and crosses; 1: it is one step below and
+    does not). A last-bit change to that energy then moves the crossing, as scoring
+    a cut window padded to ``chunk_size`` does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), beam_size=st.integers(1, 6), chunk_size=st.integers(1, 4),
+           n=st.integers(0, 10), bias=st.floats(-6.0, 3.0), v_scale=st.floats(1.0, 4.0),
+           edge=st.sampled_from([None, 0, 1]), force=st.booleans())
+    @example(seed=0, beam_size=1, chunk_size=3, n=2, bias=0.0, v_scale=1.0, edge=0, force=False)
+    def test_each_attention_result_bit_identical(self, seed, beam_size, chunk_size, n, bias, v_scale, edge, force):
+        rng = np.random.default_rng(seed)
+        dims = [int(d) for d in rng.integers(1, 13, size=4)]
+        cfg = ModelConfig(encoder=EncoderConfig(proj=dims[0]),
+                          attention=AttentionConfig(chunk_size=chunk_size, energy_hidden=dims[1]),
+                          decoder_hidden=dims[2], embed_dim=dims[3])
+        params = init_params(cfg, VOCAB.size, seed=seed)
+        params["att.sel.v"] = params["att.sel.v"] * v_scale
+        frames = rng.normal(size=(n, cfg.context_dim))
+        dec_states = [(rng.normal(size=cfg.decoder_hidden), rng.normal(size=cfg.context_dim))
+                      for _ in range(beam_size)]
+        tokens = [int(t) for t in rng.integers(0, VOCAB.size, size=beam_size)]
+        starts = [int(p) for p in rng.integers(-1, n + 2, size=beam_size)]
+        states = [nn.gru_step(params, "dec", np.concatenate([params["emb.E"][t], c]), h)[0]
+                  for (h, c), t in zip(dec_states, tokens)]
+        params["att.sel.r"][0] = bias
+        inside = [i for i, p in enumerate(starts) if max(p, 0) < n]
+        if edge is not None and inside:
+            i = max(inside, key=lambda i: starts[i])
+            start = max(starts[i], 0)
+            [query], _ = project_queries(params, states[i][None])
+            window = project_keys(params, frames)[0][start : start + chunk_size]
+            top = float(np.max(energies(params | {"att.sel.r": np.zeros(1)}, "sel", query, window)[0]))
+            params["att.sel.r"][0] = -np.nextafter(top, np.inf) if edge else -top
+        model = NeuralModel(cfg, params, VOCAB)
+        buffer = EncodedBuffer()
+        buffer.append(frames)
+        steps = model.decode_steps(dec_states, tokens, buffer, [AttentionState(p) for p in starts], True, force)
+        for state, start, got in zip(states, starts, steps):
+            want = infer_step(params, cfg.attention, state, frames, AttentionState(start), force)
+            assert (got.att.status, got.att.selected_index, got.att.peak_index, got.att.forced) == (
+                want.status, want.selected_index, want.peak_index, want.forced)
+            a, b = got.att.context, want.context
+            assert (a is None) == (b is None) and (a is None or np.array_equal(bits(a), bits(b)))
 
 
 class TestWindowedScanMatchesWholeTail:

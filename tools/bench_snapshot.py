@@ -58,8 +58,9 @@ MISREAD = {
     "attention.key_rows": "the mocha_infer_step hook counts the whole tail after prev_index per call, "
                           "not the rows the early-exit scan scores (about 4.19M counted against 62k "
                           "scored on a stream_neural pass)",
-    "attention.busy_s": "the mocha_infer_step hook times only the per-hypothesis scan; the chunk stage, "
-                        "chunk_attend, runs once per beam step outside it, so stream_neural's chunk "
+    "attention.busy_s": "the mocha_infer_step hook times only the per-hypothesis scan; the stacked first "
+                        "scan windows (first_windows) and the chunk stage (chunk_attend) run once per beam "
+                        "step outside it, so stream_neural's first-window selection energies and its chunk "
                         "energies, softmax and context products are left out",
     "streamer.step_yield": "a retry that reuses a voided step counts as a computed step",
     "decoder.steps": "a retry that reuses a voided step counts as a decoder step, though neither the "
