@@ -7,12 +7,14 @@ Two modes share one parameterization:
   selection probability crosses 0.5 is chosen. The scan scores windows of
   ``chunk_size``, then twice as many rows, and so on, and stops at the first
   window with a crossing, so a step costs about the distance it moves rather
-  than the whole buffer tail; a beam step scores the uncut first windows in
-  one stacked call (``first_windows``). The crossing is decided on the
-  selection energies (``first_crossing``), without squashing them, and selects
-  the frame the probabilities would. Then one chunk stage for every selection
-  of a beam step (``chunk_attend``) takes a softmax over the chunk ending at
-  each selected frame, which yields its context.
+  than the whole buffer tail. A beam step scores the uncut first windows in
+  one stacked call and decides their crossings in one pass
+  (``first_selections``); only the rows it leaves undecided are scanned alone.
+  The crossing is decided on the selection energies (``first_crossing``),
+  without squashing them, and selects the frame the probabilities would.
+  Then one chunk stage for every selection of a beam step (``chunk_attend``)
+  takes a softmax over the chunk ending at each selected frame, which yields
+  its context.
 * soft mode (training): expected-alignment recurrence over selection
   probabilities, followed by the induced chunkwise distribution.
 
@@ -126,7 +128,6 @@ def mocha_infer_step(
     force: bool = False,
     *,
     keys: np.ndarray,
-    first: np.ndarray | None = None,
 ) -> AttentionStepResult:
     """Hard-mode scan of one hypothesis: the frame its step selects.
 
@@ -144,11 +145,10 @@ def mocha_infer_step(
     Selection energies are scored in windows from the previous selection
     (``chunk_size`` rows, then each twice the last) up to the first crossing;
     they are row-wise, so the frame selected is the one a whole-tail scan
-    selects. ``first`` holds the first window's energies (a row of
-    ``first_windows``), or None, for a window the buffer end cuts and for
-    one-hypothesis callers, when the scan scores it itself. The crossing is
-    found on the energies (``first_crossing``): the frame whose ``nn.sigmoid``
-    probability first reaches the threshold, without computing it.
+    selects, and the one ``first_selections`` decides for a row it stacks.
+    The crossing is found on the energies (``first_crossing``): the frame
+    whose ``nn.sigmoid`` probability first reaches the threshold, without
+    computing it.
     """
     n = frames.shape[0]
     if n == 0:
@@ -156,51 +156,71 @@ def mocha_infer_step(
     start, width = max(state.prev_index, 0), cfg.chunk_size
     while start < n:
         stop = min(n, start + width)
-        rel = first_crossing(energies(params, "sel", query, keys[start:stop])[0] if first is None else first)
+        rel = first_crossing(energies(params, "sel", query, keys[start:stop])[0])
         if rel >= 0:
             return AttentionStepResult(status="selected", selected_index=start + rel)
-        start, width, first = stop, 2 * width, None
+        start, width = stop, 2 * width
     if not force or state.prev_index >= n:
         return EXHAUSTED
     return AttentionStepResult("selected", np.zeros(frames.shape[1]), n - 1, n - 1, forced=True)
 
 
-def first_windows(params: dict, queries: np.ndarray, keys: np.ndarray, states: list[AttentionState],
-                  chunk_size: int) -> list[np.ndarray | None]:
-    """Selection energies of each row's first scan window, ``chunk_size`` keys from ``max(prev_index, 0)``,
-    in one stacked ``energies`` call; None where the buffer end cuts the window, which is never padded."""
+def stacked_crossings(e: np.ndarray) -> np.ndarray:
+    """``first_crossing`` of each row of the energies ``e`` that decides it without ``nn.sigmoid``, else -1.
+
+    A row's first energy above ``-CROSSING_BAND`` crosses when it is ``>= 0``; -1 marks a row with no such
+    energy, or whose first one lies in the band, which only ``first_crossing`` can tell."""
+    first = (e > -CROSSING_BAND).argmax(axis=1)
+    return np.where(e[np.arange(len(e)), first] >= 0.0, first, -1)
+
+
+def first_selections(params: dict, queries: np.ndarray, keys: np.ndarray, states: list[AttentionState],
+                     chunk_size: int) -> list[int | None]:
+    """The frame each row's first scan window, ``chunk_size`` keys from ``max(prev_index, 0)``, selects, from
+    one stacked ``energies`` call over every window and one ``stacked_crossings``. None where the buffer end
+    cuts the window, which is never padded, and where ``stacked_crossings`` leaves the row undecided: that
+    row's ``mocha_infer_step`` scans from its first window."""
     rows = [i for i, state in enumerate(states) if max(state.prev_index, 0) + chunk_size <= len(keys)]
-    idx = np.array([max(states[i].prev_index, 0) for i in rows], dtype=int)[:, None] + np.arange(chunk_size)
-    stacked = queries if len(rows) == len(states) else queries[rows]  # no window is cut in the common case
-    e = dict(zip(rows, energies(params, "sel", stacked[:, None], keys[idx])[0] if rows else ()))
-    return [e.get(i) for i in range(len(states))]
+    out = [None] * len(states)
+    if rows:
+        lo = np.array([max(states[i].prev_index, 0) for i in rows])
+        stacked = queries if len(rows) == len(states) else queries[rows]  # no window is cut in the common case
+        e = energies(params, "sel", stacked[:, None], keys[lo[:, None] + np.arange(chunk_size)])[0]
+        rel = stacked_crossings(e)
+        for i, selected in zip(rows, np.where(rel >= 0, lo + rel, -1).tolist()):
+            out[i] = selected if selected >= 0 else None
+    return out
 
 
-def chunk_attend(params: dict, queries: np.ndarray, selected: list[int], frames: np.ndarray, keys: np.ndarray,
-                 chunk_size: int) -> list[tuple[np.ndarray, int]]:
-    """Chunk stage of hard-mode steps: the (context, peak index) of each row i,
-    from a softmax over the chunk of ``chunk_size`` frames that ends at
-    ``selected[i]`` (fewer at the stream start), scored by the chunk query
-    term ``queries[i]`` against the chunk key terms ``keys``.
+def chunk_attend(params: dict, queries: np.ndarray, selected, frames: np.ndarray, keys: np.ndarray,
+                 chunk_size: int) -> tuple[np.ndarray, list[int]]:
+    """Chunk stage of hard-mode steps: the contexts, one row each, and the peak
+    indices of the rows i, from a softmax over the chunk of ``chunk_size``
+    frames that ends at ``selected[i]`` (fewer at the stream start), scored by
+    the chunk query term ``queries[i]`` against the chunk key terms ``keys``.
 
     The rows of one chunk length are stacked: one ``energies`` over their
     (rows, length, energy_hidden) terms, a softmax per row and one batched
     context product. No chunk is padded, so each row is bit for bit the row
-    computed alone. Argmax ties resolve to the lowest index.
+    computed alone. Rows of one length, as at every step after the stream
+    start, are neither gathered nor scattered. Argmax ties resolve to the
+    lowest index.
     """
-    lengths = [min(s + 1, chunk_size) for s in selected]
-    out = [None] * len(selected)
-    for m in set(lengths):
-        rows = [i for i, length in enumerate(lengths) if length == m]
-        lo = np.array([selected[i] - m + 1 for i in rows])
-        idx = lo[:, None] + np.arange(m)
-        u = energies(params, "chunk", (queries if len(rows) == len(out) else queries[rows])[:, None], keys[idx])[0]
-        ex = np.exp(u - u.max(axis=1, keepdims=True))
-        weights = ex / ex.sum(axis=1, keepdims=True)
-        contexts = np.matmul(weights[:, None], frames[idx])[:, 0]
-        for i, context, peak in zip(rows, contexts, (lo + weights.argmax(axis=1)).tolist()):
-            out[i] = context, peak
-    return out
+    selected = np.asarray(selected, dtype=int)
+    lengths = np.minimum(selected + 1, chunk_size)
+    if len(set(lengths.tolist())) != 1:  # no row, or short chunks at the stream start: one call per length
+        contexts, peaks = np.empty((len(selected), frames.shape[1])), np.empty(len(selected), dtype=int)
+        for m in set(lengths.tolist()):
+            rows = lengths == m
+            contexts[rows], peaks[rows] = chunk_attend(params, queries[rows], selected[rows], frames, keys, m)
+        return contexts, peaks.tolist()
+    m = int(lengths[0])
+    lo = selected - m + 1
+    idx = lo[:, None] + np.arange(m)
+    u = energies(params, "chunk", queries[:, None], keys[idx])[0]
+    ex = np.exp(u - u.max(axis=1, keepdims=True))
+    weights = ex / ex.sum(axis=1, keepdims=True)
+    return np.matmul(weights[:, None], frames[idx])[:, 0], (lo + weights.argmax(axis=1)).tolist()
 
 
 def _moving_sum_back(x: np.ndarray, w: int) -> np.ndarray:

@@ -17,7 +17,8 @@ The routine works through blocks of about ``BLOCK_ENTRIES`` entries: one
 gate-batched product projects a block's input pairs through the gate-stacked
 input weights, one per step gives the recurrent terms, and one projects the
 block's new states. ``encode_with_cache`` keeps each layer's input pairs and
-every step's gates in arrays allocated once per layer; ``encode_backward``
+every step's gates in arrays allocated once per layer, which ``nn.gru_steps``
+writes the gates into; ``encode_backward``
 builds a block's ``nn.GruBackward`` from slices of them, steps back (one
 product per step) and takes each weight gradient as one product over the
 block. Streaming keeps nothing. Blocks bound the memory of a long push and
@@ -188,10 +189,9 @@ class PyramidalEncoder:
             lo, hi = bounds[0], bounds[-1]
             wx = nn.gru_inputs(p, pre, _pairs(x, left[lo:hi], right[lo:hi]) if cache is None else kept.pairs[lo:hi])
             for a, b in zip(bounds[:-1], bounds[1:]):
-                h, gates = nn.gru_steps(p, pre, wx[:, a - lo : b - lo], hs[before : before + b - a])
+                h, _ = nn.gru_steps(p, pre, wx[:, a - lo : b - lo], hs[before : before + b - a],
+                                    None if cache is None else kept.gates[:, a:b])
                 hs[rows + a : rows + b] = last[: b - a] = h
-                if cache is not None:
-                    kept.gates[:, a:b] = gates
                 before = rows + a
             out[lo:hi] = nn.matvecs(p[f"{pre}.P"], hs[rows + lo : rows + hi]) + p[f"{pre}.pb"]
         state.hidden[k] = last

@@ -22,10 +22,10 @@ position); the decoder then ranks its tokens once. Nobody mutates a
 returns a fresh one per hypothesis: it runs the decoder GRU, the attention
 query terms and the output layer once over the stacked beam, reads each
 frame's attention key terms from the buffer, which computes them once per
-frame, scores the uncut first scan windows in one stacked call, scans once per
-hypothesis from there, and scores the chunks the scans select in one stacked
-chunk stage. ``decode_step`` is the same step of one hypothesis over a raw
-frame matrix. Training steps its soft-attention decoder with the same GRU,
+frame, decides the uncut first scan windows in one stacked pass, scans alone
+only the hypotheses that pass leaves undecided, and scores the chunks selected
+in one stacked chunk stage, whose contexts feed the output layer.
+``decode_step`` is the same step of one hypothesis over a raw frame matrix. Training steps its soft-attention decoder with the same GRU,
 projections and ``attention.energies`` on one row, so a state it computes is
 bit for bit the state inference computes from the same inputs.
 """
@@ -45,7 +45,7 @@ from .attention import (
     AttentionState,
     AttentionStepResult,
     chunk_attend,
-    first_windows,
+    first_selections,
     init_attention_params,
     mocha_infer_step,
     project_keys,
@@ -169,21 +169,26 @@ class NeuralModel:
         X = np.concatenate([p["emb.E"][prev_tokens], np.array([c for _, c in dec_states])], axis=1)
         S_new, _ = nn.gru_steps(p, "dec", nn.gru_inputs(p, "dec", X), S)
         sel_q, chunk_q = project_queries(p, S_new)
-        firsts = first_windows(p, sel_q, keys[0], att_states, att_cfg.chunk_size)
-        atts = [mocha_infer_step(p, att_cfg, sel_q[i], frames, att_state, force, keys=keys[0], first=firsts[i])
-                for i, att_state in enumerate(att_states)]
-        live = [i for i, att in enumerate(atts) if att.status == "selected"]
-        chunked = [i for i in live if not atts[i].forced]
-        chunks = chunk_attend(p, chunk_q[chunked], [atts[i].selected_index for i in chunked], frames, keys[1],
-                              att_cfg.chunk_size)
-        for i, (context, peak) in zip(chunked, chunks):
-            atts[i].context, atts[i].peak_index = context, peak
+        picks = first_selections(p, sel_q, keys[0], att_states, att_cfg.chunk_size)
+        scans = {i: mocha_infer_step(p, att_cfg, sel_q[i], frames, att_states[i], force, keys=keys[0])
+                 for i, pick in enumerate(picks) if pick is None}
+        for i, att in scans.items():
+            if att.status == "selected" and not att.forced:
+                picks[i] = att.selected_index
+        chunked = [i for i, pick in enumerate(picks) if pick is not None]
+        whole = len(chunked) == len(picks)  # every hypothesis selects, unforced: nearly every step
+        contexts, peaks = chunk_attend(p, chunk_q if whole else chunk_q[chunked], [picks[i] for i in chunked], frames,
+                                       keys[1], att_cfg.chunk_size)
+        atts = scans | {i: AttentionStepResult("selected", context, picks[i], peak)
+                        for i, context, peak in zip(chunked, contexts, peaks)}
+        live = [i for i in range(len(picks)) if atts[i].status == "selected"]
         log_probs = {}
         if live:
-            Z = np.concatenate([S_new[live], np.array([atts[i].context for i in live])], axis=1)
+            Z = np.concatenate([S_new, contexts] if whole else [S_new[live], np.array([atts[i].context for i in live])],
+                               axis=1)
             log_probs = dict(zip(live, nn.log_softmax(nn.matvecs(p["out.W"], Z) + p["out.b"])))
-        return [StepOutput(log_probs[i], (S_new[i], att.context), att) if i in log_probs
-                else StepOutput(None, state, att) for i, (state, att) in enumerate(zip(dec_states, atts))]
+        return [StepOutput(log_probs[i], (S_new[i], atts[i].context), atts[i]) if i in log_probs
+                else StepOutput(None, state, atts[i]) for i, state in enumerate(dec_states)]
 
 
 def _checkpoint_body(model: NeuralModel) -> dict:

@@ -71,18 +71,21 @@ def gru_inputs(params: dict, prefix: str, X: np.ndarray) -> np.ndarray:
     return matvecs(params[f"{prefix}.W"], X)
 
 
-def gru_steps(params: dict, prefix: str, wx: np.ndarray, H: np.ndarray):
+def gru_steps(params: dict, prefix: str, wx: np.ndarray, H: np.ndarray, gates: np.ndarray | None = None):
     """One GRU step of every row of ``H``, given its input's terms ``wx`` from ``gru_inputs``.
 
     One gate-batched product gives every row's ``U[g] @ h`` (``matvecs``, so a
     row's new state does not depend on the other rows, bit for bit) and one
     ``sigmoid`` squashes the (2, rows, hidden) z and r pre-activations. The
     terms are gate-major, so each gate's rows are contiguous. Returns (H_new,
-    (z, r, U[n] @ h, n)), the gates ``GruBackward`` needs.
+    (z, r, U[n] @ h, n)), the gates ``GruBackward`` needs. Given caller storage
+    ``gates``, (4, rows, hidden), they are also written into it, n computed there.
     """
     uh, b = matvecs(params[f"{prefix}.U"], H), params[f"{prefix}.b"]
-    z, r = sigmoid(wx[:2] + uh[:2] + b[:2, None])
-    n = np.tanh(wx[2] + r * uh[2] + b[2])
+    z, r = zr = sigmoid(wx[:2] + uh[:2] + b[:2, None])
+    if gates is not None:
+        gates[:2], gates[2] = zr, uh[2]
+    n = np.tanh(wx[2] + r * uh[2] + b[2], out=None if gates is None else gates[3])
     return (1.0 - z) * n + z * H, (z, r, uh[2], n)
 
 

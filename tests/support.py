@@ -136,7 +136,7 @@ def infer_step(params, cfg, query, frames, state, force=False) -> AttentionStepR
     sel_keys, chunk_keys = project_keys(params, frames)
     att = mocha_infer_step(params, cfg, sel_query[0], frames, state, force, keys=sel_keys)
     if att.status == "selected" and not att.forced:
-        [(att.context, att.peak_index)] = chunk_attend(params, chunk_query, [att.selected_index], frames, chunk_keys,
+        [att.context], [att.peak_index] = chunk_attend(params, chunk_query, [att.selected_index], frames, chunk_keys,
                                                        cfg.chunk_size)
     return att
 

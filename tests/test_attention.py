@@ -69,7 +69,7 @@ def scan_and_attend(probs, chunk_scores, prev_index, chunk_size, frames=None):
     if rel < 0:
         return None
     selected = start + rel
-    [(context, peak)] = chunk_attend({"att.chunk.v": np.ones(1)}, np.zeros((1, 1)), [selected], frames,
+    [context], [peak] = chunk_attend({"att.chunk.v": np.ones(1)}, np.zeros((1, 1)), [selected], frames,
                                      np.asarray(chunk_scores, float)[:, None], chunk_size)
     return selected, peak, context
 

@@ -47,6 +47,7 @@ from silstream.attention import (
     project_queries,
     soft_step,
     soft_step_backward,
+    stacked_crossings,
 )
 from silstream.data import Alignment, Segment
 from silstream.decoder import (
@@ -248,6 +249,9 @@ class TestStackedFirstWindowMatchesScanAlone:
            n=st.integers(0, 10), bias=st.floats(-6.0, 3.0), v_scale=st.floats(1.0, 4.0),
            edge=st.sampled_from([None, 0, 1]), force=st.booleans())
     @example(seed=0, beam_size=1, chunk_size=3, n=2, bias=0.0, v_scale=1.0, edge=0, force=False)
+    # one beam of six rows: two decided in their first window, one cut by the buffer end that selects, one
+    # that selects in its second window, one forced and one exhausted (its start is past the end)
+    @example(seed=119, beam_size=6, chunk_size=2, n=10, bias=-1.0, v_scale=1.0, edge=None, force=True)
     def test_each_attention_result_bit_identical(self, seed, beam_size, chunk_size, n, bias, v_scale, edge, force):
         rng = np.random.default_rng(seed)
         dims = [int(d) for d in rng.integers(1, 13, size=4)]
@@ -498,6 +502,20 @@ class TestEnergyCrossingMatchesProbabilities:
         e = np.array(values, dtype=np.float64)
         assert first_crossing(e) == first_selection(reference_sigmoid(e))
 
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 6).flatmap(
+        lambda width: st.lists(st.lists(ENERGY, min_size=width, max_size=width), min_size=1, max_size=8)))
+    # the first band entry rounds below 0.5 and a later entry crosses: only first_crossing can tell
+    @example(rows=[[-1.0, float(np.nextafter(EDGE, -1.0)), 1.0]])
+    @example(rows=[[-0.0, -1.0], [float("nan"), -1.0], [-2.0, -np.inf], [-5e-324, 0.0], [EDGE, 2.0]])
+    def test_stacked_crossings_decide_first_crossing(self, rows):
+        """Each row is decided, as ``first_crossing`` decides it, exactly when its first
+        energy above ``-CROSSING_BAND`` is ``>= 0``; any other row is left undecided."""
+        e = np.array(rows, dtype=np.float64)
+        for row, got in zip(e, stacked_crossings(e).tolist()):
+            above = [x for x in row.tolist() if x > -CROSSING_BAND]
+            assert got == (first_crossing(row) if above and above[0] >= 0.0 else -1)
+
 
 class TestSoftmaxMatchesReference:
     """The chunk stage's stacked softmax, row by row against the first one-row form."""
@@ -513,8 +531,8 @@ class TestSoftmaxMatchesReference:
         selected = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
         queries = rng.normal(size=(len(selected), hidden))
         with np.errstate(all="ignore"):  # inf - inf
-            weighed = chunk_attend(params, queries, selected, np.eye(n), keys, chunk_size)  # contexts of eye
-            attended = chunk_attend(params, queries, selected, frames, keys, chunk_size)
+            weighed = list(zip(*chunk_attend(params, queries, selected, np.eye(n), keys, chunk_size)))  # of eye
+            attended = list(zip(*chunk_attend(params, queries, selected, frames, keys, chunk_size)))
             for i, s in enumerate(selected):
                 lo = max(0, s - chunk_size + 1)
                 want = reference_softmax(energies(params, "chunk", queries[i], keys[lo : s + 1])[0])

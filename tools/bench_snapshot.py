@@ -55,13 +55,20 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 SCHEMA = 2
 # per-layer metrics the tracing hooks misread, and why
 MISREAD = {
-    "attention.key_rows": "the mocha_infer_step hook counts the whole tail after prev_index per call, "
-                          "not the rows the early-exit scan scores (about 4.19M counted against 62k "
-                          "scored on a stream_neural pass)",
-    "attention.busy_s": "the mocha_infer_step hook times only the per-hypothesis scan; the stacked first "
-                        "scan windows (first_windows) and the chunk stage (chunk_attend) run once per beam "
-                        "step outside it, so stream_neural's first-window selection energies and its chunk "
-                        "energies, softmax and context products are left out",
+    "attention.calls": "the mocha_infer_step hook counts only the rows that first_selections leaves undecided "
+                       "(a window the buffer end cuts, a first crossing candidate in the band, no crossing in "
+                       "the first window), not one call per hypothesis step: 32 calls against 10,144 hypothesis "
+                       "steps on a stream_neural seed-1 pass",
+    "attention.key_rows": "the mocha_infer_step hook counts the whole tail after prev_index per call, not the "
+                          "rows the early-exit scan scores, and sees only the rows first_selections leaves "
+                          "undecided, not the stacked first windows that decide nearly every row",
+    "attention.key_rows_per_call": "attention.key_rows over the mocha_infer_step calls: both count only the "
+                                   "undecided rows, and the rows as the whole tail",
+    "attention.busy_s": "the mocha_infer_step hook times only the scans of the rows that first_selections leaves "
+                        "undecided; the stacked first windows and their crossing decision (first_selections) "
+                        "and the chunk stage (chunk_attend) run once per beam step outside it, so nearly all "
+                        "of stream_neural's selection energies and all of its chunk energies, softmax and "
+                        "context products are left out",
     "streamer.step_yield": "a retry that reuses a voided step counts as a computed step",
     "decoder.steps": "a retry that reuses a voided step counts as a decoder step, though neither the "
                      "model nor the ranking runs",
