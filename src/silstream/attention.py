@@ -4,14 +4,14 @@ Two modes share one parameterization:
 
 * hard mode (inference): each hypothesis scans encoded frames left to right
   from its previous selection (``mocha_infer_step``); the first frame whose
-  selection probability crosses 0.5 is chosen. The scan scores windows of
-  ``chunk_size``, then twice as many rows, and so on, and stops at the first
-  window with a crossing, so a step costs about the distance it moves rather
-  than the whole buffer tail. A beam step scores the uncut first windows in
-  one stacked call and decides their crossings in one pass
-  (``first_selections``); only the rows it leaves undecided are scanned alone.
-  The crossing is decided on the selection energies (``first_crossing``),
-  without squashing them, and selects the frame the probabilities would.
+  selection probability sigmoid(e) reaches 0.5, that is whose energy is
+  ``e >= 0``, is chosen (``crossings``; no energy is squashed). The scan
+  scores windows of ``chunk_size``, then twice as many rows, and so on, and
+  stops at the first window with a crossing, so a step costs about the
+  distance it moves rather than the whole buffer tail. A beam step scores the
+  uncut first windows in one stacked call and decides their crossings in one
+  pass (``first_selections``); only a cut window or a row that does not cross
+  in its first window is scanned alone.
   Then one chunk stage for every selection of a beam step (``chunk_attend``)
   takes a softmax over the chunk ending at each selected frame, which yields
   its context.
@@ -32,9 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-
-SELECT_THRESHOLD = 0.5
-CROSSING_BAND = 1e-15  # holds the negative energies whose probability rounds to 0.5 (about 5e-17 wide)
 
 
 @dataclass(frozen=True)
@@ -104,19 +101,12 @@ def energies(params: dict, kind: str, query: np.ndarray, keys: np.ndarray):
     return e, act
 
 
-def first_crossing(e: np.ndarray) -> int:
-    """Index of the first selection energy whose probability ``nn.sigmoid(e)``
-    is at or above the threshold, or -1.
-
-    That probability reaches 0.5 exactly when ``e >= 0``, except on a band of
-    tiny negative energies whose ``exp`` rounds to 1. The band's edge depends
-    on numpy's ``exp``, so an energy within ``CROSSING_BAND`` below zero is
-    confirmed with ``nn.sigmoid`` itself.
-    """
-    for i in (e > -CROSSING_BAND).nonzero()[0].tolist():
-        if e[i] >= 0.0 or nn.sigmoid(e[i]) >= SELECT_THRESHOLD:
-            return i
-    return -1
+def crossings(e: np.ndarray) -> np.ndarray:
+    """Index of the first selection energy ``>= 0`` along the last axis of ``e``, else -1: where sigmoid(e)
+    reaches 0.5 in exact arithmetic, read off the sign, so a tiny negative ``e`` whose ``nn.sigmoid`` rounds
+    to 0.5 does not cross. NaN never crosses; -0.0 does."""
+    hit = e >= 0.0
+    return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1)
 
 
 def mocha_infer_step(
@@ -146,9 +136,7 @@ def mocha_infer_step(
     (``chunk_size`` rows, then each twice the last) up to the first crossing;
     they are row-wise, so the frame selected is the one a whole-tail scan
     selects, and the one ``first_selections`` decides for a row it stacks.
-    The crossing is found on the energies (``first_crossing``): the frame
-    whose ``nn.sigmoid`` probability first reaches the threshold, without
-    computing it.
+    A window crosses at its first energy ``>= 0`` (``crossings``).
     """
     n = frames.shape[0]
     if n == 0:
@@ -156,7 +144,7 @@ def mocha_infer_step(
     start, width = max(state.prev_index, 0), cfg.chunk_size
     while start < n:
         stop = min(n, start + width)
-        rel = first_crossing(energies(params, "sel", query, keys[start:stop])[0])
+        rel = int(crossings(energies(params, "sel", query, keys[start:stop])[0]))
         if rel >= 0:
             return AttentionStepResult(status="selected", selected_index=start + rel)
         start, width = stop, 2 * width
@@ -165,30 +153,20 @@ def mocha_infer_step(
     return AttentionStepResult("selected", np.zeros(frames.shape[1]), n - 1, n - 1, forced=True)
 
 
-def stacked_crossings(e: np.ndarray) -> np.ndarray:
-    """``first_crossing`` of each row of the energies ``e`` that decides it without ``nn.sigmoid``, else -1.
-
-    A row's first energy above ``-CROSSING_BAND`` crosses when it is ``>= 0``; -1 marks a row with no such
-    energy, or whose first one lies in the band, which only ``first_crossing`` can tell."""
-    first = (e > -CROSSING_BAND).argmax(axis=1)
-    return np.where(e[np.arange(len(e)), first] >= 0.0, first, -1)
-
-
 def first_selections(params: dict, queries: np.ndarray, keys: np.ndarray, states: list[AttentionState],
                      chunk_size: int) -> list[int | None]:
     """The frame each row's first scan window, ``chunk_size`` keys from ``max(prev_index, 0)``, selects, from
-    one stacked ``energies`` call over every window and one ``stacked_crossings``. None where the buffer end
-    cuts the window, which is never padded, and where ``stacked_crossings`` leaves the row undecided: that
-    row's ``mocha_infer_step`` scans from its first window."""
+    one stacked ``energies`` call over every window and one ``crossings``. None where the buffer end cuts the
+    window, which is never padded, and where the window does not cross: that row's ``mocha_infer_step`` scans
+    from its first window."""
     rows = [i for i, state in enumerate(states) if max(state.prev_index, 0) + chunk_size <= len(keys)]
     out = [None] * len(states)
     if rows:
-        lo = np.array([max(states[i].prev_index, 0) for i in rows])
+        lo = [max(states[i].prev_index, 0) for i in rows]
         stacked = queries if len(rows) == len(states) else queries[rows]  # no window is cut in the common case
-        e = energies(params, "sel", stacked[:, None], keys[lo[:, None] + np.arange(chunk_size)])[0]
-        rel = stacked_crossings(e)
-        for i, selected in zip(rows, np.where(rel >= 0, lo + rel, -1).tolist()):
-            out[i] = selected if selected >= 0 else None
+        e = energies(params, "sel", stacked[:, None], keys[np.array(lo)[:, None] + np.arange(chunk_size)])[0]
+        for i, start, rel in zip(rows, lo, crossings(e).tolist()):
+            out[i] = start + rel if rel >= 0 else None
     return out
 
 

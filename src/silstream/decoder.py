@@ -12,12 +12,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .attention import AttentionState, AttentionStepResult
-from .model import StepOutput
+
+if TYPE_CHECKING:
+    from .model import StepOutput
 
 EOS_POLICIES = ("defer", "restart", "accept")
 CAP_BASE, CAP_PER_FRAME = 8, 2  # the token cap: a hypothesis that reaches it is finished as a runaway

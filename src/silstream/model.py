@@ -25,9 +25,10 @@ frame's attention key terms from the buffer, which computes them once per
 frame, decides the uncut first scan windows in one stacked pass, scans alone
 only the hypotheses that pass leaves undecided, and scores the chunks selected
 in one stacked chunk stage, whose contexts feed the output layer.
-``decode_step`` is the same step of one hypothesis over a raw frame matrix. Training steps its soft-attention decoder with the same GRU,
-projections and ``attention.energies`` on one row, so a state it computes is
-bit for bit the state inference computes from the same inputs.
+``decode_step`` is ``decode_steps`` on one row, over a fresh ``EncodedBuffer``
+of a raw frame matrix. Training steps its soft-attention decoder with the same
+GRU, projections and ``attention.energies`` on one row, so a state it computes
+is bit for bit the state inference computes from the same inputs.
 """
 from __future__ import annotations
 
@@ -51,6 +52,7 @@ from .attention import (
     project_keys,
     project_queries,
 )
+from .decoder import EncodedBuffer
 from .encoder import EncoderConfig, PyramidalEncoder, init_encoder_params
 from .vocab import Vocab
 
@@ -138,33 +140,16 @@ class NeuralModel:
         self,
         dec_states: list,
         prev_tokens: list[int],
-        buffer,
+        buffer: EncodedBuffer,
         att_states: list[AttentionState],
         buffer_complete: bool,
         force: bool = False,
     ) -> list[StepOutput]:
-        """One decoding step of every hypothesis over ``buffer`` (an ``EncodedBuffer``)."""
-        keys = buffer.keys(functools.partial(project_keys, self.params))
-        return self._steps(dec_states, prev_tokens, buffer.array, keys, att_states, force)
-
-    def decode_step(
-        self,
-        dec_state,
-        prev_token: int,
-        frames: np.ndarray,
-        att_state: AttentionState,
-        buffer_complete: bool,
-        force: bool = False,
-    ) -> StepOutput:
-        if len(frames) == 0:
-            frames = np.zeros((0, self.cfg.context_dim))  # an empty buffer may have no width
-        keys = project_keys(self.params, frames)
-        return self._steps([dec_state], [prev_token], frames, keys, [att_state], force)[0]
-
-    def _steps(self, dec_states, prev_tokens, frames, keys, att_states, force) -> list[StepOutput]:
+        """One decoding step of every hypothesis over ``buffer``."""
         # stacked matrix-vector products and the chunk stage's unpadded rows keep every row
         # bit-identical to a one-hypothesis step, so beam width cannot change a hypothesis' scores
-        p, att_cfg = self.params, self.cfg.attention
+        p, att_cfg, frames = self.params, self.cfg.attention, buffer.array
+        keys = buffer.keys(functools.partial(project_keys, p))
         S = np.array([s for s, _ in dec_states])
         X = np.concatenate([p["emb.E"][prev_tokens], np.array([c for _, c in dec_states])], axis=1)
         S_new, _ = nn.gru_steps(p, "dec", nn.gru_inputs(p, "dec", X), S)
@@ -189,6 +174,19 @@ class NeuralModel:
             log_probs = dict(zip(live, nn.log_softmax(nn.matvecs(p["out.W"], Z) + p["out.b"])))
         return [StepOutput(log_probs[i], (S_new[i], atts[i].context), atts[i]) if i in log_probs
                 else StepOutput(None, state, atts[i]) for i, state in enumerate(dec_states)]
+
+    def decode_step(
+        self,
+        dec_state,
+        prev_token: int,
+        frames: np.ndarray,
+        att_state: AttentionState,
+        buffer_complete: bool,
+        force: bool = False,
+    ) -> StepOutput:
+        buffer = EncodedBuffer()
+        buffer.append(frames)
+        return self.decode_steps([dec_state], [prev_token], buffer, [att_state], buffer_complete, force)[0]
 
 
 def _checkpoint_body(model: NeuralModel) -> dict:

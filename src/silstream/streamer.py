@@ -323,8 +323,6 @@ class StreamSession:
 
 
 def split_batches(frames: np.ndarray, batch_frames: int) -> list[np.ndarray]:
-    if batch_frames < 1:
-        raise ValueError("batch_frames must be >= 1")
     total = frames.shape[0]
     if total == 0:
         return [frames]
@@ -339,7 +337,10 @@ def stream_decode(
 ) -> tuple[DecodeResult, StreamSession]:
     """Run a whole utterance through a fresh session in fixed batches."""
     session = StreamSession(model, stream_cfg, beam_cfg, frame_shift_ms=features.frame_shift_ms)
-    batches = split_batches(features.frames, ms_to_frames(stream_cfg.batch_ms, features.frame_shift_ms))
+    batch_frames = ms_to_frames(stream_cfg.batch_ms, features.frame_shift_ms)
+    if batch_frames < 1:
+        raise ValueError(f"batch_ms {stream_cfg.batch_ms} is shorter than one frame shift ({features.frame_shift_ms} ms)")
+    batches = split_batches(features.frames, batch_frames)
     for i, batch in enumerate(batches):
         session.push(batch, is_last=i == len(batches) - 1)
     return session.result(), session

@@ -48,8 +48,9 @@ the deterministic mean loss, encoded ``batch_size`` utterances at a time as
 training does.
 ``reference_sigmoid`` is the first, boolean-mask form of ``nn.sigmoid``, and
 ``reference_softmax`` the first form of ``nn.softmax``. ``first_selection``
-is the scan's first crossing test, on selection probabilities; the library
-decides it on the energies. ``reference_cer`` counts the edits by
+is the first selection probability at or above 0.5; the reference scan
+selects the first energy ``>= 0``, where that probability reaches 0.5.
+``reference_cer`` counts the edits by
 backtracing the alignment; ``metrics.cer`` reads them off the final cell of
 the table. ``Declared`` wraps a model to declare its steps stable or not, so
 a session's reuse of voided steps can be switched off or forced on, and
@@ -74,7 +75,6 @@ from silstream import nn
 from silstream.attention import (
     AttentionStepResult,
     EXHAUSTED,
-    SELECT_THRESHOLD,
     _moving_sum_back,
     _moving_sum_fwd,
     chunk_attend,
@@ -366,7 +366,7 @@ def unflatten_params(vector: np.ndarray, template: dict) -> dict:
 
 def first_selection(probs: np.ndarray) -> int:
     """Index of the first probability at or above the threshold, or -1."""
-    hits = np.nonzero(np.asarray(probs) >= SELECT_THRESHOLD)[0]
+    hits = np.nonzero(np.asarray(probs) >= 0.5)[0]
     return int(hits[0]) if hits.size else -1
 
 
@@ -382,9 +382,9 @@ def reference_mocha_step(params, cfg, query, frames, prev_index: int, force: boo
     selected = -1
     if n > 0 and start < n:
         e, _ = reference_energies(params, "sel", query, frames[start:])
-        rel = first_selection(reference_sigmoid(e))
-        if rel >= 0:
-            selected = start + rel
+        hits = np.nonzero(e >= 0.0)[0]
+        if hits.size:
+            selected = start + int(hits[0])
     if selected < 0:
         if not force or n == 0 or prev_index >= n:
             return EXHAUSTED

@@ -8,7 +8,7 @@ from silstream.attention import (
     AttentionConfig,
     AttentionState,
     chunk_attend,
-    first_crossing,
+    crossings,
     init_attention_params,
     initial_alpha,
     soft_step,
@@ -135,13 +135,14 @@ class TestHardMode:
 
 class TestEnergyCrossing:
     def test_hand_examples(self):
-        assert first_crossing(np.array([-1.0, -0.5, 0.0, 2.0])) == 2
-        assert first_crossing(np.array([-1.0, np.nan, -np.inf])) == -1
-        assert first_crossing(np.zeros(0)) == -1
-        assert first_crossing(np.array([-1e-15, -0.0])) == 1
-        # a tiny negative energy whose exp rounds to 1 has probability exactly 0.5
-        assert nn.sigmoid(np.array([-1e-17]))[0] == 0.5
-        assert first_crossing(np.array([-1e-3, -1e-17, 1.0])) == 1
+        """A window crosses at its first energy ``>= 0``: 0.0 and -0.0 do, and no negative
+        energy does, however tiny, nor NaN."""
+        assert crossings(np.array([-1.0, -0.5, 0.0, 2.0])) == 2
+        assert crossings(np.array([-1e-15, -0.0])) == 1
+        assert crossings(np.array([-1e-3, -1e-17, 1.0])) == 2
+        assert crossings(np.array([-1e-17, -5e-324, np.nan, -np.inf])) == -1
+        assert crossings(np.array([[np.nan, 0.0, -1.0], [-5e-324, -1e-17, -np.inf], [-0.0, np.nan, 1.0]])).tolist() == [
+            1, -1, 0]
 
     def test_crossing_in_first_window_calls_no_sigmoid(self, setup, monkeypatch):
         """A hard step whose first window crosses squashes no energy, so the

@@ -4,14 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from silstream import cli
+from silstream import cli, metrics
 from silstream.cli import main
 from silstream.data import read_references
 from silstream.decoder import BeamConfig
-from silstream.model import ModelConfig, NeuralModel, init_params, save_checkpoint
+from silstream.model import ModelConfig, NeuralModel, init_params, load_checkpoint, save_checkpoint
 from silstream.encoder import EncoderConfig
 from silstream.attention import AttentionConfig
-from silstream.streamer import StreamConfig, stream_decode
+from silstream.streamer import StreamConfig, decode_offline, stream_decode
 from silstream.synth import OracleMode, OracleModel, load_corpus
 from silstream.trainer import TrainConfig
 from silstream.vocab import SIL_TOKEN
@@ -113,6 +113,63 @@ class TestDecodeAndEvaluate:
             assert rc == 0
             digests.append(hashlib.sha256(trace.read_bytes()).hexdigest()[:16])
         assert digests == ["fddff645b1eb4129", "6806c1a70a367f69"]
+
+
+class TestCheckpointModel:
+    """``--model`` decodes with the checkpoint's model and vocabulary, and refuses ``--oracle`` with it."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, corpus_dir, tmp_path_factory):
+        corpus, vocab = load_corpus(str(corpus_dir))
+        cfg = ModelConfig(encoder=EncoderConfig(input_dim=next(iter(corpus.values())).features.dim, hidden=8, proj=4),
+                          attention=AttentionConfig(energy_hidden=4), decoder_hidden=8, embed_dim=4)
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        save_checkpoint(NeuralModel(cfg, init_params(cfg, vocab.size, seed=3), vocab), str(path))
+        return path
+
+    @pytest.mark.parametrize("command", ["decode-offline", "decode-online"])
+    def test_decode_matches_library(self, corpus_dir, checkpoint, tmp_path, command):
+        hyp = tmp_path / "hyp.tsv"
+        assert main([command, "--corpus", str(corpus_dir), "--model", str(checkpoint), "--beam", "2",
+                     "--out", str(hyp)]) == 0
+        model = load_checkpoint(str(checkpoint))
+        corpus, _ = load_corpus(str(corpus_dir))
+        for utt_id, utt in corpus.items():
+            beam_cfg = BeamConfig(beam_size=2)
+            result = (decode_offline(model, utt.features, beam_cfg) if command == "decode-offline"
+                      else stream_decode(model, utt.features, StreamConfig(), beam_cfg)[0])
+            assert read_references(str(hyp))[utt_id] == model.vocab.decode(result.tokens)
+
+    def test_model_with_oracle_refused(self, corpus_dir, checkpoint):
+        with pytest.raises(SystemExit) as exc:
+            main(["decode-offline", "--corpus", str(corpus_dir), "--model", str(checkpoint),
+                  "--oracle", "silence_aware"])
+        assert str(exc.value) == "silstream decode-offline: exactly one of --model or --oracle is required"
+
+
+def test_evaluate_refuses_a_missing_hypothesis(corpus_dir, tmp_path):
+    refs = read_references(str(corpus_dir / "refs.tsv"))
+    hyps = tmp_path / "hyps.tsv"
+    hyps.write_text("".join(f"{u}\t{' '.join(refs[u])}\n" for u in sorted(refs)[1:]))
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--refs", str(corpus_dir / "refs.tsv"), "--hyps", str(hyps),
+              "--vocab", str(corpus_dir / "vocab.txt"), "--out", str(tmp_path / "cer.csv")])
+    assert str(exc.value) == f"silstream evaluate: hypotheses missing for: {sorted(refs)[0]}"
+
+
+def test_batch_shorter_than_a_frame_names_batch_ms(corpus_dir, tmp_path):
+    """A batch shorter than one frame shift is refused naming ``batch_ms`` and the shift,
+    on the command line and in a sweep row."""
+    message = "batch_ms 5 is shorter than one frame shift (10 ms)"
+    with pytest.raises(SystemExit) as exc:
+        main(["decode-online", "--corpus", str(corpus_dir), "--oracle", "silence_aware", "--batch-ms", "5",
+              "--out", str(tmp_path / "hyp.tsv")])
+    assert str(exc.value) == f"silstream decode-online: {message}"
+    corpus, vocab = load_corpus(str(corpus_dir))
+    [row] = metrics.sweep(corpus, lambda utt: OracleModel(OracleMode("silence_aware"), vocab, utt.alignment),
+                          beams=[1], min_buffers_ms=[480.0], sil_buffers_ms=[480.0],
+                          stream_cfg=StreamConfig(batch_ms=5), beam_cfg=BeamConfig(beam_size=1))
+    assert row["failed"] and row["error"] == message
 
 
 class TestTrainCli:

@@ -45,6 +45,13 @@ class TestVocab:
         with pytest.raises(ValueError):
             make_vocab(["a", "a"])
 
+    def test_token_of_out_of_range_rejected(self, vocab):
+        assert vocab.token_of(vocab.size - 1) == vocab.tokens[-1]
+        for token_id in (-1, vocab.size):
+            with pytest.raises(ValueError) as exc:
+                vocab.token_of(token_id)
+            assert str(exc.value) == f"token id {token_id} out of range [0, {vocab.size})"
+
     def test_roundtrip_file(self, vocab, tmp_path):
         path = tmp_path / "vocab.txt"
         save_vocab(vocab, path)
@@ -173,6 +180,15 @@ class TestFeatureFiles:
         path = tmp_path / "refs.tsv"
         write_references(refs, path)
         assert read_references(path) == {"u1": ["a", "b"], "u2": []}
+
+    def test_references_skip_blank_lines_and_refuse_a_duplicate_id(self, tmp_path):
+        path = tmp_path / "refs.tsv"
+        path.write_text("u1\ta b\n\n  \nu2\t\n")
+        assert read_references(path) == {"u1": ["a", "b"], "u2": []}
+        path.write_text("u1\ta\n\nu1\tb\n")
+        with pytest.raises(ValueError) as exc:
+            read_references(str(path))
+        assert str(exc.value) == f"{path}:3: duplicate utterance id 'u1'"
 
 
 def test_segment_helpers():

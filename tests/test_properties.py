@@ -2,7 +2,8 @@
 beam step against the per-hypothesis reference, a hypothesis' step in a beam
 against its step alone, each hypothesis' attention result in a beam, whose
 first scan window is scored stacked, against the one-hypothesis scan, the
-windowed MoChA scan
+stacked first windows' decisions against each window's first energy ``>= 0``,
+the windowed MoChA scan
 against the whole-tail scan, the scripted oracle against its per-frame
 reference, the oracle's one step per attention position against its step per
 hypothesis, beam steps over shared step outputs against steps over fresh
@@ -19,8 +20,8 @@ the decoder backward of a ragged minibatch against the sum of its
 utterances' reference gradients, ``nn.sigmoid``, the chunk stage's stacked softmax and
 ``nn.gru_steps`` against their first forms, the gate-batched GRU products against per-gate ``nn.matvecs``,
 ``nn.GruBackward`` against the per-row reference step backward, the soft
-step's Python-float carry loops against their numpy-scalar form, the
-scan's energy crossing against the first selection of the probabilities,
+step's Python-float carry loops against their numpy-scalar form,
+``attention.crossings`` against a per-row loop for the first energy ``>= 0``,
 and history jump pointers against a parent walk.
 
 Gradients summed in another order than the reference's are bounded entry by
@@ -37,17 +38,16 @@ from hypothesis import strategies as st
 
 from silstream import decoder, nn, streamer
 from silstream.attention import (
-    CROSSING_BAND,
     AttentionConfig,
     AttentionState,
     chunk_attend,
+    crossings,
     energies,
-    first_crossing,
+    first_selections,
     project_keys,
     project_queries,
     soft_step,
     soft_step_backward,
-    stacked_crossings,
 )
 from silstream.data import Alignment, Segment
 from silstream.decoder import (
@@ -79,7 +79,6 @@ from support import (
     FreshOutputs,
     add_grads,
     encode,
-    first_selection,
     group_of,
     hyp_timeline,
     hyp_tokens,
@@ -288,6 +287,40 @@ class TestStackedFirstWindowMatchesScanAlone:
             assert (a is None) == (b is None) and (a is None or np.array_equal(bits(a), bits(b)))
 
 
+class TestStackedFirstWindowsDecideEveryCrossing:
+    """``first_selections`` decides every first window the buffer end does not cut and
+    that holds an energy ``>= 0``, on the first such frame; it leaves only cut windows
+    and windows without a crossing to the scan. ``edge`` sets the offset on the largest
+    energy of one uncut window (0: that energy is exactly 0; 1: one step below)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), rows=st.integers(1, 8), chunk_size=st.integers(1, 4),
+           n=st.integers(0, 10), bias=st.floats(-3.0, 3.0), edge=st.sampled_from([None, 0, 1]))
+    # six rows: one crosses on a positive energy, one on an energy of exactly 0, two do not cross, two are cut
+    @example(seed=3, rows=6, chunk_size=2, n=8, bias=0.0, edge=0)
+    def test_uncut_windows_that_cross_are_decided(self, seed, rows, chunk_size, n, bias, edge):
+        rng = np.random.default_rng(seed)
+        hidden = int(rng.integers(1, 9))
+        params = {"att.sel.v": rng.normal(size=hidden), "att.sel.r": np.zeros(1)}
+        keys, queries = rng.normal(size=(n, hidden)), rng.normal(size=(rows, hidden))
+        starts = [int(p) for p in rng.integers(-1, n + 2, size=rows)]
+        uncut = [i for i, p in enumerate(starts) if max(p, 0) + chunk_size <= n]
+
+        def window(i):
+            lo = max(starts[i], 0)
+            return energies(params, "sel", queries[i], keys[lo : lo + chunk_size])[0]
+
+        if edge is not None and uncut:
+            top = float(np.max(window(uncut[-1])))
+            params["att.sel.r"][0] = -np.nextafter(top, np.inf) if edge else -top
+        else:
+            params["att.sel.r"][0] = bias
+        got = first_selections(params, queries, keys, [AttentionState(p) for p in starts], chunk_size)
+        for i, start in enumerate(starts):
+            hits = np.nonzero(window(i) >= 0.0)[0] if i in uncut else []
+            assert got[i] == (max(start, 0) + int(hits[0]) if len(hits) else None)
+
+
 class TestWindowedScanMatchesWholeTail:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(0, 300), chunk_size=st.integers(1, 4),
@@ -462,59 +495,22 @@ def bits(x: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(x), np.nan, x).view(np.uint64)
 
 
-def from_bits(pattern: int) -> float:
-    return float(np.array([pattern], dtype=np.uint64).view(np.float64)[0])
+ENERGY = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17]))
 
 
-def half_probability_edge() -> float:
-    """The most negative energy whose probability ``reference_sigmoid`` rounds to
-    0.5, found by bisection on the bit patterns of the magnitudes in [0, 1e-15]."""
-    lo, hi = 0, int(bits(1e-15))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if reference_sigmoid(np.array([-from_bits(mid)]))[0] >= 0.5 else (lo, mid)
-    return -from_bits(lo)
-
-
-EDGE = half_probability_edge()
-ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
-ENERGY = st.one_of(
-    ANY_FLOAT,
-    st.floats(-10.0, 10.0),
-    st.floats(-CROSSING_BAND, 0.0),
-    # the floats within 2**20 steps of the band's edge, on either side
-    st.integers(-(2**20), 2**20).map(lambda k: from_bits(int(bits(EDGE)) + k)),
-)
-
-
-class TestEnergyCrossingMatchesProbabilities:
-    def test_band_is_tiny_negative_and_inside_the_confirmed_range(self):
-        assert -CROSSING_BAND < EDGE < 0.0
-        assert reference_sigmoid(np.array([EDGE]))[0] == 0.5
-        assert reference_sigmoid(np.nextafter(np.array([EDGE]), -1.0))[0] < 0.5
-
-    @settings(max_examples=400, deadline=None)
-    @given(values=st.lists(ENERGY, max_size=40))
-    @example(values=[-1.0, float(np.nextafter(EDGE, -1.0)), EDGE, 1.0])
-    @example(values=[-0.0, 0.0])
-    @example(values=[float("nan"), -float("inf"), -5e-324, float("inf")])
-    def test_first_crossing_is_first_selection_of_probabilities(self, values):
-        e = np.array(values, dtype=np.float64)
-        assert first_crossing(e) == first_selection(reference_sigmoid(e))
-
+class TestCrossingsMatchPerRowLoop:
     @settings(max_examples=300, deadline=None)
     @given(rows=st.integers(1, 6).flatmap(
         lambda width: st.lists(st.lists(ENERGY, min_size=width, max_size=width), min_size=1, max_size=8)))
-    # the first band entry rounds below 0.5 and a later entry crosses: only first_crossing can tell
-    @example(rows=[[-1.0, float(np.nextafter(EDGE, -1.0)), 1.0]])
-    @example(rows=[[-0.0, -1.0], [float("nan"), -1.0], [-2.0, -np.inf], [-5e-324, 0.0], [EDGE, 2.0]])
-    def test_stacked_crossings_decide_first_crossing(self, rows):
-        """Each row is decided, as ``first_crossing`` decides it, exactly when its first
-        energy above ``-CROSSING_BAND`` is ``>= 0``; any other row is left undecided."""
+    @example(rows=[[-0.0, -1.0], [float("nan"), 0.0], [-np.inf, np.inf], [-5e-324, 5e-324], [-1e-17, -2.0]])
+    def test_first_energy_at_or_above_zero(self, rows):
+        """``crossings`` of a stacked matrix, and of each row alone as the scan calls it, is
+        the index of the row's first energy ``>= 0``, or -1."""
+        want = [next((j for j, x in enumerate(row) if x >= 0.0), -1) for row in rows]
         e = np.array(rows, dtype=np.float64)
-        for row, got in zip(e, stacked_crossings(e).tolist()):
-            above = [x for x in row.tolist() if x > -CROSSING_BAND]
-            assert got == (first_crossing(row) if above and above[0] >= 0.0 else -1)
+        assert crossings(e).tolist() == want
+        assert [int(crossings(row)) for row in e] == want
 
 
 class TestSoftmaxMatchesReference:

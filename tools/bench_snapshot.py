@@ -56,12 +56,12 @@ SCHEMA = 2
 # per-layer metrics the tracing hooks misread, and why
 MISREAD = {
     "attention.calls": "the mocha_infer_step hook counts only the rows that first_selections leaves undecided "
-                       "(a window the buffer end cuts, a first crossing candidate in the band, no crossing in "
-                       "the first window), not one call per hypothesis step: 32 calls against 10,144 hypothesis "
-                       "steps on a stream_neural seed-1 pass",
+                       "(a window the buffer end cuts, or no energy >= 0 in the first window), not one call per "
+                       "hypothesis step: 32 calls against 10,144 hypothesis steps on a stream_neural seed-1 pass",
     "attention.key_rows": "the mocha_infer_step hook counts the whole tail after prev_index per call, not the "
                           "rows the early-exit scan scores, and sees only the rows first_selections leaves "
-                          "undecided, not the stacked first windows that decide nearly every row",
+                          "undecided (a cut first window or one without a crossing), not the stacked first "
+                          "windows that decide nearly every row",
     "attention.key_rows_per_call": "attention.key_rows over the mocha_infer_step calls: both count only the "
                                    "undecided rows, and the rows as the whole tail",
     "attention.busy_s": "the mocha_infer_step hook times only the scans of the rows that first_selections leaves "
