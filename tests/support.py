@@ -365,7 +365,7 @@ def unflatten_params(vector: np.ndarray, template: dict) -> dict:
 
 
 def first_selection(probs: np.ndarray) -> int:
-    """Index of the first probability at or above the threshold, or -1."""
+    """Index of the first probability at or above 0.5, or -1."""
     hits = np.nonzero(np.asarray(probs) >= 0.5)[0]
     return int(hits[0]) if hits.size else -1
 

@@ -141,8 +141,8 @@ class TestEnergyCrossing:
         assert crossings(np.array([-1e-15, -0.0])) == 1
         assert crossings(np.array([-1e-3, -1e-17, 1.0])) == 2
         assert crossings(np.array([-1e-17, -5e-324, np.nan, -np.inf])) == -1
-        assert crossings(np.array([[np.nan, 0.0, -1.0], [-5e-324, -1e-17, -np.inf], [-0.0, np.nan, 1.0]])).tolist() == [
-            1, -1, 0]
+        stacked = np.array([[np.nan, 0.0, -1.0], [-5e-324, -1e-17, -np.inf], [-0.0, np.nan, 1.0]])
+        assert crossings(stacked).tolist() == [1, -1, 0]
 
     def test_crossing_in_first_window_calls_no_sigmoid(self, setup, monkeypatch):
         """A hard step whose first window crosses squashes no energy, so the
