@@ -196,7 +196,7 @@ def cmd_decode_online(args) -> int:
     corpus, vocab = load_corpus(opt["corpus"])
     model_for, vocab = _model_for_args(opt, vocab)
     beam_cfg = _config(BeamConfig, opt)
-    stream_cfg = _config(StreamConfig, {"sil_buffer_ms": opt.get("min_buffer_ms"), **opt})
+    stream_cfg = _config(StreamConfig, opt)
     hyps = {}
     trace = []
     summaries = []
@@ -250,7 +250,7 @@ def cmd_sweep(args) -> int:
         model_for,
         beams=_list(opt, "beams", int, beam_cfg.beam_size),
         min_buffers_ms=_list(opt, "min_buffers", float, stream_cfg.min_buffer_ms),
-        sil_buffers_ms=_list(opt, "sil_buffers", float, stream_cfg.sil_buffer_ms),
+        sil_buffers_ms=_list(opt, "sil_buffers", float, None),
         stream_cfg=stream_cfg,
         beam_cfg=beam_cfg,
         simulated_clock=not opt.get("wall_clock"),
@@ -258,8 +258,11 @@ def cmd_sweep(args) -> int:
     out = opt.get("out", "sweep.csv")
     with open(out, "w", encoding="utf-8") as f:
         f.write(metrics.sweep_csv(rows))
-    failed = sum(1 for r in rows if r.get("failed"))
-    print(json.dumps({"rows": len(rows), "failed": failed, "out": out}))
+    failed = [r for r in rows if r["failed"]]
+    for r in failed:
+        print(f"silstream sweep: beam {r['beam']}, min_buffer_ms {r['min_buffer_ms']}, "
+              f"sil_buffer_ms {r['sil_buffer_ms']}: {r['error']}", file=sys.stderr)
+    print(json.dumps({"rows": len(rows), "failed": len(failed), "out": out}))
     return 1 if failed else 0
 
 

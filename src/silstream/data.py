@@ -93,12 +93,6 @@ def ms_to_encoded_frames(ms: float, frame_shift_ms: int, total_reduction: int) -
     return int(ms // (frame_shift_ms * total_reduction))
 
 
-def ms_to_frames(ms: float, frame_shift_ms: int) -> int:
-    if frame_shift_ms <= 0:
-        raise ValueError(f"frame_shift_ms must be positive, got {frame_shift_ms}")
-    return int(ms // frame_shift_ms)
-
-
 def parse_alignment(text: str) -> Alignment:
     """Parse ``label start_frame end_frame`` lines into an Alignment."""
     segments = []

@@ -47,7 +47,7 @@ def insert_silence(reference: list[int], alignment: Alignment, cfg: LabelerConfi
     same way.
     """
     for t in reference:
-        if t in (vocab.bos_id, vocab.eos_id, vocab.sil_id):
+        if t in vocab.reserved:
             raise ValueError("reference must not already contain reserved tokens")
     out: list[int] = []
     pos = 0

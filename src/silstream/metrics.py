@@ -181,14 +181,16 @@ def sweep(
     model_for: Callable[[Utterance], object],
     beams: Iterable[int],
     min_buffers_ms: Iterable[float],
-    sil_buffers_ms: Iterable[float],
+    sil_buffers_ms: Iterable[float | None],
     stream_cfg: StreamConfig,
     beam_cfg: BeamConfig,
     simulated_clock: bool = True,
 ) -> list[dict]:
     """Grid sweep; rows come back in deterministic grid order.
 
-    A failing grid point is marked failed and does not stop the sweep.
+    A silence buffer of None is ``StreamConfig``'s unset one: the point's
+    minimum buffer, which its row records. A failing grid point is marked
+    failed, keeps its ``error`` and does not stop the sweep.
     """
     rows = []
     for beam in beams:
@@ -203,6 +205,7 @@ def sweep(
                 }
                 try:
                     point_stream = replace(stream_cfg, min_buffer_ms=min_ms, sil_buffer_ms=sil_ms)
+                    row["sil_buffer_ms"] = point_stream.sil_buffer_ms
                     point_beam = replace(beam_cfg, beam_size=beam)
                     row.update(
                         evaluate_point(utterances, model_for, point_stream, point_beam, simulated_clock)
@@ -221,8 +224,8 @@ def _fmt(value) -> str:
 
 
 def sweep_csv(rows: list[dict]) -> str:
-    """One line per row; a failed row has "nan" in the columns it lacks."""
+    """One line per row; a failed row has "nan" in the columns it lacks or holds None in."""
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_fmt(row[c]) if c in row else "nan" for c in SWEEP_COLUMNS))
+        lines.append(",".join("nan" if row.get(c) is None else _fmt(row[c]) for c in SWEEP_COLUMNS))
     return "\n".join(lines) + "\n"

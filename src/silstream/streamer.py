@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureSequence, ms_to_encoded_frames, ms_to_frames
+from .data import FeatureSequence, ms_to_encoded_frames
 from .decoder import (
     BeamConfig,
     DecodeResult,
@@ -83,10 +83,12 @@ ENGINES = ("buffered", "plain")
 class StreamConfig:
     batch_ms: int = 320
     min_buffer_ms: float = 480.0
-    sil_buffer_ms: float = 480.0
+    sil_buffer_ms: float | None = None  # unset: min_buffer_ms
     engine: str = "buffered"
 
     def __post_init__(self):
+        if self.sil_buffer_ms is None:
+            object.__setattr__(self, "sil_buffer_ms", self.min_buffer_ms)
         if self.batch_ms <= 0:
             raise ValueError("batch_ms must be positive")
         if not (math.isfinite(self.min_buffer_ms) and self.min_buffer_ms >= 0):
@@ -107,10 +109,9 @@ class StreamSession:
         self.frame_shift_ms = frame_shift_ms
         self.enc_state = model.encoder_reset()
         self.buffer = EncodedBuffer()
-        self.beam: list[Hypothesis] = [initial_hypothesis(model)]
+        self._new_segment_beam()  # sets ``beam`` and ``_floor``
         # every committed node after BOS, of every segment; a closed segment's end symbol is left out
         self.committed: list[History] = []
-        self._floor: History = self.beam[0].history  # where the current segment's committed prefix ends
         self._shown: tuple[int, ...] = ()  # the stripped display of ``committed``
         # the last display's best node, and that display
         self._shown_best: tuple[History, tuple[int, ...]] = (self._floor, ())
@@ -187,8 +188,8 @@ class StreamSession:
 
     def _new_segment_beam(self) -> None:
         """Start a fresh hypothesis at the live edge, with nothing committed."""
-        self.beam = [initial_hypothesis(self.model, prev_index=len(self.buffer) - 1)]
-        self._floor = self.beam[0].history
+        self.beam: list[Hypothesis] = [initial_hypothesis(self.model, prev_index=len(self.buffer) - 1)]
+        self._floor: History = self.beam[0].history  # where the current segment's committed prefix ends
 
     def _close_segment(self, best: Hypothesis) -> None:
         self._commit([best.history.parent])  # all but the end symbol
@@ -337,10 +338,11 @@ def stream_decode(
 ) -> tuple[DecodeResult, StreamSession]:
     """Run a whole utterance through a fresh session in fixed batches."""
     session = StreamSession(model, stream_cfg, beam_cfg, frame_shift_ms=features.frame_shift_ms)
-    batch_frames = ms_to_frames(stream_cfg.batch_ms, features.frame_shift_ms)
-    if batch_frames < 1:
-        raise ValueError(f"batch_ms {stream_cfg.batch_ms} is shorter than one frame shift ({features.frame_shift_ms} ms)")
-    batches = split_batches(features.frames, batch_frames)
+    batch_frames, rest = divmod(stream_cfg.batch_ms, features.frame_shift_ms)
+    if batch_frames < 1 or rest:
+        kind = "shorter than one frame shift" if batch_frames < 1 else "not a whole number of frame shifts"
+        raise ValueError(f"batch_ms {stream_cfg.batch_ms} is {kind} ({features.frame_shift_ms} ms)")
+    batches = split_batches(features.frames, int(batch_frames))
     for i, batch in enumerate(batches):
         session.push(batch, is_last=i == len(batches) - 1)
     return session.result(), session

@@ -60,8 +60,7 @@ def token_patterns(cfg: SynthConfig) -> np.ndarray:
     """
     rng = np.random.default_rng(cfg.pattern_seed)
     patterns = np.zeros((cfg.vocab.size, cfg.feature_dim))
-    special = {cfg.vocab.bos_id, cfg.vocab.eos_id, cfg.vocab.sil_id}
-    content = [i for i in range(cfg.vocab.size) if i not in special]
+    content = [i for i in range(cfg.vocab.size) if i not in cfg.vocab.reserved]
     for i in content:
         for _ in range(1000):
             candidate = rng.normal(0.0, 1.0, size=cfg.feature_dim)
@@ -163,8 +162,7 @@ class CorpusSpec:
 
 def gen_corpus(cfg: SynthConfig, spec: CorpusSpec, seed: int) -> dict[str, Utterance]:
     rng = np.random.default_rng(seed)
-    special = {cfg.vocab.bos_id, cfg.vocab.eos_id, cfg.vocab.sil_id}
-    content = [i for i in range(cfg.vocab.size) if i not in special]
+    content = [i for i in range(cfg.vocab.size) if i not in cfg.vocab.reserved]
 
     def sil_len(bounds) -> int:
         length = int(rng.integers(bounds[0], bounds[1] + 1))

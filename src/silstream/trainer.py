@@ -250,7 +250,6 @@ def train(
     for epoch in range(tcfg.epochs):
         order = rng.permutation(len(examples))
         epoch_losses = []
-        diverged = False
         for lo in range(0, len(order), tcfg.batch_size):
             batch = [examples[int(idx)] for idx in order[lo : lo + tcfg.batch_size]]
             try:
@@ -258,19 +257,15 @@ def train(
                 # check in forward_loss is the divergence detector
                 with np.errstate(all="ignore"):
                     batch_loss, batch_grads = _minibatch_gradients(cfg, params, batch, tcfg, vocab, rng)
+                if not math.isfinite(batch_loss):
+                    raise FloatingPointError("non-finite batch loss")
             except FloatingPointError:
-                diverged = True
-                break
-            if not math.isfinite(batch_loss):
-                diverged = True
-                break
+                history["diverged"] = True
+                return last_good, history
             for k in params:
                 velocity[k] = tcfg.momentum * velocity[k] + batch_grads[k]
                 params[k] -= tcfg.learning_rate * velocity[k]
             epoch_losses.append(batch_loss)
-        if diverged:
-            history["diverged"] = True
-            return last_good, history
         history["train_loss"].append(float(np.mean(epoch_losses)))
         last_good = {k: v.copy() for k, v in params.items()}
         if checkpoint_dir:

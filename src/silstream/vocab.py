@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 BOS_TOKEN = "<bos>"
 EOS_TOKEN = "<eos>"
 SIL_TOKEN = "<sil>"
+RESERVED_TOKENS = (BOS_TOKEN, EOS_TOKEN, SIL_TOKEN)
 
 # Label used for silence segments in alignment files.
 SIL_LABEL = "SIL"
@@ -17,16 +18,18 @@ class Vocab:
 
     tokens: tuple[str, ...]
     _ids: dict[str, int] = field(init=False, repr=False, compare=False)
+    reserved: frozenset[int] = field(init=False, repr=False, compare=False)  # BOS, EOS and SIL ids
 
     def __post_init__(self):
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("duplicate tokens in vocabulary")
-        for special in (BOS_TOKEN, EOS_TOKEN, SIL_TOKEN):
+        for special in RESERVED_TOKENS:
             if special not in self.tokens:
                 raise ValueError(f"vocabulary is missing reserved token {special!r}")
         if len(self.tokens) < 4:
             raise ValueError("vocabulary needs at least one non-reserved token")
         object.__setattr__(self, "_ids", {t: i for i, t in enumerate(self.tokens)})
+        object.__setattr__(self, "reserved", frozenset(self._ids[t] for t in RESERVED_TOKENS))
 
     @property
     def size(self) -> int:
@@ -64,7 +67,7 @@ class Vocab:
 
 def make_vocab(content_tokens: list[str]) -> Vocab:
     """Build a vocabulary with the reserved symbols up front."""
-    return Vocab(tuple([BOS_TOKEN, EOS_TOKEN, SIL_TOKEN]) + tuple(content_tokens))
+    return Vocab(RESERVED_TOKENS + tuple(content_tokens))
 
 
 def strip_nonscoring(ids: list[int], vocab: Vocab) -> list[int]:
@@ -73,12 +76,11 @@ def strip_nonscoring(ids: list[int], vocab: Vocab) -> list[int]:
     Silence is an auxiliary modeling token, not transcript content, so it
     never counts toward error rates.
     """
-    drop = {vocab.bos_id, vocab.eos_id, vocab.sil_id}
     out = []
     for i in ids:
         if not 0 <= i < vocab.size:
             raise ValueError(f"token id {i} not valid for vocabulary of size {vocab.size}")
-        if i not in drop:
+        if i not in vocab.reserved:
             out.append(i)
     return out
 

@@ -1,5 +1,10 @@
 """Helpers that only the tests use, and references.
 
+The shared stream fixtures: ``VOCAB`` over a/b/c, ``SYNTH`` and
+``make_utt`` for its utterances, the scripted oracles ``aware`` and
+``skipping``, and ``neural_model``, a random ``NeuralModel`` of the shapes
+in ``NEURAL``.
+
 The per-vector references are the first GRU step and attention energies and
 their backward passes: ``reference_gru_step`` with per-step outer products
 in ``reference_gru_step_backward``, and ``reference_energies``, which takes a
@@ -45,7 +50,7 @@ alone, runs ``forward_loss``, ``backward`` on a minibatch of one and
 ``add_grads``; ``train`` must agree with it to 1e-12 relative.
 ``corpus_loss`` is the loss the finite-difference checks differentiate:
 the deterministic mean loss, encoded ``batch_size`` utterances at a time as
-training does.
+training does; ``finite_difference_errors`` is that check.
 ``reference_sigmoid`` is the first, boolean-mask form of ``nn.sigmoid``, and
 ``reference_softmax`` the first form of ``nn.softmax``. ``first_selection``
 is the first selection probability at or above 0.5; the reference scan
@@ -73,6 +78,7 @@ import numpy as np
 
 from silstream import nn
 from silstream.attention import (
+    AttentionConfig,
     AttentionStepResult,
     EXHAUSTED,
     _moving_sum_back,
@@ -86,13 +92,37 @@ from silstream.attention import (
     soft_step_backward,
 )
 from silstream.decoder import best_hypothesis
-from silstream.encoder import PyramidalEncoder, encode_backward, encode_with_cache
+from silstream.encoder import EncoderConfig, PyramidalEncoder, encode_backward, encode_with_cache
 from silstream.metrics import CerReport
-from silstream.model import StepOutput
+from silstream.model import ModelConfig, NeuralModel, StepOutput, init_params
 from silstream.streamer import StreamConfig, StreamSession
-from silstream.synth import _Emission
+from silstream.synth import OracleMode, OracleModel, SynthConfig, _Emission, gen_utterance
 from silstream.trainer import _encode, backward, forward_loss, smoothed_targets
-from silstream.vocab import strip_nonscoring
+from silstream.vocab import make_vocab, strip_nonscoring
+
+VOCAB = make_vocab(["a", "b", "c"])
+SYNTH = SynthConfig(vocab=VOCAB, feature_dim=8, frames_per_token=8)
+NEURAL = ModelConfig(
+    encoder=EncoderConfig(num_layers=2, input_dim=8, hidden=16, proj=8),
+    attention=AttentionConfig(chunk_size=3, energy_hidden=8),
+    decoder_hidden=16, embed_dim=4,
+)
+
+
+def make_utt(tokens, layout, seed=0):
+    return gen_utterance(SYNTH, seed=seed, tokens=VOCAB.encode(tokens), silence_layout=layout)
+
+
+def aware(utt, d=2, min_sil=1):
+    return OracleModel(OracleMode("silence_aware", d, min_sil), VOCAB, utt.alignment, 4)
+
+
+def skipping(utt):
+    return OracleModel(OracleMode("silence_skipping"), VOCAB, utt.alignment, 4)
+
+
+def neural_model(seed=0):
+    return NeuralModel(NEURAL, init_params(NEURAL, VOCAB.size, seed=seed), VOCAB)
 
 PARAM_GROUPS = {
     "encoder": ("enc",),
@@ -723,6 +753,30 @@ def corpus_loss(cfg, params, examples, tcfg, vocab) -> float:
         encoded, _ = _encode(cfg, params, batch)
         losses += [forward_loss(cfg, params, H, ref, plain, vocab)[0] for H, (_, ref) in zip(encoded, batch)]
     return float(np.mean(losses))
+
+
+def finite_difference_errors(cfg, params, examples, tcfg, vocab, grads, step: float = 1e-4) -> dict[str, float]:
+    """Each parameter group's largest error of ``grads`` against central
+    differences of ``corpus_loss``, relative to the larger of the two
+    gradients' largest magnitudes (at least 1e-8). ``params`` is perturbed
+    one entry at a time and left as it was."""
+    worst = dict.fromkeys(PARAM_GROUPS, 0.0)
+    for name in sorted(params):
+        g_fd = np.zeros_like(params[name])
+        it = np.nditer(params[name], flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            orig = params[name][idx]
+            params[name][idx] = orig + step
+            up = corpus_loss(cfg, params, examples, tcfg, vocab)
+            params[name][idx] = orig - step
+            dn = corpus_loss(cfg, params, examples, tcfg, vocab)
+            params[name][idx] = orig
+            g_fd[idx] = (up - dn) / (2 * step)
+        denom = max(np.abs(g_fd).max(), np.abs(grads[name]).max(), 1e-8)
+        group = group_of(name)
+        worst[group] = max(worst[group], float(np.abs(grads[name] - g_fd).max() / denom))
+    return worst
 
 
 def reference_cer(reference: list[int], hypothesis: list[int], vocab) -> CerReport:

@@ -4,14 +4,12 @@ Criteria 7a/7b (trained models) share one session-scoped training fixture;
 everything else runs on oracles or random parameters. Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
 """
-import math
 import time
 
 import numpy as np
 import pytest
 
 import silstream as ss
-from silstream import nn, trainer
 from silstream.attention import (
     AttentionConfig,
     AttentionState,
@@ -21,15 +19,14 @@ from silstream.attention import (
 )
 from silstream.decoder import BeamConfig
 from silstream.encoder import EncoderConfig, PyramidalEncoder, init_encoder_params
-from silstream.labeler import LabelerConfig, label_corpus
 from silstream.metrics import CerReport, cer, cpl, sweep, sweep_csv
-from silstream.model import ModelConfig, NeuralModel, init_params
+from silstream.model import ModelConfig, init_params
 from silstream.streamer import StreamConfig, decode_offline, stream_decode
 from silstream.synth import CorpusSpec, OracleMode, OracleModel, SynthConfig, gen_corpus, gen_utterance
 from silstream.trainer import TrainConfig, _minibatch_gradients
 from silstream.vocab import make_vocab
 
-from support import PARAM_GROUPS, corpus_loss, encode, group_of, infer_step
+from support import encode, finite_difference_errors, infer_step
 
 VOCAB = make_vocab([f"t{i}" for i in range(5)])
 SYNTH = SynthConfig(vocab=VOCAB, feature_dim=8, frames_per_token=8)
@@ -157,23 +154,7 @@ def test_criterion_3_gradient_verification():
              for frames, tokens in ((12, (0, 1, 2)), (7, (3, 1)), (13, (2, 0, 3)))]
     tcfg = TrainConfig(scheduled_sampling=0.0, selection_noise_std=0.0)
     _, grads = _minibatch_gradients(cfg, params, batch, tcfg, VOCAB, rng)
-    step = 1e-4
-    worst = dict.fromkeys(PARAM_GROUPS, 0.0)
-    for name in sorted(params):
-        g_fd = np.zeros_like(params[name])
-        it = np.nditer(params[name], flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = params[name][idx]
-            params[name][idx] = orig + step
-            up = corpus_loss(cfg, params, batch, tcfg, VOCAB)
-            params[name][idx] = orig - step
-            dn = corpus_loss(cfg, params, batch, tcfg, VOCAB)
-            params[name][idx] = orig
-            g_fd[idx] = (up - dn) / (2 * step)
-        denom = max(np.abs(g_fd).max(), np.abs(grads[name]).max(), 1e-8)
-        group = group_of(name)
-        worst[group] = max(worst[group], float(np.abs(grads[name] - g_fd).max() / denom))
+    worst = finite_difference_errors(cfg, params, batch, tcfg, VOCAB, grads)
     elapsed = time.time() - started
     for group, rel in worst.items():
         assert rel <= 1e-3, f"{group}: {rel}"

@@ -24,10 +24,18 @@ from hypothesis import strategies as st
 
 from silstream.attention import AttentionConfig
 from silstream.cli import main
-from silstream.data import parse_alignment_corpus, read_features, read_references
+from silstream.data import (FeatureSequence, ms_to_encoded_frames, parse_alignment, parse_alignment_corpus,
+                            read_features, read_references)
+from silstream.decoder import BeamConfig
 from silstream.encoder import EncoderConfig
+from silstream.labeler import LabelerConfig, insert_silence
 from silstream.model import ModelConfig, NeuralModel, _checkpoint_body, init_params, load_checkpoint, save_checkpoint
+from silstream.streamer import StreamConfig, StreamSession
+from silstream.synth import OracleMode, SynthConfig, gen_utterance
+from silstream.trainer import TrainConfig
 from silstream.vocab import load_vocab, make_vocab
+
+from support import SYNTH, aware, make_utt
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 VOCAB = make_vocab(["t0", "t1", "t2", "t3"])  # gen-synthetic's, so the checkpoint decodes the corpus below
@@ -314,3 +322,72 @@ def test_console_script_prints_one_line_and_exits_1(tmp_path):
     assert run.returncode == 1 and run.stdout == ""
     assert run.stderr.splitlines() == [
         f"silstream label-silence: [Errno 2] No such file or directory: '{tmp_path / 'nope' / 'vocab.txt'}'"]
+
+
+def _push_after_finish():
+    model = aware(make_utt(["a"], []))
+    state = model.encoder_reset()
+    model.encoder_finish(state)
+    model.encoder_push(state, np.zeros((4, SYNTH.feature_dim)))
+
+
+def _result_before_last_batch():
+    utt = make_utt(["a"], [])
+    session = StreamSession(aware(utt), StreamConfig(), BeamConfig())
+    session.push(utt.features.frames)
+    session.result()
+
+
+# every input refusal of a library entry point that no other test reaches:
+# (call, exception type, fragment of the message)
+REFUSALS = {
+    "attention-chunk-size": (lambda: AttentionConfig(chunk_size=0), ValueError, "chunk_size must be >= 1"),
+    "attention-energy-hidden": (lambda: AttentionConfig(energy_hidden=0), ValueError, "energy_hidden must be positive"),
+    "encoder-layers": (lambda: EncoderConfig(num_layers=0), ValueError, "num_layers must be >= 1"),
+    "encoder-dims": (lambda: EncoderConfig(proj=0), ValueError, "encoder dims must be positive"),
+    "beam-size": (lambda: BeamConfig(beam_size=0), ValueError, "beam_size must be >= 1"),
+    "beam-eos-policy": (lambda: BeamConfig(eos_policy="drop"), ValueError, "eos_policy must be one of"),
+    "stream-batch-ms": (lambda: StreamConfig(batch_ms=0), ValueError, "batch_ms must be positive"),
+    "stream-engine": (lambda: StreamConfig(engine="eager"), ValueError, "engine must be one of"),
+    "labeler-duration": (lambda: LabelerConfig(duration_frames=0), ValueError, "duration_frames must be >= 1"),
+    "labeler-min-segment": (lambda: LabelerConfig(min_segment_frames=-1), ValueError,
+                            "min_segment_frames must be >= 0"),
+    "synth-frames-per-token": (lambda: SynthConfig(vocab=SYNTH.vocab, frames_per_token=0), ValueError,
+                               "frames_per_token must be >= 1"),
+    "synth-noise": (lambda: SynthConfig(vocab=SYNTH.vocab, noise_sigma=-0.1), ValueError,
+                    "noise_sigma must be nonnegative"),
+    "oracle-mode": (lambda: OracleMode("greedy"), ValueError, "unknown oracle mode 'greedy'"),
+    "oracle-sil-duration": (lambda: OracleMode(sil_duration_encoded=0), ValueError,
+                            "sil_duration_encoded must be >= 1"),
+    "oracle-min-silence": (lambda: OracleMode(min_silence_encoded=-1), ValueError, "min_silence_encoded must be >= 0"),
+    "train-label-smoothing": (lambda: TrainConfig(label_smoothing=1.0), ValueError,
+                              "label_smoothing must be in [0, 1)"),
+    "train-scheduled-sampling": (lambda: TrainConfig(scheduled_sampling=1.5), ValueError,
+                                 "scheduled_sampling must be in [0, 1]"),
+    "features-not-2d": (lambda: FeatureSequence(np.zeros(4)), ValueError, "features must be 2-D, got shape (4,)"),
+    "features-shift": (lambda: FeatureSequence(np.zeros((2, 3)), frame_shift_ms=0), ValueError,
+                       "frame_shift_ms and frame_window_ms must be positive"),
+    "features-window": (lambda: FeatureSequence(np.zeros((2, 3)), frame_window_ms=-25), ValueError,
+                        "frame_shift_ms and frame_window_ms must be positive"),
+    "encoded-frames-negative-ms": (lambda: ms_to_encoded_frames(-10, 10, 4), ValueError,
+                                   "duration must be nonnegative, got -10"),
+    "utterance-empty": (lambda: gen_utterance(SYNTH, seed=0, tokens=[], silence_layout=[]), ValueError,
+                        "utterance needs at least one token or silence stretch"),
+    "utterance-silence-length": (lambda: gen_utterance(SYNTH, seed=0, tokens=SYNTH.vocab.encode(["a"]),
+                                                       silence_layout=[(1, 0)]), ValueError,
+                                 "silence length must be >= 1, got 0"),
+    "labeler-word-past-reference": (lambda: insert_silence(SYNTH.vocab.encode(["a"]), parse_alignment("a 0 8\nb 8 16"),
+                                                           LabelerConfig(), SYNTH.vocab), ValueError,
+                                    "alignment segment 1 ('b') has no matching reference token"),
+    "oracle-push-after-finish": (_push_after_finish, RuntimeError, "push after finish"),
+    "session-result-before-last-batch": (_result_before_last_batch, RuntimeError,
+                                         "session has not received its last batch yet"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_library_refusal(case):
+    call, kind, fragment = REFUSALS[case]
+    with pytest.raises(kind) as exc:
+        call()
+    assert fragment in str(exc.value)

@@ -1,7 +1,6 @@
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from silstream import cli, metrics
@@ -158,18 +157,19 @@ def test_evaluate_refuses_a_missing_hypothesis(corpus_dir, tmp_path):
 
 
 def test_batch_shorter_than_a_frame_names_batch_ms(corpus_dir, tmp_path):
-    """A batch shorter than one frame shift is refused naming ``batch_ms`` and the shift,
-    on the command line and in a sweep row."""
-    message = "batch_ms 5 is shorter than one frame shift (10 ms)"
-    with pytest.raises(SystemExit) as exc:
-        main(["decode-online", "--corpus", str(corpus_dir), "--oracle", "silence_aware", "--batch-ms", "5",
-              "--out", str(tmp_path / "hyp.tsv")])
-    assert str(exc.value) == f"silstream decode-online: {message}"
+    """A batch shorter than one frame shift, or not a whole number of them, is refused
+    naming ``batch_ms`` and the shift, on the command line and in a sweep row."""
     corpus, vocab = load_corpus(str(corpus_dir))
-    [row] = metrics.sweep(corpus, lambda utt: OracleModel(OracleMode("silence_aware"), vocab, utt.alignment),
-                          beams=[1], min_buffers_ms=[480.0], sil_buffers_ms=[480.0],
-                          stream_cfg=StreamConfig(batch_ms=5), beam_cfg=BeamConfig(beam_size=1))
-    assert row["failed"] and row["error"] == message
+    for batch_ms, message in ((5, "batch_ms 5 is shorter than one frame shift (10 ms)"),
+                              (15, "batch_ms 15 is not a whole number of frame shifts (10 ms)")):
+        with pytest.raises(SystemExit) as exc:
+            main(["decode-online", "--corpus", str(corpus_dir), "--oracle", "silence_aware",
+                  "--batch-ms", str(batch_ms), "--out", str(tmp_path / "hyp.tsv")])
+        assert str(exc.value) == f"silstream decode-online: {message}"
+        [row] = metrics.sweep(corpus, lambda utt: OracleModel(OracleMode("silence_aware"), vocab, utt.alignment),
+                              beams=[1], min_buffers_ms=[480.0], sil_buffers_ms=[480.0],
+                              stream_cfg=StreamConfig(batch_ms=batch_ms), beam_cfg=BeamConfig(beam_size=1))
+        assert row["failed"] and row["error"] == message
 
 
 class TestTrainCli:
@@ -197,11 +197,38 @@ class TestSweepCli:
         assert lines[0].startswith("beam,min_buffer_ms")
         assert len(lines) == 3
 
-    def test_failed_row_nonzero_exit(self, corpus_dir, tmp_path):
+    def test_failed_row_nonzero_exit(self, corpus_dir, tmp_path, capsys):
         rc = main(["sweep", "--corpus", str(corpus_dir), "--oracle", "silence_aware",
                    "--beams", "1", "--min-buffers", "480", "--sil-buffers", "240",
                    "--batch-ms", "160", "--out", str(tmp_path / "bad.csv")])
         assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "silstream sweep: beam 1, min_buffer_ms 480.0, sil_buffer_ms 240.0: "
+            "sil_buffer_ms must be finite and >= min_buffer_ms"]
+        assert json.loads(captured.out) == {"rows": 1, "failed": 1, "out": str(tmp_path / "bad.csv")}
+        # an unset silence buffer of a refused minimum buffer: None on stderr, nan in the CSV
+        rc = main(["sweep", "--corpus", str(corpus_dir), "--oracle", "silence_aware", "--beams", "1",
+                   "--min-buffers", "-1", "--batch-ms", "160", "--out", str(tmp_path / "negative.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "silstream sweep: beam 1, min_buffer_ms -1.0, sil_buffer_ms None: "
+            "min_buffer_ms must be finite and nonnegative"]
+        assert (tmp_path / "negative.csv").read_text().splitlines()[1] == "1,-1.000000,nan,160" + ",nan" * 8
+
+    @pytest.mark.parametrize("min_buffers", ["960", "240,960"])
+    def test_unset_silence_buffer_is_each_points_min_buffer(self, corpus_dir, tmp_path, min_buffers):
+        """Without --sil-buffers each grid point runs, and records, the silence buffer
+        of its own minimum buffer: the row that an explicit --sil-buffers gives."""
+        def sweep(*flags) -> list[str]:
+            out = tmp_path / "sweep.csv"
+            assert main(["sweep", "--corpus", str(corpus_dir), "--oracle", "silence_aware", "--beams", "1",
+                         "--batch-ms", "160", "--out", str(out), *flags]) == 0
+            return out.read_text().splitlines()[1:]
+
+        rows = sweep("--min-buffers", min_buffers)
+        assert rows == [sweep("--min-buffers", ms, "--sil-buffers", ms)[0] for ms in min_buffers.split(",")]
+        assert [row.split(",")[2] for row in rows] == [f"{float(ms):.6f}" for ms in min_buffers.split(",")]
 
 
 class TestConfigFile:

@@ -28,6 +28,7 @@ def vocab():
 class TestVocab:
     def test_reserved_ids_distinct(self, vocab):
         assert len({vocab.bos_id, vocab.eos_id, vocab.sil_id}) == 3
+        assert vocab.reserved == {vocab.bos_id, vocab.eos_id, vocab.sil_id}
         assert vocab.size == 6
 
     def test_ids_dense(self, vocab):

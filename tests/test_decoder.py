@@ -8,44 +8,17 @@ import pytest
 from silstream import decoder
 from silstream.data import FeatureSequence
 from silstream.decoder import BeamConfig, EncodedBuffer, decode_step, initial_hypothesis
-from silstream.model import ModelConfig, NeuralModel, StepOutput, init_params
-from silstream.encoder import EncoderConfig
-from silstream.attention import AttentionConfig, AttentionStepResult
+from silstream.model import StepOutput
+from silstream.attention import AttentionStepResult
 from silstream.streamer import StreamConfig, decode_offline, split_batches, stream_decode
-from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_utterance
-from silstream.vocab import make_vocab
 
-from support import encode, hyp_timeline, hyp_tokens, offline_best
-
-VOCAB = make_vocab(["a", "b", "c"])
-SYNTH = SynthConfig(vocab=VOCAB, feature_dim=8, frames_per_token=8)
-
-
-def make_utt(tokens, layout, seed=0):
-    return gen_utterance(SYNTH, seed=seed, tokens=VOCAB.encode(tokens), silence_layout=layout)
-
-
-def aware(utt, d=2, min_sil=1):
-    return OracleModel(OracleMode("silence_aware", d, min_sil), VOCAB, utt.alignment, 4)
-
-
-def skipping(utt):
-    return OracleModel(OracleMode("silence_skipping"), VOCAB, utt.alignment, 4)
+from support import VOCAB, aware, encode, hyp_timeline, hyp_tokens, make_utt, neural_model, offline_best, skipping
 
 
 def decode_plain(model, features, beam_cfg, batch_ms, min_buffer_ms):
     """The plain online baseline: one gate for every token class, no restricted region."""
     cfg = StreamConfig(batch_ms=batch_ms, min_buffer_ms=min_buffer_ms, sil_buffer_ms=min_buffer_ms, engine="plain")
     return stream_decode(model, features, cfg, beam_cfg)[0]
-
-
-def neural_model(seed=0):
-    cfg = ModelConfig(
-        encoder=EncoderConfig(num_layers=2, input_dim=8, hidden=16, proj=8),
-        attention=AttentionConfig(chunk_size=3, energy_hidden=8),
-        decoder_hidden=16, embed_dim=4,
-    )
-    return NeuralModel(cfg, init_params(cfg, VOCAB.size, seed=seed), VOCAB)
 
 
 class TestDecodeStep:

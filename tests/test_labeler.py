@@ -2,9 +2,10 @@ import pytest
 
 from silstream.data import parse_alignment
 from silstream.labeler import LabelerConfig, insert_silence, label_corpus, silence_tokens_for
-from silstream.vocab import make_vocab, strip_nonscoring
+from silstream.vocab import strip_nonscoring
 
-VOCAB = make_vocab(["a", "b", "c"])
+from support import VOCAB
+
 A, B, C = (VOCAB.id_of(t) for t in "abc")
 
 

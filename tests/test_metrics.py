@@ -14,9 +14,9 @@ from silstream.metrics import (
 )
 from silstream.streamer import StreamConfig
 from silstream.synth import CorpusSpec, OracleMode, OracleModel, SynthConfig, gen_corpus
-from silstream.vocab import make_vocab
 
-VOCAB = make_vocab(["a", "b", "c"])
+from support import VOCAB
+
 A, B, C = (VOCAB.id_of(t) for t in "abc")
 
 

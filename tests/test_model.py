@@ -9,11 +9,8 @@ from silstream.attention import AttentionConfig, AttentionState
 from silstream.decoder import EncodedBuffer
 from silstream.encoder import EncoderConfig
 from silstream.model import ModelConfig, NeuralModel, init_params, load_checkpoint, save_checkpoint
-from silstream.vocab import make_vocab
 
-from support import encode, flatten_params, unflatten_params
-
-VOCAB = make_vocab(["a", "b", "c"])
+from support import VOCAB, encode, flatten_params, unflatten_params
 
 
 @pytest.fixture

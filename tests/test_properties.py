@@ -70,19 +70,23 @@ from silstream.encoder import (
 from silstream.metrics import cer
 from silstream.model import ModelConfig, NeuralModel, init_params
 from silstream.streamer import ENGINES, StreamConfig, StreamSession, decode_offline
-from silstream.synth import ORACLE_MODES, OracleMode, OracleModel, SynthConfig, gen_utterance
+from silstream.synth import ORACLE_MODES, OracleMode, OracleModel
 from silstream.trainer import TrainConfig, backward, forward_loss
-from silstream.vocab import SIL_LABEL, make_vocab
+from silstream.vocab import SIL_LABEL
 
 from support import (
+    VOCAB,
     Declared,
     FreshOutputs,
     add_grads,
+    aware,
     encode,
     group_of,
     hyp_timeline,
     hyp_tokens,
     infer_step,
+    make_utt,
+    neural_model,
     reference_decode_step,
     reference_decoder_backward,
     reference_decoder_loss,
@@ -104,26 +108,6 @@ from support import (
     reference_softmax,
     reference_start,
 )
-
-VOCAB = make_vocab(["a", "b", "c"])
-SYNTH = SynthConfig(vocab=VOCAB, feature_dim=8, frames_per_token=8)
-
-
-def make_utt(tokens, layout, seed=0):
-    return gen_utterance(SYNTH, seed=seed, tokens=VOCAB.encode(tokens), silence_layout=layout)
-
-
-def aware(utt, d=2, min_sil=1):
-    return OracleModel(OracleMode("silence_aware", d, min_sil), VOCAB, utt.alignment, 4)
-
-
-def neural_model(seed=0):
-    cfg = ModelConfig(
-        encoder=EncoderConfig(num_layers=2, input_dim=8, hidden=16, proj=8),
-        attention=AttentionConfig(chunk_size=3, energy_hidden=8),
-        decoder_hidden=16, embed_dim=4,
-    )
-    return NeuralModel(cfg, init_params(cfg, VOCAB.size, seed=seed), VOCAB)
 
 
 def split_points(draw_sizes, total):

@@ -16,25 +16,11 @@ from silstream.streamer import (
     split_batches,
     stream_decode,
 )
-from silstream.synth import OracleMode, OracleModel, SynthConfig, gen_corpus, CorpusSpec, gen_utterance
+from silstream.synth import OracleMode, OracleModel, gen_corpus, CorpusSpec, gen_utterance
 from silstream.vocab import make_vocab, strip_nonscoring
 
-from support import Declared, final_best, hyp_timeline, hyp_tokens
-
-VOCAB = make_vocab(["a", "b", "c"])
-SYNTH = SynthConfig(vocab=VOCAB, feature_dim=8, frames_per_token=8)
-
-
-def make_utt(tokens, layout, seed=0):
-    return gen_utterance(SYNTH, seed=seed, tokens=VOCAB.encode(tokens), silence_layout=layout)
-
-
-def aware(utt, d=2, min_sil=1):
-    return OracleModel(OracleMode("silence_aware", d, min_sil), VOCAB, utt.alignment, 4)
-
-
-def skipping(utt):
-    return OracleModel(OracleMode("silence_skipping"), VOCAB, utt.alignment, 4)
+from support import (NEURAL, SYNTH, VOCAB, Declared, aware, final_best, hyp_timeline, hyp_tokens, make_utt,
+                     neural_model, skipping)
 
 
 def frames_after(cfg, token):
@@ -57,6 +43,13 @@ class TestApplicableBuffer:
         cfg = StreamConfig(min_buffer_ms=480, sil_buffer_ms=2400)
         assert frames_after(cfg, VOCAB.bos_id) == 480 // 40
         assert frames_after(cfg, None) == 480 // 40
+
+    @pytest.mark.parametrize("min_ms", [0.0, 240.0, 480.0, 960.0])
+    def test_unset_silence_buffer_is_the_min_buffer(self, min_ms):
+        cfg = StreamConfig(min_buffer_ms=min_ms)
+        assert cfg.sil_buffer_ms == min_ms
+        assert frames_after(cfg, VOCAB.sil_id) == frames_after(cfg, VOCAB.id_of("a")) == min_ms // 40
+        assert StreamConfig().sil_buffer_ms == 480.0
 
     def test_silence_buffer_cannot_undercut_min(self):
         with pytest.raises(ValueError):
@@ -159,12 +152,7 @@ class TestOfflineEquivalence:
         assert decisions == {"no-decode"}
 
     def test_infinite_buffers_bitwise_offline_equality_any_model(self):
-        cfg = ModelConfig(
-            encoder=EncoderConfig(num_layers=2, input_dim=8, hidden=16, proj=8),
-            attention=AttentionConfig(chunk_size=3, energy_hidden=8),
-            decoder_hidden=16, embed_dim=4,
-        )
-        model = NeuralModel(cfg, init_params(cfg, VOCAB.size, seed=5), VOCAB)
+        model = neural_model(seed=5)
         feats = FeatureSequence(np.random.default_rng(8).normal(size=(50, 8)))
         offline = decode_offline(model, feats, BeamConfig(beam_size=2))
         result, _ = stream_decode(
@@ -226,15 +214,10 @@ class TestCounters:
     def test_forced_steps_count_forced_emissions(self):
         # a selection bias this low never selects a frame: every step stalls
         # until the last batch forces one, and the boosted end symbol ends the stream
-        cfg = ModelConfig(
-            encoder=EncoderConfig(num_layers=2, input_dim=8, hidden=16, proj=8),
-            attention=AttentionConfig(chunk_size=3, energy_hidden=8),
-            decoder_hidden=16, embed_dim=4,
-        )
-        params = init_params(cfg, VOCAB.size, seed=3)
+        params = init_params(NEURAL, VOCAB.size, seed=3)
         params["att.sel.r"][0] = -50.0
         params["out.b"][VOCAB.eos_id] = 2.0
-        model = NeuralModel(cfg, params, VOCAB, silence_aware=True)
+        model = NeuralModel(NEURAL, params, VOCAB, silence_aware=True)
         feats = FeatureSequence(np.random.default_rng(4).normal(size=(120, 8)))
         result, session = stream_decode(model, feats, StreamConfig(batch_ms=160), BeamConfig(beam_size=1))
         forced = sum(em.forced for em in result.emissions)

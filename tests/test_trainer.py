@@ -12,11 +12,8 @@ from silstream.encoder import EncoderConfig
 from silstream.model import ModelConfig, NeuralModel, init_params, load_checkpoint, save_checkpoint
 from silstream.trainer import (TrainConfig, _encode, _minibatch_gradients, backward, forward_loss,
                                smoothed_targets, train)
-from silstream.vocab import make_vocab
 
-from support import PARAM_GROUPS, corpus_loss, group_of, reference_train
-
-VOCAB = make_vocab(["a", "b", "c"])
+from support import VOCAB, corpus_loss, finite_difference_errors, reference_train
 
 
 def tiny_model():
@@ -141,23 +138,7 @@ class TestGradients:
         cfg, params = tiny_model()
         batch = [tiny_example(seed, frames) for seed, frames in ((11, 12), (12, 7), (13, 13))]
         _, grads = _minibatch_gradients(cfg, params, batch, NO_NOISE, VOCAB, np.random.default_rng(0))
-        step = 1e-4
-        worst = dict.fromkeys(PARAM_GROUPS, 0.0)
-        for name in sorted(params):
-            g_fd = np.zeros_like(params[name])
-            it = np.nditer(params[name], flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = params[name][idx]
-                params[name][idx] = orig + step
-                up = corpus_loss(cfg, params, batch, NO_NOISE, VOCAB)
-                params[name][idx] = orig - step
-                dn = corpus_loss(cfg, params, batch, NO_NOISE, VOCAB)
-                params[name][idx] = orig
-                g_fd[idx] = (up - dn) / (2 * step)
-            denom = max(np.abs(g_fd).max(), np.abs(grads[name]).max(), 1e-8)
-            rel = np.abs(grads[name] - g_fd).max() / denom
-            worst[group_of(name)] = max(worst[group_of(name)], rel)
+        worst = finite_difference_errors(cfg, params, batch, NO_NOISE, VOCAB, grads)
         for group, rel in worst.items():
             assert rel <= 1e-3, f"{group} gradient off by {rel}"
 

@@ -133,8 +133,7 @@ def per_token(workloads, calibration, audio_seconds, beams, repeats, seed) -> tu
     spec = workloads.load_spec()
     params = spec["workloads"]["stream_long"]
     vocab = ss.make_vocab([f"t{i}" for i in range(params["vocab_size"])])
-    synth_cfg = ss.SynthConfig(vocab=vocab, **params["synth"])
-    corpus = {k: tuple(v) if isinstance(v, list) else v for k, v in params["corpus"].items()}
+    synth_cfg, corpus_spec = workloads._synth_config(vocab, params), workloads._corpus_spec(params)
     oracle, stream = params["oracle"], spec["stream"]
     stream_cfg = ss.StreamConfig(batch_ms=stream["batch_ms"], min_buffer_ms=stream["min_buffer_ms"],
                                  sil_buffer_ms=stream["sil_buffer_ms"])
@@ -142,7 +141,7 @@ def per_token(workloads, calibration, audio_seconds, beams, repeats, seed) -> tu
     rows, factors = [], []
     for audio_s in audio_seconds:
         frames = int(round(audio_s * 1000 / synth_cfg.frame_shift_ms))
-        utt = workloads.build_stream(synth_cfg, ss.CorpusSpec(**corpus), seed, frames, f"stream{audio_s:g}")
+        utt = workloads.build_stream(synth_cfg, corpus_spec, seed, frames, f"stream{audio_s:g}")
         model = ss.OracleModel(ss.OracleMode("silence_aware", oracle["sil_duration_encoded"],
                                              oracle["min_silence_encoded"]),
                                vocab, utt.alignment, total_reduction=oracle["total_reduction"])
